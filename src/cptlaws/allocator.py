@@ -5,13 +5,12 @@ Closed forms, with C = 6 N D:
     N_opt(C) = G (C/6)^a = k_N C^a
     D_opt(C) = G^-1 (C/6)^b = k_D C^b
 
-From-scratch law:   G = (alpha A / (beta B))^(1/(alpha+beta)),
-                    a = beta/(alpha+beta), b = alpha/(alpha+beta)
-Extended CPT law:   G = (alpha A / ((beta'-gamma) B'))^(1/(alpha+beta'-gamma)),
-                    a = beta'/(alpha+beta'-gamma), b = (alpha-gamma)/(alpha+beta'-gamma)
+    G = (alpha A / ((beta'-gamma) B'))^(1/(alpha+beta'-gamma)),
+    a = beta'/(alpha+beta'-gamma), b = (alpha-gamma)/(alpha+beta'-gamma)
 
-The CPT form has an interior optimum only when beta' > gamma and
-alpha > gamma; anything else is an error, never a silent clamp.
+The from-scratch law is the case gamma = 0, B' = B.  An interior optimum
+exists only when beta' > gamma and alpha > gamma; anything else is an error,
+never a silent clamp.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .ingest import FLOPS_PER_PARAM_TOKEN
-from .laws import ChinchillaParams, ExtendedCptParams, LawParams, eval_law
+from .laws import LawParams, _coefficients, eval_law
 
 #: Default log-N search bracket for the numeric frontier: spans every catalog
 #: model size with margin.
@@ -92,32 +91,18 @@ class IsoLossGrid:
             arr.setflags(write=False)
 
 
-def coefficients_scratch(p: ChinchillaParams) -> AllocationCoefficients:
-    """Closed-form allocation coefficients for the from-scratch law."""
-    total = p.alpha + p.beta
-    a = p.beta / total
-    b = p.alpha / total
-    G = (p.alpha * p.A / (p.beta * p.B)) ** (1.0 / total)
-    return AllocationCoefficients(
-        G=G,
-        a=a,
-        b=b,
-        k_N=G / FLOPS_PER_PARAM_TOKEN**a,
-        k_D=1.0 / (G * FLOPS_PER_PARAM_TOKEN**b),
-    )
-
-
-def coefficients_cpt(p: ExtendedCptParams) -> AllocationCoefficients:
-    """Closed-form allocation coefficients for the extended CPT law."""
-    if p.beta_prime <= p.gamma or p.alpha <= p.gamma:
+def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
+    """Closed-form allocation coefficients for either loss law."""
+    _, A, alpha, B, beta, gamma = _coefficients(law)
+    if beta <= gamma or alpha <= gamma:
         raise AllocationRegimeError(
             f"no interior optimum: requires beta' > gamma and alpha > gamma, "
-            f"got beta'={p.beta_prime}, alpha={p.alpha}, gamma={p.gamma}"
+            f"got beta'={beta}, alpha={alpha}, gamma={gamma}"
         )
-    total = p.alpha + p.beta_prime - p.gamma
-    a = p.beta_prime / total
-    b = (p.alpha - p.gamma) / total
-    G = (p.alpha * p.A / ((p.beta_prime - p.gamma) * p.B_prime)) ** (1.0 / total)
+    total = alpha + beta - gamma
+    a = beta / total
+    b = (alpha - gamma) / total
+    G = (alpha * A / ((beta - gamma) * B)) ** (1.0 / total)
     return AllocationCoefficients(
         G=G,
         a=a,
@@ -127,13 +112,9 @@ def coefficients_cpt(p: ExtendedCptParams) -> AllocationCoefficients:
     )
 
 
-def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
-    """Dispatch to the closed form matching the law family."""
-    if isinstance(law, ChinchillaParams):
-        return coefficients_scratch(law)
-    if isinstance(law, ExtendedCptParams):
-        return coefficients_cpt(law)
-    raise TypeError(f"expected a loss law, got {type(law).__name__}")
+#: Family-specific names kept for callers; both accept any loss law.
+coefficients_scratch = allocation_coefficients
+coefficients_cpt = allocation_coefficients
 
 
 def optimal_allocation(
@@ -162,7 +143,9 @@ def numeric_optimal_params(
     """Argmin over N of the law's loss at fixed compute (D = C/(6N)).
 
     Golden-section search on log N; the loss along an iso-compute line is a
-    sum of exponentials in log N and therefore unimodal.
+    sum of exponentials in log N and therefore unimodal.  Raises DomainError
+    when the argmin lands within ``tol`` of a bracket edge, where the true
+    optimum may lie outside the bracket.
     """
     if compute <= 0:
         raise DomainError(f"compute must be positive, got {compute!r}")
@@ -186,7 +169,12 @@ def numeric_optimal_params(
             lo, c, f_c = c, d, f_d
             d = lo + _INVPHI * (hi - lo)
             f_d = loss_at(d)
-    return math.exp(0.5 * (lo + hi))
+    x = 0.5 * (lo + hi)
+    if min(x - math.log(bracket[0]), math.log(bracket[1]) - x) <= tol:
+        raise DomainError(
+            f"argmin over N at C={compute:.6g} is at the edge of the bracket {bracket!r}"
+        )
+    return math.exp(x)
 
 
 def isoloss_grid(

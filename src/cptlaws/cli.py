@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 from . import allocator, fitter, ingest, laws, synth, transfer
 from .errors import CptLawsError, FitError
@@ -42,25 +43,8 @@ _CONFIG_KEYS = (
 _PRESETS = {"paper-scratch": "scratch", "paper-cpt": "cpt"}
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _write_csv_atomic(path: str, write_fn) -> None:
-    """Run a path-taking CSV exporter against a temp file, then rename."""
+def _write_atomic(path: str, write_fn) -> None:
+    """Run a path-taking writer against a temp file beside ``path``, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
     os.close(fd)
@@ -71,6 +55,11 @@ def _write_csv_atomic(path: str, write_fn) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: str, doc: dict) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
+    _write_atomic(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _load_json(path: str) -> dict:
@@ -174,7 +163,7 @@ def cmd_isoloss(args) -> int:
     grid = allocator.isoloss_grid(
         law, _parse_range(args.n_range), _parse_range(args.d_range), args.resolution
     )
-    _write_csv_atomic(args.out, lambda tmp: allocator.export_isoloss_csv(grid, law, tmp))
+    _write_atomic(args.out, lambda tmp: allocator.export_isoloss_csv(grid, law, tmp))
     print(
         f"wrote {args.out}: {grid.loss_values.size} grid cells, "
         f"{len(grid.frontier)} frontier points"
@@ -215,7 +204,7 @@ def cmd_transfer(args) -> int:
             if args.out.endswith(".json"):
                 _write_json(args.out, transfer.transfer_report_to_dict(report))
             else:
-                _write_csv_atomic(args.out, lambda tmp: transfer.export_transfer_csv(report, tmp))
+                _write_atomic(args.out, lambda tmp: transfer.export_transfer_csv(report, tmp))
             print(f"wrote {args.out}")
         saved = report.flops_saved_fraction
         print(
@@ -237,7 +226,7 @@ def cmd_transfer(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     moved = transfer.parametric_transfer(scratch, cpt, args.n, args.d)
-    level = laws.eval_extended(cpt, args.n, args.d)
+    level = laws.eval_law(cpt, args.n, args.d)
     doc = {
         "schema_version": laws.SCHEMA_VERSION,
         "kind": "parametric_transfer",
@@ -261,7 +250,7 @@ def cmd_replay(args) -> int:
     if args.out.endswith(".json"):
         _write_json(args.out, transfer.forgetting_curves_to_dict(curves))
     else:
-        _write_csv_atomic(args.out, lambda tmp: transfer.export_forgetting_csv(curves, tmp))
+        _write_atomic(args.out, lambda tmp: transfer.export_forgetting_csv(curves, tmp))
     print(f"wrote {args.out}: {len(curves)} forgetting curves")
     return EXIT_OK
 
@@ -281,7 +270,7 @@ def cmd_synth(args) -> int:
         cfg = synth.SynthConfig(law=law, param_sizes=sizes)
     cfg = dataclasses.replace(cfg, noise_sigma=args.noise, seed=args.seed)
     runs = synth.generate_runset(cfg)
-    _write_atomic(args.out, ingest.serialize_runs(runs))
+    _write_atomic(args.out, lambda tmp: ingest.dump_runs(runs, tmp))
     total = sum(len(run.records) for run in runs)
     print(f"wrote {args.out}: {len(runs)} runs, {total} records")
     return EXIT_OK

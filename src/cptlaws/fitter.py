@@ -1,15 +1,19 @@
 """Robust multistart fitting of the scaling-law families.
 
 The objective is the mean Huber loss between predicted and observed log
-loss, with the prediction expressed as a log-sum-exp over the law's additive
-terms (coefficients are optimized as log-coefficients a = log A, b = log B,
-e = log E).  Every start in a deterministic initialization grid is driven to
-convergence with a quasi-Newton local search using central finite-difference
-gradients, falling back to simplex descent when the line search fails; the
+loss, with the prediction expressed as a log-sum-exp over the extended law's
+three additive terms.  It works over the optimizer coordinates
+q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
+CPT law) and E = e^e; the from-scratch law is the case gamma = 0.  Each fit
+frees a subset of q and holds the rest fixed.  Exponent positivity is
+enforced by optimizing log-exponents; gamma is optimized raw because its
+fitted sign is meaningful.
+
+Every start in a deterministic initialization grid is driven to convergence
+with a quasi-Newton local search using the objective's exact gradient,
+falling back to simplex descent when the line search fails; the
 lowest-objective start wins, ties resolved by the lexicographically smallest
-start.  Exponent positivity is enforced by optimizing log-exponents for
-alpha, beta, and beta'; gamma is optimized raw because its fitted sign is
-meaningful.
+start.
 """
 
 from __future__ import annotations
@@ -41,16 +45,14 @@ from .laws import (
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
 
-#: Step for central finite-difference gradients, per optimizer coordinate.
-FD_STEP = 1e-6
-
 # Cap on log-exponent coordinates during optimization; keeps exp() finite
 # when a line search probes far out (any exponent near e^50 is meaningless).
 _LOG_EXPONENT_CAP = 50.0
 
-
-def _exponent(q) -> float:
-    return float(np.exp(min(float(q), _LOG_EXPONENT_CAP)))
+# Indices into q = (a, b, e, log alpha, log beta, gamma) that each fit frees.
+_SCRATCH_FREE = [0, 1, 2, 3, 4]  # gamma = 0
+_CPT_FREE = [1, 4, 5]  # (a, e, log alpha) come from a from-scratch fit
+_ALL_FREE = [0, 1, 2, 3, 4, 5]
 
 # Default initialization grid: brackets the plausible coefficient range with
 # margin.  Coefficient starts are log-coefficients (A = e^a up to ~1.2e6).
@@ -131,12 +133,15 @@ class ModelComparison:
 
 
 def huber(residual, delta: float = DEFAULT_DELTA):
-    """Huber penalty: quadratic inside |r| <= delta, linear with matched slope outside."""
+    """Huber penalty: quadratic inside |r| <= delta, linear with matched slope outside.
+
+    With c = clip(r, -delta, delta), the derivative, this is c (r - c/2).
+    """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
     r = np.asarray(residual, dtype=float)
-    magnitude = np.abs(r)
-    out = np.where(magnitude <= delta, 0.5 * r * r, delta * (magnitude - 0.5 * delta))
+    slope = np.clip(r, -delta, delta)
+    out = slope * (r - 0.5 * slope)
     return float(out) if out.ndim == 0 else out
 
 
@@ -147,14 +152,6 @@ def lse(terms) -> float:
         raise DomainError("lse requires at least one term")
     peak = float(arr.max())
     return peak + math.log(float(np.sum(np.exp(arr - peak))))
-
-
-def _mean_huber(residuals: np.ndarray, delta: float) -> float:
-    magnitude = np.abs(residuals)
-    penalties = np.where(
-        magnitude <= delta, 0.5 * residuals * residuals, delta * (magnitude - 0.5 * delta)
-    )
-    return float(np.mean(penalties))
 
 
 def _fit_records(data: RunSet):
@@ -179,15 +176,36 @@ def _flatten(data: RunSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _predicted_scratch(theta, log_n: np.ndarray, log_d: np.ndarray) -> np.ndarray:
-    a, b, e, alpha, beta = theta
-    return np.logaddexp(np.logaddexp(a - alpha * log_n, b - beta * log_d), e)
+def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
+    """Optimizer coordinates of a point given as (a, b, e, alpha, beta, gamma)."""
+    return np.array([a, b, e, math.log(alpha), math.log(beta), gamma])
 
 
-def _predicted_cpt(theta2, fixed, log_n: np.ndarray, log_d: np.ndarray) -> np.ndarray:
-    b, beta, gamma = theta2
-    a, e, alpha = fixed
-    return np.logaddexp(np.logaddexp(a - alpha * log_n, b - beta * log_d - gamma * log_n), e)
+def _law_objective(q: np.ndarray, log_n, log_d, log_l, delta: float):
+    """Mean Huber loss of the extended law at q, its exact gradient in q, and the residuals.
+
+    The gradient is the mean over records of huber'(r) times each term's
+    softmax weight times the term's derivative in q.
+    """
+    a, b, e, log_alpha, log_beta, gamma = q
+    alpha = math.exp(min(log_alpha, _LOG_EXPONENT_CAP))
+    beta = math.exp(min(log_beta, _LOG_EXPONENT_CAP))
+    term_n = a - alpha * log_n
+    term_d = b - beta * log_d - gamma * log_n
+    pred = np.logaddexp(np.logaddexp(term_n, term_d), e)
+    residuals = pred - log_l
+    slope = np.clip(residuals, -delta, delta) / residuals.size
+    grad_a = slope * np.exp(term_n - pred)
+    grad_b = slope * np.exp(term_d - pred)
+    grad = np.array([
+        grad_a.sum(),
+        grad_b.sum(),
+        slope @ np.exp(e - pred),
+        -alpha * (grad_a @ log_n) if log_alpha < _LOG_EXPONENT_CAP else 0.0,
+        -beta * (grad_b @ log_d) if log_beta < _LOG_EXPONENT_CAP else 0.0,
+        -(grad_b @ log_n),
+    ])
+    return float(np.mean(huber(residuals, delta))), grad, residuals
 
 
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
@@ -196,8 +214,7 @@ def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAU
     Coefficients follow the A = exp(a), B = exp(b), E = exp(e) convention.
     Nonpositive losses cannot occur here; ingest rejects them at load time.
     """
-    log_n, log_d, log_l = _flatten(data)
-    return _mean_huber(_predicted_scratch(theta, log_n, log_d) - log_l, delta)
+    return _law_objective(_q(*theta), *_flatten(data), delta)[0]
 
 
 def objective_cpt(
@@ -211,40 +228,43 @@ def objective_cpt(
     ``fixed`` carries (a, e, alpha) from a completed from-scratch fit, held
     constant.
     """
-    log_n, log_d, log_l = _flatten(data)
-    return _mean_huber(_predicted_cpt(theta2, fixed, log_n, log_d) - log_l, delta)
+    b, beta, gamma = theta2
+    a, e, alpha = fixed
+    return _law_objective(_q(a, b, e, alpha, beta, gamma), *_flatten(data), delta)[0]
 
 
-def _fd_gradient(fun, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        up = x.copy()
-        down = x.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (fun(up) - fun(down)) / (2.0 * step)
-    return grad
+def _minimize_multistart(
+    flat, base: np.ndarray, free: list[int], starts: list[tuple[tuple[float, ...], np.ndarray]],
+    cfg: FitConfig,
+):
+    """Run the local search over q[free] from every start; return (objective, natural, q).
 
-
-def _minimize_multistart(fun, starts: list[tuple[tuple[float, ...], np.ndarray]], cfg: FitConfig):
-    """Run the local search from every start; return (objective, natural, x).
-
-    Winner selection is a deterministic reduction: lowest objective, ties
-    broken by the lexicographically smallest natural-coordinate start.
+    ``flat`` is the (log N, log D, log L) data, ``base`` supplies the
+    coordinates outside ``free``, and each start pairs its natural
+    coordinates with its values at ``free``.  Winner selection is a
+    deterministic reduction: lowest objective, ties broken by the
+    lexicographically smallest natural-coordinate start.
     """
+
+    def fun(x: np.ndarray):
+        q = base.copy()
+        q[free] = x
+        value, grad, _ = _law_objective(q, *flat, cfg.delta)
+        return value, grad[free]
+
     results = []
     failures = []
     for natural, x0 in starts:
         res = minimize(
             fun,
             x0,
-            jac=lambda x: _fd_gradient(fun, x),
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": cfg.max_iters, "ftol": cfg.local_tol, "gtol": 1e-10},
         )
         if not res.success:
             res = minimize(
-                fun,
+                lambda x: fun(x)[0],
                 x0,
                 method="Nelder-Mead",
                 options={
@@ -261,7 +281,10 @@ def _minimize_multistart(fun, starts: list[tuple[tuple[float, ...], np.ndarray]]
         raise FitFailureError(
             "no optimizer start converged; diagnostics:\n  " + "\n  ".join(failures)
         )
-    return min(results, key=lambda item: (item[0], item[1]))
+    objective, natural, x = min(results, key=lambda item: (item[0], item[1]))
+    q = base.copy()
+    q[free] = x
+    return objective, natural, q
 
 
 def _check_identifiable(log_n: np.ndarray, log_d: np.ndarray) -> None:
@@ -293,11 +316,23 @@ def _default_cpt_grid() -> list[tuple[float, ...]]:
     return list(product(COEFFICIENT_STARTS, EXPONENT_STARTS, GAMMA_STARTS))
 
 
+def _fit_report(params, objective: float, q: np.ndarray, flat, delta: float, chosen) -> FitReport:
+    """FitReport of a law fitted at q, with its residuals on the ``flat`` data."""
+    _, _, residuals = _law_objective(q, *flat, delta)
+    return FitReport(
+        params=params,
+        objective=objective,
+        n_points=int(residuals.size),
+        residuals=tuple(float(r) for r in residuals),
+        chosen_init=chosen,
+    )
+
+
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
     """Fit the from-scratch law to a RunSet via the multistart procedure."""
     cfg = cfg or FitConfig()
     data = _apply_warmup(data, cfg.warmup_fraction)
-    log_n, log_d, log_l = _flatten(data)
+    log_n, log_d, log_l = flat = _flatten(data)
     _check_identifiable(log_n, log_d)
 
     grid = cfg.init_grid or _default_scratch_grid(float(np.exp(log_l.min())))
@@ -310,31 +345,14 @@ def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
         a, b, e, alpha, beta = point
         if alpha <= 0 or beta <= 0:
             raise ValidationError(f"start {point!r}: exponents must be positive")
-        starts.append((tuple(point), np.array([a, b, e, math.log(alpha), math.log(beta)])))
+        starts.append((tuple(point), _q(a, b, e, alpha, beta)[_SCRATCH_FREE]))
 
-    delta = cfg.delta
-
-    def fun(q: np.ndarray) -> float:
-        theta = (q[0], q[1], q[2], _exponent(q[3]), _exponent(q[4]))
-        return _mean_huber(_predicted_scratch(theta, log_n, log_d) - log_l, delta)
-
-    objective, chosen, x = _minimize_multistart(fun, starts, cfg)
-    theta = (x[0], x[1], x[2], float(np.exp(x[3])), float(np.exp(x[4])))
+    objective, chosen, q = _minimize_multistart(flat, np.zeros(6), _SCRATCH_FREE, starts, cfg)
     params = ChinchillaParams(
-        E=float(np.exp(x[2])),
-        A=float(np.exp(x[0])),
-        B=float(np.exp(x[1])),
-        alpha=theta[3],
-        beta=theta[4],
+        E=math.exp(q[2]), A=math.exp(q[0]), B=math.exp(q[1]),
+        alpha=math.exp(q[3]), beta=math.exp(q[4]),
     )
-    residuals = _predicted_scratch(theta, log_n, log_d) - log_l
-    return FitReport(
-        params=params,
-        objective=objective,
-        n_points=int(log_l.size),
-        residuals=tuple(float(r) for r in residuals),
-        chosen_init=chosen,
-    )
+    return _fit_report(params, objective, q, flat, cfg.delta, chosen)
 
 
 def fit_cpt(
@@ -350,7 +368,7 @@ def fit_cpt(
     if fixed_e <= 0 or fixed_a <= 0 or fixed_alpha <= 0:
         raise ValidationError(f"fixed (E, A, alpha) must be positive, got {tuple(fixed)!r}")
     data = _apply_warmup(data, cfg.warmup_fraction)
-    log_n, log_d, log_l = _flatten(data)
+    log_n, log_d, _ = flat = _flatten(data)
     _check_identifiable(log_n, log_d)
 
     grid = cfg.init_grid or _default_cpt_grid()
@@ -365,31 +383,13 @@ def fit_cpt(
             raise ValidationError(f"start {point!r}: beta' must be positive")
         starts.append((tuple(point), np.array([b, math.log(beta), gamma])))
 
-    fixed_log = (math.log(fixed_a), math.log(fixed_e), fixed_alpha)
-    delta = cfg.delta
-
-    def fun(q: np.ndarray) -> float:
-        theta2 = (q[0], _exponent(q[1]), q[2])
-        return _mean_huber(_predicted_cpt(theta2, fixed_log, log_n, log_d) - log_l, delta)
-
-    objective, chosen, x = _minimize_multistart(fun, starts, cfg)
-    theta2 = (x[0], float(np.exp(x[1])), x[2])
+    base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
+    objective, chosen, q = _minimize_multistart(flat, base, _CPT_FREE, starts, cfg)
     params = ExtendedCptParams(
-        E=fixed_e,
-        A=fixed_a,
-        alpha=fixed_alpha,
-        B_prime=float(np.exp(x[0])),
-        beta_prime=theta2[1],
-        gamma=float(x[2]),
+        E=fixed_e, A=fixed_a, alpha=fixed_alpha,
+        B_prime=math.exp(q[1]), beta_prime=math.exp(q[4]), gamma=float(q[5]),
     )
-    residuals = _predicted_cpt(theta2, fixed_log, log_n, log_d) - log_l
-    return FitReport(
-        params=params,
-        objective=objective,
-        n_points=int(log_l.size),
-        residuals=tuple(float(r) for r in residuals),
-        chosen_init=chosen,
-    )
+    return _fit_report(params, objective, q, flat, cfg.delta, chosen)
 
 
 def extract_compute_frontier(
@@ -449,17 +449,28 @@ def fit_frontier(
 
     min_loss = float(np.exp(log_l.min()))
 
-    def fun(q: np.ndarray) -> float:
+    def fun(q: np.ndarray):
+        """Mean Huber loss on log residuals and its exact gradient."""
         log_coef, exponent, offset = q
-        pred = offset + np.exp(np.minimum(log_coef - exponent * log_c, 700.0))
-        return _mean_huber(np.log(np.maximum(pred, 1e-300)) - log_l, DEFAULT_DELTA)
+        log_term = log_coef - exponent * log_c
+        term = np.exp(np.minimum(log_term, 700.0))
+        # The bounds keep offset >= 0, but exp() can still underflow to a
+        # zero prediction at offset 0; its log is then held at log(1e-300).
+        clamped = offset + term <= 1e-300
+        pred = np.where(clamped, 1e-300, offset + term)
+        residuals = np.log(pred) - log_l
+        weight = np.clip(residuals, -DEFAULT_DELTA, DEFAULT_DELTA) / (residuals.size * pred)
+        weight[clamped] = 0.0
+        grad_coef = np.where(log_term < 700.0, weight * term, 0.0)
+        grad = np.array([grad_coef.sum(), -(grad_coef @ log_c), weight.sum()])
+        return float(np.mean(huber(residuals))), grad
 
     best = None
     for offset0 in (0.0, 0.5 * min_loss, 0.9 * min_loss):
         res = minimize(
             fun,
             np.array([math.log(zero_offset.coefficient), zero_offset.exponent, offset0]),
-            jac=lambda x: _fd_gradient(fun, x),
+            jac=True,
             method="L-BFGS-B",
             bounds=[(None, None), (0.0, None), (0.0, min_loss)],
             options={"maxiter": 500, "ftol": 1e-13},
@@ -489,43 +500,20 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     cfg = cfg or FitConfig()
     scratch_report = fit_scratch(data, cfg)
 
-    data_f = _apply_warmup(data, cfg.warmup_fraction)
-    log_n, log_d, log_l = _flatten(data_f)
+    flat = _flatten(_apply_warmup(data, cfg.warmup_fraction))
     p = scratch_report.params
     # Natural start coordinates: (a, b', e, alpha, beta', gamma) with a, b',
     # e as log-coefficients, matching the scratch-grid convention.
     a1, b1, e1 = math.log(p.A), math.log(p.B), math.log(p.E)
     starts = [
-        (
-            (a1, b1, e1, p.alpha, p.beta, 0.0),
-            np.array([a1, b1, e1, math.log(p.alpha), math.log(p.beta), 0.0]),
-        )
+        ((a1, b, e1, p.alpha, beta, gamma), _q(a1, b, e1, p.alpha, beta, gamma))
+        for b, beta, gamma in [(b1, p.beta, 0.0), *_default_cpt_grid()]
     ]
-    for b, beta, gamma in _default_cpt_grid():
-        starts.append(
-            (
-                (a1, b, e1, p.alpha, beta, gamma),
-                np.array([a1, b, e1, math.log(p.alpha), math.log(beta), gamma]),
-            )
-        )
-
-    delta = cfg.delta
-
-    def fun(q: np.ndarray) -> float:
-        pred = np.logaddexp(
-            np.logaddexp(
-                q[0] - _exponent(q[3]) * log_n,
-                q[1] - _exponent(q[4]) * log_d - q[5] * log_n,
-            ),
-            q[2],
-        )
-        return _mean_huber(pred - log_l, delta)
-
-    extended_error, _, x = _minimize_multistart(fun, starts, cfg)
+    extended_error, _, q = _minimize_multistart(flat, np.zeros(6), _ALL_FREE, starts, cfg)
     return ModelComparison(
         chinchilla_error=scratch_report.objective,
         extended_error=extended_error,
-        gamma_fitted=float(x[5]),
+        gamma_fitted=float(q[5]),
     )
 
 

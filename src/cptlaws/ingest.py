@@ -209,11 +209,26 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         run_id = doc["run_id"]
         if not isinstance(run_id, str) or not run_id:
             raise ParseError("field 'run_id' must be a nonempty string", line_number)
+        for field in ("strategy", "language"):
+            if not isinstance(doc[field], str):
+                raise ParseError(
+                    f"field {field!r} must be a string, got {doc[field]!r}", line_number
+                )
+        val_language = doc.get("val_language")
+        if val_language is not None and not isinstance(val_language, str):
+            raise ParseError(
+                f"field 'val_language' must be a string or null, got {val_language!r}", line_number
+            )
+        replay_ratio = doc["replay_ratio"]
+        if isinstance(replay_ratio, bool) or not isinstance(replay_ratio, (int, float)):
+            raise ParseError(
+                f"field 'replay_ratio' must be a number, got {replay_ratio!r}", line_number
+            )
         try:
             record = LossRecord(
                 tokens=_coerce_int(doc["tokens"], "tokens", line_number),
                 loss=float(doc["loss"]),
-                val_language=doc.get("val_language"),
+                val_language=val_language,
             )
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
@@ -223,7 +238,7 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         run_meta = (
             doc["strategy"],
             doc["language"],
-            float(doc["replay_ratio"]),
+            float(replay_ratio),
             _coerce_int(doc["param_count"], "param_count", line_number),
         )
         if run_id not in meta:

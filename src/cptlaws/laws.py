@@ -6,6 +6,9 @@ Three families are supported:
 * extended CPT form            L(N, D) = E + A / N^alpha + B' / (D^beta' N^gamma)
 * loss-compute frontier        L(C)    = offset + coefficient / C^exponent
 
+The Chinchilla form is the extended form at gamma = 0, B' = B, so each loss
+law operation is written once over the extended form.
+
 All evaluation happens in log space so extreme parameter counts, token
 budgets, and compute values stay inside float range.  Scalar inputs yield
 scalar outputs; array inputs broadcast.
@@ -107,7 +110,9 @@ REFERENCE_CPT_FRONTIER = FrontierParams(coefficient=31.9594, exponent=0.0575)
 
 def _positive_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+    # One pass that also rejects NaN (both comparisons are False); this runs
+    # on every scalar law evaluation, so it is kept cheap.
+    if not ((arr > 0) & (arr < math.inf)).all():
         raise DomainError(f"{name} must be positive and finite")
     return arr
 
@@ -116,29 +121,36 @@ def _maybe_float(arr: np.ndarray):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def eval_chinchilla(p: ChinchillaParams, N, D):
-    """Evaluate E + A/N^alpha + B/D^beta; always strictly above E."""
-    n = _positive_array(N, "N")
-    d = _positive_array(D, "D")
-    loss = (
-        p.E
-        + np.exp(math.log(p.A) - p.alpha * np.log(n))
-        + np.exp(math.log(p.B) - p.beta * np.log(d))
-    )
-    return _maybe_float(loss)
+def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, float]:
+    """(E, A, alpha, B, beta, gamma) of either loss law.
+
+    The from-scratch law is the extended law with gamma = 0 and B' = B; this
+    is the only place that knows the two families' field names.
+    """
+    if isinstance(law, ChinchillaParams):
+        return law.E, law.A, law.alpha, law.B, law.beta, 0.0
+    if isinstance(law, ExtendedCptParams):
+        return law.E, law.A, law.alpha, law.B_prime, law.beta_prime, law.gamma
+    raise TypeError(f"expected a loss law, got {type(law).__name__}")
 
 
-def eval_extended(p: ExtendedCptParams, N, D):
-    """Evaluate E + A/N^alpha + B'/(D^beta' N^gamma)."""
+def eval_law(law: LawParams, N, D):
+    """Evaluate E + A/N^alpha + B'/(D^beta' N^gamma); always strictly above E."""
+    E, A, alpha, B, beta, gamma = _coefficients(law)
     n = _positive_array(N, "N")
     d = _positive_array(D, "D")
     log_n = np.log(n)
     loss = (
-        p.E
-        + np.exp(math.log(p.A) - p.alpha * log_n)
-        + np.exp(math.log(p.B_prime) - p.beta_prime * np.log(d) - p.gamma * log_n)
+        E
+        + np.exp(math.log(A) - alpha * log_n)
+        + np.exp(math.log(B) - beta * np.log(d) - gamma * log_n)
     )
     return _maybe_float(loss)
+
+
+#: Family-specific names kept for callers; both evaluate any loss law.
+eval_chinchilla = eval_law
+eval_extended = eval_law
 
 
 def eval_frontier(p: FrontierParams, C):
@@ -147,19 +159,11 @@ def eval_frontier(p: FrontierParams, C):
     return _maybe_float(p.offset + np.exp(math.log(p.coefficient) - p.exponent * np.log(c)))
 
 
-def eval_law(law: LawParams, N, D):
-    """Evaluate whichever loss law ``law`` is."""
-    if isinstance(law, ChinchillaParams):
-        return eval_chinchilla(law, N, D)
-    if isinstance(law, ExtendedCptParams):
-        return eval_extended(law, N, D)
-    raise TypeError(f"expected a loss law, got {type(law).__name__}")
-
-
 def loss_floor(law: LawParams, N):
     """Infimum of the law's loss at fixed N (the D -> infinity limit)."""
+    E, A, alpha, *_ = _coefficients(law)
     n = _positive_array(N, "N")
-    return _maybe_float(law.E + np.exp(math.log(law.A) - law.alpha * np.log(n)))
+    return _maybe_float(E + np.exp(math.log(A) - alpha * np.log(n)))
 
 
 def solve_tokens_for_loss(law: LawParams, N, L):
@@ -168,20 +172,16 @@ def solve_tokens_for_loss(law: LawParams, N, L):
     Closed-form inverse of the loss law in D; raises UnreachableLossError
     when L does not exceed the loss floor at this N.
     """
+    _, _, _, B, beta, gamma = _coefficients(law)
     n = _positive_array(N, "N")
     target = _positive_array(L, "L")
-    gap = target - loss_floor(law, n)
+    floor = loss_floor(law, n)
+    gap = target - floor
     if np.any(gap <= 0):
         raise UnreachableLossError(
-            f"loss {L!r} is at or below the floor {loss_floor(law, n)!r} for N={N!r}"
+            f"loss {L!r} is at or below the floor {floor!r} for N={N!r}"
         )
-    if isinstance(law, ChinchillaParams):
-        log_d = (math.log(law.B) - np.log(gap)) / law.beta
-    elif isinstance(law, ExtendedCptParams):
-        log_d = (math.log(law.B_prime) - np.log(gap) - law.gamma * np.log(n)) / law.beta_prime
-    else:
-        raise TypeError(f"expected a loss law, got {type(law).__name__}")
-    return _maybe_float(np.exp(log_d))
+    return _maybe_float(np.exp((math.log(B) - np.log(gap) - gamma * np.log(n)) / beta))
 
 
 def solve_params_for_loss(p: ChinchillaParams, D, L):

@@ -36,7 +36,7 @@ from .laws import (
     ChinchillaParams,
     ExtendedCptParams,
     FrontierParams,
-    eval_extended,
+    eval_law,
     solve_tokens_for_loss,
 )
 
@@ -180,7 +180,7 @@ def parametric_transfer(
     Evaluates the CPT loss at (N, D_cpt), inverts the from-scratch law at
     that loss, and returns D_PT - D_CPT (signed).
     """
-    level = eval_extended(cpt, N, D_cpt)
+    level = eval_law(cpt, N, D_cpt)
     try:
         d_pt = solve_tokens_for_loss(scratch, N, level)
     except UnreachableLossError as exc:

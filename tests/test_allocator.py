@@ -172,6 +172,12 @@ class TestNumericFrontier:
         with pytest.raises(DomainError):
             numeric_optimal_params(SCRATCH, 1e20, bracket=(1e13, 1e6))
 
+    @pytest.mark.parametrize("compute", [1e5, 1e35])
+    def test_argmin_at_bracket_edge_raises(self, compute):
+        # the closed-form optimum (about 3.2e14 params at 1e35) lies outside the bracket
+        with pytest.raises(DomainError, match="edge of the bracket"):
+            numeric_optimal_params(SCRATCH, compute)
+
 
 class TestIsoLossGrid:
     def test_pointwise_values(self):

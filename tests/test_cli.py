@@ -252,6 +252,16 @@ class TestErrorPaths:
         assert main(["fit", "--runs", str(bad), "--strategy", "scratch",
                      "--out", str(tmp_path / "o.json")]) == 3
 
+    def test_null_replay_ratio_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({
+            "run_id": "r", "strategy": "scratch", "language": "zh",
+            "replay_ratio": None, "param_count": 10**9, "tokens": 10, "loss": 3.0,
+        }))
+        assert main(["fit", "--runs", str(bad), "--strategy", "scratch",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "line 1: field 'replay_ratio'" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5

@@ -28,6 +28,8 @@ from cptlaws import (
     objective_cpt,
     objective_scratch,
 )
+from cptlaws import fitter
+from cptlaws.fitter import _ALL_FREE, _CPT_FREE, _SCRATCH_FREE, _flatten, _law_objective, _q
 from conftest import law_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
@@ -181,6 +183,42 @@ class TestObjectives:
             down[i] -= step
             grad = (objective_scratch(up, data) - objective_scratch(down, data)) / (2 * step)
             assert abs(grad) < 1e-6
+
+
+class TestObjectiveGradient:
+    TRUTH_Q = {
+        "scratch": _q(math.log(SCRATCH.A), math.log(SCRATCH.B), math.log(SCRATCH.E),
+                      SCRATCH.alpha, SCRATCH.beta),
+        "cpt": _q(math.log(CPT.A), math.log(CPT.B_prime), math.log(CPT.E),
+                  CPT.alpha, CPT.beta_prime, CPT.gamma),
+    }
+
+    @pytest.mark.parametrize(
+        "law_name, free",
+        [("scratch", _SCRATCH_FREE), ("cpt", _CPT_FREE), ("cpt", _ALL_FREE)],
+    )
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_matches_central_difference(self, law_name, free, shift):
+        law = SCRATCH if law_name == "scratch" else CPT
+        data = generate_runset(SynthConfig(law=law, param_sizes=SIZES, records_per_run=12,
+                                           noise_sigma=2e-3, seed=0))
+        flat = _flatten(data)
+        q = self.TRUTH_Q[law_name] + shift * np.array([3e-3, -3e-3, 5e-4, 5e-4, -1e-3, 0.0])
+        _, grad, residuals = _law_objective(q, *flat, 1e-3)
+        inside = np.abs(residuals) <= 1e-3
+        assert inside.any() and not inside.all()  # both Huber branches are exercised
+        step = 1e-7
+        central = []
+        for i in free:
+            up, down = q.copy(), q.copy()
+            up[i] += step
+            down[i] -= step
+            central.append(
+                (_law_objective(up, *flat, 1e-3)[0] - _law_objective(down, *flat, 1e-3)[0])
+                / (2 * step)
+            )
+        scale = np.abs(grad[free]).max()
+        assert np.abs(grad[free] - central).max() <= 1e-6 * scale
 
 
 class TestFitScratch:
@@ -371,6 +409,24 @@ class TestFitFrontier:
         assert fitted.coefficient == pytest.approx(truth.coefficient, rel=1e-2)
         assert fitted.exponent == pytest.approx(truth.exponent, rel=1e-2)
         assert fitted.offset == pytest.approx(truth.offset, rel=1e-2)
+
+    def test_offset_free_path_stays_inside_bounds(self, monkeypatch):
+        seen = []
+        real_minimize = fitter.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            def recorded(x):
+                seen.append(np.array(x))
+                return fun(x)
+
+            return real_minimize(recorded, x0, **kwargs)
+
+        monkeypatch.setattr(fitter, "minimize", recording_minimize)
+        truth = FrontierParams(coefficient=20.0, exponent=0.06, offset=1.2)
+        points = [(float(c), eval_frontier(truth, float(c))) for c in np.geomspace(1e16, 1e22, 40)]
+        fit_frontier(points, fix_offset_zero=False)
+        assert seen
+        assert min(x[2] for x in seen) >= 0.0
 
 
 class TestResidualExport:

@@ -68,6 +68,22 @@ class TestParseRuns:
         with pytest.raises(ParseError, match="loss"):
             parse_runs(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replay_ratio", None),
+            ("replay_ratio", "0.1"),
+            ("replay_ratio", True),
+            ("strategy", 1),
+            ("language", ["en"]),
+            ("val_language", 5),
+        ],
+    )
+    def test_bad_field_type_is_parse_error(self, field, value):
+        text = record_line(tokens=10) + "\n" + record_line(tokens=20, **{field: value})
+        with pytest.raises(ParseError, match=f"line 2: field '{field}'"):
+            parse_runs(text)
+
     def test_conflicting_run_metadata_rejected(self):
         text = "\n".join(
             [record_line(param_count=10**9, tokens=1), record_line(param_count=10**8, tokens=2)]
