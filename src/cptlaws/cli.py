@@ -382,7 +382,9 @@ def _env_overrides() -> dict:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return {k: v for k, v in overrides.items() if k in _CONFIG_KEYS}
+    # As strings, argparse converts each default with its flag's type and
+    # rejects a bad value exactly as it would on the command line.
+    return {k: str(v) for k, v in overrides.items() if k in _CONFIG_KEYS}
 
 
 def main(argv=None) -> int:

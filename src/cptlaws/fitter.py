@@ -10,10 +10,9 @@ enforced by optimizing log-exponents; gamma is optimized raw because its
 fitted sign is meaningful.
 
 Every start in a deterministic initialization grid is driven to convergence
-with a quasi-Newton local search using the objective's exact gradient,
-falling back to simplex descent when the line search fails; the
-lowest-objective start wins, ties resolved by the lexicographically smallest
-start.
+with a quasi-Newton local search (L-BFGS-B) using the objective's exact
+gradient; the lowest-objective start wins, ties resolved by the
+lexicographically smallest start.
 """
 
 from __future__ import annotations
@@ -53,6 +52,11 @@ _LOG_EXPONENT_CAP = 50.0
 _SCRATCH_FREE = [0, 1, 2, 3, 4]  # gamma = 0
 _CPT_FREE = [1, 4, 5]  # (a, e, log alpha) come from a from-scratch fit
 _ALL_FREE = [0, 1, 2, 3, 4, 5]
+_LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
+
+# Options of every local search.  maxls = 50 (scipy's default is 20) lets the
+# first line search from a far-out start finish instead of ending ABNORMAL.
+_LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 
 # Default initialization grid: brackets the plausible coefficient range with
 # margin.  Coefficient starts are log-coefficients (A = e^a up to ~1.2e6).
@@ -64,7 +68,7 @@ OFFSET_FRACTIONS = (0.5, 0.9)  # E starts at these fractions of the lowest obser
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting knobs: Huber threshold, start grid, and stopping criteria.
+    """Fitting knobs: Huber threshold, start grid, and warmup filter.
 
     ``init_grid`` entries are starting points in natural coordinates:
     (a, b, e, alpha, beta) for from-scratch fits and (b', beta', gamma) for
@@ -74,8 +78,6 @@ class FitConfig:
 
     delta: float = DEFAULT_DELTA
     init_grid: tuple[tuple[float, ...], ...] | None = None
-    local_tol: float = 1e-11
-    max_iters: int = 300
     warmup_fraction: float = 0.0
 
     def __post_init__(self):
@@ -85,10 +87,6 @@ class FitConfig:
             object.__setattr__(self, "init_grid", tuple(tuple(p) for p in self.init_grid))
             if not self.init_grid:
                 raise ValidationError("init_grid must be nonempty when given")
-        if self.local_tol <= 0:
-            raise ValidationError(f"local_tol must be positive, got {self.local_tol!r}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be at least 1, got {self.max_iters!r}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValidationError(
                 f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction!r}"
@@ -233,65 +231,73 @@ def objective_cpt(
     return _law_objective(_q(a, b, e, alpha, beta, gamma), *_flatten(data), delta)[0]
 
 
-def _minimize_multistart(
-    flat, base: np.ndarray, free: list[int], starts: list[tuple[tuple[float, ...], np.ndarray]],
-    cfg: FitConfig,
-):
-    """Run the local search over q[free] from every start; return (objective, natural, q).
+def _minimize_multistart(fun, starts, bounds=None):
+    """Run L-BFGS-B from every (key, x0) start; return the winner's (objective, key, x).
 
-    ``flat`` is the (log N, log D, log L) data, ``base`` supplies the
-    coordinates outside ``free``, and each start pairs its natural
-    coordinates with its values at ``free``.  Winner selection is a
-    deterministic reduction: lowest objective, ties broken by the
-    lexicographically smallest natural-coordinate start.
+    ``fun`` returns the objective and its gradient.  Winner selection is a
+    deterministic reduction: lowest objective, ties broken by the smallest key.
     """
-
-    def fun(x: np.ndarray):
-        q = base.copy()
-        q[free] = x
-        value, grad, _ = _law_objective(q, *flat, cfg.delta)
-        return value, grad[free]
-
     results = []
     failures = []
-    for natural, x0 in starts:
+    for key, x0 in starts:
         res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_iters, "ftol": cfg.local_tol, "gtol": 1e-10},
+            fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS
         )
-        if not res.success:
-            res = minimize(
-                lambda x: fun(x)[0],
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": 40 * cfg.max_iters,
-                    "fatol": cfg.local_tol,
-                    "xatol": 1e-9,
-                },
-            )
         if res.success and math.isfinite(res.fun):
-            results.append((float(res.fun), natural, np.asarray(res.x, dtype=float)))
+            results.append((float(res.fun), key, np.asarray(res.x, dtype=float)))
         else:
-            failures.append(f"start {natural}: {res.message}")
+            failures.append(f"start {key}: {res.message}")
     if not results:
         raise FitFailureError(
             "no optimizer start converged; diagnostics:\n  " + "\n  ".join(failures)
         )
-    objective, natural, x = min(results, key=lambda item: (item[0], item[1]))
+    return min(results, key=lambda item: item[:2])
+
+
+def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """(natural point, optimizer start) pairs for the coordinates q[free].
+
+    Grid points list the natural values of q[free] in order, with alpha and
+    beta in place of their logs.
+    """
+    names = ", ".join(("a", "b", "e", "alpha", "beta", "gamma")[i] for i in free)
+    starts = []
+    for point in grid:
+        if len(point) != len(free):
+            raise ValidationError(
+                f"starts need {len(free)} coordinates ({names}), got {point!r}"
+            )
+        pairs = list(zip(free, point))
+        if any(value <= 0 for i, value in pairs if i in _LOG_EXPONENTS):
+            raise ValidationError(f"start {point!r}: exponents must be positive")
+        x0 = [math.log(value) if i in _LOG_EXPONENTS else value for i, value in pairs]
+        starts.append((tuple(point), np.array(x0, dtype=float)))
+    return starts
+
+
+def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float):
+    """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q)."""
+
+    def fun(x: np.ndarray):
+        q = base.copy()
+        q[free] = x
+        value, grad, _ = _law_objective(q, *flat, delta)
+        return value, grad[free]
+
+    objective, chosen, x = _minimize_multistart(fun, _law_starts(grid, free))
     q = base.copy()
     q[free] = x
-    return objective, natural, q
+    return objective, chosen, q
 
 
-def _check_identifiable(log_n: np.ndarray, log_d: np.ndarray) -> None:
+def _prepare(data: RunSet, cfg: FitConfig):
+    """The (log N, log D, log L) arrays a law fit uses, after the warmup filter."""
+    log_n, log_d, log_l = _flatten(_apply_warmup(data, cfg.warmup_fraction))
     if np.unique(log_n).size < 2 or np.unique(log_d).size < 2:
         raise UnidentifiableDataError(
             "fitting requires at least two distinct model sizes and two distinct token counts"
         )
+    return log_n, log_d, log_l
 
 
 def _apply_warmup(data: RunSet, fraction: float) -> RunSet:
@@ -328,31 +334,20 @@ def _fit_report(params, objective: float, q: np.ndarray, flat, delta: float, cho
     )
 
 
-def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
-    """Fit the from-scratch law to a RunSet via the multistart procedure."""
-    cfg = cfg or FitConfig()
-    data = _apply_warmup(data, cfg.warmup_fraction)
-    log_n, log_d, log_l = flat = _flatten(data)
-    _check_identifiable(log_n, log_d)
-
-    grid = cfg.init_grid or _default_scratch_grid(float(np.exp(log_l.min())))
-    starts = []
-    for point in grid:
-        if len(point) != 5:
-            raise ValidationError(
-                f"from-scratch starts need 5 coordinates (a, b, e, alpha, beta), got {point!r}"
-            )
-        a, b, e, alpha, beta = point
-        if alpha <= 0 or beta <= 0:
-            raise ValidationError(f"start {point!r}: exponents must be positive")
-        starts.append((tuple(point), _q(a, b, e, alpha, beta)[_SCRATCH_FREE]))
-
-    objective, chosen, q = _minimize_multistart(flat, np.zeros(6), _SCRATCH_FREE, starts, cfg)
+def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
+    grid = cfg.init_grid or _default_scratch_grid(float(np.exp(flat[2].min())))
+    objective, chosen, q = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
     params = ChinchillaParams(
         E=math.exp(q[2]), A=math.exp(q[0]), B=math.exp(q[1]),
         alpha=math.exp(q[3]), beta=math.exp(q[4]),
     )
     return _fit_report(params, objective, q, flat, cfg.delta, chosen)
+
+
+def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
+    """Fit the from-scratch law to a RunSet via the multistart procedure."""
+    cfg = cfg or FitConfig()
+    return _fit_scratch(_prepare(data, cfg), cfg)
 
 
 def fit_cpt(
@@ -367,24 +362,10 @@ def fit_cpt(
     fixed_e, fixed_a, fixed_alpha = (float(v) for v in fixed)
     if fixed_e <= 0 or fixed_a <= 0 or fixed_alpha <= 0:
         raise ValidationError(f"fixed (E, A, alpha) must be positive, got {tuple(fixed)!r}")
-    data = _apply_warmup(data, cfg.warmup_fraction)
-    log_n, log_d, _ = flat = _flatten(data)
-    _check_identifiable(log_n, log_d)
-
-    grid = cfg.init_grid or _default_cpt_grid()
-    starts = []
-    for point in grid:
-        if len(point) != 3:
-            raise ValidationError(
-                f"CPT starts need 3 coordinates (b', beta', gamma), got {point!r}"
-            )
-        b, beta, gamma = point
-        if beta <= 0:
-            raise ValidationError(f"start {point!r}: beta' must be positive")
-        starts.append((tuple(point), np.array([b, math.log(beta), gamma])))
-
+    flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
-    objective, chosen, q = _minimize_multistart(flat, base, _CPT_FREE, starts, cfg)
+    grid = cfg.init_grid or _default_cpt_grid()
+    objective, chosen, q = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
     params = ExtendedCptParams(
         E=fixed_e, A=fixed_a, alpha=fixed_alpha,
         B_prime=math.exp(q[1]), beta_prime=math.exp(q[4]), gamma=float(q[5]),
@@ -465,22 +446,14 @@ def fit_frontier(
         grad = np.array([grad_coef.sum(), -(grad_coef @ log_c), weight.sum()])
         return float(np.mean(huber(residuals))), grad
 
-    best = None
-    for offset0 in (0.0, 0.5 * min_loss, 0.9 * min_loss):
-        res = minimize(
-            fun,
-            np.array([math.log(zero_offset.coefficient), zero_offset.exponent, offset0]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (0.0, None), (0.0, min_loss)],
-            options={"maxiter": 500, "ftol": 1e-13},
-        )
-        candidate = (float(res.fun), float(offset0), res.x)
-        if res.success and (best is None or candidate[:2] < best[:2]):
-            best = candidate
-    if best is None:
-        raise FitFailureError("offset-free frontier fit did not converge from any start")
-    log_coef, exponent, offset = best[2]
+    log_coef0 = math.log(zero_offset.coefficient)
+    starts = [
+        (offset0, np.array([log_coef0, zero_offset.exponent, offset0]))
+        for offset0 in (0.0, 0.5 * min_loss, 0.9 * min_loss)
+    ]
+    _, _, (log_coef, exponent, offset) = _minimize_multistart(
+        fun, starts, bounds=[(None, None), (0.0, None), (0.0, min_loss)]
+    )
     return FrontierParams(
         coefficient=float(np.exp(log_coef)), exponent=float(exponent), offset=float(offset)
     )
@@ -498,18 +471,17 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     because a single RunSet cannot separate it from the stage-one bias.
     """
     cfg = cfg or FitConfig()
-    scratch_report = fit_scratch(data, cfg)
-
-    flat = _flatten(_apply_warmup(data, cfg.warmup_fraction))
+    flat = _prepare(data, cfg)
+    scratch_report = _fit_scratch(flat, cfg)
     p = scratch_report.params
     # Natural start coordinates: (a, b', e, alpha, beta', gamma) with a, b',
     # e as log-coefficients, matching the scratch-grid convention.
     a1, b1, e1 = math.log(p.A), math.log(p.B), math.log(p.E)
-    starts = [
-        ((a1, b, e1, p.alpha, beta, gamma), _q(a1, b, e1, p.alpha, beta, gamma))
+    grid = [
+        (a1, b, e1, p.alpha, beta, gamma)
         for b, beta, gamma in [(b1, p.beta, 0.0), *_default_cpt_grid()]
     ]
-    extended_error, _, q = _minimize_multistart(flat, np.zeros(6), _ALL_FREE, starts, cfg)
+    extended_error, _, q = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
     return ModelComparison(
         chinchilla_error=scratch_report.objective,
         extended_error=extended_error,

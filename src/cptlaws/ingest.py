@@ -167,14 +167,26 @@ class ModelSpec:
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _coerce_int(value, field: str, line_number: int) -> int:
-    if isinstance(value, bool):
-        raise ParseError(f"field {field!r} must be an integer", line_number)
-    if isinstance(value, int):
+def _coerce_float(value, field: str, line_number: int) -> float:
+    """A JSON number as a float; bools, strings and numbers past float range are rejected."""
+    if type(value) is float:
         return value
-    if isinstance(value, float) and value.is_integer():
+    if type(value) is not int:  # json gives exact types, so this also rejects bool
+        raise ParseError(f"field {field!r} must be a number, got {value!r}", line_number)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"field {field!r} is too large for a float", line_number) from None
+
+
+def _coerce_int(value, field: str, line_number: int) -> int:
+    """A JSON integer, or an integral float, that also converts to a finite float."""
+    if type(value) is float and value.is_integer():
         return int(value)
-    raise ParseError(f"field {field!r} must be an integer, got {value!r}", line_number)
+    if type(value) is not int:
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}", line_number)
+    _coerce_float(value, field, line_number)
+    return value
 
 
 def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
@@ -198,8 +210,8 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line_number) from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_number) from exc
         if not isinstance(doc, dict):
             raise ParseError("record must be a JSON object", line_number)
         missing = [f for f in _REQUIRED_FIELDS if f not in doc]
@@ -219,26 +231,19 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
             raise ParseError(
                 f"field 'val_language' must be a string or null, got {val_language!r}", line_number
             )
-        replay_ratio = doc["replay_ratio"]
-        if isinstance(replay_ratio, bool) or not isinstance(replay_ratio, (int, float)):
-            raise ParseError(
-                f"field 'replay_ratio' must be a number, got {replay_ratio!r}", line_number
-            )
         try:
             record = LossRecord(
                 tokens=_coerce_int(doc["tokens"], "tokens", line_number),
-                loss=float(doc["loss"]),
+                loss=_coerce_float(doc["loss"], "loss", line_number),
                 val_language=val_language,
             )
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad record values: {exc}", line_number) from exc
 
         run_meta = (
             doc["strategy"],
             doc["language"],
-            float(replay_ratio),
+            _coerce_float(doc["replay_ratio"], "replay_ratio", line_number),
             _coerce_int(doc["param_count"], "param_count", line_number),
         )
         if run_id not in meta:

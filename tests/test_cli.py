@@ -262,6 +262,16 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "line 1: field 'replay_ratio'" in capsys.readouterr().err
 
+    def test_integer_past_float_range_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({
+            "run_id": "r", "strategy": "scratch", "language": "zh",
+            "replay_ratio": 0.0, "param_count": 10**9, "tokens": 10**400, "loss": 3.0,
+        }))
+        assert main(["fit", "--runs", str(bad), "--strategy", "scratch",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "line 1: field 'tokens'" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5
@@ -293,7 +303,75 @@ class TestErrorPaths:
                      "--n", "1e9", "--d", "1e15"]) == 3
 
 
+# Each subcommand with one input slot that receives the bad file; the other
+# inputs are valid, and {out} is a fresh output path.
+_INPUT_SLOTS = {
+    "fit-runs": ["fit", "--runs", "{bad}", "--strategy", "scratch", "--out", "{out}"],
+    "fit-fixed-from": ["fit", "--runs", "{runs}", "--strategy", "cpt",
+                       "--fixed-from", "{bad}", "--out", "{out}"],
+    "frontier": ["frontier", "--runs", "{bad}", "--out", "{out}"],
+    "allocate": ["allocate", "--fit", "{bad}", "--compute", "1e21"],
+    "isoloss": ["isoloss", "--fit", "{bad}", "--n-range", "1e8:1e10",
+                "--d-range", "1e9:1e12", "--resolution", "4", "--out", "{out}"],
+    "transfer-empirical": ["transfer", "--pt-run", "{bad}", "--cpt-run", "{runs}"],
+    "transfer-parametric": ["transfer", "--scratch-fit", "{bad}", "--cpt-fit", "{cpt}",
+                            "--n", "1e9", "--d", "1e10"],
+    "replay": ["replay", "--runs", "{bad}", "--out", "{out}"],
+    "synth": ["synth", "--law", "{bad}", "--out", "{out}"],
+    "compare-laws": ["compare-laws", "--runs", "{bad}"],
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("slot", sorted(_INPUT_SLOTS))
+    @pytest.mark.parametrize("bad_input", ["missing", "not-json", "wrong-kind-law"])
+    def test_bad_input_gives_documented_exit_code(self, tmp_path, capsys, slot, bad_input):
+        from cptlaws import REFERENCE_SCRATCH_FRONTIER
+
+        bad = tmp_path / "bad.json"
+        if bad_input == "not-json":
+            bad.write_text("{not json\n")
+        elif bad_input == "wrong-kind-law":
+            bad.write_text(json.dumps(law_to_dict(REFERENCE_SCRATCH_FRONTIER)))
+        paths = {
+            "bad": str(bad),
+            "runs": write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+            "cpt": write_law(tmp_path, CPT, "cpt.json"),
+            "out": str(tmp_path / "out.json"),
+        }
+        try:
+            code = main([arg.format(**paths) for arg in _INPUT_SLOTS[slot]])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (2, 3, 4, 5)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEnvConfig:
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"delta": None}, ["fit", "--runs", "r.jsonl", "--strategy", "scratch",
+                               "--out", "o.json"]),
+            ({"delta": [1]}, ["compare-laws", "--runs", "r.jsonl"]),
+            ({"resolution": 3.5}, ["isoloss", "--fit", "f.json", "--n-range", "1:2",
+                                   "--d-range", "1:2", "--out", "o.csv"]),
+            ({"seed": 1.5}, ["synth", "--preset", "paper-scratch", "--out", "o.jsonl"]),
+            ({"bins_per_decade": 2.5}, ["frontier", "--runs", "r.jsonl", "--out", "o.json"]),
+        ],
+        ids=["delta-null", "delta-list", "resolution-float", "seed-float", "bins-float"],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                  config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("CPTLAWS_CONFIG", str(path))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
     def test_seed_default_from_config_file(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 5}))

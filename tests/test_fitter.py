@@ -24,6 +24,7 @@ from cptlaws import (
     fit_scratch,
     generate_runset,
     huber,
+    paper_replica_config,
     lse,
     objective_cpt,
     objective_scratch,
@@ -316,6 +317,24 @@ class TestFitCpt:
         data = law_runset(CPT, SIZES, strategy="cpt")
         with pytest.raises(ValidationError):
             fit_cpt(data, (0.0, 420.0, 0.4))
+
+    def test_nonpositive_exponent_start_rejected(self):
+        data = law_runset(CPT, SIZES, strategy="cpt")
+        with pytest.raises(ValidationError, match="exponents must be positive"):
+            fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=((6.0, 0.0, 0.1),)))
+
+    def test_every_default_start_converges_on_replica(self, monkeypatch):
+        calls = []
+        real_minimize = fitter.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            res = real_minimize(fun, x0, **kwargs)
+            calls.append((kwargs["method"], bool(res.success)))
+            return res
+
+        monkeypatch.setattr(fitter, "minimize", recording_minimize)
+        fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
+        assert calls == [("L-BFGS-B", True)] * 64
 
 
 class TestExtractComputeFrontier:

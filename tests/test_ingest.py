@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cptlaws import (
     DomainError,
@@ -77,11 +77,26 @@ class TestParseRuns:
             ("strategy", 1),
             ("language", ["en"]),
             ("val_language", 5),
+            ("loss", True),
+            ("loss", "2.5"),
         ],
     )
     def test_bad_field_type_is_parse_error(self, field, value):
         text = record_line(tokens=10) + "\n" + record_line(tokens=20, **{field: value})
         with pytest.raises(ParseError, match=f"line 2: field '{field}'"):
+            parse_runs(text)
+
+    @pytest.mark.parametrize("field", ["tokens", "param_count", "loss", "replay_ratio"])
+    def test_number_past_float_range_is_parse_error(self, field):
+        text = record_line(tokens=10) + "\n" + record_line(**{"tokens": 20, field: 10**400})
+        with pytest.raises(ParseError, match=f"line 2: field '{field}' is too large"):
+            parse_runs(text)
+
+    def test_integer_past_digit_limit_is_parse_error(self):
+        text = record_line(tokens=10) + "\n" + record_line(tokens=20).replace(
+            '"tokens": 20', '"tokens": ' + "2" * 5000
+        )
+        with pytest.raises(ParseError, match="line 2: invalid JSON"):
             parse_runs(text)
 
     def test_conflicting_run_metadata_rejected(self):
@@ -142,6 +157,48 @@ class TestParseRuns:
         )
         rs = RunSet(runs=tuple(runs))
         assert parse_runs(serialize_runs(rs)) == rs
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2)
+)
+
+ACCEPTED_TYPES = {
+    "run_id": str, "strategy": str, "language": str, "val_language": (str, type(None)),
+    "replay_ratio": (int, float), "param_count": (int, float), "tokens": (int, float),
+    "loss": (int, float),
+}
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(
+    field=st.sampled_from(sorted(ACCEPTED_TYPES)),
+    value=JSON_VALUES,
+)
+def test_any_json_value_in_any_field(field, value):
+    """Each field takes any JSON value: a typed error, or the documented types."""
+    # a cpt run, so that a nonzero replay ratio is valid
+    text = record_line(strategy="cpt", tokens=10) + "\n" + record_line(
+        **{"strategy": "cpt", "tokens": 20, field: value}
+    )
+    try:
+        runs = parse_runs(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(value, ACCEPTED_TYPES[field]) and not isinstance(value, bool)
+    for run in runs:
+        assert isinstance(run.id, str) and run.id
+        assert run.strategy in ("scratch", "cpt") and isinstance(run.language, str)
+        assert type(run.replay_ratio) is float and 0.0 <= run.replay_ratio <= 1.0
+        assert type(run.param_count) is int and run.param_count > 0
+        for rec in run.records:
+            assert type(rec.tokens) is int and rec.tokens > 0
+            assert type(rec.loss) is float and math.isfinite(rec.loss) and rec.loss > 0
+            assert rec.val_language is None or isinstance(rec.val_language, str)
 
 
 class TestRunInvariants:
