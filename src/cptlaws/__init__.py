@@ -10,8 +10,6 @@ from .allocator import (
     AllocationPlan,
     IsoLossGrid,
     allocation_coefficients,
-    coefficients_cpt,
-    coefficients_scratch,
     efficient_frontier_loss,
     isoloss_grid,
     numeric_optimal_params,
@@ -40,7 +38,6 @@ from .fitter import (
     fit_frontier,
     fit_scratch,
     huber,
-    lse,
     objective_cpt,
     objective_scratch,
 )
@@ -68,8 +65,6 @@ from .laws import (
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_FRONTIER,
     REFERENCE_SCRATCH_LAW,
-    eval_chinchilla,
-    eval_extended,
     eval_frontier,
     eval_law,
     frontier_crossover,

@@ -112,11 +112,6 @@ def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
     )
 
 
-#: Family-specific names kept for callers; both accept any loss law.
-coefficients_scratch = allocation_coefficients
-coefficients_cpt = allocation_coefficients
-
-
 def optimal_allocation(
     coeffs: AllocationCoefficients, compute: float, law: LawParams
 ) -> AllocationPlan:

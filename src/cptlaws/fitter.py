@@ -4,15 +4,16 @@ The objective is the mean Huber loss between predicted and observed log
 loss, with the prediction expressed as a log-sum-exp over the extended law's
 three additive terms.  It works over the optimizer coordinates
 q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
-CPT law) and E = e^e; the from-scratch law is the case gamma = 0.  Each fit
-frees a subset of q and holds the rest fixed.  Exponent positivity is
-enforced by optimizing log-exponents; gamma is optimized raw because its
-fitted sign is meaningful.
+CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
+free-offset loss-compute frontier is the one-term case N := C with the data
+term switched off (b = -inf).  Each fit frees a subset of q and holds the
+rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
+gamma is optimized raw because its fitted sign is meaningful.
 
-Every start in a deterministic initialization grid is driven to convergence
-with a quasi-Newton local search (L-BFGS-B) using the objective's exact
-gradient; the lowest-objective start wins, ties resolved by the
-lexicographically smallest start.
+Every fit runs through one driver: each start in a deterministic
+initialization grid is driven to convergence with a quasi-Newton local
+search (L-BFGS-B) using the objective's exact gradient; the lowest-objective
+start wins, ties resolved by the lexicographically smallest start.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _LOG_EXPONENT_CAP = 50.0
 _SCRATCH_FREE = [0, 1, 2, 3, 4]  # gamma = 0
 _CPT_FREE = [1, 4, 5]  # (a, e, log alpha) come from a from-scratch fit
 _ALL_FREE = [0, 1, 2, 3, 4, 5]
+_FRONTIER_FREE = [0, 2, 3]  # L(C) = E + A / C^alpha: N := C, no data term
 _LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
 
 # Options of every local search.  maxls = 50 (scipy's default is 20) lets the
@@ -81,7 +83,7 @@ class FitConfig:
     warmup_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # also rejects NaN; inf gives a least-squares fit
             raise ValidationError(f"delta must be positive, got {self.delta!r}")
         if self.init_grid is not None:
             object.__setattr__(self, "init_grid", tuple(tuple(p) for p in self.init_grid))
@@ -135,21 +137,12 @@ def huber(residual, delta: float = DEFAULT_DELTA):
 
     With c = clip(r, -delta, delta), the derivative, this is c (r - c/2).
     """
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise DomainError(f"delta must be positive, got {delta!r}")
     r = np.asarray(residual, dtype=float)
     slope = np.clip(r, -delta, delta)
     out = slope * (r - 0.5 * slope)
     return float(out) if out.ndim == 0 else out
-
-
-def lse(terms) -> float:
-    """log(sum(exp(terms))) computed with the max-subtraction trick."""
-    arr = np.asarray(terms, dtype=float).ravel()
-    if arr.size == 0:
-        raise DomainError("lse requires at least one term")
-    peak = float(arr.max())
-    return peak + math.log(float(np.sum(np.exp(arr - peak))))
 
 
 def _fit_records(data: RunSet):
@@ -275,8 +268,11 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
     return starts
 
 
-def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float):
-    """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q)."""
+def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
+    """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
+
+    ``bounds`` are L-BFGS-B bounds on q[free].
+    """
 
     def fun(x: np.ndarray):
         q = base.copy()
@@ -284,7 +280,7 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float):
         value, grad, _ = _law_objective(q, *flat, delta)
         return value, grad[free]
 
-    objective, chosen, x = _minimize_multistart(fun, _law_starts(grid, free))
+    objective, chosen, x = _minimize_multistart(fun, _law_starts(grid, free), bounds)
     q = base.copy()
     q[free] = x
     return objective, chosen, q
@@ -360,7 +356,7 @@ def fit_cpt(
     """
     cfg = cfg or FitConfig()
     fixed_e, fixed_a, fixed_alpha = (float(v) for v in fixed)
-    if fixed_e <= 0 or fixed_a <= 0 or fixed_alpha <= 0:
+    if not (fixed_e > 0 and fixed_a > 0 and fixed_alpha > 0):  # also rejects NaN
         raise ValidationError(f"fixed (E, A, alpha) must be positive, got {tuple(fixed)!r}")
     flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
@@ -406,9 +402,10 @@ def fit_frontier(
     """Fit the loss-compute power law to (C, L) frontier points.
 
     With the offset fixed at zero this is linear regression in
-    (log C, log L); otherwise the offset is fitted jointly by minimizing the
-    mean Huber loss on log residuals from a small deterministic set of
-    starts.
+    (log C, log L).  Otherwise it is a law fit with N := C and no data term,
+    over the free coordinates (a, e, log alpha) = (log coefficient, log
+    offset, log exponent) with the offset at most the lowest loss, started
+    from the regression with the offset at ``OFFSET_FRACTIONS`` of that loss.
     """
     pts = [(float(c), float(l)) for c, l in points]
     if any(c <= 0 or l <= 0 for c, l in pts):
@@ -425,37 +422,22 @@ def fit_frontier(
     zero_offset = FrontierParams(
         coefficient=float(np.exp(intercept)), exponent=exponent, offset=0.0
     )
-    if fix_offset_zero:
+    # Flat data is fitted exactly by the zero-offset law (and a zero exponent
+    # has no log).
+    if fix_offset_zero or exponent == 0.0:
         return zero_offset
 
-    min_loss = float(np.exp(log_l.min()))
-
-    def fun(q: np.ndarray):
-        """Mean Huber loss on log residuals and its exact gradient."""
-        log_coef, exponent, offset = q
-        log_term = log_coef - exponent * log_c
-        term = np.exp(np.minimum(log_term, 700.0))
-        # The bounds keep offset >= 0, but exp() can still underflow to a
-        # zero prediction at offset 0; its log is then held at log(1e-300).
-        clamped = offset + term <= 1e-300
-        pred = np.where(clamped, 1e-300, offset + term)
-        residuals = np.log(pred) - log_l
-        weight = np.clip(residuals, -DEFAULT_DELTA, DEFAULT_DELTA) / (residuals.size * pred)
-        weight[clamped] = 0.0
-        grad_coef = np.where(log_term < 700.0, weight * term, 0.0)
-        grad = np.array([grad_coef.sum(), -(grad_coef @ log_c), weight.sum()])
-        return float(np.mean(huber(residuals))), grad
-
-    log_coef0 = math.log(zero_offset.coefficient)
-    starts = [
-        (offset0, np.array([log_coef0, zero_offset.exponent, offset0]))
-        for offset0 in (0.0, 0.5 * min_loss, 0.9 * min_loss)
-    ]
-    _, _, (log_coef, exponent, offset) = _minimize_multistart(
-        fun, starts, bounds=[(None, None), (0.0, None), (0.0, min_loss)]
+    # b = -inf switches the data term off: logaddexp and exp carry -inf
+    # exactly, and its gradient is exactly 0.
+    e_max = float(log_l.min())
+    grid = [(float(intercept), e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
+    flat = (log_c, np.zeros_like(log_c), log_l)
+    _, _, q = _fit_mask(
+        flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
+        bounds=[(None, None), (None, e_max), (None, None)],
     )
     return FrontierParams(
-        coefficient=float(np.exp(log_coef)), exponent=float(exponent), offset=float(offset)
+        coefficient=math.exp(q[0]), exponent=math.exp(q[3]), offset=math.exp(q[2])
     )
 
 

@@ -148,11 +148,6 @@ def eval_law(law: LawParams, N, D):
     return _maybe_float(loss)
 
 
-#: Family-specific names kept for callers; both evaluate any loss law.
-eval_chinchilla = eval_law
-eval_extended = eval_law
-
-
 def eval_frontier(p: FrontierParams, C):
     """Evaluate offset + coefficient / C^exponent."""
     c = _positive_array(C, "C")
@@ -249,6 +244,16 @@ def law_from_dict(doc: dict):
     if cls is None:
         raise ValidationError(f"unknown law_kind {kind!r}")
     fields = {k: v for k, v in doc.items() if k not in ("schema_version", "law_kind")}
+    for name, value in fields.items():
+        # Reject bools (an int subclass) and ints past float range.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(
+                f"bad {kind} document: {name} must be a number, got {type(value).__name__}"
+            )
+        try:
+            fields[name] = float(value)
+        except OverflowError:
+            raise ValidationError(f"bad {kind} document: {name} is too large") from None
     try:
         return cls(**fields)
     except TypeError as exc:

@@ -47,13 +47,13 @@ class SynthConfig:
             raise ValidationError("param_sizes must be nonempty")
         if any(n <= 0 for n in self.param_sizes):
             raise ValidationError("param_sizes must be positive")
-        if self.token_multiple <= 0:
+        if not self.token_multiple > 0:  # also rejects NaN
             raise ValidationError(f"token_multiple must be positive, got {self.token_multiple!r}")
         if self.records_per_run < 2:
             raise ValidationError(
                 f"records_per_run must be at least 2, got {self.records_per_run!r}"
             )
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # also rejects NaN
             raise ValidationError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")

@@ -22,11 +22,8 @@ from cptlaws import (
     REFERENCE_SCRATCH_FRONTIER,
     REFERENCE_SCRATCH_LAW,
     allocation_coefficients,
-    coefficients_cpt,
-    coefficients_scratch,
     compare_laws,
     empirical_transfer,
-    eval_extended,
     eval_frontier,
     eval_law,
     fit_cpt,
@@ -81,8 +78,8 @@ def clean_pipeline(scratch_data, cpt_data):
 
 def test_criterion_01_allocation_coefficient_exponents():
     start = time.perf_counter()
-    scratch = coefficients_scratch(SCRATCH)
-    cpt = coefficients_cpt(CPT)
+    scratch = allocation_coefficients(SCRATCH)
+    cpt = allocation_coefficients(CPT)
     elapsed = time.perf_counter() - start
     checks = {
         "scratch_a": abs(scratch.a - 0.4286) < 5e-4,
@@ -101,8 +98,8 @@ def test_criterion_01_allocation_coefficient_exponents():
 
 def test_criterion_02_allocation_prefactors():
     start = time.perf_counter()
-    scratch = coefficients_scratch(SCRATCH)
-    cpt = coefficients_cpt(CPT)
+    scratch = allocation_coefficients(SCRATCH)
+    cpt = allocation_coefficients(CPT)
     elapsed = time.perf_counter() - start
     checks = {
         "scratch_k_N": abs(scratch.k_N / 0.324 - 1) < 1e-2,
@@ -269,7 +266,7 @@ def _bisect_scratch_tokens(level: float, n: float) -> float:
 
 def test_criterion_09_transfer_oracle_agreement():
     moved = parametric_transfer(SCRATCH, CPT, 1e9, 1e9)
-    level = eval_extended(CPT, 1e9, 1e9)
+    level = eval_law(CPT, 1e9, 1e9)
     bisected = _bisect_scratch_tokens(level, 1e9) - 1e9
 
     d_values = np.geomspace(2e8, 2e9, 48).round().astype(int)

@@ -12,8 +12,6 @@ from cptlaws import (
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
     allocation_coefficients,
-    coefficients_cpt,
-    coefficients_scratch,
     efficient_frontier_loss,
     eval_law,
     fit_frontier,
@@ -40,18 +38,18 @@ def random_chinchilla():
 
 class TestCoefficientsScratch:
     def test_exponents_match_published_values(self):
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         assert coeffs.a == pytest.approx(0.429, abs=5e-4)
         assert coeffs.b == pytest.approx(0.571, abs=5e-4)
 
     def test_prefactors_match_published_values(self):
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         assert coeffs.k_N == pytest.approx(0.324, rel=1e-2)
         assert coeffs.k_D == pytest.approx(0.514, rel=1e-2)
 
     def test_symmetric_law(self):
         p = ChinchillaParams(E=1.0, A=100.0, B=100.0, alpha=0.5, beta=0.5)
-        coeffs = coefficients_scratch(p)
+        coeffs = allocation_coefficients(p)
         assert coeffs.a == pytest.approx(0.5, abs=1e-15)
         assert coeffs.b == pytest.approx(0.5, abs=1e-15)
         assert coeffs.G == pytest.approx(1.0, rel=1e-12)
@@ -59,24 +57,24 @@ class TestCoefficientsScratch:
     @pytest.mark.property
     @given(p=random_chinchilla())
     def test_exponents_sum_to_one(self, p):
-        coeffs = coefficients_scratch(p)
+        coeffs = allocation_coefficients(p)
         assert abs(coeffs.a + coeffs.b - 1.0) <= 1e-12
 
 
 class TestCoefficientsCpt:
     def test_exponents_match_published_values(self):
-        coeffs = coefficients_cpt(CPT)
+        coeffs = allocation_coefficients(CPT)
         assert coeffs.a == pytest.approx(0.385, abs=5e-4)
         assert coeffs.b == pytest.approx(0.615, abs=5e-4)
 
     def test_prefactors_match_published_values(self):
-        coeffs = coefficients_cpt(CPT)
+        coeffs = allocation_coefficients(CPT)
         assert coeffs.k_N == pytest.approx(4.79, rel=1e-2)
         assert coeffs.k_D == pytest.approx(0.035, rel=1e-2)
 
     def test_cpt_shifts_allocation_toward_params(self):
-        assert coefficients_cpt(CPT).a < coefficients_scratch(SCRATCH).a
-        assert coefficients_cpt(CPT).b > coefficients_scratch(SCRATCH).b
+        assert allocation_coefficients(CPT).a < allocation_coefficients(SCRATCH).a
+        assert allocation_coefficients(CPT).b > allocation_coefficients(SCRATCH).b
 
     @pytest.mark.property
     @given(p=random_chinchilla())
@@ -84,8 +82,8 @@ class TestCoefficientsCpt:
         degenerate = ExtendedCptParams(
             E=p.E, A=p.A, alpha=p.alpha, B_prime=p.B, beta_prime=p.beta, gamma=0.0
         )
-        lhs = coefficients_cpt(degenerate)
-        rhs = coefficients_scratch(p)
+        lhs = allocation_coefficients(degenerate)
+        rhs = allocation_coefficients(p)
         assert lhs.a == pytest.approx(rhs.a, rel=1e-12)
         assert lhs.G == pytest.approx(rhs.G, rel=1e-12)
         assert lhs.k_N == pytest.approx(rhs.k_N, rel=1e-12)
@@ -96,21 +94,24 @@ class TestCoefficientsCpt:
             E=1.5, A=400.0, alpha=0.4, B_prime=400.0, beta_prime=0.2, gamma=0.25
         )
         with pytest.raises(AllocationRegimeError):
-            coefficients_cpt(bad_beta)
+            allocation_coefficients(bad_beta)
         bad_alpha = ExtendedCptParams(
             E=1.5, A=400.0, alpha=0.1, B_prime=400.0, beta_prime=0.3, gamma=0.15
         )
         with pytest.raises(AllocationRegimeError):
-            coefficients_cpt(bad_alpha)
+            allocation_coefficients(bad_alpha)
 
     def test_dispatch_helper(self):
-        assert allocation_coefficients(SCRATCH) == coefficients_scratch(SCRATCH)
-        assert allocation_coefficients(CPT) == coefficients_cpt(CPT)
+        as_cpt = ExtendedCptParams(
+            E=SCRATCH.E, A=SCRATCH.A, alpha=SCRATCH.alpha,
+            B_prime=SCRATCH.B, beta_prime=SCRATCH.beta, gamma=0.0,
+        )
+        assert allocation_coefficients(SCRATCH) == allocation_coefficients(as_cpt)
 
 
 class TestOptimalAllocation:
     def test_scratch_budget_split(self):
-        plan = optimal_allocation(coefficients_scratch(SCRATCH), 1e21, SCRATCH)
+        plan = optimal_allocation(allocation_coefficients(SCRATCH), 1e21, SCRATCH)
         assert plan.n_opt == pytest.approx(3.24e8, rel=1e-2)
         assert plan.d_opt == pytest.approx(5.14e11, rel=1e-2)
         assert plan.predicted_loss == pytest.approx(
@@ -118,29 +119,29 @@ class TestOptimalAllocation:
         )
 
     def test_cpt_budget_prefers_larger_model(self):
-        scratch_plan = optimal_allocation(coefficients_scratch(SCRATCH), 1e21, SCRATCH)
-        cpt_plan = optimal_allocation(coefficients_cpt(CPT), 1e21, CPT)
+        scratch_plan = optimal_allocation(allocation_coefficients(SCRATCH), 1e21, SCRATCH)
+        cpt_plan = optimal_allocation(allocation_coefficients(CPT), 1e21, CPT)
         assert cpt_plan.n_opt == pytest.approx(5.72e8, rel=1e-2)
         assert cpt_plan.d_opt == pytest.approx(2.92e11, rel=1e-2)
         assert cpt_plan.n_opt > scratch_plan.n_opt
 
     def test_unit_budget(self):
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         plan = optimal_allocation(coeffs, 6.0, SCRATCH)
         assert plan.n_opt == pytest.approx(coeffs.G, rel=1e-12)
         assert plan.d_opt == pytest.approx(1.0 / coeffs.G, rel=1e-12)
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(DomainError):
-            optimal_allocation(coefficients_scratch(SCRATCH), 0.0, SCRATCH)
+            optimal_allocation(allocation_coefficients(SCRATCH), 0.0, SCRATCH)
 
     @pytest.mark.property
     @given(log_c=st.floats(15, 26))
     def test_budget_identity(self, log_c):
         compute = 10.0**log_c
         for law, coeffs in (
-            (SCRATCH, coefficients_scratch(SCRATCH)),
-            (CPT, coefficients_cpt(CPT)),
+            (SCRATCH, allocation_coefficients(SCRATCH)),
+            (CPT, allocation_coefficients(CPT)),
         ):
             plan = optimal_allocation(coeffs, compute, law)
             assert abs(6.0 * plan.n_opt * plan.d_opt / compute - 1.0) < 1e-9
@@ -223,13 +224,13 @@ class TestIsoLossGrid:
 
 class TestEfficientFrontierLoss:
     def test_loss_decreases_with_compute(self):
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         curve = efficient_frontier_loss(coeffs, SCRATCH, (1e18, 1e23), 24)
         losses = [l for _, l in curve]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_single_sample(self):
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         curve = efficient_frontier_loss(coeffs, SCRATCH, (1e20, 1e22), 1)
         plan = optimal_allocation(coeffs, 1e20, SCRATCH)
         assert curve == [(pytest.approx(1e20), pytest.approx(plan.predicted_loss))]
@@ -240,7 +241,7 @@ class TestEfficientFrontierLoss:
         # loss flattens the log-log slope well below the curve's own 0.171
         # decay and below the published 0.0579 frontier exponent, which was
         # fit over a lower-compute window of empirical minima.
-        coeffs = coefficients_scratch(SCRATCH)
+        coeffs = allocation_coefficients(SCRATCH)
         curve = efficient_frontier_loss(coeffs, SCRATCH, (1e19, 1e22), 64)
         fitted = fit_frontier(curve)
         assert fitted.exponent == pytest.approx(0.04050, abs=2e-3)

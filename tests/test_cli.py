@@ -272,6 +272,19 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "line 1: field 'tokens'" in capsys.readouterr().err
 
+    def test_nan_delta_exit_code(self, tmp_path, capsys):
+        runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
+        assert main(["fit", "--runs", runs, "--strategy", "scratch", "--delta", "nan",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "delta" in capsys.readouterr().err
+
+    def test_nan_noise_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "runs.jsonl"
+        assert main(["synth", "--preset", "paper-scratch", "--noise", "nan",
+                     "--out", str(out)]) == 3
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5
@@ -324,7 +337,9 @@ _INPUT_SLOTS = {
 
 class TestExitCodeContract:
     @pytest.mark.parametrize("slot", sorted(_INPUT_SLOTS))
-    @pytest.mark.parametrize("bad_input", ["missing", "not-json", "wrong-kind-law"])
+    @pytest.mark.parametrize(
+        "bad_input", ["missing", "not-json", "wrong-kind-law", "bool-field", "huge-int-field"]
+    )
     def test_bad_input_gives_documented_exit_code(self, tmp_path, capsys, slot, bad_input):
         from cptlaws import REFERENCE_SCRATCH_FRONTIER
 
@@ -333,6 +348,10 @@ class TestExitCodeContract:
             bad.write_text("{not json\n")
         elif bad_input == "wrong-kind-law":
             bad.write_text(json.dumps(law_to_dict(REFERENCE_SCRATCH_FRONTIER)))
+        elif bad_input in ("bool-field", "huge-int-field"):
+            doc = law_to_dict(SCRATCH)
+            doc["E"] = True if bad_input == "bool-field" else 10**400
+            bad.write_text(json.dumps(doc))
         paths = {
             "bad": str(bad),
             "runs": write_runs(tmp_path, SCRATCH, "runs.jsonl"),

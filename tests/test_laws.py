@@ -17,9 +17,8 @@ from cptlaws import (
     REFERENCE_SCRATCH_LAW,
     UnreachableLossError,
     ValidationError,
-    eval_chinchilla,
-    eval_extended,
     eval_frontier,
+    eval_law,
     frontier_crossover,
     law_from_dict,
     law_to_dict,
@@ -45,26 +44,26 @@ class TestEvalChinchilla:
     def test_reference_point(self):
         # direct-arithmetic oracle: 1.55 + 420/1e9^0.4 + 719.5/2e10^0.3
         assert plain_chinchilla(SCRATCH, 1e9, 2e10) == pytest.approx(2.2399148, abs=1e-6)
-        assert eval_chinchilla(SCRATCH, 1e9, 2e10) == pytest.approx(
+        assert eval_law(SCRATCH, 1e9, 2e10) == pytest.approx(
             plain_chinchilla(SCRATCH, 1e9, 2e10), rel=1e-12
         )
 
     def test_asymptote_is_irreducible_loss(self):
-        assert eval_chinchilla(SCRATCH, 1e30, 1e30) == pytest.approx(1.55, abs=1e-6)
-        assert eval_chinchilla(SCRATCH, 1e9, 1e9) > SCRATCH.E
+        assert eval_law(SCRATCH, 1e30, 1e30) == pytest.approx(1.55, abs=1e-6)
+        assert eval_law(SCRATCH, 1e9, 1e9) > SCRATCH.E
 
     def test_doubling_data_reduces_loss(self):
-        assert eval_chinchilla(SCRATCH, 1e9, 4e10) < eval_chinchilla(SCRATCH, 1e9, 2e10)
+        assert eval_law(SCRATCH, 1e9, 4e10) < eval_law(SCRATCH, 1e9, 2e10)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(DomainError):
-            eval_chinchilla(SCRATCH, 0, 1e9)
+            eval_law(SCRATCH, 0, 1e9)
         with pytest.raises(DomainError):
-            eval_chinchilla(SCRATCH, 1e9, -1)
+            eval_law(SCRATCH, 1e9, -1)
 
     def test_array_broadcast(self):
         ns = np.array([1e8, 1e9])
-        out = eval_chinchilla(SCRATCH, ns, 2e10)
+        out = eval_law(SCRATCH, ns, 2e10)
         assert out.shape == (2,)
         assert out[0] > out[1]
 
@@ -75,16 +74,16 @@ class TestEvalChinchilla:
         factor=st.floats(1.01, 100),
     )
     def test_strictly_decreasing_and_bounded(self, n, d, factor):
-        base = eval_chinchilla(SCRATCH, n, d)
+        base = eval_law(SCRATCH, n, d)
         assert base > SCRATCH.E
-        assert eval_chinchilla(SCRATCH, n * factor, d) < base
-        assert eval_chinchilla(SCRATCH, n, d * factor) < base
+        assert eval_law(SCRATCH, n * factor, d) < base
+        assert eval_law(SCRATCH, n, d * factor) < base
 
 
 class TestEvalExtended:
     def test_reference_point(self):
         assert plain_extended(CPT, 1e9, 1e9) == pytest.approx(2.9640443, abs=1e-6)
-        assert eval_extended(CPT, 1e9, 1e9) == pytest.approx(
+        assert eval_law(CPT, 1e9, 1e9) == pytest.approx(
             plain_extended(CPT, 1e9, 1e9), rel=1e-12
         )
 
@@ -95,8 +94,8 @@ class TestEvalExtended:
             E=SCRATCH.E, A=SCRATCH.A, alpha=SCRATCH.alpha,
             B_prime=SCRATCH.B, beta_prime=SCRATCH.beta, gamma=0.0,
         )
-        assert eval_extended(degenerate, n, d) == pytest.approx(
-            eval_chinchilla(SCRATCH, n, d), rel=1e-15
+        assert eval_law(degenerate, n, d) == pytest.approx(
+            eval_law(SCRATCH, n, d), rel=1e-15
         )
 
     @pytest.mark.property
@@ -106,7 +105,7 @@ class TestEvalExtended:
         factor=st.floats(1.001, 1000),
     )
     def test_positive_gamma_rewards_model_size(self, n, d, factor):
-        assert eval_extended(CPT, n * factor, d) < eval_extended(CPT, n, d)
+        assert eval_law(CPT, n * factor, d) < eval_law(CPT, n, d)
 
 
 class TestEvalFrontier:
@@ -142,11 +141,11 @@ class TestEvalFrontier:
 
 class TestSolveTokens:
     def test_round_trip_scratch(self):
-        level = eval_chinchilla(SCRATCH, 1e9, 2e10)
+        level = eval_law(SCRATCH, 1e9, 2e10)
         assert solve_tokens_for_loss(SCRATCH, 1e9, level) == pytest.approx(2e10, rel=1e-9)
 
     def test_round_trip_cpt(self):
-        level = eval_extended(CPT, 1e9, 1e9)
+        level = eval_law(CPT, 1e9, 1e9)
         assert solve_tokens_for_loss(CPT, 1e9, level) == pytest.approx(1e9, rel=1e-9)
 
     def test_unreachable_loss(self):
@@ -158,17 +157,13 @@ class TestSolveTokens:
     @given(n=st.floats(1e4, 1e13), d=st.floats(1e4, 1e13))
     def test_inverse_of_eval(self, n, d):
         for law in (SCRATCH, CPT):
-            level = (
-                eval_chinchilla(law, n, d)
-                if isinstance(law, ChinchillaParams)
-                else eval_extended(law, n, d)
-            )
+            level = eval_law(law, n, d)
             assert solve_tokens_for_loss(law, n, level) == pytest.approx(d, rel=1e-6)
 
 
 class TestSolveParams:
     def test_round_trip(self):
-        level = eval_chinchilla(SCRATCH, 1e9, 2e10)
+        level = eval_law(SCRATCH, 1e9, 2e10)
         assert solve_params_for_loss(SCRATCH, 2e10, level) == pytest.approx(1e9, rel=1e-9)
 
     def test_below_floor(self):
@@ -183,7 +178,7 @@ class TestSolveParams:
     @pytest.mark.property
     @given(n=st.floats(1e4, 1e13), d=st.floats(1e4, 1e13))
     def test_inverse_of_eval(self, n, d):
-        level = eval_chinchilla(SCRATCH, n, d)
+        level = eval_law(SCRATCH, n, d)
         assert solve_params_for_loss(SCRATCH, d, level) == pytest.approx(n, rel=1e-6)
 
 
@@ -272,6 +267,24 @@ class TestSerialization:
         doc["schema_version"] = 99
         with pytest.raises(ValidationError, match="schema_version"):
             law_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "law, field, value",
+        [(SCRATCH, "E", True), (REFERENCE_SCRATCH_FRONTIER, "exponent", False),
+         (CPT, "gamma", 10**400), (SCRATCH, "A", "420"), (SCRATCH, "B", None)],
+        ids=["bool", "frontier-bool", "huge-int", "string", "null"],
+    )
+    def test_non_number_field_rejected(self, law, field, value):
+        doc = json.loads(json.dumps(law_to_dict(law)))
+        doc[field] = value
+        with pytest.raises(ValidationError, match=field):
+            law_from_dict(doc)
+
+    def test_integer_field_becomes_float(self):
+        doc = law_to_dict(SCRATCH)
+        doc["E"] = 2
+        law = law_from_dict(doc)
+        assert law.E == 2.0 and type(law.E) is float
 
     def test_explicit_field_names(self):
         doc = law_to_dict(CPT)

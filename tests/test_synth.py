@@ -125,6 +125,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "token_multiple"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, **{field: math.nan})
+
 
 class TestReplicaConfig:
     def test_scratch_preset(self):
