@@ -2,7 +2,10 @@
 
 The objective is the mean Huber loss between predicted and observed log
 loss, with the prediction expressed as a log-sum-exp over the extended law's
-three additive terms.  It works over the optimizer coordinates
+three additive terms in log space, (a - alpha log N), (b - beta log D - gamma
+log N) and e.  The kernel shifts by the largest term, takes one exp per term,
+and reuses those weights for the exact gradient (their normalized values are
+the softmax weights of the terms).  It works over the optimizer coordinates
 q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
 CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
 free-offset loss-compute frontier is the one-term case N := C with the data
@@ -13,7 +16,9 @@ gamma is optimized raw because its fitted sign is meaningful.
 Every fit runs through one driver: each start in a deterministic
 initialization grid is driven to convergence with a quasi-Newton local
 search (L-BFGS-B) using the objective's exact gradient; the lowest-objective
-start wins, ties resolved by the lexicographically smallest start.
+start wins, ties resolved by the lexicographically smallest start.  scipy,
+which supplies the local search, is imported on the first search, so the
+commands that never fit do not load it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DomainError,
@@ -175,28 +179,36 @@ def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
 def _law_objective(q: np.ndarray, log_n, log_d, log_l, delta: float):
     """Mean Huber loss of the extended law at q, its exact gradient in q, and the residuals.
 
+    The prediction is top + log(w_n + w_d + w_e), with top the largest of the
+    three terms and each weight exp(term - top), so every term costs one exp.
     The gradient is the mean over records of huber'(r) times each term's
-    softmax weight times the term's derivative in q.
+    softmax weight w / (w_n + w_d + w_e) times the term's derivative in q.
     """
-    a, b, e, log_alpha, log_beta, gamma = q
+    a, b, e, log_alpha, log_beta, gamma = q.tolist()
     alpha = math.exp(min(log_alpha, _LOG_EXPONENT_CAP))
     beta = math.exp(min(log_beta, _LOG_EXPONENT_CAP))
     term_n = a - alpha * log_n
     term_d = b - beta * log_d - gamma * log_n
-    pred = np.logaddexp(np.logaddexp(term_n, term_d), e)
-    residuals = pred - log_l
-    slope = np.clip(residuals, -delta, delta) / residuals.size
-    grad_a = slope * np.exp(term_n - pred)
-    grad_b = slope * np.exp(term_d - pred)
+    top = np.maximum(np.maximum(term_n, term_d), e)
+    weight_n = np.exp(term_n - top)
+    weight_d = np.exp(term_d - top)
+    weight_e = np.exp(e - top)
+    total = weight_n + weight_d + weight_e
+    residuals = top + np.log(total) - log_l
+    slope = np.clip(residuals, -delta, delta)
+    value = float(slope @ (residuals - 0.5 * slope)) / residuals.size
+    scale = slope / (residuals.size * total)
+    grad_a = scale * weight_n
+    grad_b = scale * weight_d
     grad = np.array([
-        grad_a.sum(),
-        grad_b.sum(),
-        slope @ np.exp(e - pred),
+        scale @ weight_n,
+        scale @ weight_d,
+        scale @ weight_e,
         -alpha * (grad_a @ log_n) if log_alpha < _LOG_EXPONENT_CAP else 0.0,
         -beta * (grad_b @ log_d) if log_beta < _LOG_EXPONENT_CAP else 0.0,
         -(grad_b @ log_n),
     ])
-    return float(np.mean(huber(residuals, delta))), grad, residuals
+    return value, grad, residuals
 
 
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
@@ -222,6 +234,16 @@ def objective_cpt(
     b, beta, gamma = theta2
     a, e, alpha = fixed
     return _law_objective(_q(a, b, e, alpha, beta, gamma), *_flatten(data), delta)[0]
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call.
+
+    Only the commands that fit pay for importing scipy.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _minimize_multistart(fun, starts, bounds=None):
@@ -427,8 +449,8 @@ def fit_frontier(
     if fix_offset_zero or exponent == 0.0:
         return zero_offset
 
-    # b = -inf switches the data term off: logaddexp and exp carry -inf
-    # exactly, and its gradient is exactly 0.
+    # b = -inf switches the data term off: its weight exp(-inf - top) is
+    # exactly 0, and so is its gradient.
     e_max = float(log_l.min())
     grid = [(float(intercept), e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)

@@ -82,7 +82,16 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
         for j, d in enumerate(tokens):
             loss = eval_law(cfg.law, n, d)
             if cfg.noise_sigma > 0:
-                loss *= math.exp(_record_noise(cfg.seed, i, j, cfg.noise_sigma))
+                noise = _record_noise(cfg.seed, i, j, cfg.noise_sigma)
+                try:
+                    loss *= math.exp(noise)
+                except OverflowError:
+                    loss = math.inf
+                if not 0 < loss < math.inf:
+                    raise DomainError(
+                        f"noise_sigma {cfg.noise_sigma!r} is too large: a log-noise draw of "
+                        f"{noise:.4g} takes the loss of N={n}, D={d} out of float range"
+                    )
             records.append(LossRecord(tokens=d, loss=loss))
         runs.append(
             TrainingRun(

@@ -1,18 +1,24 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cptlaws
 from cptlaws import (
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
+    RunSet,
     dump_runs,
     law_to_dict,
     load_runs,
 )
 from cptlaws.cli import main
-from conftest import law_runset
+from conftest import law_run, law_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -28,6 +34,33 @@ def write_law(tmp_path, law, name):
 def write_runs(tmp_path, law, name, strategy="scratch", records_per_run=8):
     path = tmp_path / name
     dump_runs(law_runset(law, SIZES, records_per_run=records_per_run, strategy=strategy), path)
+    return str(path)
+
+
+def write_paired_runs(tmp_path):
+    """A pretraining run and a CPT run of one 1B model, exactly on the reference laws."""
+    d_values = np.geomspace(2e8, 2e9, 24)
+    pt_path, cpt_path = tmp_path / "pt.jsonl", tmp_path / "cpt.jsonl"
+    dump_runs(RunSet(runs=(law_run(SCRATCH, 10**9, d_values, run_id="pt"),)), pt_path)
+    dump_runs(
+        RunSet(runs=(law_run(CPT, 10**9, d_values, run_id="cpt", strategy="cpt"),)), cpt_path
+    )
+    return str(pt_path), str(cpt_path)
+
+
+def write_replay_runs(tmp_path):
+    """Two CPT runs at replay ratios 0.1 and 0.5, each validated on zh and en."""
+    lines = []
+    for ratio, run_id in ((0.1, "a"), (0.5, "b")):
+        for tokens in (10**9, 10**10):
+            for lang, loss in (("zh", 3.0), ("en", 2.5)):
+                lines.append(json.dumps({
+                    "run_id": run_id, "strategy": "cpt", "language": "zh",
+                    "replay_ratio": ratio, "param_count": 14 * 10**8,
+                    "tokens": tokens, "loss": loss, "val_language": lang,
+                }))
+    path = tmp_path / "replay.jsonl"
+    path.write_text("\n".join(lines))
     return str(path)
 
 
@@ -184,20 +217,9 @@ class TestTransferCommand:
         assert doc["loss"] == pytest.approx(2.9640, abs=1e-3)
 
     def test_empirical_route(self, tmp_path):
-        d_values = np.geomspace(2e8, 2e9, 24)
-        from conftest import law_run
-
-        pt_path = tmp_path / "pt.jsonl"
-        cpt_path = tmp_path / "cpt.jsonl"
-        from cptlaws import RunSet
-
-        dump_runs(RunSet(runs=(law_run(SCRATCH, 10**9, d_values, run_id="pt"),)), pt_path)
-        dump_runs(
-            RunSet(runs=(law_run(CPT, 10**9, d_values, run_id="cpt", strategy="cpt"),)),
-            cpt_path,
-        )
+        pt_path, cpt_path = write_paired_runs(tmp_path)
         out = tmp_path / "transfer.csv"
-        assert main(["transfer", "--pt-run", str(pt_path), "--cpt-run", str(cpt_path),
+        assert main(["transfer", "--pt-run", pt_path, "--cpt-run", cpt_path,
                      "--levels", "8", "--out", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
@@ -212,19 +234,8 @@ class TestTransferCommand:
 
 class TestReplayCommand:
     def test_forgetting_csv(self, tmp_path):
-        lines = []
-        for ratio, run_id in ((0.1, "a"), (0.5, "b")):
-            for tokens in (10**9, 10**10):
-                for lang, loss in (("zh", 3.0), ("en", 2.5)):
-                    lines.append(json.dumps({
-                        "run_id": run_id, "strategy": "cpt", "language": "zh",
-                        "replay_ratio": ratio, "param_count": 14 * 10**8,
-                        "tokens": tokens, "loss": loss, "val_language": lang,
-                    }))
-        runs_path = tmp_path / "replay.jsonl"
-        runs_path.write_text("\n".join(lines))
         out = tmp_path / "curves.csv"
-        assert main(["replay", "--runs", str(runs_path), "--out", str(out)]) == 0
+        assert main(["replay", "--runs", write_replay_runs(tmp_path), "--out", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
@@ -281,6 +292,13 @@ class TestErrorPaths:
     def test_nan_noise_exit_code(self, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
         assert main(["synth", "--preset", "paper-scratch", "--noise", "nan",
+                     "--out", str(out)]) == 3
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_noise_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "runs.jsonl"
+        assert main(["synth", "--preset", "paper-scratch", "--noise", "1000",
                      "--out", str(out)]) == 3
         assert "noise_sigma" in capsys.readouterr().err
         assert not out.exists()
@@ -421,3 +439,60 @@ class TestEnvConfig:
         monkeypatch.setenv("CPTLAWS_CONFIG", str(tmp_path / "missing.json"))
         assert main(["synth", "--preset", "paper-scratch",
                      "--out", str(tmp_path / "x.jsonl")]) == 5
+
+
+# Runs CLI commands in a fresh interpreter and reports, as its last output
+# line, the exit codes and whether scipy was loaded after the import and at the end.
+_STARTUP_PROBE = """
+import json, sys
+import cptlaws.cli
+after_import = "scipy" in sys.modules
+codes = [cptlaws.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "after_import": after_import, "at_end": "scipy" in sys.modules}))
+"""
+
+
+def _run_startup_probe(argvs):
+    env = {k: v for k, v in os.environ.items() if k != "CPTLAWS_CONFIG"}
+    src = str(Path(cptlaws.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    """Only the fitting commands import scipy; the rest start without it."""
+
+    def test_analysis_commands_never_load_scipy(self, tmp_path):
+        scratch = write_law(tmp_path, SCRATCH, "scratch.json")
+        cpt = write_law(tmp_path, CPT, "cpt.json")
+        pt_run, cpt_run = write_paired_runs(tmp_path)
+        argvs = [
+            ["allocate", "--fit", scratch, "--compute", "1e21"],
+            ["isoloss", "--fit", scratch, "--n-range", "1e8:1e10", "--d-range", "1e9:1e12",
+             "--resolution", "4", "--out", str(tmp_path / "grid.csv")],
+            ["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt, "--n", "1e9", "--d", "1e9",
+             "--out", str(tmp_path / "transfer.json")],
+            ["transfer", "--pt-run", pt_run, "--cpt-run", cpt_run, "--levels", "4",
+             "--out", str(tmp_path / "transfer.csv")],
+            ["replay", "--runs", write_replay_runs(tmp_path),
+             "--out", str(tmp_path / "curves.csv")],
+            ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+             "--out", str(tmp_path / "frontier.json")],
+        ]
+        result = _run_startup_probe(argvs)
+        assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
+
+    @pytest.mark.parametrize("command", ["fit", "frontier-free"])
+    def test_fitting_commands_load_scipy(self, tmp_path, command):
+        if command == "fit":
+            argv = ["fit", "--runs", write_runs(tmp_path, CPT, "runs.jsonl", strategy="cpt"),
+                    "--strategy", "cpt", "--fixed-from", write_law(tmp_path, SCRATCH, "law.json"),
+                    "--out", str(tmp_path / "fit.json")]
+        else:
+            argv = ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+                    "--no-fix-offset-zero", "--out", str(tmp_path / "frontier.json")]
+        result = _run_startup_probe([argv])
+        assert result == {"codes": [0], "after_import": False, "at_end": True}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from cptlaws import (
     objective_scratch,
 )
 from cptlaws import fitter
-from cptlaws.fitter import _ALL_FREE, _CPT_FREE, _SCRATCH_FREE, _flatten, _law_objective, _q
+from cptlaws.fitter import (
+    _ALL_FREE,
+    _CPT_FREE,
+    _LOG_EXPONENT_CAP,
+    _SCRATCH_FREE,
+    _flatten,
+    _law_objective,
+    _q,
+)
 from conftest import law_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
@@ -198,6 +207,91 @@ class TestObjectiveGradient:
             )
         scale = np.abs(grad[free]).max()
         assert np.abs(grad[free] - central).max() <= 1e-6 * scale
+
+
+def _reference_objective(q, log_n, log_d, log_l, delta):
+    """The law objective written independently: log-sum-exp reduction and mean Huber."""
+    a, b, e, log_alpha, log_beta, gamma = q
+    alpha = math.exp(min(log_alpha, _LOG_EXPONENT_CAP))
+    beta = math.exp(min(log_beta, _LOG_EXPONENT_CAP))
+    terms = np.stack([a - alpha * log_n, b - beta * log_d - gamma * log_n,
+                      np.full_like(log_n, e)])
+    pred = np.logaddexp.reduce(terms, axis=0)
+    residuals = pred - log_l
+    softmax = np.exp(terms - pred)
+    slope = np.clip(residuals, -delta, delta) / residuals.size
+    grad = np.array([
+        slope @ softmax[0],
+        slope @ softmax[1],
+        slope @ softmax[2],
+        -alpha * (slope * softmax[0]) @ log_n if log_alpha < _LOG_EXPONENT_CAP else 0.0,
+        -beta * (slope * softmax[1]) @ log_d if log_beta < _LOG_EXPONENT_CAP else 0.0,
+        -(slope * softmax[1]) @ log_n,
+    ])
+    return float(np.mean(huber(residuals, delta))), grad, residuals
+
+
+class TestObjectiveAgainstReference:
+    """The one-exp-per-term kernel against the log-sum-exp reduction, to 1e-12 relative.
+
+    Gradients are compared relative to their largest component, residuals
+    relative to the observed log loss, so exact zeros and near-cancelling
+    components have a scale.
+    """
+
+    CPT_Q = _q(math.log(CPT.A), math.log(CPT.B_prime), math.log(CPT.E),
+               CPT.alpha, CPT.beta_prime, CPT.gamma)
+
+    def assert_matches_reference(self, q, flat, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad, residuals = _law_objective(q, *flat, delta)
+            ref_value, ref_grad, ref_residuals = _reference_objective(q, *flat, delta)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grad).max())
+        np.testing.assert_allclose(residuals, ref_residuals, rtol=1e-12,
+                                   atol=1e-12 * np.abs(flat[2]).max())
+        return residuals
+
+    @pytest.fixture
+    def flat(self):
+        return _flatten(law_runset(CPT, SIZES, strategy="cpt"))
+
+    def test_both_huber_branches(self, flat):
+        q = self.CPT_Q + np.array([0.05, -0.08, 0.01, 0.02, -0.03, 0.01])
+        delta = float(np.median(np.abs(_reference_objective(q, *flat, 1.0)[2])))
+        residuals = self.assert_matches_reference(q, flat, delta)
+        inside = np.abs(residuals) <= delta
+        assert inside.any() and not inside.all()
+
+    @pytest.mark.parametrize("level", [800.0, -800.0])
+    def test_terms_past_exp_range(self, flat, level):
+        log_n, log_d, _ = flat
+        alpha, beta, gamma = CPT.alpha, CPT.beta_prime, CPT.gamma
+        a = level + alpha * log_n.mean()
+        b = level + 1.0 + beta * log_d.mean() + gamma * log_n.mean()
+        q = _q(a, b, level - 1.0, alpha, beta, gamma)  # exp of any term over- or underflows
+        residuals = self.assert_matches_reference(q, flat, 1e-3)
+        assert np.all(np.abs(residuals - level) < 10.0)
+
+    def test_switched_off_data_term(self):
+        log_c = np.log(np.geomspace(1e18, 1e23, 12))
+        log_l = np.log(1.7 + 2123.7 * np.exp(-0.174 * log_c)) + 1e-3 * np.sin(log_c)
+        flat = (log_c, np.zeros_like(log_c), log_l)
+        q = _q(math.log(2000.0), -math.inf, math.log(1.6), 0.17, 1.0)
+        self.assert_matches_reference(q, flat, 1e-3)
+        _, grad, _ = _law_objective(q, *flat, 1e-3)
+        assert grad[1] == grad[4] == grad[5] == 0.0
+
+    @pytest.mark.parametrize("position", [3, 4])
+    def test_log_exponent_past_cap(self, flat, position):
+        q = self.CPT_Q.copy()
+        q[position] = _LOG_EXPONENT_CAP + 5.0
+        self.assert_matches_reference(q, flat, 1e-3)
+        _, grad, _ = _law_objective(q, *flat, 1e-3)
+        assert grad[position] == 0.0
 
 
 class TestFitScratch:
