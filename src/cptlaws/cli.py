@@ -123,6 +123,13 @@ def cmd_frontier(args) -> int:
         f"frontier over {len(points)} points: "
         f"L(C) = {params.offset:.4g} + {params.coefficient:.6g} * C^-{params.exponent:.6g}"
     )
+    lowest = min(loss for _, loss in points)
+    if not args.fix_offset_zero and abs(lowest - params.offset) <= 1e-12 * lowest:
+        print(
+            f"warning: the fitted offset {params.offset:.6g} is the lowest frontier loss, "
+            "the upper bound of its search: the bound set it, not the data",
+            file=sys.stderr,
+        )
     print(f"wrote {args.out}")
     return EXIT_OK
 

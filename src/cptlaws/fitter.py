@@ -13,12 +13,18 @@ term switched off (b = -inf).  Each fit frees a subset of q and holds the
 rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
 gamma is optimized raw because its fitted sign is meaningful.
 
-Every fit runs through one driver: each start in a deterministic
-initialization grid is driven to convergence with a quasi-Newton local
-search (L-BFGS-B) using the objective's exact gradient; the lowest-objective
-start wins, ties resolved by the lexicographically smallest start.  scipy,
-which supplies the local search, is imported on the first search, so the
-commands that never fit do not load it.
+Every fit runs each start of a deterministic initialization grid through
+two phases.  First, all starts advance together in a damped Gauss-Newton
+(Levenberg-Marquardt) stage on the IRLS-weighted Huber residuals: blocks of
+starts are evaluated as (starts, records) arrays by the same kernel, each
+start's Jacobian being its softmax term weights times each term's derivative,
+and a start stops on a relative decrease or a step below 1e-10 or after
+``_GN_MAX_TRIALS`` trials.  This stage converges in relative terms, where
+the second phase's stopping rule is absolute.  Second, each start is
+finished on its own by a quasi-Newton local search (L-BFGS-B) with the
+objective's exact gradient.  The lowest-objective start wins, ties resolved
+by the lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
+imported on the first search, so the commands that never fit do not load it.
 """
 
 from __future__ import annotations
@@ -59,10 +65,24 @@ _CPT_FREE = [1, 4, 5]  # (a, e, log alpha) come from a from-scratch fit
 _ALL_FREE = [0, 1, 2, 3, 4, 5]
 _FRONTIER_FREE = [0, 2, 3]  # L(C) = E + A / C^alpha: N := C, no data term
 _LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
+_TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position enters
 
 # Options of every local search.  maxls = 50 (scipy's default is 20) lets the
 # first line search from a far-out start finish instead of ending ABNORMAL.
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
+
+# The Gauss-Newton stage ahead of L-BFGS-B; BENCH_7.json has the sweeps behind
+# the trial cap and the block size.  A block holds _GN_BLOCK_ELEMENTS // n
+# starts of n records, so each (starts, records) array stays under 64 kB.
+# Larger blocks cut the Python overhead per step, but from about 100 kB per
+# array on, glibc's free() gave heap memory back to the system at every step,
+# and page-faulting it in again cost more than the larger blocks saved.
+_GN_MAX_TRIALS = 30
+_GN_BLOCK_ELEMENTS = 8000
+_GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
+_GN_DAMPING = 0.1  # initial damping of the curvature-scaled system
+_GN_DAMPING_FLOOR = 1e-10  # keeps the damped system nonsingular
+_GN_CURVATURE_FLOOR = 1e-8  # smallest curvature scale, relative to the largest
 
 # Default initialization grid: brackets the plausible coefficient range with
 # margin.  Coefficient starts are log-coefficients (A = e^a up to ~1.2e6).
@@ -176,25 +196,46 @@ def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
     return np.array([a, b, e, math.log(alpha), math.log(beta), gamma])
 
 
+def _law_terms(q: np.ndarray, log_n, log_d):
+    """The extended law's log-sum-exp at q: prediction, term weights, their sum, exponent slopes.
+
+    q is one point (shape (6,)) or one point per row (shape (S, 6)); every
+    returned array has the matching leading shape.  The prediction (predicted
+    log loss) is top + log(w_n + w_d + w_e), with top the largest of the three
+    terms and each weight exp(term - top), so every term costs one exp; a
+    term's softmax weight is w / (w_n + w_d + w_e).  The slopes are
+    d(alpha, beta)/d(log alpha, log beta): the exponent itself, or 0 past
+    ``_LOG_EXPONENT_CAP``.
+    """
+    log_exponents = q[..., 3:5]
+    exponents = np.exp(np.minimum(log_exponents, _LOG_EXPONENT_CAP))
+    a, b, e, _, _, gamma = q.T[..., None]
+    alpha, beta = exponents.T[..., None]
+    term_n = a - alpha * log_n
+    term_d = b - beta * log_d
+    term_d -= gamma * log_n
+    top = np.maximum(np.maximum(term_n, term_d), e)
+    # The terms turn into their weights in place: every array allocated here
+    # costs time in the batched calls.
+    term_n -= top
+    term_d -= top
+    weights = (np.exp(term_n, out=term_n), np.exp(term_d, out=term_d), np.exp(e - top))
+    total = weights[0] + weights[1]
+    total += weights[2]
+    prediction = np.log(total)
+    prediction += top
+    slopes = np.where(log_exponents < _LOG_EXPONENT_CAP, exponents, 0.0)
+    return prediction, weights, total, slopes
+
+
 def _law_objective(q: np.ndarray, log_n, log_d, log_l, delta: float):
     """Mean Huber loss of the extended law at q, its exact gradient in q, and the residuals.
 
-    The prediction is top + log(w_n + w_d + w_e), with top the largest of the
-    three terms and each weight exp(term - top), so every term costs one exp.
     The gradient is the mean over records of huber'(r) times each term's
-    softmax weight w / (w_n + w_d + w_e) times the term's derivative in q.
+    softmax weight times the term's derivative in q.
     """
-    a, b, e, log_alpha, log_beta, gamma = q.tolist()
-    alpha = math.exp(min(log_alpha, _LOG_EXPONENT_CAP))
-    beta = math.exp(min(log_beta, _LOG_EXPONENT_CAP))
-    term_n = a - alpha * log_n
-    term_d = b - beta * log_d - gamma * log_n
-    top = np.maximum(np.maximum(term_n, term_d), e)
-    weight_n = np.exp(term_n - top)
-    weight_d = np.exp(term_d - top)
-    weight_e = np.exp(e - top)
-    total = weight_n + weight_d + weight_e
-    residuals = top + np.log(total) - log_l
+    prediction, (weight_n, weight_d, weight_e), total, slopes = _law_terms(q, log_n, log_d)
+    residuals = np.subtract(prediction, log_l, out=prediction)
     slope = np.clip(residuals, -delta, delta)
     value = float(slope @ (residuals - 0.5 * slope)) / residuals.size
     scale = slope / (residuals.size * total)
@@ -204,10 +245,11 @@ def _law_objective(q: np.ndarray, log_n, log_d, log_l, delta: float):
         scale @ weight_n,
         scale @ weight_d,
         scale @ weight_e,
-        -alpha * (grad_a @ log_n) if log_alpha < _LOG_EXPONENT_CAP else 0.0,
-        -beta * (grad_b @ log_d) if log_beta < _LOG_EXPONENT_CAP else 0.0,
+        -(grad_a @ log_n),
+        -(grad_b @ log_d),
         -(grad_b @ log_n),
     ])
+    grad[3:5] *= slopes
     return value, grad, residuals
 
 
@@ -269,6 +311,112 @@ def _minimize_multistart(fun, starts, bounds=None):
     return min(results, key=lambda item: item[:2])
 
 
+def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
+                  bounds=None) -> np.ndarray:
+    """Advance every start (one row of x0) by damped Gauss-Newton steps; return the endpoints.
+
+    This is Levenberg-Marquardt on the IRLS-weighted Huber residuals (weight
+    1 where |r| <= delta, delta / |r| elsewhere) over q[free], the rest held
+    at ``base``.  The starts move together, ``_GN_BLOCK_ELEMENTS // n`` rows
+    at a time, and trial points are clipped into ``bounds`` (L-BFGS-B form).
+    A start takes a trial only when its objective is finite and lower, and
+    stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
+    most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after
+    ``_GN_MAX_TRIALS`` trials.  No row's arithmetic reads another row, so the
+    endpoints do not depend on the order or the blocking of the starts.
+    """
+    log_n, log_d, log_l = flat
+    n = log_l.size
+    lower, upper = -math.inf, math.inf
+    if bounds is not None:
+        lower = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
+        upper = np.array([math.inf if hi is None else hi for _, hi in bounds])
+    rows = max(1, _GN_BLOCK_ELEMENTS // n)
+    workspace = np.empty((rows, len(free), n))  # the Jacobian, reused by every step
+
+    def system(x: np.ndarray):
+        """Objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) (sums over records)."""
+        q = np.repeat(base[None, :], len(x), axis=0)
+        q[:, free] = x
+        prediction, weights, total, slopes = _law_terms(q, log_n, log_d)
+        residuals = np.subtract(prediction, log_l, out=prediction)
+        slope = np.clip(residuals, -delta, delta)
+        value = np.vecdot(slope, residuals - 0.5 * slope) / n
+        # Column i of J is a term's softmax weight, weight / total, times the
+        # term's derivative in q_i.  Both sums are formed from sqrt(W) J, with
+        # W the IRLS weights, as huber'(r) = W r.  The (starts, records)
+        # arrays are updated in place once their values are no longer needed.
+        root = np.divide(slope, residuals, out=np.ones_like(slope), where=residuals != 0)
+        np.sqrt(root, out=root)
+        scale = np.divide(root, total, out=total)
+        for weight in weights:
+            weight *= scale
+        factors = (1.0, 1.0, 1.0, -slopes[:, :1] * log_n, -slopes[:, 1:] * log_d, -log_n)
+        jac = workspace[:len(x)]
+        for column, i in enumerate(free):
+            np.multiply(weights[_TERM_OF[i]], factors[i], out=jac[:, column])
+        residuals *= root
+        grad = (jac @ residuals[:, :, None])[:, :, 0]
+        return value, jac @ jac.transpose(0, 2, 1), grad
+
+    return np.concatenate([
+        _gauss_newton_block(system, x0[i:i + rows], n, lower, upper)
+        for i in range(0, len(x0), rows)
+    ])
+
+
+def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper) -> np.ndarray:
+    """The Levenberg-Marquardt iteration of ``_gauss_newton`` on one block of starts.
+
+    The damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
+    for Non-linear Least Squares Problems, 2004): a taken step scales it by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
+    decrease clipped to [0, 1]; a refused one multiplies it by a factor that
+    doubles with each refusal in a row.  Every row is stepped each
+    iteration, and only the active rows take their trial points.
+    """
+    x = x.copy()
+    value, hess, grad = system(x)
+    eye = np.eye(x.shape[1])
+    damping = np.full(len(x), _GN_DAMPING)
+    growth = np.full(len(x), 2.0)
+    active = np.isfinite(value)
+    hess[~active], grad[~active] = eye, 0.0  # a start without a finite objective stays put
+    for _ in range(_GN_MAX_TRIALS):
+        if not active.any():
+            break
+        # Marquardt's scaling: each coordinate is damped in proportion to its
+        # curvature, floored at _GN_CURVATURE_FLOOR of the largest so that a
+        # nearly flat coordinate cannot take an unbounded step.  A start with
+        # no curvature at all gets no step and stops.
+        curvature = np.diagonal(hess, axis1=1, axis2=2)
+        curvature = np.maximum(curvature, _GN_CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
+        scale = np.divide(1.0, np.sqrt(curvature), out=np.zeros_like(curvature),
+                          where=curvature > 0)
+        matrix = hess * scale[:, :, None] * scale[:, None, :] + damping[:, None, None] * eye
+        step = -scale * np.linalg.solve(matrix, (scale * grad)[:, :, None])[:, :, 0]
+        trial = np.clip(x + step, lower, upper)
+        step = trial - x
+        active &= (np.abs(step) > _GN_TOLERANCE * (1.0 + np.abs(x))).any(axis=1)
+        # Decrease of the quadratic model, in units of n * objective.
+        predicted = -(np.vecdot(grad, step)
+                      + 0.5 * (step[:, None, :] @ hess @ step[:, :, None])[:, 0, 0])
+        trial_value, trial_hess, trial_grad = system(trial)
+        better = active & np.isfinite(trial_value) & (trial_value < value)
+        decrease = np.subtract(value, trial_value, out=np.zeros_like(value), where=better)
+        ratio = np.divide(n * decrease, predicted, out=np.zeros_like(predicted),
+                          where=better & (predicted > 0))
+        factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(ratio, 0.0, 1.0) - 1.0) ** 3)
+        damping = np.maximum(damping * np.where(better, factor, growth), _GN_DAMPING_FLOOR)
+        growth = np.where(better, 2.0, 2.0 * growth)
+        x[better] = trial[better]
+        value[better] = trial_value[better]
+        hess[better] = trial_hess[better]
+        grad[better] = trial_grad[better]
+        active &= ~better | (decrease > _GN_TOLERANCE * value)
+    return x
+
+
 def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarray]]:
     """(natural point, optimizer start) pairs for the coordinates q[free].
 
@@ -293,7 +441,8 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
 def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
     """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
 
-    ``bounds`` are L-BFGS-B bounds on q[free].
+    The Gauss-Newton stage advances every grid point, then L-BFGS-B finishes
+    each one.  ``bounds`` are L-BFGS-B bounds on q[free].
     """
 
     def fun(x: np.ndarray):
@@ -302,7 +451,9 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
         value, grad, _ = _law_objective(q, *flat, delta)
         return value, grad[free]
 
-    objective, chosen, x = _minimize_multistart(fun, _law_starts(grid, free), bounds)
+    keys, x0 = zip(*_law_starts(grid, free))
+    x0 = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
+    objective, chosen, x = _minimize_multistart(fun, zip(keys, x0), bounds)
     q = base.copy()
     q[free] = x
     return objective, chosen, q

@@ -12,8 +12,14 @@ import cptlaws
 from cptlaws import (
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
+    FrontierParams,
+    LossRecord,
     RunSet,
+    SynthConfig,
+    TrainingRun,
     dump_runs,
+    eval_frontier,
+    generate_runset,
     law_to_dict,
     load_runs,
 )
@@ -186,6 +192,35 @@ class TestFrontierCommand:
         assert doc["params"]["offset"] == 0.0
         assert doc["params"]["exponent"] > 0
         assert doc["n_points"] == len(doc["points"])
+
+    def test_free_offset_on_its_bound_warns(self, tmp_path, capsys):
+        # Seeded noisy log whose free-offset fit ends with the offset on the
+        # lowest frontier loss.
+        sizes = tuple(int(x) for x in np.geomspace(5e7, 5e9, 42))
+        cfg = SynthConfig(law=SCRATCH, param_sizes=sizes, records_per_run=200,
+                          noise_sigma=0.01, seed=1)
+        runs, out = tmp_path / "runs.jsonl", tmp_path / "frontier.json"
+        dump_runs(generate_runset(cfg), runs)
+        assert main(["frontier", "--runs", str(runs), "--no-fix-offset-zero",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["offset"] == min(loss for _, loss in doc["points"])
+        assert "warning: the fitted offset" in capsys.readouterr().err
+
+    def test_free_offset_inside_its_bound_is_quiet(self, tmp_path, capsys):
+        # One run whose records lie exactly on L(C) = 1.2 + 20 C^-0.06.
+        truth = FrontierParams(coefficient=20.0, exponent=0.06, offset=1.2)
+        n = 10**9
+        tokens = [int(c / (6 * n)) for c in np.geomspace(1e16, 1e22, 40)]
+        records = tuple(LossRecord(d, eval_frontier(truth, 6.0 * n * d)) for d in tokens)
+        run = TrainingRun(id="f", strategy="scratch", language="zh", replay_ratio=0.0,
+                          param_count=n, records=records)
+        runs, out = tmp_path / "runs.jsonl", tmp_path / "frontier.json"
+        dump_runs(RunSet(runs=(run,)), runs)
+        assert main(["frontier", "--runs", str(runs), "--no-fix-offset-zero",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["offset"] == pytest.approx(1.2, rel=1e-6)
+        assert capsys.readouterr().err == ""
 
 
 class TestIsolossCommand:

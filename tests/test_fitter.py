@@ -509,6 +509,7 @@ class TestFitFrontier:
 
     def test_offset_free_path_stays_inside_bounds(self, monkeypatch):
         seen = []
+        starts = []
         real_minimize = fitter.minimize
 
         def recording_minimize(fun, x0, **kwargs):
@@ -516,6 +517,7 @@ class TestFitFrontier:
                 seen.append(np.array(x))
                 return fun(x)
 
+            starts.append(np.array(x0))
             return real_minimize(recorded, x0, **kwargs)
 
         monkeypatch.setattr(fitter, "minimize", recording_minimize)
@@ -526,6 +528,79 @@ class TestFitFrontier:
         # x = (log coefficient, log offset, log exponent); the offset is at
         # most the lowest frontier loss
         assert max(math.exp(x[1]) for x in seen) <= min(loss for _, loss in points)
+        # the Gauss-Newton stage hands L-BFGS-B starts inside the bound too
+        assert max(x[1] for x in starts) <= math.log(min(loss for _, loss in points))
+
+
+class TestReplicaRecovery:
+    """Noise-free replica logs are fitted to 1e-8: the fits converge in relative terms."""
+
+    def test_scratch_recovers_every_coefficient(self):
+        report = fit_scratch(generate_runset(paper_replica_config("scratch")))
+        for name in ("E", "A", "B", "alpha", "beta"):
+            assert getattr(report.params, name) == pytest.approx(getattr(SCRATCH, name), rel=1e-8)
+
+    def test_cpt_recovers_every_coefficient(self):
+        report = fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
+        for name in ("B_prime", "beta_prime", "gamma"):
+            assert getattr(report.params, name) == pytest.approx(getattr(CPT, name), rel=1e-8)
+
+    def test_compare_laws_reaches_the_exact_extended_law(self):
+        comparison = compare_laws(generate_runset(paper_replica_config("cpt")))
+        assert comparison.extended_error <= 1e-20
+        assert abs(comparison.gamma_fitted - CPT.gamma) <= 1e-8
+
+
+class TestGaussNewtonStage:
+    @pytest.fixture(scope="class")
+    def replica(self):
+        """The scratch replica's fit arrays and its default start grid in optimizer coordinates."""
+        flat = _flatten(generate_runset(paper_replica_config("scratch")))
+        grid = fitter._default_scratch_grid(float(np.exp(flat[2].min())))
+        return flat, np.array([x0 for _, x0 in fitter._law_starts(grid, _SCRATCH_FREE)])
+
+    @staticmethod
+    def advance(flat, x0):
+        return fitter._gauss_newton(flat, np.zeros(6), _SCRATCH_FREE, x0, fitter.DEFAULT_DELTA)
+
+    def test_endpoints_do_not_depend_on_order_or_blocking(self, replica, monkeypatch):
+        flat, x0 = replica
+        x0 = x0[::8]
+        reference = self.advance(flat, x0)
+        order = np.random.default_rng(0).permutation(len(x0))
+        assert np.array_equal(self.advance(flat, x0[order]), reference[order])
+        for rows in (1, 5, len(x0)):
+            monkeypatch.setattr(fitter, "_GN_BLOCK_ELEMENTS", rows * flat[0].size)
+            assert np.array_equal(self.advance(flat, x0), reference)
+
+    def test_trial_points_are_clipped_into_bounds(self):
+        # The frontier of L(C) = 1.2 + 20 C^-0.06 with the offset bounded by
+        # 1.0, below its best value.
+        truth = FrontierParams(coefficient=20.0, exponent=0.06, offset=1.2)
+        computes = np.geomspace(1e16, 1e22, 40)
+        log_l = np.log([eval_frontier(truth, float(c)) for c in computes])
+        flat = (np.log(computes), np.zeros(len(computes)), log_l)
+        x0 = np.array([[math.log(20.0), math.log(0.5), math.log(0.06)],
+                       [math.log(30.0), math.log(0.9), math.log(0.1)]])
+        endpoints = fitter._gauss_newton(
+            flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), fitter._FRONTIER_FREE, x0,
+            fitter.DEFAULT_DELTA, bounds=[(None, None), (None, 0.0), (None, None)],
+        )
+        assert endpoints[:, 1].max() == 0.0
+
+    def test_default_grid_lowers_no_start_and_warns_nothing(self, replica):
+        flat, x0 = replica
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            endpoints = self.advance(flat, x0)
+
+        def objective(x):
+            q = np.zeros(6)
+            q[_SCRATCH_FREE] = x
+            return _law_objective(q, *flat, fitter.DEFAULT_DELTA)[0]
+
+        assert (endpoints != x0).any(axis=1).all()
+        assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
 
 
 class TestResidualExport:
