@@ -341,7 +341,7 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         prediction, weights, total, slopes = _law_terms(q, log_n, log_d)
         residuals = np.subtract(prediction, log_l, out=prediction)
         slope = np.clip(residuals, -delta, delta)
-        value = np.vecdot(slope, residuals - 0.5 * slope) / n
+        value = np.einsum("ij,ij->i", slope, residuals - 0.5 * slope) / n
         # Column i of J is a term's softmax weight, weight / total, times the
         # term's derivative in q_i.  Both sums are formed from sqrt(W) J, with
         # W the IRLS weights, as huber'(r) = W r.  The (starts, records)
@@ -399,7 +399,7 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper) -> np.ndarr
         step = trial - x
         active &= (np.abs(step) > _GN_TOLERANCE * (1.0 + np.abs(x))).any(axis=1)
         # Decrease of the quadratic model, in units of n * objective.
-        predicted = -(np.vecdot(grad, step)
+        predicted = -(np.einsum("ij,ij->i", grad, step)
                       + 0.5 * (step[:, None, :] @ hess @ step[:, :, None])[:, 0, 0])
         trial_value, trial_hess, trial_grad = system(trial)
         better = active & np.isfinite(trial_value) & (trial_value < value)
