@@ -13,17 +13,22 @@ term switched off (b = -inf).  Each fit frees a subset of q and holds the
 rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
 gamma is optimized raw because its fitted sign is meaningful.
 
-Every fit runs each start of a deterministic initialization grid through
-two phases.  First, all starts advance together in a damped Gauss-Newton
+Every fit runs a deterministic initialization grid of starts through two
+phases.  First, all starts advance together in a damped Gauss-Newton
 (Levenberg-Marquardt) stage on the IRLS-weighted Huber residuals: blocks of
 starts are evaluated as (starts, records) arrays by the same kernel, each
 start's Jacobian being its softmax term weights times each term's derivative,
 and a start stops on a relative decrease or a step below 1e-10 or after
 ``_GN_MAX_TRIALS`` trials.  This stage converges in relative terms, where
-the second phase's stopping rule is absolute.  Second, each start is
-finished on its own by a quasi-Newton local search (L-BFGS-B) with the
-objective's exact gradient.  The lowest-objective start wins, ties resolved
-by the lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
+the second phase's stopping rule is absolute, and it ranks every start by
+the objective it ends at.  Second, the starts of the best basin, those
+within ``_BASIN_TOLERANCE`` relative of the lowest stage objective, are each
+finished on their own by a quasi-Newton local search (L-BFGS-B) with the
+objective's exact gradient; the other starts are dropped.  (The
+free-offset frontier finishes both of its starts: its stage stops short of
+the optimum, so its stage objectives do not rank them.)  The
+lowest-objective finished start wins, ties resolved by the
+lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
 imported on the first search, so the commands that never fit do not load it.
 """
 
@@ -83,6 +88,10 @@ _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's 
 _GN_DAMPING = 0.1  # initial damping of the curvature-scaled system
 _GN_DAMPING_FLOOR = 1e-10  # keeps the damped system nonsingular
 _GN_CURVATURE_FLOOR = 1e-8  # smallest curvature scale, relative to the largest
+
+# A start is in the best basin when its Gauss-Newton stage objective is within
+# this fraction of the lowest one; only those starts are finished by L-BFGS-B.
+_BASIN_TOLERANCE = 1e-3
 
 # Default initialization grid: brackets the plausible coefficient range with
 # margin.  Coefficient starts are log-coefficients (A = e^a up to ~1.2e6).
@@ -312,8 +321,11 @@ def _minimize_multistart(fun, starts, bounds=None):
 
 
 def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
-                  bounds=None) -> np.ndarray:
-    """Advance every start (one row of x0) by damped Gauss-Newton steps; return the endpoints.
+                  bounds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every start (one row of x0) by damped Gauss-Newton steps.
+
+    Returns the endpoints and their objectives (non-finite for a start whose
+    objective is not finite at x0; such a start stays put).
 
     This is Levenberg-Marquardt on the IRLS-weighted Huber residuals (weight
     1 where |r| <= delta, delta / |r| elsewhere) over q[free], the rest held
@@ -323,7 +335,8 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
     most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after
     ``_GN_MAX_TRIALS`` trials.  No row's arithmetic reads another row, so the
-    endpoints do not depend on the order or the blocking of the starts.
+    endpoints and objectives do not depend on the order or the blocking of
+    the starts.
     """
     log_n, log_d, log_l = flat
     n = log_l.size
@@ -359,13 +372,13 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         grad = (jac @ residuals[:, :, None])[:, :, 0]
         return value, jac @ jac.transpose(0, 2, 1), grad
 
-    return np.concatenate([
-        _gauss_newton_block(system, x0[i:i + rows], n, lower, upper)
-        for i in range(0, len(x0), rows)
-    ])
+    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper)
+              for i in range(0, len(x0), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper) -> np.ndarray:
+def _gauss_newton_block(system, x: np.ndarray, n: int, lower,
+                        upper) -> tuple[np.ndarray, np.ndarray]:
     """The Levenberg-Marquardt iteration of ``_gauss_newton`` on one block of starts.
 
     The damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
@@ -414,7 +427,19 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper) -> np.ndarr
         hess[better] = trial_hess[better]
         grad[better] = trial_grad[better]
         active &= ~better | (decrease > _GN_TOLERANCE * value)
-    return x
+    return x, value
+
+
+def _best_basin(values: np.ndarray) -> np.ndarray:
+    """Indices of the starts whose objective is within ``_BASIN_TOLERANCE`` relative of the lowest.
+
+    A non-finite objective is never in the basin.
+    """
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise FitFailureError("no optimizer start has a finite objective")
+    best = values[finite].min()
+    return np.flatnonzero(finite & (values - best <= _BASIN_TOLERANCE * best))
 
 
 def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarray]]:
@@ -430,6 +455,8 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
             raise ValidationError(
                 f"starts need {len(free)} coordinates ({names}), got {point!r}"
             )
+        if not all(math.isfinite(value) for value in point):
+            raise ValidationError(f"start {point!r}: coordinates must be finite")
         pairs = list(zip(free, point))
         if any(value <= 0 for i, value in pairs if i in _LOG_EXPONENTS):
             raise ValidationError(f"start {point!r}: exponents must be positive")
@@ -438,11 +465,13 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
     return starts
 
 
-def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
+def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None,
+              finish_all: bool = False):
     """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
 
     The Gauss-Newton stage advances every grid point, then L-BFGS-B finishes
-    each one.  ``bounds`` are L-BFGS-B bounds on q[free].
+    each one that ends the stage in the best basin, or every one with
+    ``finish_all``.  ``bounds`` are L-BFGS-B bounds on q[free].
     """
 
     def fun(x: np.ndarray):
@@ -452,8 +481,9 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
         return value, grad[free]
 
     keys, x0 = zip(*_law_starts(grid, free))
-    x0 = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
-    objective, chosen, x = _minimize_multistart(fun, zip(keys, x0), bounds)
+    x0, values = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
+    finished = range(len(keys)) if finish_all else _best_basin(values)
+    objective, chosen, x = _minimize_multistart(fun, [(keys[i], x0[i]) for i in finished], bounds)
     q = base.copy()
     q[free] = x
     return objective, chosen, q
@@ -601,13 +631,17 @@ def fit_frontier(
         return zero_offset
 
     # b = -inf switches the data term off: its weight exp(-inf - top) is
-    # exactly 0, and so is its gradient.
+    # exactly 0, and so is its gradient.  Both starts are finished: the
+    # Gauss-Newton stage does not reach this fit's optimum within its trial
+    # cap, so its objectives do not rank the starts (on the replica's
+    # frontier, L-BFGS-B from the start with the higher stage objective ends
+    # lower).
     e_max = float(log_l.min())
     grid = [(float(intercept), e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)
     _, _, q = _fit_mask(
         flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
-        bounds=[(None, None), (None, e_max), (None, None)],
+        bounds=[(None, None), (None, e_max), (None, None)], finish_all=True,
     )
     return FrontierParams(
         coefficient=math.exp(q[0]), exponent=math.exp(q[3]), offset=math.exp(q[2])

@@ -338,6 +338,14 @@ class TestErrorPaths:
         assert "noise_sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_error_exit_code(self, tmp_path, capsys):
+        runs, out = tmp_path / "one-size.jsonl", tmp_path / "o.json"
+        dump_runs(law_runset(SCRATCH, SIZES[:1]), runs)
+        assert main(["fit", "--runs", str(runs), "--strategy", "scratch",
+                     "--out", str(out)]) == 4
+        assert "fit error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5

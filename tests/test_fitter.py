@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from cptlaws import (
     DomainError,
     FitConfig,
+    FitFailureError,
     FrontierParams,
     LossRecord,
     REFERENCE_CPT_LAW,
@@ -359,6 +362,17 @@ class TestFitScratch:
         with pytest.raises(ValidationError):
             fit_scratch(data, FitConfig(init_grid=((1.0, 2.0, 3.0),)))
 
+    @pytest.mark.parametrize(
+        "start",
+        [(6.0, 6.0, 0.4, math.nan, 0.3), (6.0, 6.0, 0.4, math.inf, 0.3),
+         (6.0, 6.0, -math.inf, 0.4, 0.3)],
+        ids=["nan-exponent", "inf-exponent", "minus-inf-offset"],
+    )
+    def test_non_finite_start_rejected(self, start):
+        data = law_runset(SCRATCH, SIZES)
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit_scratch(data, FitConfig(init_grid=(start,)))
+
 
 class TestFitCpt:
     def test_recovers_truth_noise_free(self):
@@ -397,18 +411,115 @@ class TestFitCpt:
         with pytest.raises(ValidationError, match="exponents must be positive"):
             fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=((6.0, 0.0, 0.1),)))
 
-    def test_every_default_start_converges_on_replica(self, monkeypatch):
-        calls = []
-        real_minimize = fitter.minimize
+    @pytest.mark.parametrize(
+        "start",
+        [(math.nan, 0.3, 0.1), (6.0, math.inf, 0.1), (6.0, 0.3, -math.inf)],
+        ids=["nan-coefficient", "inf-exponent", "minus-inf-gamma"],
+    )
+    def test_non_finite_start_rejected(self, start):
+        data = law_runset(CPT, SIZES, strategy="cpt")
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=(start,)))
 
-        def recording_minimize(fun, x0, **kwargs):
-            res = real_minimize(fun, x0, **kwargs)
-            calls.append((kwargs["method"], bool(res.success)))
-            return res
-
-        monkeypatch.setattr(fitter, "minimize", recording_minimize)
+    def test_default_starts_finish_in_the_best_basin_on_replica(self, monkeypatch):
+        stage, finished = record_fit(monkeypatch)
         fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
-        assert calls == [("L-BFGS-B", True)] * 64
+        (flat, base, free, x0), (endpoints, values) = stage
+
+        def objective(x):
+            q = base.copy()
+            q[free] = x
+            return _law_objective(q, *flat, fitter.DEFAULT_DELTA)[0]
+
+        assert len(x0) == 64 and np.isfinite(values).all()
+        assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
+        basin = fitter._best_basin(values)
+        assert np.array_equal([x for x, _ in finished], endpoints[basin])
+        assert all(success for _, success in finished)
+
+
+def record_fit(monkeypatch):
+    """Record the Gauss-Newton stage and every L-BFGS-B finish of the next fits.
+
+    Returns ``stage``, which holds the last stage's ((flat, base, free, x0),
+    (endpoints, objectives)), and ``finished``, a list of (x0, success) per
+    ``fitter.minimize`` call.
+    """
+    stage, finished = [], []
+    real_stage, real_minimize = fitter._gauss_newton, fitter.minimize
+
+    def recording_stage(flat, base, free, x0, delta, bounds=None):
+        out = real_stage(flat, base, free, x0, delta, bounds)
+        stage[:] = [(flat, base, free, x0), out]
+        return out
+
+    def recording_minimize(fun, x0, **kwargs):
+        res = real_minimize(fun, x0, **kwargs)
+        finished.append((np.array(x0), bool(res.success)))
+        return res
+
+    monkeypatch.setattr(fitter, "_gauss_newton", recording_stage)
+    monkeypatch.setattr(fitter, "minimize", recording_minimize)
+    return stage, finished
+
+
+class TestBestBasin:
+    def test_rule(self):
+        values = np.array([math.nan, math.inf, 2.0, 1.0, 1.0009, 1.0011])
+        assert fitter._best_basin(values).tolist() == [3, 4]
+
+    def test_no_finite_objective_fails(self):
+        with pytest.raises(FitFailureError, match="finite objective"):
+            fitter._best_basin(np.array([math.nan, math.inf]))
+
+    def test_only_best_basin_starts_are_finished(self, monkeypatch, fast_cfg):
+        data = generate_runset(SynthConfig(law=SCRATCH, param_sizes=SIZES, records_per_run=12,
+                                           noise_sigma=0.01, seed=1))
+        stage, finished = record_fit(monkeypatch)
+        fit_scratch(data, fast_cfg)
+        _, (endpoints, values) = stage
+        basin = fitter._best_basin(values)
+        assert 0 < len(basin) < len(fast_cfg.init_grid)
+        assert np.array_equal([x for x, _ in finished], endpoints[basin])
+
+        finished.clear()
+        monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
+        fit_scratch(data, fast_cfg)
+        assert np.array_equal([x for x, _ in finished], stage[1][0])
+
+    @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.01, 1)])
+    def test_matches_finishing_every_start_on_replica(self, monkeypatch, sigma, seed):
+        config = dataclasses.replace(paper_replica_config("scratch"), noise_sigma=sigma, seed=seed)
+        data = generate_runset(config)
+        basin = fit_scratch(data)
+        monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
+        every = fit_scratch(data)
+        for name in ("E", "A", "B", "alpha", "beta"):
+            assert getattr(basin.params, name) == pytest.approx(getattr(every.params, name),
+                                                                rel=1e-8)
+        assert (basin.objective == pytest.approx(every.objective, rel=1e-9)
+                or max(basin.objective, every.objective) <= 1e-25)
+
+
+class TestFitFailure:
+    def test_message_names_every_finished_start(self, monkeypatch, fast_cfg):
+        calls = []
+
+        def failing_minimize(fun, x0, **kwargs):
+            calls.append(x0)
+            return SimpleNamespace(x=x0, fun=fun(x0)[0], success=False, message="stopped")
+
+        monkeypatch.setattr(fitter, "minimize", failing_minimize)
+        data = law_runset(SCRATCH, SIZES)
+        with pytest.raises(FitFailureError) as excinfo:
+            fit_scratch(data, fast_cfg)
+        assert calls and str(excinfo.value).count(": stopped") == len(calls)
+
+        monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
+        with pytest.raises(FitFailureError) as excinfo:
+            fit_scratch(data, fast_cfg)
+        for point in fast_cfg.init_grid:
+            assert f"start {point!r}: stopped" in str(excinfo.value)
 
 
 class TestExtractComputeFrontier:
@@ -531,6 +642,14 @@ class TestFitFrontier:
         # the Gauss-Newton stage hands L-BFGS-B starts inside the bound too
         assert max(x[1] for x in starts) <= math.log(min(loss for _, loss in points))
 
+    def test_offset_free_path_finishes_both_starts(self, monkeypatch):
+        # On this frontier the two starts end the Gauss-Newton stage far
+        # apart, and L-BFGS-B from the higher one ends lower.
+        _, finished = record_fit(monkeypatch)
+        points = extract_compute_frontier(generate_runset(paper_replica_config("scratch")))
+        fit_frontier(points, fix_offset_zero=False)
+        assert len(finished) == len(fitter.OFFSET_FRACTIONS)
+
 
 class TestReplicaRecovery:
     """Noise-free replica logs are fitted to 1e-8: the fits converge in relative terms."""
@@ -566,12 +685,16 @@ class TestGaussNewtonStage:
     def test_endpoints_do_not_depend_on_order_or_blocking(self, replica, monkeypatch):
         flat, x0 = replica
         x0 = x0[::8]
-        reference = self.advance(flat, x0)
+        endpoints, values = self.advance(flat, x0)
         order = np.random.default_rng(0).permutation(len(x0))
-        assert np.array_equal(self.advance(flat, x0[order]), reference[order])
+        permuted = self.advance(flat, x0[order])
+        assert np.array_equal(permuted[0], endpoints[order])
+        assert np.array_equal(permuted[1], values[order])
         for rows in (1, 5, len(x0)):
             monkeypatch.setattr(fitter, "_GN_BLOCK_ELEMENTS", rows * flat[0].size)
-            assert np.array_equal(self.advance(flat, x0), reference)
+            blocked = self.advance(flat, x0)
+            assert np.array_equal(blocked[0], endpoints)
+            assert np.array_equal(blocked[1], values)
 
     def test_trial_points_are_clipped_into_bounds(self):
         # The frontier of L(C) = 1.2 + 20 C^-0.06 with the offset bounded by
@@ -582,7 +705,7 @@ class TestGaussNewtonStage:
         flat = (np.log(computes), np.zeros(len(computes)), log_l)
         x0 = np.array([[math.log(20.0), math.log(0.5), math.log(0.06)],
                        [math.log(30.0), math.log(0.9), math.log(0.1)]])
-        endpoints = fitter._gauss_newton(
+        endpoints, _ = fitter._gauss_newton(
             flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), fitter._FRONTIER_FREE, x0,
             fitter.DEFAULT_DELTA, bounds=[(None, None), (None, 0.0), (None, None)],
         )
@@ -592,7 +715,7 @@ class TestGaussNewtonStage:
         flat, x0 = replica
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            endpoints = self.advance(flat, x0)
+            endpoints, values = self.advance(flat, x0)
 
         def objective(x):
             q = np.zeros(6)
@@ -601,6 +724,8 @@ class TestGaussNewtonStage:
 
         assert (endpoints != x0).any(axis=1).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
+        # the objectives returned with the endpoints are theirs
+        np.testing.assert_allclose(values, [objective(end) for end in endpoints], rtol=1e-12)
 
 
 class TestResidualExport:
