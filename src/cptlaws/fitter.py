@@ -4,7 +4,7 @@ The objective is the mean Huber loss between predicted and observed log
 loss, with the prediction expressed as a log-sum-exp over the extended law's
 three additive terms in log space, (a - alpha log N), (b - beta log D - gamma
 log N) and e.  The kernel shifts by the largest term, takes one exp per term,
-and reuses those weights for the exact gradient (their normalized values are
+and reuses those weights for the exact Jacobian (their normalized values are
 the softmax weights of the terms).  It works over the optimizer coordinates
 q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
 CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
@@ -16,20 +16,22 @@ gamma is optimized raw because its fitted sign is meaningful.
 Every fit runs a deterministic initialization grid of starts through two
 phases.  First, all starts advance together in a damped Gauss-Newton
 (Levenberg-Marquardt) stage on the IRLS-weighted Huber residuals: blocks of
-starts are evaluated as (starts, records) arrays by the same kernel, each
-start's Jacobian being its softmax term weights times each term's derivative,
-and a start stops on a relative decrease or a step below 1e-10 or after
-``_GN_MAX_TRIALS`` trials.  This stage converges in relative terms, where
-the second phase's stopping rule is absolute, and it ranks every start by
-the objective it ends at.  Second, the starts of the best basin, those
-within ``_BASIN_TOLERANCE`` relative of the lowest stage objective, are each
-finished on their own by a quasi-Newton local search (L-BFGS-B) with the
-objective's exact gradient; the other starts are dropped.  (The
-free-offset frontier finishes both of its starts: its stage stops short of
-the optimum, so its stage objectives do not rank them.)  The
-lowest-objective finished start wins, ties resolved by the
-lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
-imported on the first search, so the commands that never fit do not load it.
+starts are evaluated as (starts, records) arrays by one kernel,
+``_law_system``, which returns each start's objective, Gauss-Newton matrix
+and gradient, each start's Jacobian being its softmax term weights times
+each term's derivative.  A start stops on a relative decrease or a step
+below 1e-10, or when it has used its share of a fixed budget of row trials,
+``_GN_ROW_TRIALS``: 30 trials each on the default 512-start scratch grid,
+while a fit with few starts runs until the other two rules stop it.  This
+stage converges in relative terms, where the second phase's stopping rule
+is absolute, and it ranks every start by the objective it ends at.  Second,
+the starts of the best basin, those within ``_BASIN_TOLERANCE`` relative of
+the lowest stage objective, are each finished on their own by a
+quasi-Newton local search (L-BFGS-B) on the same kernel's value and
+gradient; the other starts are dropped.  The lowest-objective finished
+start wins, ties resolved by the lexicographically smallest start.  scipy,
+which supplies L-BFGS-B, is imported on the first search, so the commands
+that never fit do not load it.
 """
 
 from __future__ import annotations
@@ -77,12 +79,16 @@ _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position ent
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 
 # The Gauss-Newton stage ahead of L-BFGS-B; BENCH_7.json has the sweeps behind
-# the trial cap and the block size.  A block holds _GN_BLOCK_ELEMENTS // n
-# starts of n records, so each (starts, records) array stays under 64 kB.
-# Larger blocks cut the Python overhead per step, but from about 100 kB per
-# array on, glibc's free() gave heap memory back to the system at every step,
-# and page-faulting it in again cost more than the larger blocks saved.
-_GN_MAX_TRIALS = 30
+# the trial cap and the block size.  A stage shares _GN_ROW_TRIALS out evenly
+# over its starts: the default 512-start scratch grid gets 30 trials each,
+# and a stage with few starts runs until its stop rules end it (the 2-start
+# free-offset frontier needs about 100).  A block holds
+# _GN_BLOCK_ELEMENTS // n starts of n records, so each (starts, records)
+# array stays under 64 kB.  Larger blocks cut the Python overhead per step,
+# but from about 100 kB per array on, glibc's free() gave heap memory back to
+# the system at every step, and page-faulting it in again cost more than the
+# larger blocks saved.
+_GN_ROW_TRIALS = 30 * 512
 _GN_BLOCK_ELEMENTS = 8000
 _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
 _GN_DAMPING = 0.1  # initial damping of the curvature-scaled system
@@ -237,29 +243,48 @@ def _law_terms(q: np.ndarray, log_n, log_d):
     return prediction, weights, total, slopes
 
 
-def _law_objective(q: np.ndarray, log_n, log_d, log_l, delta: float):
-    """Mean Huber loss of the extended law at q, its exact gradient in q, and the residuals.
+def _residuals(q: np.ndarray, flat) -> np.ndarray:
+    """Predicted minus observed log loss of the extended law at one point q."""
+    log_n, log_d, log_l = flat
+    return _law_terms(q, log_n, log_d)[0] - log_l
 
-    The gradient is the mean over records of huber'(r) times each term's
-    softmax weight times the term's derivative in q.
+
+def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: float,
+                jac: np.ndarray | None = None):
+    """Huber objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) at each row of x.
+
+    Row s is the point q = ``base`` with q[free] = x[s].  The objective is the
+    mean over records; both sums run over records, so the mean's gradient is
+    the returned one divided by the record count.  J is the Jacobian of the
+    prediction in q[free] and W the IRLS weights (1 where |r| <= delta,
+    delta / |r| elsewhere).  ``jac``, of shape (rows, free, records), is
+    reused for J when given.
     """
-    prediction, (weight_n, weight_d, weight_e), total, slopes = _law_terms(q, log_n, log_d)
+    log_n, log_d, log_l = flat
+    n = log_l.size
+    q = np.repeat(base[None, :], len(x), axis=0)
+    q[:, free] = x
+    prediction, weights, total, slopes = _law_terms(q, log_n, log_d)
     residuals = np.subtract(prediction, log_l, out=prediction)
     slope = np.clip(residuals, -delta, delta)
-    value = float(slope @ (residuals - 0.5 * slope)) / residuals.size
-    scale = slope / (residuals.size * total)
-    grad_a = scale * weight_n
-    grad_b = scale * weight_d
-    grad = np.array([
-        scale @ weight_n,
-        scale @ weight_d,
-        scale @ weight_e,
-        -(grad_a @ log_n),
-        -(grad_b @ log_d),
-        -(grad_b @ log_n),
-    ])
-    grad[3:5] *= slopes
-    return value, grad, residuals
+    value = np.einsum("ij,ij->i", slope, residuals - 0.5 * slope) / n
+    # Column i of J is a term's softmax weight, weight / total, times the
+    # term's derivative in q_i.  Both sums are formed from sqrt(W) J, as
+    # huber'(r) = W r.  The (rows, records) arrays are updated in place once
+    # their values are no longer needed.
+    root = np.divide(slope, residuals, out=np.ones_like(slope), where=residuals != 0)
+    np.sqrt(root, out=root)
+    scale = np.divide(root, total, out=total)
+    for weight in weights:
+        weight *= scale
+    factors = (1.0, 1.0, 1.0, -slopes[:, :1] * log_n, -slopes[:, 1:] * log_d, -log_n)
+    if jac is None:
+        jac = np.empty((len(x), len(free), n))
+    for column, i in enumerate(free):
+        np.multiply(weights[_TERM_OF[i]], factors[i], out=jac[:, column])
+    residuals *= root
+    grad = (jac @ residuals[:, :, None])[:, :, 0]
+    return value, jac @ jac.transpose(0, 2, 1), grad
 
 
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
@@ -268,7 +293,7 @@ def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAU
     Coefficients follow the A = exp(a), B = exp(b), E = exp(e) convention.
     Nonpositive losses cannot occur here; ingest rejects them at load time.
     """
-    return _law_objective(_q(*theta), *_flatten(data), delta)[0]
+    return float(np.mean(huber(_residuals(_q(*theta), _flatten(data)), delta)))
 
 
 def objective_cpt(
@@ -284,7 +309,7 @@ def objective_cpt(
     """
     b, beta, gamma = theta2
     a, e, alpha = fixed
-    return _law_objective(_q(a, b, e, alpha, beta, gamma), *_flatten(data), delta)[0]
+    return float(np.mean(huber(_residuals(_q(a, b, e, alpha, beta, gamma), _flatten(data)), delta)))
 
 
 def minimize(*args, **kwargs):
@@ -333,52 +358,30 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     at a time, and trial points are clipped into ``bounds`` (L-BFGS-B form).
     A start takes a trial only when its objective is finite and lower, and
     stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
-    most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after
-    ``_GN_MAX_TRIALS`` trials.  No row's arithmetic reads another row, so the
-    endpoints and objectives do not depend on the order or the blocking of
-    the starts.
+    most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after its share
+    of ``_GN_ROW_TRIALS``, the same number of trials for every start.  No
+    row's arithmetic reads another row, so the endpoints and objectives do
+    not depend on the order or the blocking of the starts.
     """
-    log_n, log_d, log_l = flat
-    n = log_l.size
+    n = flat[2].size
     lower, upper = -math.inf, math.inf
     if bounds is not None:
         lower = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
         upper = np.array([math.inf if hi is None else hi for _, hi in bounds])
     rows = max(1, _GN_BLOCK_ELEMENTS // n)
+    trials = max(1, _GN_ROW_TRIALS // len(x0))
     workspace = np.empty((rows, len(free), n))  # the Jacobian, reused by every step
 
     def system(x: np.ndarray):
-        """Objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) (sums over records)."""
-        q = np.repeat(base[None, :], len(x), axis=0)
-        q[:, free] = x
-        prediction, weights, total, slopes = _law_terms(q, log_n, log_d)
-        residuals = np.subtract(prediction, log_l, out=prediction)
-        slope = np.clip(residuals, -delta, delta)
-        value = np.einsum("ij,ij->i", slope, residuals - 0.5 * slope) / n
-        # Column i of J is a term's softmax weight, weight / total, times the
-        # term's derivative in q_i.  Both sums are formed from sqrt(W) J, with
-        # W the IRLS weights, as huber'(r) = W r.  The (starts, records)
-        # arrays are updated in place once their values are no longer needed.
-        root = np.divide(slope, residuals, out=np.ones_like(slope), where=residuals != 0)
-        np.sqrt(root, out=root)
-        scale = np.divide(root, total, out=total)
-        for weight in weights:
-            weight *= scale
-        factors = (1.0, 1.0, 1.0, -slopes[:, :1] * log_n, -slopes[:, 1:] * log_d, -log_n)
-        jac = workspace[:len(x)]
-        for column, i in enumerate(free):
-            np.multiply(weights[_TERM_OF[i]], factors[i], out=jac[:, column])
-        residuals *= root
-        grad = (jac @ residuals[:, :, None])[:, :, 0]
-        return value, jac @ jac.transpose(0, 2, 1), grad
+        return _law_system(x, base, free, flat, delta, workspace[:len(x)])
 
-    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper)
+    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials)
               for i in range(0, len(x0), rows)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _gauss_newton_block(system, x: np.ndarray, n: int, lower,
-                        upper) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
+                        trials: int) -> tuple[np.ndarray, np.ndarray]:
     """The Levenberg-Marquardt iteration of ``_gauss_newton`` on one block of starts.
 
     The damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
@@ -386,7 +389,8 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower,
     max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
     decrease clipped to [0, 1]; a refused one multiplies it by a factor that
     doubles with each refusal in a row.  Every row is stepped each
-    iteration, and only the active rows take their trial points.
+    iteration, and only the active rows take their trial points and update
+    their damping (a stopped row's would otherwise grow until it overflows).
     """
     x = x.copy()
     value, hess, grad = system(x)
@@ -395,7 +399,7 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower,
     growth = np.full(len(x), 2.0)
     active = np.isfinite(value)
     hess[~active], grad[~active] = eye, 0.0  # a start without a finite objective stays put
-    for _ in range(_GN_MAX_TRIALS):
+    for _ in range(trials):
         if not active.any():
             break
         # Marquardt's scaling: each coordinate is damped in proportion to its
@@ -420,8 +424,10 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower,
         ratio = np.divide(n * decrease, predicted, out=np.zeros_like(predicted),
                           where=better & (predicted > 0))
         factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(ratio, 0.0, 1.0) - 1.0) ** 3)
-        damping = np.maximum(damping * np.where(better, factor, growth), _GN_DAMPING_FLOOR)
-        growth = np.where(better, 2.0, 2.0 * growth)
+        np.multiply(damping, np.where(better, factor, growth), out=damping, where=active)
+        np.maximum(damping, _GN_DAMPING_FLOOR, out=damping)
+        np.multiply(growth, 2.0, out=growth, where=active & ~better)
+        growth[better] = 2.0
         x[better] = trial[better]
         value[better] = trial_value[better]
         hess[better] = trial_hess[better]
@@ -465,25 +471,22 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
     return starts
 
 
-def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None,
-              finish_all: bool = False):
+def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
     """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
 
     The Gauss-Newton stage advances every grid point, then L-BFGS-B finishes
-    each one that ends the stage in the best basin, or every one with
-    ``finish_all``.  ``bounds`` are L-BFGS-B bounds on q[free].
+    each one that ends the stage in the best basin.  ``bounds`` are L-BFGS-B
+    bounds on q[free].
     """
 
     def fun(x: np.ndarray):
-        q = base.copy()
-        q[free] = x
-        value, grad, _ = _law_objective(q, *flat, delta)
-        return value, grad[free]
+        value, _, grad = _law_system(x[None], base, free, flat, delta)
+        return value[0], grad[0] / flat[2].size
 
     keys, x0 = zip(*_law_starts(grid, free))
     x0, values = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
-    finished = range(len(keys)) if finish_all else _best_basin(values)
-    objective, chosen, x = _minimize_multistart(fun, [(keys[i], x0[i]) for i in finished], bounds)
+    finished = [(keys[i], x0[i]) for i in _best_basin(values)]
+    objective, chosen, x = _minimize_multistart(fun, finished, bounds)
     q = base.copy()
     q[free] = x
     return objective, chosen, q
@@ -521,9 +524,9 @@ def _default_cpt_grid() -> list[tuple[float, ...]]:
     return list(product(COEFFICIENT_STARTS, EXPONENT_STARTS, GAMMA_STARTS))
 
 
-def _fit_report(params, objective: float, q: np.ndarray, flat, delta: float, chosen) -> FitReport:
+def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitReport:
     """FitReport of a law fitted at q, with its residuals on the ``flat`` data."""
-    _, _, residuals = _law_objective(q, *flat, delta)
+    residuals = _residuals(q, flat)
     return FitReport(
         params=params,
         objective=objective,
@@ -540,7 +543,7 @@ def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
         E=math.exp(q[2]), A=math.exp(q[0]), B=math.exp(q[1]),
         alpha=math.exp(q[3]), beta=math.exp(q[4]),
     )
-    return _fit_report(params, objective, q, flat, cfg.delta, chosen)
+    return _fit_report(params, objective, q, flat, chosen)
 
 
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
@@ -569,7 +572,7 @@ def fit_cpt(
         E=fixed_e, A=fixed_a, alpha=fixed_alpha,
         B_prime=math.exp(q[1]), beta_prime=math.exp(q[4]), gamma=float(q[5]),
     )
-    return _fit_report(params, objective, q, flat, cfg.delta, chosen)
+    return _fit_report(params, objective, q, flat, chosen)
 
 
 def extract_compute_frontier(
@@ -631,17 +634,13 @@ def fit_frontier(
         return zero_offset
 
     # b = -inf switches the data term off: its weight exp(-inf - top) is
-    # exactly 0, and so is its gradient.  Both starts are finished: the
-    # Gauss-Newton stage does not reach this fit's optimum within its trial
-    # cap, so its objectives do not rank the starts (on the replica's
-    # frontier, L-BFGS-B from the start with the higher stage objective ends
-    # lower).
+    # exactly 0, and so is its gradient.
     e_max = float(log_l.min())
     grid = [(float(intercept), e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)
     _, _, q = _fit_mask(
         flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
-        bounds=[(None, None), (None, e_max), (None, None)], finish_all=True,
+        bounds=[(None, None), (None, e_max), (None, None)],
     )
     return FrontierParams(
         coefficient=math.exp(q[0]), exponent=math.exp(q[3]), offset=math.exp(q[2])

@@ -39,7 +39,6 @@ from cptlaws.fitter import (
     _LOG_EXPONENT_CAP,
     _SCRATCH_FREE,
     _flatten,
-    _law_objective,
     _q,
 )
 from conftest import law_runset
@@ -176,6 +175,27 @@ class TestObjectives:
             assert abs(grad) < 1e-6
 
 
+def kernel(q, flat, delta):
+    """The shared kernel on one row with all six coordinates free.
+
+    Returns the mean Huber loss, its gradient (the kernel's sum over records
+    divided by their count) and the residuals.
+    """
+    value, _, grad = fitter._law_system(q[None], np.zeros(6), _ALL_FREE, flat, delta)
+    return value[0], grad[0] / flat[2].size, fitter._residuals(q, flat)
+
+
+def masked_objective(flat, base, free):
+    """The kernel's objective as a function of q[free], the rest held at ``base``."""
+
+    def objective(x):
+        q = base.copy()
+        q[free] = x
+        return kernel(q, flat, fitter.DEFAULT_DELTA)[0]
+
+    return objective
+
+
 class TestObjectiveGradient:
     TRUTH_Q = {
         "scratch": _q(math.log(SCRATCH.A), math.log(SCRATCH.B), math.log(SCRATCH.E),
@@ -195,7 +215,7 @@ class TestObjectiveGradient:
                                            noise_sigma=2e-3, seed=0))
         flat = _flatten(data)
         q = self.TRUTH_Q[law_name] + shift * np.array([3e-3, -3e-3, 5e-4, 5e-4, -1e-3, 0.0])
-        _, grad, residuals = _law_objective(q, *flat, 1e-3)
+        _, grad, residuals = kernel(q, flat, 1e-3)
         inside = np.abs(residuals) <= 1e-3
         assert inside.any() and not inside.all()  # both Huber branches are exercised
         step = 1e-7
@@ -205,7 +225,7 @@ class TestObjectiveGradient:
             up[i] += step
             down[i] -= step
             central.append(
-                (_law_objective(up, *flat, 1e-3)[0] - _law_objective(down, *flat, 1e-3)[0])
+                (kernel(up, flat, 1e-3)[0] - kernel(down, flat, 1e-3)[0])
                 / (2 * step)
             )
         scale = np.abs(grad[free]).max()
@@ -248,7 +268,7 @@ class TestObjectiveAgainstReference:
     def assert_matches_reference(self, q, flat, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, grad, residuals = _law_objective(q, *flat, delta)
+            value, grad, residuals = kernel(q, flat, delta)
             ref_value, ref_grad, ref_residuals = _reference_objective(q, *flat, delta)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert value == pytest.approx(ref_value, rel=1e-12)
@@ -285,7 +305,7 @@ class TestObjectiveAgainstReference:
         flat = (log_c, np.zeros_like(log_c), log_l)
         q = _q(math.log(2000.0), -math.inf, math.log(1.6), 0.17, 1.0)
         self.assert_matches_reference(q, flat, 1e-3)
-        _, grad, _ = _law_objective(q, *flat, 1e-3)
+        _, grad, _ = kernel(q, flat, 1e-3)
         assert grad[1] == grad[4] == grad[5] == 0.0
 
     @pytest.mark.parametrize("position", [3, 4])
@@ -293,7 +313,7 @@ class TestObjectiveAgainstReference:
         q = self.CPT_Q.copy()
         q[position] = _LOG_EXPONENT_CAP + 5.0
         self.assert_matches_reference(q, flat, 1e-3)
-        _, grad, _ = _law_objective(q, *flat, 1e-3)
+        _, grad, _ = kernel(q, flat, 1e-3)
         assert grad[position] == 0.0
 
 
@@ -425,12 +445,7 @@ class TestFitCpt:
         stage, finished = record_fit(monkeypatch)
         fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
         (flat, base, free, x0), (endpoints, values) = stage
-
-        def objective(x):
-            q = base.copy()
-            q[free] = x
-            return _law_objective(q, *flat, fitter.DEFAULT_DELTA)[0]
-
+        objective = masked_objective(flat, base, free)
         assert len(x0) == 64 and np.isfinite(values).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
         basin = fitter._best_basin(values)
@@ -642,13 +657,46 @@ class TestFitFrontier:
         # the Gauss-Newton stage hands L-BFGS-B starts inside the bound too
         assert max(x[1] for x in starts) <= math.log(min(loss for _, loss in points))
 
-    def test_offset_free_path_finishes_both_starts(self, monkeypatch):
-        # On this frontier the two starts end the Gauss-Newton stage far
-        # apart, and L-BFGS-B from the higher one ends lower.
-        _, finished = record_fit(monkeypatch)
-        points = extract_compute_frontier(generate_runset(paper_replica_config("scratch")))
-        fit_frontier(points, fix_offset_zero=False)
-        assert len(finished) == len(fitter.OFFSET_FRACTIONS)
+    # Objectives of the replica frontiers' optima, reached from both starts
+    # with a 100-trial stage (BENCH_9.json, optimum_with_a_100_trial_stage).
+    REPLICA_OPTIMA = {
+        (0.0, 0): 1.7746268942e-05,
+        (0.01, 1): 1.770163272e-05,
+        (0.01, 2): 1.8755254207e-05,
+        (0.01, 4): 1.8373017073e-05,
+    }
+
+    @staticmethod
+    def replica_frontier(sigma, seed):
+        config = dataclasses.replace(paper_replica_config("scratch"), noise_sigma=sigma, seed=seed)
+        return extract_compute_frontier(generate_runset(config))
+
+    @pytest.mark.parametrize("sigma, seed", list(REPLICA_OPTIMA))
+    def test_offset_free_path_reaches_the_optimum_on_replica(self, sigma, seed):
+        points = self.replica_frontier(sigma, seed)
+        fitted = fit_frontier(points, fix_offset_zero=False)
+        residuals = [math.log(eval_frontier(fitted, c) / loss) for c, loss in points]
+        objective = float(np.mean(huber(np.array(residuals))))
+        assert objective == pytest.approx(self.REPLICA_OPTIMA[sigma, seed], rel=1e-8)
+
+    def test_offset_free_path_finishes_only_the_best_basin(self, monkeypatch):
+        stage, finished = record_fit(monkeypatch)
+        fit_frontier(self.replica_frontier(0.01, 1), fix_offset_zero=False)
+        _, (endpoints, values) = stage
+        basin = fitter._best_basin(values)
+        assert len(basin) == 1  # the other start runs off to a far lower offset
+        assert np.array_equal([x for x, _ in finished], endpoints[basin])
+
+    def test_long_stage_warns_nothing(self, monkeypatch):
+        # One start of this frontier is refused step after step and stops
+        # long before the other converges; its damping must stay finite.
+        stage, _ = record_fit(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit_frontier(self.replica_frontier(0.01, 2), fix_offset_zero=False)
+        (_, _, _, x0), (_, values) = stage
+        assert fitter._GN_ROW_TRIALS // len(x0) >= 100
+        assert np.isfinite(values).all()
 
 
 class TestReplicaRecovery:
@@ -716,12 +764,7 @@ class TestGaussNewtonStage:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             endpoints, values = self.advance(flat, x0)
-
-        def objective(x):
-            q = np.zeros(6)
-            q[_SCRATCH_FREE] = x
-            return _law_objective(q, *flat, fitter.DEFAULT_DELTA)[0]
-
+        objective = masked_objective(flat, np.zeros(6), _SCRATCH_FREE)
         assert (endpoints != x0).any(axis=1).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
         # the objectives returned with the endpoints are theirs
