@@ -116,8 +116,8 @@ def optimal_allocation(
     coeffs: AllocationCoefficients, compute: float, law: LawParams
 ) -> AllocationPlan:
     """Compute-optimal (N, D) for one budget, with the law's predicted loss."""
-    if compute <= 0:
-        raise DomainError(f"compute must be positive, got {compute!r}")
+    if not 0 < compute < math.inf:  # also rejects NaN
+        raise DomainError(f"compute must be positive and finite, got {compute!r}")
     log_c = math.log(compute)
     n_opt = math.exp(math.log(coeffs.k_N) + coeffs.a * log_c)
     d_opt = math.exp(math.log(coeffs.k_D) + coeffs.b * log_c)
@@ -142,8 +142,8 @@ def numeric_optimal_params(
     when the argmin lands within ``tol`` of a bracket edge, where the true
     optimum may lie outside the bracket.
     """
-    if compute <= 0:
-        raise DomainError(f"compute must be positive, got {compute!r}")
+    if not 0 < compute < math.inf:  # also rejects NaN
+        raise DomainError(f"compute must be positive and finite, got {compute!r}")
     lo, hi = (math.log(edge) for edge in bracket)
     if not lo < hi:
         raise DomainError(f"bad bracket {bracket!r}")
@@ -184,8 +184,8 @@ def isoloss_grid(
     corners), one level per resolution step.
     """
     for name, (lo, hi) in (("n_range", n_range), ("d_range", d_range)):
-        if lo <= 0 or hi <= lo:
-            raise DomainError(f"{name} must satisfy 0 < lo < hi, got {(lo, hi)!r}")
+        if not 0 < lo < hi < math.inf:  # also rejects NaN
+            raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution!r}")
 
@@ -212,8 +212,8 @@ def efficient_frontier_loss(
 ) -> list[tuple[float, float]]:
     """Optimal loss per compute level along the closed-form frontier."""
     lo, hi = c_range
-    if lo <= 0 or hi < lo:
-        raise DomainError(f"c_range must satisfy 0 < lo <= hi, got {c_range!r}")
+    if not 0 < lo <= hi < math.inf:  # also rejects NaN
+        raise DomainError(f"c_range must satisfy 0 < lo <= hi < inf, got {c_range!r}")
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples!r}")
     levels = np.geomspace(lo, hi, samples)

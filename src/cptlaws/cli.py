@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from . import allocator, fitter, ingest, laws, synth, transfer
-from .errors import CptLawsError, FitError
+from .errors import CptLawsError, FitError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,6 +42,8 @@ _CONFIG_KEYS = (
 
 _PRESETS = {"paper-scratch": "scratch", "paper-cpt": "cpt"}
 
+_LOSS_LAWS = (laws.ChinchillaParams, laws.ExtendedCptParams)
+
 
 def _write_atomic(path: str, write_fn) -> None:
     """Run a path-taking writer against a temp file beside ``path``, then rename."""
@@ -57,9 +59,19 @@ def _write_atomic(path: str, write_fn) -> None:
         raise
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _write_doc(path: str, kind: str, fields: dict) -> None:
+    """Write ``fields`` as a versioned document of ``kind``, atomically."""
+    doc = {"schema_version": laws.SCHEMA_VERSION, "kind": kind, **fields}
     text = json.dumps(doc, indent=2) + "\n"
     _write_atomic(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
+
+
+def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
+    """Write a document of ``kind`` to a ``.json`` path, else the table ``export_csv(path)`` writes."""
+    if path.endswith(".json"):
+        _write_doc(path, kind, fields)
+    else:
+        _write_atomic(path, export_csv)
 
 
 def _load_json(path: str) -> dict:
@@ -67,12 +79,19 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_law(path: str):
-    """Read a law from either a bare law document or a fit-report document."""
+def _load_law(path: str, kinds: tuple[type, ...], what: str):
+    """Read a law of one of ``kinds`` from a bare law document or a fit-report document.
+
+    A law of any other kind is a ValidationError naming the file and ``what``
+    was expected.
+    """
     doc = _load_json(path)
     if isinstance(doc, dict) and "params" in doc:
         doc = doc["params"]
-    return laws.law_from_dict(doc)
+    law = laws.law_from_dict(doc)
+    if not isinstance(law, kinds):
+        raise ValidationError(f"{path}: expected {what}, got law_kind {doc['law_kind']!r}")
+    return law
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -93,12 +112,15 @@ def cmd_fit(args) -> int:
             print("error: --strategy cpt requires --fixed-from <scratch-fit.json>",
                   file=sys.stderr)
             return EXIT_USAGE
-        base = _load_law(args.fixed_from)
-        if not isinstance(base, laws.ChinchillaParams):
-            print("error: --fixed-from must point at a from-scratch fit", file=sys.stderr)
-            return EXIT_VALIDATION
+        base = _load_law(args.fixed_from, (laws.ChinchillaParams,),
+                         "a from-scratch law for --fixed-from")
         report = fitter.fit_cpt(runs, (base.E, base.A, base.alpha), cfg)
-    _write_json(args.out, fitter.fit_report_to_dict(report))
+    _write_doc(args.out, "fit_report", {
+        "params": laws.law_to_dict(report.params),
+        "objective": report.objective,
+        "n_points": report.n_points,
+        "chosen_init": report.chosen_init,
+    })
     print(f"fitted {type(report.params).__name__} on {report.n_points} records")
     for field in dataclasses.fields(report.params):
         print(f"  {field.name:<10} = {getattr(report.params, field.name):.6g}")
@@ -111,14 +133,8 @@ def cmd_frontier(args) -> int:
     runs = ingest.load_runs(args.runs)
     points = fitter.extract_compute_frontier(runs, args.bins_per_decade)
     params = fitter.fit_frontier(points, fix_offset_zero=args.fix_offset_zero)
-    doc = {
-        "schema_version": laws.SCHEMA_VERSION,
-        "kind": "frontier_fit",
-        "params": laws.law_to_dict(params),
-        "n_points": len(points),
-        "points": [[c, l] for c, l in points],
-    }
-    _write_json(args.out, doc)
+    _write_doc(args.out, "frontier_fit",
+               {"params": laws.law_to_dict(params), "n_points": len(points), "points": points})
     print(
         f"frontier over {len(points)} points: "
         f"L(C) = {params.offset:.4g} + {params.coefficient:.6g} * C^-{params.exponent:.6g}"
@@ -135,24 +151,12 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    law = _load_law(args.fit)
-    if isinstance(law, laws.FrontierParams):
-        print("error: cannot derive an allocation from a frontier fit", file=sys.stderr)
-        return EXIT_VALIDATION
+    law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
     coeffs = allocator.allocation_coefficients(law)
     plan = allocator.optimal_allocation(coeffs, args.compute, law)
-    doc = {
-        "schema_version": laws.SCHEMA_VERSION,
-        "kind": "allocation_plan",
-        "coefficients": {"G": coeffs.G, "a": coeffs.a, "b": coeffs.b,
-                         "k_N": coeffs.k_N, "k_D": coeffs.k_D},
-        "compute": plan.compute,
-        "n_opt": plan.n_opt,
-        "d_opt": plan.d_opt,
-        "predicted_loss": plan.predicted_loss,
-    }
     if args.out:
-        _write_json(args.out, doc)
+        _write_doc(args.out, "allocation_plan",
+                   {"coefficients": dataclasses.asdict(coeffs), **dataclasses.asdict(plan)})
     print(f"C = {plan.compute:.4g} FLOPs")
     print(f"  N_opt = {plan.n_opt:.4g} params  ({coeffs.k_N:.3g} * C^{coeffs.a:.4g})")
     print(f"  D_opt = {plan.d_opt:.4g} tokens  ({coeffs.k_D:.3g} * C^{coeffs.b:.4g})")
@@ -163,10 +167,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_isoloss(args) -> int:
-    law = _load_law(args.fit)
-    if isinstance(law, laws.FrontierParams):
-        print("error: isoloss needs a loss law, not a frontier fit", file=sys.stderr)
-        return EXIT_VALIDATION
+    law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
     grid = allocator.isoloss_grid(
         law, _parse_range(args.n_range), _parse_range(args.d_range), args.resolution
     )
@@ -181,9 +182,7 @@ def cmd_isoloss(args) -> int:
 def _load_single_run(path: str) -> ingest.TrainingRun:
     runs = ingest.load_runs(path)
     if len(runs) != 1:
-        raise ingest.ValidationError(
-            f"{path} must contain exactly one run, found {len(runs)}"
-        )
+        raise ValidationError(f"{path} must contain exactly one run, found {len(runs)}")
     return runs.runs[0]
 
 
@@ -208,10 +207,8 @@ def cmd_transfer(args) -> int:
             _load_single_run(args.pt_run), _load_single_run(args.cpt_run), args.levels
         )
         if args.out:
-            if args.out.endswith(".json"):
-                _write_json(args.out, transfer.transfer_report_to_dict(report))
-            else:
-                _write_atomic(args.out, lambda tmp: transfer.export_transfer_csv(report, tmp))
+            _write_report(args.out, "transfer_report", dataclasses.asdict(report),
+                          lambda tmp: transfer.export_transfer_csv(report, tmp))
             print(f"wrote {args.out}")
         saved = report.flops_saved_fraction
         print(
@@ -224,27 +221,16 @@ def cmd_transfer(args) -> int:
         print("error: parametric transfer needs --scratch-fit, --cpt-fit, --n, and --d",
               file=sys.stderr)
         return EXIT_USAGE
-    scratch = _load_law(args.scratch_fit)
-    cpt = _load_law(args.cpt_fit)
-    if not isinstance(scratch, laws.ChinchillaParams) or not isinstance(
-        cpt, laws.ExtendedCptParams
-    ):
-        print("error: --scratch-fit must be a from-scratch law and --cpt-fit a CPT law",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+    scratch = _load_law(args.scratch_fit, (laws.ChinchillaParams,),
+                        "a from-scratch law for --scratch-fit")
+    cpt = _load_law(args.cpt_fit, (laws.ExtendedCptParams,), "a CPT law for --cpt-fit")
     moved = transfer.parametric_transfer(scratch, cpt, args.n, args.d)
     level = laws.eval_law(cpt, args.n, args.d)
-    doc = {
-        "schema_version": laws.SCHEMA_VERSION,
-        "kind": "parametric_transfer",
-        "n": args.n,
-        "d_cpt": args.d,
-        "loss": level,
-        "d_pt": args.d + moved,
-        "transferred_tokens": moved,
-    }
     if args.out:
-        _write_json(args.out, doc)
+        _write_doc(args.out, "parametric_transfer", {
+            "n": args.n, "d_cpt": args.d, "loss": level,
+            "d_pt": args.d + moved, "transferred_tokens": moved,
+        })
         print(f"wrote {args.out}")
     print(f"loss at (N={args.n:.4g}, D={args.d:.4g}) = {level:.5g}")
     print(f"effectively transferred tokens = {moved:.5g}")
@@ -254,10 +240,9 @@ def cmd_transfer(args) -> int:
 def cmd_replay(args) -> int:
     runs = ingest.load_runs(args.runs)
     curves = transfer.forgetting_curves(runs)
-    if args.out.endswith(".json"):
-        _write_json(args.out, transfer.forgetting_curves_to_dict(curves))
-    else:
-        _write_atomic(args.out, lambda tmp: transfer.export_forgetting_csv(curves, tmp))
+    _write_report(args.out, "forgetting_curves",
+                  {"curves": [dataclasses.asdict(curve) for curve in curves]},
+                  lambda tmp: transfer.export_forgetting_csv(curves, tmp))
     print(f"wrote {args.out}: {len(curves)} forgetting curves")
     return EXIT_OK
 
@@ -269,10 +254,7 @@ def cmd_synth(args) -> int:
     if args.preset:
         cfg = synth.paper_replica_config(_PRESETS[args.preset])
     else:
-        law = _load_law(args.law)
-        if isinstance(law, laws.FrontierParams):
-            print("error: --law must be a loss law, not a frontier fit", file=sys.stderr)
-            return EXIT_VALIDATION
+        law = _load_law(args.law, _LOSS_LAWS, "a loss law")
         sizes = tuple(s.param_size_millions * 1_000_000 for s in ingest.load_catalog())
         cfg = synth.SynthConfig(law=law, param_sizes=sizes)
     cfg = dataclasses.replace(cfg, noise_sigma=args.noise, seed=args.seed)
@@ -287,15 +269,8 @@ def cmd_compare_laws(args) -> int:
     runs = ingest.load_runs(args.runs)
     cfg = fitter.FitConfig(delta=args.delta, warmup_fraction=args.warmup_fraction)
     comparison = fitter.compare_laws(runs, cfg)
-    doc = {
-        "schema_version": laws.SCHEMA_VERSION,
-        "kind": "model_comparison",
-        "chinchilla_error": comparison.chinchilla_error,
-        "extended_error": comparison.extended_error,
-        "gamma_fitted": comparison.gamma_fitted,
-    }
     if args.out:
-        _write_json(args.out, doc)
+        _write_doc(args.out, "model_comparison", dataclasses.asdict(comparison))
         print(f"wrote {args.out}")
     print(f"chinchilla objective = {comparison.chinchilla_error:.6g}")
     print(f"extended objective   = {comparison.extended_error:.6g}")

@@ -22,7 +22,10 @@ and gradient, each start's Jacobian being its softmax term weights times
 each term's derivative.  A start stops on a relative decrease or a step
 below 1e-10, or when it has used its share of a fixed budget of row trials,
 ``_GN_ROW_TRIALS``: 30 trials each on the default 512-start scratch grid,
-while a fit with few starts runs until the other two rules stop it.  This
+while a fit with few starts runs until the other two rules stop it.  Steps
+are projected onto the bounds (only the free-offset frontier has one): a
+coordinate on its bound whose descent direction points outward takes no
+step, and the other coordinates are solved without it.  This
 stage converges in relative terms, where the second phase's stopping rule
 is absolute, and it ranks every start by the objective it ends at.  Second,
 the starts of the best basin, those within ``_BASIN_TOLERANCE`` relative of
@@ -51,13 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import FLOPS_PER_PARAM_TOKEN, RunSet, warmup_filter
-from .laws import (
-    SCHEMA_VERSION,
-    ChinchillaParams,
-    ExtendedCptParams,
-    FrontierParams,
-    law_to_dict,
-)
+from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -410,6 +407,10 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
         curvature = np.maximum(curvature, _GN_CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
         scale = np.divide(1.0, np.sqrt(curvature), out=np.zeros_like(curvature),
                           where=curvature > 0)
+        # A coordinate on its bound whose descent direction points out of the
+        # box takes no step, and the others are solved without it: a projected
+        # Levenberg-Marquardt step (Kanzow, Yamashita and Fukushima 2004).
+        scale[((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))] = 0.0
         matrix = hess * scale[:, :, None] * scale[:, None, :] + damping[:, None, None] * eye
         step = -scale * np.linalg.solve(matrix, (scale * grad)[:, :, None])[:, :, 0]
         trial = np.clip(x + step, lower, upper)
@@ -675,18 +676,6 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
         extended_error=extended_error,
         gamma_fitted=float(q[5]),
     )
-
-
-def fit_report_to_dict(report: FitReport) -> dict:
-    """Serialize a FitReport (without residuals) to a JSON-compatible dict."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fit_report",
-        "params": law_to_dict(report.params),
-        "objective": report.objective,
-        "n_points": report.n_points,
-        "chosen_init": list(report.chosen_init),
-    }
 
 
 def export_residuals_csv(report: FitReport, data: RunSet, path, warmup_fraction: float = 0.0):

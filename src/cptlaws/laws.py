@@ -131,7 +131,7 @@ def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, fl
         return law.E, law.A, law.alpha, law.B, law.beta, 0.0
     if isinstance(law, ExtendedCptParams):
         return law.E, law.A, law.alpha, law.B_prime, law.beta_prime, law.gamma
-    raise TypeError(f"expected a loss law, got {type(law).__name__}")
+    raise ValidationError(f"expected a loss law, got {type(law).__name__}")
 
 
 def eval_law(law: LawParams, N, D):

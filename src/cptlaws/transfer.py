@@ -32,7 +32,6 @@ from .ingest import (
     attribute_flops_by_language,
 )
 from .laws import (
-    SCHEMA_VERSION,
     ChinchillaParams,
     ExtendedCptParams,
     FrontierParams,
@@ -266,18 +265,6 @@ def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:
     return curves
 
 
-def transfer_report_to_dict(report: TransferReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "transfer_report",
-        "loss_levels": list(report.loss_levels),
-        "d_pt": list(report.d_pt),
-        "d_cpt": list(report.d_cpt),
-        "transferred_tokens": list(report.transferred_tokens),
-        "flops_saved_fraction": list(report.flops_saved_fraction),
-    }
-
-
 def export_transfer_csv(report: TransferReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -292,24 +279,6 @@ def export_transfer_csv(report: TransferReport, path) -> None:
             report.flops_saved_fraction,
         ):
             writer.writerow([f"{value:.9g}" for value in row])
-
-
-def forgetting_curves_to_dict(curves: list[ForgettingCurve]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "forgetting_curves",
-        "curves": [
-            {
-                "run_id": curve.run_id,
-                "replay_ratio": curve.replay_ratio,
-                "target_language": curve.target_language,
-                "source_language": curve.source_language,
-                "source_points": [list(p) for p in curve.source_points],
-                "target_points": [list(p) for p in curve.target_points],
-            }
-            for curve in curves
-        ],
-    }
 
 
 def export_forgetting_csv(curves: list[ForgettingCurve], path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestOptimalAllocation:
         with pytest.raises(DomainError):
             optimal_allocation(allocation_coefficients(SCRATCH), 0.0, SCRATCH)
 
+    @pytest.mark.parametrize("compute", [math.inf, math.nan])
+    def test_rejects_non_finite_budget(self, compute):
+        with pytest.raises(DomainError, match="compute must be positive and finite"):
+            optimal_allocation(allocation_coefficients(SCRATCH), compute, SCRATCH)
+        with pytest.raises(DomainError, match="compute must be positive and finite"):
+            numeric_optimal_params(SCRATCH, compute)
+
     @pytest.mark.property
     @given(log_c=st.floats(15, 26))
     def test_budget_identity(self, log_c):
@@ -207,6 +215,13 @@ class TestIsoLossGrid:
         with pytest.raises(DomainError):
             isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e12), 1)
 
+    @pytest.mark.parametrize("bad", [(1e8, math.inf), (math.nan, 1e9)])
+    def test_non_finite_ranges_are_named(self, bad):
+        with pytest.raises(DomainError, match="n_range"):
+            isoloss_grid(SCRATCH, bad, (1e9, 1e12), 4)
+        with pytest.raises(DomainError, match="d_range"):
+            isoloss_grid(SCRATCH, (1e8, 1e9), bad, 4)
+
     def test_csv_export(self, tmp_path):
         grid = isoloss_grid(SCRATCH, (1e8, 1e9), (1e10, 1e11), 3)
         out = tmp_path / "grid.csv"
@@ -234,6 +249,13 @@ class TestEfficientFrontierLoss:
         curve = efficient_frontier_loss(coeffs, SCRATCH, (1e20, 1e22), 1)
         plan = optimal_allocation(coeffs, 1e20, SCRATCH)
         assert curve == [(pytest.approx(1e20), pytest.approx(plan.predicted_loss))]
+
+    @pytest.mark.parametrize("c_range", [(1e20, math.inf), (math.nan, 1e22), (1e20, math.nan)])
+    def test_non_finite_c_range_rejected(self, c_range):
+        # RuntimeWarnings are errors in this suite, so a warning ahead of the
+        # check fails the test too.
+        with pytest.raises(DomainError, match="c_range"):
+            efficient_frontier_loss(allocation_coefficients(SCRATCH), SCRATCH, c_range, 4)
 
     def test_refit_exponent_over_high_compute_window(self):
         # Sampling L_opt over C in [1e19, 1e22] and refitting a zero-offset

@@ -11,6 +11,7 @@ import pytest
 import cptlaws
 from cptlaws import (
     REFERENCE_CPT_LAW,
+    REFERENCE_SCRATCH_FRONTIER,
     REFERENCE_SCRATCH_LAW,
     FrontierParams,
     LossRecord,
@@ -35,6 +36,17 @@ def write_law(tmp_path, law, name):
     path = tmp_path / name
     path.write_text(json.dumps(law_to_dict(law)))
     return str(path)
+
+
+def read_doc(path, kind, keys):
+    """The JSON document at ``path``; its top-level keys must be the ``kind`` envelope, then ``keys``."""
+    doc = json.loads(Path(path).read_text())
+    assert list(doc) == ["schema_version", "kind", *keys]
+    assert (doc["schema_version"], doc["kind"]) == (1, kind)
+    return doc
+
+
+_FIT_REPORT_KEYS = ["params", "objective", "n_points", "chosen_init"]
 
 
 def write_runs(tmp_path, law, name, strategy="scratch", records_per_run=8):
@@ -125,8 +137,7 @@ class TestFitCommand:
 
         assert main(["fit", "--runs", scratch_runs, "--strategy", "scratch",
                      "--out", str(scratch_fit)]) == 0
-        doc = json.loads(scratch_fit.read_text())
-        assert doc["kind"] == "fit_report"
+        doc = read_doc(scratch_fit, "fit_report", _FIT_REPORT_KEYS)
         assert doc["params"]["law_kind"] == "chinchilla"
         assert abs(doc["params"]["alpha"] - SCRATCH.alpha) < 2e-2
 
@@ -135,7 +146,7 @@ class TestFitCommand:
                      "--out", str(cpt_fit)]) == 2
         assert main(["fit", "--runs", cpt_runs, "--strategy", "cpt",
                      "--fixed-from", str(scratch_fit), "--out", str(cpt_fit)]) == 0
-        doc = json.loads(cpt_fit.read_text())
+        doc = read_doc(cpt_fit, "fit_report", _FIT_REPORT_KEYS)
         assert doc["params"]["law_kind"] == "extended_cpt"
         assert abs(doc["params"]["gamma"] - CPT.gamma) < 2e-2
         assert doc["params"]["E"] == json.loads(scratch_fit.read_text())["params"]["E"]
@@ -153,7 +164,9 @@ class TestAllocateCommand:
         out = tmp_path / "plan.json"
         assert main(["allocate", "--fit", law, "--compute", "1e21",
                      "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = read_doc(out, "allocation_plan",
+                       ["coefficients", "compute", "n_opt", "d_opt", "predicted_loss"])
+        assert list(doc["coefficients"]) == ["G", "a", "b", "k_N", "k_D"]
         assert doc["n_opt"] == pytest.approx(3.24e8, rel=1e-2)
         assert doc["d_opt"] == pytest.approx(5.14e11, rel=1e-2)
         printed = capsys.readouterr().out
@@ -176,8 +189,6 @@ class TestAllocateCommand:
         assert json.loads(out.read_text())["n_opt"] == pytest.approx(5.72e8, rel=1e-2)
 
     def test_frontier_document_rejected(self, tmp_path):
-        from cptlaws import REFERENCE_SCRATCH_FRONTIER
-
         law = write_law(tmp_path, REFERENCE_SCRATCH_FRONTIER, "frontier.json")
         assert main(["allocate", "--fit", law, "--compute", "1e21"]) == 3
 
@@ -187,7 +198,7 @@ class TestFrontierCommand:
         runs = write_runs(tmp_path, SCRATCH, "runs.jsonl", records_per_run=12)
         out = tmp_path / "frontier.json"
         assert main(["frontier", "--runs", runs, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = read_doc(out, "frontier_fit", ["params", "n_points", "points"])
         assert doc["params"]["law_kind"] == "frontier"
         assert doc["params"]["offset"] == 0.0
         assert doc["params"]["exponent"] > 0
@@ -247,7 +258,8 @@ class TestTransferCommand:
         out = tmp_path / "transfer.json"
         assert main(["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt,
                      "--n", "1e9", "--d", "1e9", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = read_doc(out, "parametric_transfer",
+                       ["n", "d_cpt", "loss", "d_pt", "transferred_tokens"])
         assert doc["transferred_tokens"] == pytest.approx(3.6188e8, rel=1e-3)
         assert doc["loss"] == pytest.approx(2.9640, abs=1e-3)
 
@@ -260,6 +272,16 @@ class TestTransferCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         assert all(float(row["flops_saved_fraction"]) > 0 for row in rows)
+
+    def test_empirical_route_json(self, tmp_path):
+        pt_path, cpt_path = write_paired_runs(tmp_path)
+        out = tmp_path / "transfer.json"
+        assert main(["transfer", "--pt-run", pt_path, "--cpt-run", cpt_path,
+                     "--levels", "8", "--out", str(out)]) == 0
+        keys = ["loss_levels", "d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction"]
+        doc = read_doc(out, "transfer_report", keys)
+        assert all(len(doc[key]) == 8 for key in keys)
+        assert all(fraction > 0 for fraction in doc["flops_saved_fraction"])
 
     def test_routes_are_mutually_exclusive(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")
@@ -276,6 +298,19 @@ class TestReplayCommand:
         assert len(rows) == 8
         assert {row["replay_ratio"] for row in rows} == {"0.1", "0.5"}
 
+    def test_forgetting_json(self, tmp_path):
+        out = tmp_path / "curves.json"
+        assert main(["replay", "--runs", write_replay_runs(tmp_path), "--out", str(out)]) == 0
+        curves = read_doc(out, "forgetting_curves", ["curves"])["curves"]
+        assert [list(curve) for curve in curves] == [[
+            "run_id", "replay_ratio", "target_language", "source_language",
+            "source_points", "target_points",
+        ]] * 2
+        assert [curve["replay_ratio"] for curve in curves] == [0.1, 0.5]
+        assert [(curve["target_language"], curve["source_language"]) for curve in curves] == [
+            ("zh", "en")] * 2
+        assert all(len(point) == 2 for curve in curves for point in curve["source_points"])
+
 
 @pytest.mark.slow
 class TestCompareLawsCommand:
@@ -283,7 +318,8 @@ class TestCompareLawsCommand:
         runs = write_runs(tmp_path, CPT, "runs.jsonl", strategy="cpt", records_per_run=6)
         out = tmp_path / "compare.json"
         assert main(["compare-laws", "--runs", runs, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = read_doc(out, "model_comparison",
+                       ["chinchilla_error", "extended_error", "gamma_fitted"])
         assert doc["extended_error"] < doc["chinchilla_error"]
         assert doc["gamma_fitted"] > 0
 
@@ -355,6 +391,11 @@ class TestErrorPaths:
         broken.write_text("{not json")
         assert main(["allocate", "--fit", str(broken), "--compute", "1e21"]) == 3
 
+    def test_non_finite_compute_exit_code(self, tmp_path, capsys):
+        law = write_law(tmp_path, SCRATCH, "law.json")
+        assert main(["allocate", "--fit", law, "--compute", "inf"]) == 3
+        assert "compute must be positive and finite" in capsys.readouterr().err
+
     def test_bad_range_string_exit_code(self, tmp_path):
         law = write_law(tmp_path, SCRATCH, "law.json")
         assert main(["isoloss", "--fit", law, "--n-range", "banana",
@@ -402,8 +443,6 @@ class TestExitCodeContract:
         "bad_input", ["missing", "not-json", "wrong-kind-law", "bool-field", "huge-int-field"]
     )
     def test_bad_input_gives_documented_exit_code(self, tmp_path, capsys, slot, bad_input):
-        from cptlaws import REFERENCE_SCRATCH_FRONTIER
-
         bad = tmp_path / "bad.json"
         if bad_input == "not-json":
             bad.write_text("{not json\n")
@@ -425,6 +464,40 @@ class TestExitCodeContract:
             code = exc.code
         assert code in (2, 3, 4, 5)
         assert "Traceback" not in capsys.readouterr().err
+
+
+# Each law slot with a law of a kind it does not take, written to {wrong};
+# the other inputs are valid.
+_WRONG_KIND_SLOTS = {
+    "fit-fixed-from": (CPT, ["fit", "--runs", "{runs}", "--strategy", "cpt",
+                             "--fixed-from", "{wrong}", "--out", "{out}"]),
+    "transfer-scratch-fit": (CPT, ["transfer", "--scratch-fit", "{wrong}", "--cpt-fit", "{cpt}",
+                                   "--n", "1e9", "--d", "1e10", "--out", "{out}"]),
+    "transfer-cpt-fit": (SCRATCH, ["transfer", "--scratch-fit", "{scratch}", "--cpt-fit",
+                                   "{wrong}", "--n", "1e9", "--d", "1e10", "--out", "{out}"]),
+    "allocate": (REFERENCE_SCRATCH_FRONTIER,
+                 ["allocate", "--fit", "{wrong}", "--compute", "1e21", "--out", "{out}"]),
+    "isoloss": (REFERENCE_SCRATCH_FRONTIER,
+                ["isoloss", "--fit", "{wrong}", "--n-range", "1e8:1e10",
+                 "--d-range", "1e9:1e12", "--out", "{out}"]),
+    "synth": (REFERENCE_SCRATCH_FRONTIER, ["synth", "--law", "{wrong}", "--out", "{out}"]),
+}
+
+
+class TestWrongKindLaw:
+    @pytest.mark.parametrize("slot", sorted(_WRONG_KIND_SLOTS))
+    def test_exits_3_naming_the_file_and_writes_nothing(self, tmp_path, capsys, slot):
+        law, argv = _WRONG_KIND_SLOTS[slot]
+        paths = {
+            "wrong": write_law(tmp_path, law, "wrong.json"),
+            "runs": write_runs(tmp_path, CPT, "runs.jsonl", strategy="cpt"),
+            "scratch": write_law(tmp_path, SCRATCH, "scratch.json"),
+            "cpt": write_law(tmp_path, CPT, "cpt.json"),
+            "out": str(tmp_path / "out"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        assert f"error: {paths['wrong']}: expected a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnvConfig:

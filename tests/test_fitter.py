@@ -671,12 +671,16 @@ class TestFitFrontier:
         config = dataclasses.replace(paper_replica_config("scratch"), noise_sigma=sigma, seed=seed)
         return extract_compute_frontier(generate_runset(config))
 
+    @staticmethod
+    def frontier_objective(fitted, points):
+        residuals = [math.log(eval_frontier(fitted, c) / loss) for c, loss in points]
+        return float(np.mean(huber(np.array(residuals))))
+
     @pytest.mark.parametrize("sigma, seed", list(REPLICA_OPTIMA))
     def test_offset_free_path_reaches_the_optimum_on_replica(self, sigma, seed):
         points = self.replica_frontier(sigma, seed)
         fitted = fit_frontier(points, fix_offset_zero=False)
-        residuals = [math.log(eval_frontier(fitted, c) / loss) for c, loss in points]
-        objective = float(np.mean(huber(np.array(residuals))))
+        objective = self.frontier_objective(fitted, points)
         assert objective == pytest.approx(self.REPLICA_OPTIMA[sigma, seed], rel=1e-8)
 
     def test_offset_free_path_finishes_only_the_best_basin(self, monkeypatch):
@@ -697,6 +701,32 @@ class TestFitFrontier:
         (_, _, _, x0), (_, values) = stage
         assert fitter._GN_ROW_TRIALS // len(x0) >= 100
         assert np.isfinite(values).all()
+
+    def test_stage_stops_on_the_offset_bound(self, monkeypatch):
+        # Both starts of this frontier end with the offset on its bound.  The
+        # stage steps only the coordinates free to move, so it stops within a
+        # few hundred rows; with steps clipped into the bound it crawled
+        # along it for 5,540 rows and ended at objective 2.2199844973e-5.
+        rows = []
+        real_stage, real_system = fitter._gauss_newton, fitter._law_system
+
+        def counting_system(x, *args):
+            rows.append(len(x))
+            return real_system(x, *args)
+
+        def counting_stage(*args):
+            monkeypatch.setattr(fitter, "_law_system", counting_system)
+            try:
+                return real_stage(*args)
+            finally:
+                monkeypatch.setattr(fitter, "_law_system", real_system)
+
+        monkeypatch.setattr(fitter, "_gauss_newton", counting_stage)
+        points = self.replica_frontier(0.03, 5)
+        fitted = fit_frontier(points, fix_offset_zero=False)
+        assert 0 < sum(rows) <= 500
+        assert fitted.offset == min(loss for _, loss in points)
+        assert self.frontier_objective(fitted, points) <= 2.2199844973247586e-05
 
 
 class TestReplicaRecovery:

@@ -236,6 +236,12 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             FrontierParams(coefficient=2.5, exponent=-0.1)
 
+    def test_loss_law_operations_reject_a_frontier(self):
+        with pytest.raises(ValidationError, match="expected a loss law, got FrontierParams"):
+            eval_law(REFERENCE_SCRATCH_FRONTIER, 1e9, 1e9)
+        with pytest.raises(ValidationError, match="expected a loss law, got FrontierParams"):
+            loss_floor(REFERENCE_SCRATCH_FRONTIER, 1e9)
+
 
 class TestSerialization:
     @pytest.mark.property

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import numpy as np
@@ -28,12 +27,7 @@ from cptlaws import (
     parametric_transfer,
     solve_tokens_for_loss,
 )
-from cptlaws.transfer import (
-    export_forgetting_csv,
-    export_transfer_csv,
-    forgetting_curves_to_dict,
-    transfer_report_to_dict,
-)
+from cptlaws.transfer import export_forgetting_csv, export_transfer_csv
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -294,7 +288,7 @@ class TestForgettingCurves:
 
 
 class TestExports:
-    def test_transfer_csv_and_json(self, tmp_path):
+    def test_transfer_csv(self, tmp_path):
         d_values = np.geomspace(2e8, 2e9, 24)
         report = empirical_transfer(
             law_run(SCRATCH, 10**9, d_values, "pt", "scratch"),
@@ -309,9 +303,6 @@ class TestExports:
         assert set(rows[0]) == {
             "loss_level", "d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction",
         }
-        doc = transfer_report_to_dict(report)
-        assert doc["schema_version"] == 1
-        assert len(json.dumps(doc)) > 0
 
     def test_forgetting_csv(self, tmp_path):
         curves = forgetting_curves(RunSet(runs=(replay_run("r", 0.2),)))
@@ -322,5 +313,3 @@ class TestExports:
         assert len(rows) == 6
         assert set(rows[0]) == {"replay_ratio", "language", "flops", "loss"}
         assert {row["language"] for row in rows} == {"en", "zh"}
-        doc = forgetting_curves_to_dict(curves)
-        assert doc["curves"][0]["replay_ratio"] == 0.2
