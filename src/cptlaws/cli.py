@@ -67,8 +67,11 @@ def _write_doc(path: str, kind: str, fields: dict) -> None:
 
 
 def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
-    """Write a document of ``kind`` to a ``.json`` path, else the table ``export_csv(path)`` writes."""
-    if path.endswith(".json"):
+    """Write a document of ``kind`` to a ``.json`` path, else the table ``export_csv(path)`` writes.
+
+    The suffix is matched in any case, so ``out.JSON`` gets the document too.
+    """
+    if path.lower().endswith(".json"):
         _write_doc(path, kind, fields)
     else:
         _write_atomic(path, export_csv)
@@ -94,9 +97,13 @@ def _load_law(path: str, kinds: tuple[type, ...], what: str):
     return law
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+def _parse_range(flag: str, text: str) -> tuple[float, float]:
+    """The (lo, hi) of a ``LO:HI`` flag value; any other text is a ValidationError."""
+    try:
+        lo, hi = text.split(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise ValidationError(f"{flag} expects LO:HI, got {text!r}") from None
 
 
 def cmd_fit(args) -> int:
@@ -168,9 +175,9 @@ def cmd_allocate(args) -> int:
 
 def cmd_isoloss(args) -> int:
     law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
-    grid = allocator.isoloss_grid(
-        law, _parse_range(args.n_range), _parse_range(args.d_range), args.resolution
-    )
+    n_range = _parse_range("--n-range", args.n_range)
+    d_range = _parse_range("--d-range", args.d_range)
+    grid = allocator.isoloss_grid(law, n_range, d_range, args.resolution)
     _write_atomic(args.out, lambda tmp: allocator.export_isoloss_csv(grid, law, tmp))
     print(
         f"wrote {args.out}: {grid.loss_values.size} grid cells, "

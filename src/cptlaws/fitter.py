@@ -32,9 +32,13 @@ the starts of the best basin, those within ``_BASIN_TOLERANCE`` relative of
 the lowest stage objective, are each finished on their own by a
 quasi-Newton local search (L-BFGS-B) on the same kernel's value and
 gradient; the other starts are dropped.  The lowest-objective finished
-start wins, ties resolved by the lexicographically smallest start.  scipy,
-which supplies L-BFGS-B, is imported on the first search, so the commands
-that never fit do not load it.
+start wins, ties resolved by the lexicographically smallest start.  A start
+whose gradient is already within L-BFGS-B's ``gtol`` in every coordinate,
+as the stage leaves the noise-free fits, is one where L-BFGS-B would stop
+before its first iteration; ``minimize`` returns that result itself.  scipy,
+which supplies L-BFGS-B, is imported only when a search has an iteration to
+take, so the commands that never fit, and the fits whose best basin arrives
+converged, do not load it.
 """
 
 from __future__ import annotations
@@ -309,14 +313,54 @@ def objective_cpt(
     return float(np.mean(huber(_residuals(_q(a, b, e, alpha, beta, gamma), _flatten(data)), delta)))
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call.
+class _SearchResult(dict):
+    """A local search's result: a dict whose keys also read as attributes, like scipy's."""
 
-    Only the commands that fit pay for importing scipy.
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize(fun, x0, **kwargs)``, answering a converged L-BFGS-B start itself.
+
+    For ``method="L-BFGS-B"`` with ``jac=True``, ``fun`` is evaluated at x0
+    first.  When x0 lies in ``bounds`` and every component of the gradient
+    there is finite and at most ``options["gtol"]`` (scipy's default 1e-5
+    when not given), L-BFGS-B would stop before its first iteration: its test
+    is on the projected gradient's largest component (Byrd, Lu, Nocedal and
+    Zhu 1995), which the plain gradient bounds.  The result is then the one
+    scipy returns at iteration 0, built here: ``x`` a copy of x0, the
+    objective and gradient there, ``nfev = njev = 1``, ``nit = 0`` and
+    ``success``.  Any other call goes to scipy, imported on first use, so a
+    fit whose starts all arrive converged never loads it; a start scipy does
+    iterate costs one extra evaluation, which its counts do not include.
     """
+    if kwargs.get("method") == "L-BFGS-B" and kwargs.get("jac") is True:
+        x = np.array(x0, dtype=float)
+        value, grad = fun(x.copy())
+        lower, upper = _bound_arrays(kwargs.get("bounds"))
+        gtol = (kwargs.get("options") or {}).get("gtol", 1e-5)
+        # abs(nan) <= gtol is false, so a non-finite gradient goes to scipy.
+        if (math.isfinite(value) and np.all(np.abs(grad) <= gtol)
+                and np.all((lower <= x) & (x <= upper))):
+            return _SearchResult(
+                fun=value, jac=np.asarray(grad, dtype=float), nfev=1, njev=1, nit=0, status=0,
+                message="CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", x=x, success=True,
+            )
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(*args, **kwargs)
+    return scipy_minimize(fun, x0, **kwargs)
+
+
+def _bound_arrays(bounds):
+    """Lower and upper bounds of L-BFGS-B-style (lo, hi) pairs, None meaning unbounded."""
+    if bounds is None:
+        return -math.inf, math.inf
+    return (np.array([-math.inf if lo is None else lo for lo, _ in bounds]),
+            np.array([math.inf if hi is None else hi for _, hi in bounds]))
 
 
 def _minimize_multistart(fun, starts, bounds=None):
@@ -361,10 +405,7 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     not depend on the order or the blocking of the starts.
     """
     n = flat[2].size
-    lower, upper = -math.inf, math.inf
-    if bounds is not None:
-        lower = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
-        upper = np.array([math.inf if hi is None else hi for _, hi in bounds])
+    lower, upper = _bound_arrays(bounds)
     rows = max(1, _GN_BLOCK_ELEMENTS // n)
     trials = max(1, _GN_ROW_TRIALS // len(x0))
     workspace = np.empty((rows, len(free), n))  # the Jacobian, reused by every step

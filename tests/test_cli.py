@@ -283,6 +283,17 @@ class TestTransferCommand:
         assert all(len(doc[key]) == 8 for key in keys)
         assert all(fraction > 0 for fraction in doc["flops_saved_fraction"])
 
+    def test_json_suffix_in_any_case(self, tmp_path):
+        pt_path, cpt_path = write_paired_runs(tmp_path)
+        transfer_out, replay_out = tmp_path / "te.JSON", tmp_path / "x.Json"
+        assert main(["transfer", "--pt-run", pt_path, "--cpt-run", cpt_path,
+                     "--levels", "8", "--out", str(transfer_out)]) == 0
+        assert main(["replay", "--runs", write_replay_runs(tmp_path),
+                     "--out", str(replay_out)]) == 0
+        read_doc(transfer_out, "transfer_report",
+                 ["loss_levels", "d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction"])
+        read_doc(replay_out, "forgetting_curves", ["curves"])
+
     def test_routes_are_mutually_exclusive(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")
         assert main(["transfer", "--scratch-fit", scratch, "--pt-run", "x.jsonl"]) == 2
@@ -396,11 +407,14 @@ class TestErrorPaths:
         assert main(["allocate", "--fit", law, "--compute", "inf"]) == 3
         assert "compute must be positive and finite" in capsys.readouterr().err
 
-    def test_bad_range_string_exit_code(self, tmp_path):
+    def test_bad_range_string_exit_code(self, tmp_path, capsys):
         law = write_law(tmp_path, SCRATCH, "law.json")
-        assert main(["isoloss", "--fit", law, "--n-range", "banana",
-                     "--d-range", "1e9:1e12", "--resolution", "4",
-                     "--out", str(tmp_path / "g.csv")]) == 3
+        for text in ("banana", "1e8", "1e8:abc", "1:2:3"):
+            assert main(["isoloss", "--fit", law, "--n-range", text,
+                         "--d-range", "1e9:1e12", "--resolution", "4",
+                         "--out", str(tmp_path / "g.csv")]) == 3
+            assert f"--n-range expects LO:HI, got {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -579,7 +593,11 @@ def _run_startup_probe(argvs):
 
 
 class TestStartup:
-    """Only the fitting commands import scipy; the rest start without it."""
+    """scipy is imported exactly when L-BFGS-B has an iteration to take.
+
+    The commands that never fit do not load it, and neither does a fit whose
+    best-basin starts leave the Gauss-Newton stage already converged.
+    """
 
     def test_analysis_commands_never_load_scipy(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")
@@ -604,11 +622,28 @@ class TestStartup:
     @pytest.mark.parametrize("command", ["fit", "frontier-free"])
     def test_fitting_commands_load_scipy(self, tmp_path, command):
         if command == "fit":
-            argv = ["fit", "--runs", write_runs(tmp_path, CPT, "runs.jsonl", strategy="cpt"),
-                    "--strategy", "cpt", "--fixed-from", write_law(tmp_path, SCRATCH, "law.json"),
+            # sigma = 0.01 noise: the CPT fit's finishes must iterate.
+            runs = tmp_path / "runs.jsonl"
+            dump_runs(generate_runset(SynthConfig(
+                law=CPT, param_sizes=SIZES, records_per_run=8, noise_sigma=0.01, seed=1,
+            )), runs)
+            argv = ["fit", "--runs", str(runs), "--strategy", "cpt",
+                    "--fixed-from", write_law(tmp_path, SCRATCH, "law.json"),
                     "--out", str(tmp_path / "fit.json")]
         else:
             argv = ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
                     "--no-fix-offset-zero", "--out", str(tmp_path / "frontier.json")]
         result = _run_startup_probe([argv])
         assert result == {"codes": [0], "after_import": False, "at_end": True}
+
+    def test_converged_two_stage_fit_never_loads_scipy(self, tmp_path):
+        scratch_fit = str(tmp_path / "scratch-fit.json")
+        argvs = [
+            ["fit", "--runs", write_runs(tmp_path, SCRATCH, "scratch.jsonl"),
+             "--strategy", "scratch", "--out", scratch_fit],
+            ["fit", "--runs", write_runs(tmp_path, CPT, "cpt.jsonl", strategy="cpt"),
+             "--strategy", "cpt", "--fixed-from", scratch_fit,
+             "--out", str(tmp_path / "cpt-fit.json")],
+        ]
+        result = _run_startup_probe(argvs)
+        assert result == {"codes": [0, 0], "after_import": False, "at_end": False}

@@ -478,6 +478,80 @@ def record_fit(monkeypatch):
     return stage, finished
 
 
+class TestMinimize:
+    """``fitter.minimize`` against ``scipy.optimize.minimize``, called on the same fun and x0."""
+
+    FIELDS = ("x", "fun", "jac", "nfev", "njev", "nit", "status", "success")
+
+    @pytest.fixture(scope="class")
+    def replica_call(self):
+        """The fun, x0 (a stage endpoint) and keywords of the noise-free CPT replica's one finish."""
+        calls = []
+        real_minimize = fitter.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            calls.append((fun, np.array(x0), kwargs))
+            return real_minimize(fun, x0, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitter, "minimize", recording_minimize)
+            fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
+        assert len(calls) == 1
+        return calls[0]
+
+    @pytest.fixture
+    def scipy_minimize(self, monkeypatch):
+        """scipy's minimize, and the list of calls ``fitter.minimize`` passes on to it."""
+        import scipy.optimize
+
+        real, calls = scipy.optimize.minimize, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        return real, calls
+
+    def assert_parity(self, ours, theirs):
+        # assert_equal compares NaN equal to NaN.
+        np.testing.assert_equal([ours[k] for k in self.FIELDS], [theirs[k] for k in self.FIELDS])
+
+    def test_converged_stage_endpoint_is_answered_without_scipy(self, replica_call,
+                                                                 scipy_minimize):
+        fun, x0, kwargs = replica_call
+        real, calls = scipy_minimize
+        ours = fitter.minimize(fun, x0, **kwargs)
+        assert not calls
+        assert (ours.nit, ours.nfev, ours.njev, ours.success) == (0, 1, 1, True)
+        assert ours.x is not x0 and np.array_equal(ours.x, x0)
+        self.assert_parity(ours, real(fun, x0, **kwargs))
+
+    @pytest.mark.parametrize("case", ["gradient above gtol", "outside bounds"])
+    def test_other_starts_go_to_scipy(self, replica_call, scipy_minimize, case):
+        fun, x0, kwargs = replica_call
+        real, calls = scipy_minimize
+        if case == "gradient above gtol":
+            x0 = fitter._law_starts(fitter._default_cpt_grid(), _CPT_FREE)[0][1]
+        else:
+            kwargs = {**kwargs, "bounds": [(None, None), (None, None), (None, x0[2] - 0.01)]}
+        ours = fitter.minimize(fun, x0, **kwargs)
+        assert len(calls) == 1
+        assert ours.nit > 0
+        self.assert_parity(ours, real(fun, x0, **kwargs))
+
+    def test_non_finite_gradient_goes_to_scipy(self, replica_call, scipy_minimize):
+        _, _, kwargs = replica_call
+        real, calls = scipy_minimize
+
+        def fun(x):  # finite value, NaN gradient at x0 = 0
+            return float(x @ x), np.where(x == 0, math.nan, 2 * x)
+
+        ours = fitter.minimize(fun, np.zeros(2), **kwargs)
+        assert len(calls) == 1
+        self.assert_parity(ours, real(fun, np.zeros(2), **kwargs))
+
+
 class TestBestBasin:
     def test_rule(self):
         values = np.array([math.nan, math.inf, 2.0, 1.0, 1.0009, 1.0011])
