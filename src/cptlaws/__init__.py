@@ -3,7 +3,12 @@
 Fits the from-scratch and extended CPT loss laws to run telemetry, derives
 compute-optimal parameter/data allocations, and quantifies cross-lingual
 transfer (tokens and FLOPs saved) and replay forgetting curves.
+
+The fitter's and the synthetic generator's names are loaded on first use
+(PEP 562), so ``import cptlaws`` and the closed-form commands load no numpy.
 """
+
+from types import ModuleType as _ModuleType
 
 from .allocator import (
     AllocationCoefficients,
@@ -27,19 +32,6 @@ from .errors import (
     UnidentifiableDataError,
     UnreachableLossError,
     ValidationError,
-)
-from .fitter import (
-    FitConfig,
-    FitReport,
-    ModelComparison,
-    compare_laws,
-    extract_compute_frontier,
-    fit_cpt,
-    fit_frontier,
-    fit_scratch,
-    huber,
-    objective_cpt,
-    objective_scratch,
 )
 from .ingest import (
     FLOPS_PER_PARAM_TOKEN,
@@ -74,7 +66,6 @@ from .laws import (
     solve_params_for_loss,
     solve_tokens_for_loss,
 )
-from .synth import SynthConfig, generate_runset, paper_replica_config
 from .transfer import (
     CurveInterpolator,
     ForgettingCurve,
@@ -87,3 +78,33 @@ from .transfer import (
 )
 
 __version__ = "0.1.0"
+
+#: Names exported from the modules that import numpy, each loaded on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("FitConfig", "FitReport", "ModelComparison", "compare_laws",
+         "extract_compute_frontier", "fit_cpt", "fit_frontier", "fit_scratch", "huber",
+         "objective_cpt", "objective_scratch"),
+        "fitter",
+    ),
+    **dict.fromkeys(("SynthConfig", "generate_runset", "paper_replica_config"), "synth"),
+}
+
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

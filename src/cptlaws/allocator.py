@@ -15,21 +15,26 @@ never a silent clamp.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .ingest import FLOPS_PER_PARAM_TOKEN
 from .laws import LawParams, _coefficients, eval_law
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default log-N search bracket for the numeric frontier: spans every catalog
 #: model size with margin.
 FRONTIER_BRACKET = (1e6, 1e13)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps after which the search stops whatever its ``tol``: 200
+# steps narrow any log-N bracket of floats (at most ~1,455 wide) below 1e-38,
+# so a tol finer than the float spacing cannot keep it looping.
+_GOLDEN_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,15 @@ def numeric_optimal_params(
     Golden-section search on log N; the loss along an iso-compute line is a
     sum of exponentials in log N and therefore unimodal.  Raises DomainError
     when the argmin lands within ``tol`` of a bracket edge, where the true
-    optimum may lie outside the bracket.
+    optimum may lie outside the bracket, and when ``tol`` is not positive and
+    finite or ``bracket`` lacks two positive finite edges.
     """
     if not 0 < compute < math.inf:  # also rejects NaN
         raise DomainError(f"compute must be positive and finite, got {compute!r}")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if len(bracket) != 2 or not all(0 < edge < math.inf for edge in bracket):
+        raise DomainError(f"bracket must have two positive finite edges, got {bracket!r}")
     lo, hi = (math.log(edge) for edge in bracket)
     if not lo < hi:
         raise DomainError(f"bad bracket {bracket!r}")
@@ -155,7 +165,9 @@ def numeric_optimal_params(
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     f_c, f_d = loss_at(c), loss_at(d)
-    while hi - lo > tol:
+    for _ in range(_GOLDEN_MAX_STEPS):
+        if hi - lo <= tol:
+            break
         if f_c < f_d:
             hi, d, f_d = d, c, f_c
             c = hi - _INVPHI * (hi - lo)
@@ -188,6 +200,7 @@ def isoloss_grid(
             raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution!r}")
+    import numpy as np
 
     n_axis = np.geomspace(n_range[0], n_range[1], resolution)
     d_axis = np.geomspace(d_range[0], d_range[1], resolution)
@@ -216,6 +229,8 @@ def efficient_frontier_loss(
         raise DomainError(f"c_range must satisfy 0 < lo <= hi < inf, got {c_range!r}")
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples!r}")
+    import numpy as np
+
     levels = np.geomspace(lo, hi, samples)
     return [
         (float(c), optimal_allocation(coeffs, float(c), law).predicted_loss) for c in levels
@@ -228,19 +243,19 @@ def export_isoloss_csv(grid: IsoLossGrid, law: LawParams, path) -> None:
     Grid cells come first; the frontier's (C, N) points follow with their
     implied D = C/(6N) and evaluated loss, flagged is_frontier = true.
     """
+    # The rows csv.writer would write (no field needs quoting), built as one
+    # string: each axis value is formatted once, not once per cell.
+    n_axis, d_axis = grid.n_axis.tolist(), grid.d_axis.tolist()
+    d_text = [f"{d:.9g}" for d in d_axis]
+    lines = ["N,D,C,loss,is_frontier"]
+    for n, losses in zip(n_axis, grid.loss_values.tolist()):
+        n_text = f"{n:.9g}"
+        lines.extend(
+            f"{n_text},{d_str},{FLOPS_PER_PARAM_TOKEN * n * d:.9g},{loss:.9g},false"
+            for d, d_str, loss in zip(d_axis, d_text, losses)
+        )
+    for compute, n in grid.frontier:
+        d = compute / (FLOPS_PER_PARAM_TOKEN * n)
+        lines.append(f"{n:.9g},{d:.9g},{compute:.9g},{float(eval_law(law, n, d)):.9g},true")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "D", "C", "loss", "is_frontier"])
-        for i, n in enumerate(grid.n_axis):
-            for j, d in enumerate(grid.d_axis):
-                compute = FLOPS_PER_PARAM_TOKEN * n * d
-                writer.writerow(
-                    [f"{n:.9g}", f"{d:.9g}", f"{compute:.9g}",
-                     f"{grid.loss_values[i, j]:.9g}", "false"]
-                )
-        for compute, n in grid.frontier:
-            d = compute / (FLOPS_PER_PARAM_TOKEN * n)
-            writer.writerow(
-                [f"{n:.9g}", f"{d:.9g}", f"{compute:.9g}",
-                 f"{float(eval_law(law, n, d)):.9g}", "true"]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -6,6 +6,10 @@ then rename) and every document carries a schema version.
 
 Defaults for common flags can be supplied by a JSON file named by the
 ``CPTLAWS_CONFIG`` environment variable.
+
+The fitter and the synthetic generator, the modules that need numpy, are
+imported by the commands that use them, so ``allocate``, parametric
+``transfer`` and ``replay`` run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import allocator, fitter, ingest, laws, synth, transfer
+from . import allocator, ingest, laws, transfer
 from .errors import CptLawsError, FitError, ValidationError
 
 EXIT_OK = 0
@@ -106,9 +110,19 @@ def _parse_range(flag: str, text: str) -> tuple[float, float]:
         raise ValidationError(f"{flag} expects LO:HI, got {text!r}") from None
 
 
+def _fit_config(args):
+    """The FitConfig of ``--delta`` and ``--warmup-fraction``; no ``--delta`` means the fitter's default."""
+    from . import fitter
+
+    delta = fitter.DEFAULT_DELTA if args.delta is None else args.delta
+    return fitter.FitConfig(delta=delta, warmup_fraction=args.warmup_fraction)
+
+
 def cmd_fit(args) -> int:
+    from . import fitter
+
     runs = ingest.load_runs(args.runs)
-    cfg = fitter.FitConfig(delta=args.delta, warmup_fraction=args.warmup_fraction)
+    cfg = _fit_config(args)
     if args.strategy == "scratch":
         if args.fixed_from:
             print("error: --fixed-from only applies to --strategy cpt", file=sys.stderr)
@@ -137,6 +151,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_frontier(args) -> int:
+    from . import fitter
+
     runs = ingest.load_runs(args.runs)
     points = fitter.extract_compute_frontier(runs, args.bins_per_decade)
     params = fitter.fit_frontier(points, fix_offset_zero=args.fix_offset_zero)
@@ -255,6 +271,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     if bool(args.preset) == bool(args.law):
         print("error: use exactly one of --preset or --law", file=sys.stderr)
         return EXIT_USAGE
@@ -273,8 +291,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare_laws(args) -> int:
+    from . import fitter
+
     runs = ingest.load_runs(args.runs)
-    cfg = fitter.FitConfig(delta=args.delta, warmup_fraction=args.warmup_fraction)
+    cfg = _fit_config(args)
     comparison = fitter.compare_laws(runs, cfg)
     if args.out:
         _write_doc(args.out, "model_comparison", dataclasses.asdict(comparison))
@@ -303,7 +323,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--runs", required=True)
     p.add_argument("--strategy", required=True, choices=("scratch", "cpt"))
     p.add_argument("--fixed-from", help="from-scratch fit JSON supplying (E, A, alpha)")
-    p.add_argument("--delta", type=float, default=fitter.DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, help="Huber threshold; the fitter's default when omitted")
     p.add_argument("--warmup-fraction", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
@@ -355,7 +375,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = add_command("compare-laws", help="fit both law families and compare")
     p.add_argument("--runs", required=True)
-    p.add_argument("--delta", type=float, default=fitter.DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, help="Huber threshold; the fitter's default when omitted")
     p.add_argument("--warmup-fraction", type=float, default=0.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare_laws)

@@ -80,17 +80,20 @@ _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position ent
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 
 # The Gauss-Newton stage ahead of L-BFGS-B; BENCH_7.json has the sweeps behind
-# the trial cap and the block size.  A stage shares _GN_ROW_TRIALS out evenly
-# over its starts: the default 512-start scratch grid gets 30 trials each,
-# and a stage with few starts runs until its stop rules end it (the 2-start
-# free-offset frontier needs about 100).  A block holds
-# _GN_BLOCK_ELEMENTS // n starts of n records, so each (starts, records)
-# array stays under 64 kB.  Larger blocks cut the Python overhead per step,
-# but from about 100 kB per array on, glibc's free() gave heap memory back to
-# the system at every step, and page-faulting it in again cost more than the
-# larger blocks saved.
+# the trial cap.  A stage shares _GN_ROW_TRIALS out evenly over its starts:
+# the default 512-start scratch grid gets 30 trials each, and a stage with
+# few starts runs until its stop rules end it (the 2-start free-offset
+# frontier needs about 100).  A block holds _GN_BLOCK_ELEMENTS // n starts of
+# n records.  Every (starts, records) array of a step is written into one
+# workspace that the stage allocates once (``_workspace``), so no step hands
+# large arrays back to the allocator to be trimmed and faulted in again.
+# Larger blocks then only cut the Python overhead per step, and they cost
+# RSS: on the 840-record scratch replica (2-CPU host, fresh processes,
+# BENCH_13.json) fit_scratch took 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at
+# 24, 1.11 s at 32, 1.08 s at 40 and 1.04 s at 64, while peak RSS grew by
+# 0.08 MB a row.  32 rows take most of that gain with a 2.6 MB workspace.
 _GN_ROW_TRIALS = 30 * 512
-_GN_BLOCK_ELEMENTS = 8000
+_GN_BLOCK_ELEMENTS = 27_000
 _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
 _GN_DAMPING = 0.1  # initial damping of the curvature-scaled system
 _GN_DAMPING_FLOOR = 1e-10  # keeps the damped system nonsingular
@@ -212,7 +215,17 @@ def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
     return np.array([a, b, e, math.log(alpha), math.log(beta), gamma])
 
 
-def _law_terms(q: np.ndarray, log_n, log_d):
+def _workspace(rows: int, k: int, n: int):
+    """Buffers for ``_law_system`` on up to ``rows`` points, ``k`` free coordinates and ``n`` records.
+
+    Seven (rows, records) float arrays, one (rows, records) mask and the
+    (rows, k, records) Jacobian: every array of the data's size that a call
+    needs is written into these.
+    """
+    return np.empty((7, rows, n)), np.empty((rows, n), dtype=bool), np.empty((rows, k, n))
+
+
+def _law_terms(q: np.ndarray, log_n, log_d, out=None):
     """The extended law's log-sum-exp at q: prediction, term weights, their sum, exponent slopes.
 
     q is one point (shape (6,)) or one point per row (shape (S, 6)); every
@@ -221,24 +234,31 @@ def _law_terms(q: np.ndarray, log_n, log_d):
     terms and each weight exp(term - top), so every term costs one exp; a
     term's softmax weight is w / (w_n + w_d + w_e).  The slopes are
     d(alpha, beta)/d(log alpha, log beta): the exponent itself, or 0 past
-    ``_LOG_EXPONENT_CAP``.
+    ``_LOG_EXPONENT_CAP``.  ``out``, six arrays of the prediction's shape,
+    receives the three weights, top, the sum and the prediction; without it
+    they are allocated.
     """
     log_exponents = q[..., 3:5]
     exponents = np.exp(np.minimum(log_exponents, _LOG_EXPONENT_CAP))
     a, b, e, _, _, gamma = q.T[..., None]
     alpha, beta = exponents.T[..., None]
-    term_n = a - alpha * log_n
-    term_d = b - beta * log_d
-    term_d -= gamma * log_n
-    top = np.maximum(np.maximum(term_n, term_d), e)
-    # The terms turn into their weights in place: every array allocated here
-    # costs time in the batched calls.
+    if out is None:
+        out = np.empty((6, *q.shape[:-1], log_n.size))
+    term_n, term_d, term_e, top, total, prediction = out
+    # Each term turns into its weight in place; top holds gamma log N until
+    # it is formed.
+    np.subtract(a, np.multiply(alpha, log_n, out=term_n), out=term_n)
+    np.subtract(b, np.multiply(beta, log_d, out=term_d), out=term_d)
+    term_d -= np.multiply(gamma, log_n, out=top)
+    np.maximum(np.maximum(term_n, term_d, out=top), e, out=top)
     term_n -= top
     term_d -= top
-    weights = (np.exp(term_n, out=term_n), np.exp(term_d, out=term_d), np.exp(e - top))
-    total = weights[0] + weights[1]
+    np.subtract(e, top, out=term_e)
+    weights = (np.exp(term_n, out=term_n), np.exp(term_d, out=term_d),
+               np.exp(term_e, out=term_e))
+    np.add(weights[0], weights[1], out=total)
     total += weights[2]
-    prediction = np.log(total)
+    np.log(total, out=prediction)
     prediction += top
     slopes = np.where(log_exponents < _LOG_EXPONENT_CAP, exponents, 0.0)
     return prediction, weights, total, slopes
@@ -251,38 +271,49 @@ def _residuals(q: np.ndarray, flat) -> np.ndarray:
 
 
 def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: float,
-                jac: np.ndarray | None = None):
+                work=None):
     """Huber objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) at each row of x.
 
     Row s is the point q = ``base`` with q[free] = x[s].  The objective is the
     mean over records; both sums run over records, so the mean's gradient is
     the returned one divided by the record count.  J is the Jacobian of the
     prediction in q[free] and W the IRLS weights (1 where |r| <= delta,
-    delta / |r| elsewhere).  ``jac``, of shape (rows, free, records), is
-    reused for J when given.
+    delta / |r| elsewhere).  ``work``, a ``_workspace`` of at least len(x)
+    rows, holds every (rows, records) array of the call; without it one is
+    allocated.
     """
     log_n, log_d, log_l = flat
     n = log_l.size
-    q = np.repeat(base[None, :], len(x), axis=0)
+    rows = len(x)
+    arrays, mask, jac = work or _workspace(rows, len(free), n)
+    arrays, mask, jac = arrays[:, :rows], mask[:rows], jac[:rows]
+    q = np.repeat(base[None, :], rows, axis=0)
     q[:, free] = x
-    prediction, weights, total, slopes = _law_terms(q, log_n, log_d)
+    prediction, weights, total, slopes = _law_terms(q, log_n, log_d, arrays[:6])
+    # arrays[3] held top, which the prediction no longer needs.
+    slope, spare = arrays[3], arrays[6]
     residuals = np.subtract(prediction, log_l, out=prediction)
-    slope = np.clip(residuals, -delta, delta)
-    value = np.einsum("ij,ij->i", slope, residuals - 0.5 * slope) / n
+    np.clip(residuals, -delta, delta, out=slope)
+    np.subtract(residuals, np.multiply(0.5, slope, out=spare), out=spare)
+    value = np.einsum("ij,ij->i", slope, spare) / n
     # Column i of J is a term's softmax weight, weight / total, times the
-    # term's derivative in q_i.  Both sums are formed from sqrt(W) J, as
-    # huber'(r) = W r.  The (rows, records) arrays are updated in place once
-    # their values are no longer needed.
-    root = np.divide(slope, residuals, out=np.ones_like(slope), where=residuals != 0)
+    # term's derivative in q_i: 1 in (a, b, e), and -alpha log N, -beta log D
+    # and -log N in (log alpha, log beta, gamma).  Both sums are formed from
+    # sqrt(W) J, as huber'(r) = W r.
+    root = spare
+    root.fill(1.0)
+    np.divide(slope, residuals, out=root, where=np.not_equal(residuals, 0, out=mask))
     np.sqrt(root, out=root)
     scale = np.divide(root, total, out=total)
     for weight in weights:
         weight *= scale
-    factors = (1.0, 1.0, 1.0, -slopes[:, :1] * log_n, -slopes[:, 1:] * log_d, -log_n)
-    if jac is None:
-        jac = np.empty((len(x), len(free), n))
+    derivatives = {3: (-slopes[:, :1], log_n), 4: (-slopes[:, 1:], log_d), 5: (-1.0, log_n)}
     for column, i in enumerate(free):
-        np.multiply(weights[_TERM_OF[i]], factors[i], out=jac[:, column])
+        if i in derivatives:
+            np.multiply(*derivatives[i], out=jac[:, column])
+            jac[:, column] *= weights[_TERM_OF[i]]
+        else:
+            jac[:, column] = weights[_TERM_OF[i]]
     residuals *= root
     grad = (jac @ residuals[:, :, None])[:, :, 0]
     return value, jac @ jac.transpose(0, 2, 1), grad
@@ -406,12 +437,12 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     """
     n = flat[2].size
     lower, upper = _bound_arrays(bounds)
-    rows = max(1, _GN_BLOCK_ELEMENTS // n)
+    rows = min(len(x0), max(1, _GN_BLOCK_ELEMENTS // n))
     trials = max(1, _GN_ROW_TRIALS // len(x0))
-    workspace = np.empty((rows, len(free), n))  # the Jacobian, reused by every step
+    workspace = _workspace(rows, len(free), n)  # reused by every step of every block
 
     def system(x: np.ndarray):
-        return _law_system(x, base, free, flat, delta, workspace[:len(x)])
+        return _law_system(x, base, free, flat, delta, workspace)
 
     blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials)
               for i in range(0, len(x0), rows)]

@@ -10,8 +10,15 @@ The Chinchilla form is the extended form at gamma = 0, B' = B, so each loss
 law operation is written once over the extended form.
 
 All evaluation happens in log space so extreme parameter counts, token
-budgets, and compute values stay inside float range.  Scalar inputs yield
-scalar outputs; array inputs broadcast.
+budgets, and compute values stay inside float range.  Each formula is
+written once over a namespace: when every input is a Python number (``int``
+or ``float``, which includes ``numpy.float64``) it runs in ``math`` and
+returns a float, so the closed-form commands never load numpy; any other
+input runs in numpy, which broadcasts arrays and returns a float for a 0-d
+result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
+are different implementations); code whose output must not move by an ulp
+evaluates through arrays.  On both paths an exp past float range is inf,
+and a non-positive, infinite or NaN input is a DomainError.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Union
-
-import numpy as np
 
 from .errors import DomainError, NoCrossoverError, UnreachableLossError, ValidationError
 
@@ -108,17 +113,52 @@ REFERENCE_SCRATCH_FRONTIER = FrontierParams(coefficient=33.69907, exponent=0.057
 REFERENCE_CPT_FRONTIER = FrontierParams(coefficient=31.9594, exponent=0.0575)
 
 
-def _positive_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    # One pass that also rejects NaN (both comparisons are False); this runs
-    # on every scalar law evaluation, so it is kept cheap.
-    if not ((arr > 0) & (arr < math.inf)).all():
+class _Math:
+    """The ``math`` functions the formulas use, with numpy's overflow rule: exp past float range is inf."""
+
+    log = staticmethod(math.log)
+
+    @staticmethod
+    def exp(x: float) -> float:
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+
+_MATH = _Math()
+
+
+def _namespace(*values):
+    """``_MATH`` when every value is a Python number, else numpy (imported on first use)."""
+    if all(isinstance(value, (int, float)) for value in values):
+        return _MATH
+    import numpy
+
+    return numpy
+
+
+def _positive(xp, x, name: str):
+    """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite."""
+    if xp is _MATH:
+        x = float(x)
+        ok = 0 < x < math.inf  # also rejects NaN
+    else:
+        x = xp.asarray(x, dtype=float)
+        # One pass that also rejects NaN (both comparisons are False).
+        ok = ((x > 0) & (x < math.inf)).all()
+    if not ok:
         raise DomainError(f"{name} must be positive and finite")
-    return arr
+    return x
 
 
-def _maybe_float(arr: np.ndarray):
-    return float(arr) if arr.ndim == 0 else arr
+def _result(value):
+    """A float for a scalar result, else the array."""
+    return value if isinstance(value, float) else (float(value) if value.ndim == 0 else value)
+
+
+def _any_nonpositive(value) -> bool:
+    return value <= 0 if isinstance(value, float) else bool((value <= 0).any())
 
 
 def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, float]:
@@ -137,28 +177,31 @@ def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, fl
 def eval_law(law: LawParams, N, D):
     """Evaluate E + A/N^alpha + B'/(D^beta' N^gamma); always strictly above E."""
     E, A, alpha, B, beta, gamma = _coefficients(law)
-    n = _positive_array(N, "N")
-    d = _positive_array(D, "D")
-    log_n = np.log(n)
+    xp = _namespace(N, D)
+    n = _positive(xp, N, "N")
+    d = _positive(xp, D, "D")
+    log_n = xp.log(n)
     loss = (
         E
-        + np.exp(math.log(A) - alpha * log_n)
-        + np.exp(math.log(B) - beta * np.log(d) - gamma * log_n)
+        + xp.exp(math.log(A) - alpha * log_n)
+        + xp.exp(math.log(B) - beta * xp.log(d) - gamma * log_n)
     )
-    return _maybe_float(loss)
+    return _result(loss)
 
 
 def eval_frontier(p: FrontierParams, C):
     """Evaluate offset + coefficient / C^exponent."""
-    c = _positive_array(C, "C")
-    return _maybe_float(p.offset + np.exp(math.log(p.coefficient) - p.exponent * np.log(c)))
+    xp = _namespace(C)
+    c = _positive(xp, C, "C")
+    return _result(p.offset + xp.exp(math.log(p.coefficient) - p.exponent * xp.log(c)))
 
 
 def loss_floor(law: LawParams, N):
     """Infimum of the law's loss at fixed N (the D -> infinity limit)."""
     E, A, alpha, *_ = _coefficients(law)
-    n = _positive_array(N, "N")
-    return _maybe_float(E + np.exp(math.log(A) - alpha * np.log(n)))
+    xp = _namespace(N)
+    n = _positive(xp, N, "N")
+    return _result(E + xp.exp(math.log(A) - alpha * xp.log(n)))
 
 
 def solve_tokens_for_loss(law: LawParams, N, L):
@@ -168,28 +211,30 @@ def solve_tokens_for_loss(law: LawParams, N, L):
     when L does not exceed the loss floor at this N.
     """
     _, _, _, B, beta, gamma = _coefficients(law)
-    n = _positive_array(N, "N")
-    target = _positive_array(L, "L")
+    xp = _namespace(N, L)
+    n = _positive(xp, N, "N")
+    target = _positive(xp, L, "L")
     floor = loss_floor(law, n)
     gap = target - floor
-    if np.any(gap <= 0):
+    if _any_nonpositive(gap):
         raise UnreachableLossError(
             f"loss {L!r} is at or below the floor {floor!r} for N={N!r}"
         )
-    return _maybe_float(np.exp((math.log(B) - np.log(gap) - gamma * np.log(n)) / beta))
+    return _result(xp.exp((math.log(B) - xp.log(gap) - gamma * xp.log(n)) / beta))
 
 
 def solve_params_for_loss(p: ChinchillaParams, D, L):
     """Model size N at which the from-scratch law reaches loss L given D tokens."""
-    d = _positive_array(D, "D")
-    target = _positive_array(L, "L")
-    floor = p.E + np.exp(math.log(p.B) - p.beta * np.log(d))
+    xp = _namespace(D, L)
+    d = _positive(xp, D, "D")
+    target = _positive(xp, L, "L")
+    floor = p.E + xp.exp(math.log(p.B) - p.beta * xp.log(d))
     gap = target - floor
-    if np.any(gap <= 0):
+    if _any_nonpositive(gap):
         raise UnreachableLossError(
             f"loss {L!r} is at or below the floor {floor!r} for D={D!r}"
         )
-    return _maybe_float(np.exp((math.log(p.A) - np.log(gap)) / p.alpha))
+    return _result(xp.exp((math.log(p.A) - xp.log(gap)) / p.alpha))
 
 
 def frontier_crossover(f1: FrontierParams, f2: FrontierParams) -> float:

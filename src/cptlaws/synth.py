@@ -78,9 +78,11 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
                 f"token grid for N={n} collapses after rounding; "
                 f"reduce records_per_run or increase the budget"
             )
+        # One array evaluation per run: the scalar path of eval_law could move
+        # a loss by an ulp, and the generated logs are part of the contract.
+        losses = eval_law(cfg.law, float(n), np.array(tokens, dtype=float)).tolist()
         records = []
-        for j, d in enumerate(tokens):
-            loss = eval_law(cfg.law, n, d)
+        for j, (d, loss) in enumerate(zip(tokens, losses)):
             if cfg.noise_sigma > 0:
                 noise = _record_noise(cfg.seed, i, j, cfg.noise_sigma)
                 try:

@@ -17,8 +17,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InterpolationRangeError,
@@ -79,6 +77,8 @@ class CurveInterpolator:
             raise InterpolationRangeError(
                 f"tokens {tokens!r} outside curve domain {self.domain!r}"
             )
+        import numpy as np
+
         return math.exp(float(np.interp(x, self.log_tokens, self.log_losses)))
 
     def tokens_at_loss(self, loss: float) -> float:
@@ -96,6 +96,8 @@ class CurveInterpolator:
                 xs.append(l)
                 ys.append(t)
                 last = l
+        import numpy as np
+
         # np.interp needs ascending x
         return math.exp(float(np.interp(math.log(loss), xs[::-1], ys[::-1])))
 
@@ -105,6 +107,8 @@ def interp_loss_curve(run: TrainingRun) -> CurveInterpolator:
     records = run.main_series()
     if len(records) < 2:
         raise DomainError(f"run {run.id!r} needs at least two records to interpolate")
+    import numpy as np
+
     tokens = np.array([rec.tokens for rec in records], dtype=float)
     losses = np.minimum.accumulate(np.array([rec.loss for rec in records], dtype=float))
     return CurveInterpolator(
@@ -152,6 +156,8 @@ def empirical_transfer(
     high = min(curve_pt.loss_range[1], curve_cpt.loss_range[1])
     if low > high:
         raise ValidationError("the two runs' loss ranges do not overlap")
+
+    import numpy as np
 
     rows = []
     for level in np.geomspace(high, low, levels):

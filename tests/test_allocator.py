@@ -181,6 +181,24 @@ class TestNumericFrontier:
         with pytest.raises(DomainError):
             numeric_optimal_params(SCRATCH, 1e20, bracket=(1e13, 1e6))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
+        # tol = 0 looped forever, and NaN returned the bracket's midpoint.
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            numeric_optimal_params(SCRATCH, 1e20, tol=tol)
+
+    @pytest.mark.parametrize(
+        "bracket", [(0.0, 1e13), (1e6, math.inf), (math.nan, 1e13), (-1e6, 1e13), (1e6,),
+                    (1e6, 1e9, 1e13)],
+    )
+    def test_rejects_a_bracket_without_two_positive_finite_edges(self, bracket):
+        with pytest.raises(DomainError, match="bracket must have two positive finite edges"):
+            numeric_optimal_params(SCRATCH, 1e20, bracket=bracket)
+
+    def test_tol_below_float_spacing_still_ends(self):
+        closed = optimal_allocation(allocation_coefficients(SCRATCH), 1e20, SCRATCH).n_opt
+        assert numeric_optimal_params(SCRATCH, 1e20, tol=1e-300) == pytest.approx(closed, rel=1e-6)
+
     @pytest.mark.parametrize("compute", [1e5, 1e35])
     def test_argmin_at_bracket_edge_raises(self, compute):
         # the closed-form optimum (about 3.2e14 params at 1e35) lies outside the bracket
@@ -235,6 +253,25 @@ class TestIsoLossGrid:
             got = float(row["C"])
             expected = 6.0 * float(row["N"]) * float(row["D"])
             assert got == pytest.approx(expected, rel=1e-6)
+
+
+    def test_csv_export_writes_what_csv_writer_writes(self, tmp_path):
+        grid = isoloss_grid(CPT, (1e8, 1e11), (1e9, 1e12), 16)
+        out = tmp_path / "grid.csv"
+        export_isoloss_csv(grid, CPT, out)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["N", "D", "C", "loss", "is_frontier"])
+            for i, n in enumerate(grid.n_axis):
+                for j, d in enumerate(grid.d_axis):
+                    writer.writerow([f"{n:.9g}", f"{d:.9g}", f"{6.0 * n * d:.9g}",
+                                     f"{grid.loss_values[i, j]:.9g}", "false"])
+            for compute, n in grid.frontier:
+                d = compute / (6.0 * n)
+                writer.writerow([f"{n:.9g}", f"{d:.9g}", f"{compute:.9g}",
+                                 f"{eval_law(CPT, n, d):.9g}", "true"])
+        assert out.read_bytes() == reference.read_bytes()
 
 
 class TestEfficientFrontierLoss:

@@ -572,32 +572,86 @@ class TestEnvConfig:
 
 
 # Runs CLI commands in a fresh interpreter and reports, as its last output
-# line, the exit codes and whether scipy was loaded after the import and at the end.
+# line, the exit codes and whether a module (argv[2]) was loaded after the
+# import of cptlaws.cli and at the end.
 _STARTUP_PROBE = """
 import json, sys
+module = sys.argv[2]
 import cptlaws.cli
-after_import = "scipy" in sys.modules
+after_import = module in sys.modules
 codes = [cptlaws.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "after_import": after_import, "at_end": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "after_import": after_import, "at_end": module in sys.modules}))
 """
 
 
-def _run_startup_probe(argvs):
+def _run_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's cptlaws."""
     env = {k: v for k, v in os.environ.items() if k != "CPTLAWS_CONFIG"}
     src = str(Path(cptlaws.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _run_startup_probe(argvs, module="scipy"):
+    proc = _run_python("-c", _STARTUP_PROBE, json.dumps(argvs), module)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestStartup:
-    """scipy is imported exactly when L-BFGS-B has an iteration to take.
+    """scipy is imported exactly when L-BFGS-B has an iteration to take, numpy when arrays are built.
 
-    The commands that never fit do not load it, and neither does a fit whose
-    best-basin starts leave the Gauss-Newton stage already converged.
+    The commands that never fit do not load scipy, and neither does a fit
+    whose best-basin starts leave the Gauss-Newton stage already converged.
+    The closed-form commands load neither.
     """
+
+    def test_package_import_loads_no_numpy(self):
+        # The fitter's names are still exported: the first access loads them.
+        proc = _run_python("-c", "import sys, cptlaws; assert 'numpy' not in sys.modules; "
+                                 "cptlaws.fit_scratch; assert 'numpy' in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+        result = _run_startup_probe([], module="numpy")
+        assert result == {"codes": [], "after_import": False, "at_end": False}
+
+    def test_every_exported_name_resolves(self):
+        assert {"fit_scratch", "SynthConfig", "eval_law"} <= set(cptlaws.__all__)
+        assert set(cptlaws.__all__) <= set(dir(cptlaws))
+        for name in cptlaws.__all__:
+            getattr(cptlaws, name)
+        with pytest.raises(AttributeError):
+            cptlaws.no_such_name
+
+    def test_closed_form_commands_never_load_numpy(self, tmp_path):
+        scratch = write_law(tmp_path, SCRATCH, "scratch.json")
+        cpt = write_law(tmp_path, CPT, "cpt.json")
+        argvs = [
+            ["allocate", "--fit", scratch, "--compute", "1e21",
+             "--out", str(tmp_path / "plan.json")],
+            ["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt, "--n", "1e9", "--d", "1e9",
+             "--out", str(tmp_path / "transfer.json")],
+            ["replay", "--runs", write_replay_runs(tmp_path),
+             "--out", str(tmp_path / "curves.csv")],
+        ]
+        result = _run_startup_probe(argvs, module="numpy")
+        assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
+
+    @pytest.mark.parametrize("command", ["fit", "isoloss", "frontier", "synth"])
+    def test_array_commands_load_numpy(self, tmp_path, command):
+        law = write_law(tmp_path, SCRATCH, "scratch.json")
+        runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
+        argv = {
+            "fit": ["fit", "--runs", runs, "--strategy", "scratch",
+                    "--out", str(tmp_path / "fit.json")],
+            "isoloss": ["isoloss", "--fit", law, "--n-range", "1e8:1e10",
+                        "--d-range", "1e9:1e12", "--resolution", "4",
+                        "--out", str(tmp_path / "grid.csv")],
+            "frontier": ["frontier", "--runs", runs, "--out", str(tmp_path / "frontier.json")],
+            "synth": ["synth", "--law", law, "--out", str(tmp_path / "synth.jsonl")],
+        }[command]
+        result = _run_startup_probe([argv], module="numpy")
+        assert result == {"codes": [0], "after_import": False, "at_end": True}
 
     def test_analysis_commands_never_load_scipy(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -873,6 +874,35 @@ class TestGaussNewtonStage:
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
         # the objectives returned with the endpoints are theirs
         np.testing.assert_allclose(values, [objective(end) for end in endpoints], rtol=1e-12)
+
+
+    def test_a_stage_trial_allocates_less_than_one_block_array(self, replica):
+        # Every (rows, records) array of a step is written into the stage's
+        # workspace, so one trial on a full block, after a warm-up trial, raises
+        # the traced peak (numpy reports its buffers to tracemalloc) by less
+        # than one such array.
+        flat, x0 = replica
+        n = flat[0].size
+        rows = fitter._GN_BLOCK_ELEMENTS // n
+        workspace = fitter._workspace(rows, len(_SCRATCH_FREE), n)
+
+        def system(x):
+            return fitter._law_system(x, np.zeros(6), _SCRATCH_FREE, flat, fitter.DEFAULT_DELTA,
+                                      workspace)
+
+        def trial():
+            return fitter._gauss_newton_block(system, x0[:rows], n, -math.inf, math.inf, 1)
+
+        trial()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            trial()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows > 1
+        assert peak - start < rows * n * 8
 
 
 class TestResidualExport:

@@ -243,6 +243,43 @@ class TestParamValidation:
             loss_floor(REFERENCE_SCRATCH_FRONTIER, 1e9)
 
 
+class TestScalarPath:
+    """Python numbers run through math, arrays through numpy; the two agree to about 1 ulp."""
+
+    NS = np.geomspace(1e6, 1e13, 15)
+    DS = np.geomspace(1e8, 1e14, 15)
+
+    @pytest.mark.parametrize("law", [SCRATCH, CPT], ids=["scratch", "cpt"])
+    def test_scalar_and_array_paths_agree(self, law):
+        n, d = (grid.ravel() for grid in np.meshgrid(self.NS, self.DS))
+        losses = eval_law(law, n, d)
+        tokens = solve_tokens_for_loss(law, n, losses)
+        for i in range(n.size):
+            loss = eval_law(law, float(n[i]), float(d[i]))
+            assert type(loss) is float
+            assert abs(loss / losses[i] - 1) <= 4e-16
+            solved = solve_tokens_for_loss(law, float(n[i]), float(losses[i]))
+            assert abs(solved / tokens[i] - 1) <= 4e-16
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 0])
+    def test_scalar_path_rejects_what_the_array_path_rejects(self, bad):
+        for args in ((bad, 1e9), (1e9, bad)):
+            for convert in (lambda v: v, np.asarray):
+                with pytest.raises(DomainError):
+                    eval_law(SCRATCH, *(convert(v) for v in args))
+        with pytest.raises(DomainError):
+            solve_tokens_for_loss(SCRATCH, 1e9, bad)
+        with pytest.raises(DomainError):
+            eval_frontier(REFERENCE_SCRATCH_FRONTIER, bad)
+
+    def test_scalar_overflow_is_inf_as_in_numpy(self):
+        # A loss 1e-200 above this law's floor needs D = exp(~4600) tokens.
+        law = ChinchillaParams(E=1e-200, A=1e-200, B=1.0, alpha=0.5, beta=0.1)
+        assert solve_tokens_for_loss(law, 1e9, 2e-200) == math.inf
+        with np.errstate(over="ignore"):
+            assert solve_tokens_for_loss(law, np.array(1e9), 2e-200) == math.inf
+
+
 class TestSerialization:
     @pytest.mark.property
     @pytest.mark.parametrize(
