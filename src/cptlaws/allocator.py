@@ -30,11 +30,9 @@ if TYPE_CHECKING:
 #: model size with margin.
 FRONTIER_BRACKET = (1e6, 1e13)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps after which the search stops whatever its ``tol``: 200
-# steps narrow any log-N bracket of floats (at most ~1,455 wide) below 1e-38,
-# so a tol finer than the float spacing cannot keep it looping.
-_GOLDEN_MAX_STEPS = 200
+# Bisection steps after which the frontier search stops: 200 halvings narrow
+# any log-N bracket of floats (at most ~1,455 wide) below 1e-57.
+_BISECTION_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -142,11 +140,18 @@ def numeric_optimal_params(
 ) -> float:
     """Argmin over N of the law's loss at fixed compute (D = C/(6N)).
 
-    Golden-section search on log N; the loss along an iso-compute line is a
-    sum of exponentials in log N and therefore unimodal.  Raises DomainError
-    when the argmin lands within ``tol`` of a bracket edge, where the true
-    optimum may lie outside the bracket, and when ``tol`` is not positive and
-    finite or ``bracket`` lacks two positive finite edges.
+    Along the iso-compute line, with x = log N, the loss is
+    E + A e^(-alpha x) + B' (C/6)^(-beta') e^((beta' - gamma) x), so its
+    derivative in x is -alpha A e^(-alpha x) + (beta' - gamma) B' (C/6)^(-beta')
+    e^((beta' - gamma) x).  The loss is convex in x and the derivative
+    increasing, so the argmin is where the derivative changes sign; a
+    bisection on that sign, compared in log space, runs until the bracket
+    cannot be split further.  Unlike a search on loss values, which cannot
+    see differences below the float spacing of a flat minimum, it resolves N
+    to about the float spacing of log N.  Raises DomainError when the argmin
+    lands within ``tol`` (in log N) of a bracket edge, where the true optimum
+    may lie outside the bracket, and when ``tol`` is not positive and finite
+    or ``bracket`` lacks two positive finite edges.
     """
     if not 0 < compute < math.inf:  # also rejects NaN
         raise DomainError(f"compute must be positive and finite, got {compute!r}")
@@ -157,25 +162,24 @@ def numeric_optimal_params(
     lo, hi = (math.log(edge) for edge in bracket)
     if not lo < hi:
         raise DomainError(f"bad bracket {bracket!r}")
+    _, A, alpha, B, beta, gamma = _coefficients(law)
+    # The derivative is positive where data_log(x) > params_log(x), the logs
+    # of its two terms' sizes; a data term that does not grow with x (beta' <=
+    # gamma) leaves it negative everywhere.
+    params_log = math.log(alpha * A)
+    if beta > gamma:
+        data_log = math.log((beta - gamma) * B) - beta * math.log(compute / FLOPS_PER_PARAM_TOKEN)
+    else:
+        data_log = -math.inf
 
-    def loss_at(x: float) -> float:
-        n = math.exp(x)
-        return float(eval_law(law, n, compute / (FLOPS_PER_PARAM_TOKEN * n)))
-
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    f_c, f_d = loss_at(c), loss_at(d)
-    for _ in range(_GOLDEN_MAX_STEPS):
-        if hi - lo <= tol:
+    for _ in range(_BISECTION_MAX_STEPS):
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
             break
-        if f_c < f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - _INVPHI * (hi - lo)
-            f_c = loss_at(c)
+        if data_log + (beta - gamma) * x > params_log - alpha * x:
+            hi = x
         else:
-            lo, c, f_c = c, d, f_d
-            d = lo + _INVPHI * (hi - lo)
-            f_d = loss_at(d)
+            lo = x
     x = 0.5 * (lo + hi)
     if min(x - math.log(bracket[0]), math.log(bracket[1]) - x) <= tol:
         raise DomainError(

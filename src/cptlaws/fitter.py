@@ -13,7 +13,7 @@ term switched off (b = -inf).  Each fit frees a subset of q and holds the
 rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
 gamma is optimized raw because its fitted sign is meaningful.
 
-Every fit runs a deterministic initialization grid of starts through two
+Every fit runs a deterministic initialization grid of starts through three
 phases.  First, all starts advance together in a damped Gauss-Newton
 (Levenberg-Marquardt) stage on the IRLS-weighted Huber residuals: blocks of
 starts are evaluated as (starts, records) arrays by one kernel,
@@ -25,20 +25,24 @@ below 1e-10, or when it has used its share of a fixed budget of row trials,
 while a fit with few starts runs until the other two rules stop it.  Steps
 are projected onto the bounds (only the free-offset frontier has one): a
 coordinate on its bound whose descent direction points outward takes no
-step, and the other coordinates are solved without it.  This
-stage converges in relative terms, where the second phase's stopping rule
-is absolute, and it ranks every start by the objective it ends at.  Second,
-the starts of the best basin, those within ``_BASIN_TOLERANCE`` relative of
-the lowest stage objective, are each finished on their own by a
-quasi-Newton local search (L-BFGS-B) on the same kernel's value and
-gradient; the other starts are dropped.  The lowest-objective finished
-start wins, ties resolved by the lexicographically smallest start.  A start
-whose gradient is already within L-BFGS-B's ``gtol`` in every coordinate,
-as the stage leaves the noise-free fits, is one where L-BFGS-B would stop
-before its first iteration; ``minimize`` returns that result itself.  scipy,
-which supplies L-BFGS-B, is imported only when a search has an iteration to
-take, so the commands that never fit, and the fits whose best basin arrives
-converged, do not load it.
+step, and the other coordinates are solved without it.  This stage
+converges in relative terms and ranks every start by the objective it ends
+at; the other starts are dropped.  Second, the starts of the best basin,
+those within ``_BASIN_TOLERANCE`` relative of the lowest stage objective,
+go through a finish pass of the same iteration with Huber-Newton weights
+(the penalty's second derivative, 1 inside delta and 0 outside), which
+converges quadratically where the IRLS weights converge linearly.  A start
+leaves it once its projected gradient is within L-BFGS-B's ``gtol``, on the
+step rule, or after L-BFGS-B's ``maxiter`` trials.  Third, each finish
+endpoint goes to a quasi-Newton local search (L-BFGS-B) on the same
+kernel's value and gradient.  For an endpoint whose projected gradient is
+within ``gtol``, as the finish leaves nearly every one, L-BFGS-B would stop
+before its first iteration; ``minimize`` returns that result itself.  The
+lowest-objective finished start wins, ties resolved by the
+lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
+imported only when a search has an iteration to take, that is, when the
+finish leaves a start above ``gtol``; the commands that never fit, and the
+fits whose best basin the finish converges, do not load it.
 """
 
 from __future__ import annotations
@@ -77,9 +81,10 @@ _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position ent
 
 # Options of every local search.  maxls = 50 (scipy's default is 20) lets the
 # first line search from a far-out start finish instead of ending ABNORMAL.
+# The Newton finish stops on the same gtol and takes at most maxiter trials.
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 
-# The Gauss-Newton stage ahead of L-BFGS-B; BENCH_7.json has the sweeps behind
+# The Gauss-Newton stage ahead of the finish; BENCH_7.json has the sweeps behind
 # the trial cap.  A stage shares _GN_ROW_TRIALS out evenly over its starts:
 # the default 512-start scratch grid gets 30 trials each, and a stage with
 # few starts runs until its stop rules end it (the 2-start free-offset
@@ -100,7 +105,7 @@ _GN_DAMPING_FLOOR = 1e-10  # keeps the damped system nonsingular
 _GN_CURVATURE_FLOOR = 1e-8  # smallest curvature scale, relative to the largest
 
 # A start is in the best basin when its Gauss-Newton stage objective is within
-# this fraction of the lowest one; only those starts are finished by L-BFGS-B.
+# this fraction of the lowest one; only those starts are finished.
 _BASIN_TOLERANCE = 1e-3
 
 # Default initialization grid: brackets the plausible coefficient range with
@@ -271,16 +276,17 @@ def _residuals(q: np.ndarray, flat) -> np.ndarray:
 
 
 def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: float,
-                work=None):
+                work=None, newton: bool = False):
     """Huber objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) at each row of x.
 
     Row s is the point q = ``base`` with q[free] = x[s].  The objective is the
     mean over records; both sums run over records, so the mean's gradient is
     the returned one divided by the record count.  J is the Jacobian of the
-    prediction in q[free] and W the IRLS weights (1 where |r| <= delta,
-    delta / |r| elsewhere).  ``work``, a ``_workspace`` of at least len(x)
-    rows, holds every (rows, records) array of the call; without it one is
-    allocated.
+    prediction in q[free].  W holds the IRLS weights (1 where |r| <= delta,
+    delta / |r| elsewhere), or with ``newton`` the Huber penalty's second
+    derivative (1 where |r| <= delta, 0 elsewhere).  ``work``, a
+    ``_workspace`` of at least len(x) rows, holds every (rows, records) array
+    of the call; without it one is allocated.
     """
     log_n, log_d, log_l = flat
     n = log_l.size
@@ -298,13 +304,17 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
     value = np.einsum("ij,ij->i", slope, spare) / n
     # Column i of J is a term's softmax weight, weight / total, times the
     # term's derivative in q_i: 1 in (a, b, e), and -alpha log N, -beta log D
-    # and -log N in (log alpha, log beta, gamma).  Both sums are formed from
-    # sqrt(W) J, as huber'(r) = W r.
+    # and -log N in (log alpha, log beta, gamma).  With the IRLS weights both
+    # sums are formed from sqrt(W) J, as huber'(r) = W r; the Newton weights
+    # are 0 or 1, so the gradient is formed from J and the matrix from W J.
     root = spare
-    root.fill(1.0)
-    np.divide(slope, residuals, out=root, where=np.not_equal(residuals, 0, out=mask))
-    np.sqrt(root, out=root)
-    scale = np.divide(root, total, out=total)
+    if newton:
+        scale = np.divide(1.0, total, out=total)
+    else:
+        root.fill(1.0)
+        np.divide(slope, residuals, out=root, where=np.not_equal(residuals, 0, out=mask))
+        np.sqrt(root, out=root)
+        scale = np.divide(root, total, out=total)
     for weight in weights:
         weight *= scale
     derivatives = {3: (-slopes[:, :1], log_n), 4: (-slopes[:, 1:], log_d), 5: (-1.0, log_n)}
@@ -314,8 +324,12 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
             jac[:, column] *= weights[_TERM_OF[i]]
         else:
             jac[:, column] = weights[_TERM_OF[i]]
-    residuals *= root
-    grad = (jac @ residuals[:, :, None])[:, :, 0]
+    if newton:
+        grad = (jac @ slope[:, :, None])[:, :, 0]
+        jac *= np.less_equal(np.abs(residuals, out=root), delta, out=mask)[:, None, :]
+    else:
+        residuals *= root
+        grad = (jac @ residuals[:, :, None])[:, :, 0]
     return value, jac @ jac.transpose(0, 2, 1), grad
 
 
@@ -358,16 +372,16 @@ def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize(fun, x0, **kwargs)``, answering a converged L-BFGS-B start itself.
 
     For ``method="L-BFGS-B"`` with ``jac=True``, ``fun`` is evaluated at x0
-    first.  When x0 lies in ``bounds`` and every component of the gradient
-    there is finite and at most ``options["gtol"]`` (scipy's default 1e-5
-    when not given), L-BFGS-B would stop before its first iteration: its test
-    is on the projected gradient's largest component (Byrd, Lu, Nocedal and
-    Zhu 1995), which the plain gradient bounds.  The result is then the one
-    scipy returns at iteration 0, built here: ``x`` a copy of x0, the
-    objective and gradient there, ``nfev = njev = 1``, ``nit = 0`` and
-    ``success``.  Any other call goes to scipy, imported on first use, so a
-    fit whose starts all arrive converged never loads it; a start scipy does
-    iterate costs one extra evaluation, which its counts do not include.
+    first.  When x0 lies in ``bounds`` and every component of the projected
+    gradient there (``_projected_gradient``) is finite and at most
+    ``options["gtol"]`` (scipy's default 1e-5 when not given), L-BFGS-B would
+    stop before its first iteration: that is its convergence test.  The
+    result is then the one scipy returns at iteration 0, built here: ``x`` a
+    copy of x0, the objective and gradient there, ``nfev = njev = 1``,
+    ``nit = 0`` and ``success``.  Any other call goes to scipy, imported on
+    first use, so a fit whose starts all arrive converged never loads it; a
+    start scipy does iterate costs one extra evaluation, which its counts do
+    not include.
     """
     if kwargs.get("method") == "L-BFGS-B" and kwargs.get("jac") is True:
         x = np.array(x0, dtype=float)
@@ -375,8 +389,8 @@ def minimize(fun, x0, **kwargs):
         lower, upper = _bound_arrays(kwargs.get("bounds"))
         gtol = (kwargs.get("options") or {}).get("gtol", 1e-5)
         # abs(nan) <= gtol is false, so a non-finite gradient goes to scipy.
-        if (math.isfinite(value) and np.all(np.abs(grad) <= gtol)
-                and np.all((lower <= x) & (x <= upper))):
+        if (math.isfinite(value) and np.all((lower <= x) & (x <= upper))
+                and np.all(np.abs(_projected_gradient(x, grad, lower, upper)) <= gtol)):
             return _SearchResult(
                 fun=value, jac=np.asarray(grad, dtype=float), nfev=1, njev=1, nit=0, status=0,
                 message="CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", x=x, success=True,
@@ -384,6 +398,17 @@ def minimize(fun, x0, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **kwargs)
+
+
+def _projected_gradient(x, grad, lower, upper):
+    """L-BFGS-B's projected gradient at x (in bounds): each component is cut to its distance to the bound.
+
+    The step -grad is clipped to the box, so a component with grad < 0 is cut
+    to x - upper and one with grad > 0 to x - lower, whichever is smaller in
+    size; on a bound the outward component is 0 (Byrd, Lu, Nocedal and Zhu
+    1995).
+    """
+    return np.where(grad < 0, np.maximum(x - upper, grad), np.minimum(x - lower, grad))
 
 
 def _bound_arrays(bounds):
@@ -418,7 +443,7 @@ def _minimize_multistart(fun, starts, bounds=None):
 
 
 def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
-                  bounds=None) -> tuple[np.ndarray, np.ndarray]:
+                  bounds=None, finish: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Advance every start (one row of x0) by damped Gauss-Newton steps.
 
     Returns the endpoints and their objectives (non-finite for a start whose
@@ -431,26 +456,36 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     A start takes a trial only when its objective is finite and lower, and
     stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
     most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after its share
-    of ``_GN_ROW_TRIALS``, the same number of trials for every start.  No
-    row's arithmetic reads another row, so the endpoints and objectives do
-    not depend on the order or the blocking of the starts.
+    of ``_GN_ROW_TRIALS``, the same number of trials for every start.
+
+    With ``finish`` the iteration is a Huber-Newton one instead: the weights
+    are the penalty's second derivative (1 where |r| <= delta, 0 elsewhere;
+    Madsen and Nielsen 1990), which converges quadratically where IRLS
+    converges linearly.  A start then stops when its projected gradient is
+    within L-BFGS-B's ``gtol``, on the step rule, or after L-BFGS-B's
+    ``maxiter`` trials; there is no relative-decrease rule.  No row's
+    arithmetic reads another row, so the endpoints and objectives do not
+    depend on the order or the blocking of the starts.
     """
     n = flat[2].size
     lower, upper = _bound_arrays(bounds)
     rows = min(len(x0), max(1, _GN_BLOCK_ELEMENTS // n))
-    trials = max(1, _GN_ROW_TRIALS // len(x0))
+    if finish:
+        trials, gtol = _LBFGSB_OPTIONS["maxiter"], _LBFGSB_OPTIONS["gtol"]
+    else:
+        trials, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
     workspace = _workspace(rows, len(free), n)  # reused by every step of every block
 
     def system(x: np.ndarray):
-        return _law_system(x, base, free, flat, delta, workspace)
+        return _law_system(x, base, free, flat, delta, workspace, newton=finish)
 
-    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials)
+    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials, gtol)
               for i in range(0, len(x0), rows)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
-                        trials: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper, trials: int,
+                        gtol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The Levenberg-Marquardt iteration of ``_gauss_newton`` on one block of starts.
 
     The damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
@@ -460,6 +495,9 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
     doubles with each refusal in a row.  Every row is stepped each
     iteration, and only the active rows take their trial points and update
     their damping (a stopped row's would otherwise grow until it overflows).
+    With ``gtol`` a row stops once the largest component of its mean
+    objective's projected gradient is at most ``gtol``, and the
+    relative-decrease rule is off.
     """
     x = x.copy()
     value, hess, grad = system(x)
@@ -469,6 +507,8 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
     active = np.isfinite(value)
     hess[~active], grad[~active] = eye, 0.0  # a start without a finite objective stays put
     for _ in range(trials):
+        if gtol is not None:
+            active &= np.abs(_projected_gradient(x, grad / n, lower, upper)).max(axis=1) > gtol
         if not active.any():
             break
         # Marquardt's scaling: each coordinate is damped in proportion to its
@@ -505,7 +545,8 @@ def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper,
         value[better] = trial_value[better]
         hess[better] = trial_hess[better]
         grad[better] = trial_grad[better]
-        active &= ~better | (decrease > _GN_TOLERANCE * value)
+        if gtol is None:
+            active &= ~better | (decrease > _GN_TOLERANCE * value)
     return x, value
 
 
@@ -547,9 +588,9 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
 def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
     """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
 
-    The Gauss-Newton stage advances every grid point, then L-BFGS-B finishes
-    each one that ends the stage in the best basin.  ``bounds`` are L-BFGS-B
-    bounds on q[free].
+    The Gauss-Newton stage advances every grid point; each one that ends it
+    in the best basin goes through the Newton finish and then L-BFGS-B.
+    ``bounds`` are L-BFGS-B bounds on q[free].
     """
 
     def fun(x: np.ndarray):
@@ -558,7 +599,9 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
 
     keys, x0 = zip(*_law_starts(grid, free))
     x0, values = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
-    finished = [(keys[i], x0[i]) for i in _best_basin(values)]
+    basin = _best_basin(values)
+    x0, _ = _gauss_newton(flat, base, free, x0[basin], delta, bounds, finish=True)
+    finished = [(keys[i], x) for i, x in zip(basin, x0)]
     objective, chosen, x = _minimize_multistart(fun, finished, bounds)
     q = base.copy()
     q[free] = x

@@ -175,6 +175,16 @@ class TestNumericFrontier:
             numeric = numeric_optimal_params(law, float(compute))
             assert numeric == pytest.approx(closed, rel=1e-2)
 
+    @pytest.mark.parametrize("law_name", ["scratch", "cpt"])
+    def test_resolves_the_closed_form_to_1e12(self, law_name):
+        # A search on loss values stalls about 1e-7 away on the flat minimum;
+        # the sign of the derivative is still exact there.
+        law = SCRATCH if law_name == "scratch" else CPT
+        coeffs = allocation_coefficients(law)
+        for compute in np.geomspace(1e18, 1e24, 64):
+            closed = coeffs.k_N * float(compute) ** coeffs.a
+            assert numeric_optimal_params(law, float(compute)) == pytest.approx(closed, rel=1e-12)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             numeric_optimal_params(SCRATCH, -1.0)

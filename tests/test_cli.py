@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from cptlaws import (
     generate_runset,
     law_to_dict,
     load_runs,
+    paper_replica_config,
 )
 from cptlaws.cli import main
 from conftest import law_run, law_runset
@@ -603,8 +605,8 @@ class TestStartup:
     """scipy is imported exactly when L-BFGS-B has an iteration to take, numpy when arrays are built.
 
     The commands that never fit do not load scipy, and neither does a fit
-    whose best-basin starts leave the Gauss-Newton stage already converged.
-    The closed-form commands load neither.
+    whose best-basin starts all end the Newton finish converged.  The
+    closed-form commands load neither.
     """
 
     def test_package_import_loads_no_numpy(self):
@@ -673,20 +675,53 @@ class TestStartup:
         result = _run_startup_probe(argvs)
         assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
 
-    @pytest.mark.parametrize("command", ["fit", "frontier-free"])
+    def test_converged_fits_never_load_scipy(self, tmp_path):
+        # The Newton finish converges the free-offset frontier, compare-laws
+        # on the noise-free CPT replica, whose from-scratch stage used to hand
+        # L-BFGS-B 67 starts, and this sigma = 0.01 CPT fit.
+        replica, noisy = tmp_path / "replica.jsonl", tmp_path / "noisy.jsonl"
+        dump_runs(generate_runset(paper_replica_config("cpt")), replica)
+        dump_runs(generate_runset(SynthConfig(
+            law=CPT, param_sizes=SIZES, records_per_run=8, noise_sigma=0.01, seed=1,
+        )), noisy)
+        argvs = [
+            ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+             "--no-fix-offset-zero", "--out", str(tmp_path / "frontier.json")],
+            ["compare-laws", "--runs", str(replica), "--out", str(tmp_path / "comparison.json")],
+            ["fit", "--runs", str(noisy), "--strategy", "cpt",
+             "--fixed-from", write_law(tmp_path, SCRATCH, "law.json"),
+             "--out", str(tmp_path / "fit.json")],
+        ]
+        result = _run_startup_probe(argvs)
+        assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
+
+    @pytest.mark.parametrize("command", ["fit", "frontier-free", "compare-laws"])
     def test_fitting_commands_load_scipy(self, tmp_path, command):
+        # Each data set leaves a best-basin start above gtol after the Newton
+        # finish, so L-BFGS-B iterates it.
+        runs = tmp_path / "runs.jsonl"
         if command == "fit":
-            # sigma = 0.01 noise: the CPT fit's finishes must iterate.
-            runs = tmp_path / "runs.jsonl"
+            # sigma = 0.1, seed 6: one of the two finished starts ends at
+            # projected gradient 1.3e-4 and takes 12 iterations.
             dump_runs(generate_runset(SynthConfig(
-                law=CPT, param_sizes=SIZES, records_per_run=8, noise_sigma=0.01, seed=1,
+                law=SCRATCH, param_sizes=SIZES, records_per_run=8, noise_sigma=0.1, seed=6,
             )), runs)
-            argv = ["fit", "--runs", str(runs), "--strategy", "cpt",
-                    "--fixed-from", write_law(tmp_path, SCRATCH, "law.json"),
+            argv = ["fit", "--runs", str(runs), "--strategy", "scratch",
                     "--out", str(tmp_path / "fit.json")]
+        elif command == "frontier-free":
+            # sigma = 0.1, seed 3: both finished starts end at projected
+            # gradient about 2e-9 and take one iteration each.
+            dump_runs(generate_runset(SynthConfig(
+                law=SCRATCH, param_sizes=SIZES, records_per_run=8, noise_sigma=0.1, seed=3,
+            )), runs)
+            argv = ["frontier", "--runs", str(runs), "--no-fix-offset-zero",
+                    "--out", str(tmp_path / "frontier.json")]
         else:
-            argv = ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
-                    "--no-fix-offset-zero", "--out", str(tmp_path / "frontier.json")]
+            # sigma = 0.03, seed 3: two of compare-laws' extended starts.
+            dump_runs(generate_runset(dataclasses.replace(
+                paper_replica_config("cpt"), noise_sigma=0.03, seed=3)), runs)
+            argv = ["compare-laws", "--runs", str(runs),
+                    "--out", str(tmp_path / "comparison.json")]
         result = _run_startup_probe([argv])
         assert result == {"codes": [0], "after_import": False, "at_end": True}
 

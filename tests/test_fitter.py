@@ -233,6 +233,49 @@ class TestObjectiveGradient:
         assert np.abs(grad[free] - central).max() <= 1e-6 * scale
 
 
+class TestNewtonSystem:
+    """``_law_system`` with the Huber penalty's second derivative as weights."""
+
+    def test_matches_irls_gradient_and_newton_matrix(self):
+        data = generate_runset(SynthConfig(law=CPT, param_sizes=SIZES, records_per_run=12,
+                                           noise_sigma=2e-3, seed=0))
+        flat = _flatten(data)
+        q = TestObjectiveGradient.TRUTH_Q["cpt"] + np.array([3e-3, -3e-3, 5e-4, 5e-4, -1e-3, 0.0])
+        # delta in the middle of the widest gap between residual sizes, so
+        # that every residual stays clear of +-delta under the differences.
+        sizes = np.sort(np.abs(fitter._residuals(q, flat)))
+        gap = np.argmax(np.diff(sizes[len(sizes) // 4:3 * len(sizes) // 4])) + len(sizes) // 4
+        delta = 0.5 * (sizes[gap] + sizes[gap + 1])
+        assert sizes[gap + 1] - sizes[gap] > 1e-5
+        x = q[None, _ALL_FREE]
+        value, matrix, grad = fitter._law_system(x, np.zeros(6), _ALL_FREE, flat, delta,
+                                                 newton=True)
+        irls_value, irls_matrix, irls_grad = fitter._law_system(x, np.zeros(6), _ALL_FREE, flat,
+                                                                delta)
+        assert value[0] == irls_value[0]
+        np.testing.assert_allclose(grad, irls_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(irls_grad).max())
+        assert not np.allclose(matrix, irls_matrix)  # the linear branch has weight 0, not delta/|r|
+
+        step = 1e-7
+        jac, central = [], []
+        for i in _ALL_FREE:
+            up, down = q.copy(), q.copy()
+            up[i] += step
+            down[i] -= step
+            jac.append((fitter._residuals(up, flat) - fitter._residuals(down, flat)) / (2 * step))
+            central.append((kernel(up, flat, delta)[0] - kernel(down, flat, delta)[0])
+                           / (2 * step))
+        jac = np.array(jac)
+        inside = np.abs(fitter._residuals(q, flat)) <= delta
+        assert inside.any() and not inside.all()
+        expected = (jac * inside) @ jac.T
+        np.testing.assert_allclose(matrix[0], expected, rtol=1e-6,
+                                   atol=1e-6 * np.abs(expected).max())
+        np.testing.assert_allclose(grad[0] / flat[2].size, central, rtol=1e-6,
+                                   atol=1e-6 * np.abs(central).max())
+
+
 def _reference_objective(q, log_n, log_d, log_l, delta):
     """The law objective written independently: log-sum-exp reduction and mean Huber."""
     a, b, e, log_alpha, log_beta, gamma = q
@@ -443,40 +486,49 @@ class TestFitCpt:
             fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=(start,)))
 
     def test_default_starts_finish_in_the_best_basin_on_replica(self, monkeypatch):
-        stage, finished = record_fit(monkeypatch)
+        stage, finish, finished = record_fit(monkeypatch)
         fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
         (flat, base, free, x0), (endpoints, values) = stage
         objective = masked_objective(flat, base, free)
         assert len(x0) == 64 and np.isfinite(values).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
-        basin = fitter._best_basin(values)
-        assert np.array_equal([x for x, _ in finished], endpoints[basin])
-        assert all(success for _, success in finished)
+        assert_finishes_the_basin(stage, finish, finished)
+        assert all(res.success for _, res in finished)
 
 
 def record_fit(monkeypatch):
-    """Record the Gauss-Newton stage and every L-BFGS-B finish of the next fits.
+    """Record the Gauss-Newton stage, its Newton finish and every L-BFGS-B call of the next fits.
 
-    Returns ``stage``, which holds the last stage's ((flat, base, free, x0),
-    (endpoints, objectives)), and ``finished``, a list of (x0, success) per
-    ``fitter.minimize`` call.
+    Returns ``stage`` and ``finish``, which hold the last stage's and the
+    last finish pass's ((flat, base, free, x0), (endpoints, objectives)), and
+    ``finished``, a list of (x0, result) per ``fitter.minimize`` call.
     """
-    stage, finished = [], []
+    stage, finish, finished = [], [], []
     real_stage, real_minimize = fitter._gauss_newton, fitter.minimize
 
-    def recording_stage(flat, base, free, x0, delta, bounds=None):
-        out = real_stage(flat, base, free, x0, delta, bounds)
-        stage[:] = [(flat, base, free, x0), out]
+    def recording_stage(flat, base, free, x0, delta, bounds=None, **kwargs):
+        out = real_stage(flat, base, free, x0, delta, bounds, **kwargs)
+        (finish if kwargs.get("finish") else stage)[:] = [(flat, base, free, x0), out]
         return out
 
     def recording_minimize(fun, x0, **kwargs):
         res = real_minimize(fun, x0, **kwargs)
-        finished.append((np.array(x0), bool(res.success)))
+        finished.append((np.array(x0), res))
         return res
 
     monkeypatch.setattr(fitter, "_gauss_newton", recording_stage)
     monkeypatch.setattr(fitter, "minimize", recording_minimize)
-    return stage, finished
+    return stage, finish, finished
+
+
+def assert_finishes_the_basin(stage, finish, finished, basin=None):
+    """The finish pass starts from the stage endpoints of exactly ``basin`` (by default the
+    best basin), and L-BFGS-B is handed exactly the finish pass's endpoints."""
+    _, (endpoints, values) = stage
+    (_, _, _, finish_x0), (finish_endpoints, _) = finish
+    basin = fitter._best_basin(values) if basin is None else basin
+    assert np.array_equal(finish_x0, endpoints[basin])
+    assert np.array_equal([x for x, _ in finished], finish_endpoints)
 
 
 class TestMinimize:
@@ -541,6 +593,22 @@ class TestMinimize:
         assert ours.nit > 0
         self.assert_parity(ours, real(fun, x0, **kwargs))
 
+    def test_start_on_a_bound_with_outward_gradient_is_answered_without_scipy(
+            self, replica_call, scipy_minimize):
+        # L-BFGS-B's test is on the projected gradient, which is 0 here.
+        _, _, kwargs = replica_call
+        real, calls = scipy_minimize
+        kwargs = {**kwargs, "bounds": [(0.0, None), (None, None)]}
+
+        def fun(x):
+            return float(x[0] + (x[1] - 1.0) ** 2), np.array([1.0, 2.0 * (x[1] - 1.0)])
+
+        x0 = np.array([0.0, 1.0])
+        ours = fitter.minimize(fun, x0, **kwargs)
+        assert not calls
+        assert (ours.nit, ours.success) == (0, True)
+        self.assert_parity(ours, real(fun, x0, **kwargs))
+
     def test_non_finite_gradient_goes_to_scipy(self, replica_call, scipy_minimize):
         _, _, kwargs = replica_call
         real, calls = scipy_minimize
@@ -565,17 +633,16 @@ class TestBestBasin:
     def test_only_best_basin_starts_are_finished(self, monkeypatch, fast_cfg):
         data = generate_runset(SynthConfig(law=SCRATCH, param_sizes=SIZES, records_per_run=12,
                                            noise_sigma=0.01, seed=1))
-        stage, finished = record_fit(monkeypatch)
+        stage, finish, finished = record_fit(monkeypatch)
         fit_scratch(data, fast_cfg)
-        _, (endpoints, values) = stage
-        basin = fitter._best_basin(values)
+        basin = fitter._best_basin(stage[1][1])
         assert 0 < len(basin) < len(fast_cfg.init_grid)
-        assert np.array_equal([x for x, _ in finished], endpoints[basin])
+        assert_finishes_the_basin(stage, finish, finished)
 
         finished.clear()
         monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
         fit_scratch(data, fast_cfg)
-        assert np.array_equal([x for x, _ in finished], stage[1][0])
+        assert_finishes_the_basin(stage, finish, finished, basin=np.arange(len(fast_cfg.init_grid)))
 
     @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.01, 1)])
     def test_matches_finishing_every_start_on_replica(self, monkeypatch, sigma, seed):
@@ -759,17 +826,32 @@ class TestFitFrontier:
         assert objective == pytest.approx(self.REPLICA_OPTIMA[sigma, seed], rel=1e-8)
 
     def test_offset_free_path_finishes_only_the_best_basin(self, monkeypatch):
-        stage, finished = record_fit(monkeypatch)
+        stage, finish, finished = record_fit(monkeypatch)
         fit_frontier(self.replica_frontier(0.01, 1), fix_offset_zero=False)
-        _, (endpoints, values) = stage
-        basin = fitter._best_basin(values)
+        basin = fitter._best_basin(stage[1][1])
         assert len(basin) == 1  # the other start runs off to a far lower offset
-        assert np.array_equal([x for x, _ in finished], endpoints[basin])
+        assert_finishes_the_basin(stage, finish, finished)
+
+    # Token multiples of three large logs (42 sizes x 1000 records) on which
+    # a finish with the stage's IRLS weights converges only linearly: after
+    # 34-62 trials it stops on the step rule with one start's projected
+    # gradient still above gtol (1.0e-10 to 1.4e-10).  The Newton weights
+    # converge both starts in 7-8 trials.
+    @pytest.mark.parametrize("token_multiple",
+                             [22.527198069341523, 22.941202589985927, 20.011436939921154])
+    def test_newton_finish_converges_on_large_logs(self, monkeypatch, token_multiple):
+        config = dataclasses.replace(paper_replica_config("cpt"), records_per_run=1000,
+                                     token_multiple=token_multiple)
+        points = extract_compute_frontier(generate_runset(config))
+        _, finish, finished = record_fit(monkeypatch)
+        fit_frontier(points, fix_offset_zero=False)
+        assert finished and all(res.nit == 0 and res.success for _, res in finished)
+        assert np.array_equal([x for x, _ in finished], finish[1][0])
 
     def test_long_stage_warns_nothing(self, monkeypatch):
         # One start of this frontier is refused step after step and stops
         # long before the other converges; its damping must stay finite.
-        stage, _ = record_fit(monkeypatch)
+        stage, _, _ = record_fit(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit_frontier(self.replica_frontier(0.01, 2), fix_offset_zero=False)
@@ -779,20 +861,21 @@ class TestFitFrontier:
 
     def test_stage_stops_on_the_offset_bound(self, monkeypatch):
         # Both starts of this frontier end with the offset on its bound.  The
-        # stage steps only the coordinates free to move, so it stops within a
-        # few hundred rows; with steps clipped into the bound it crawled
-        # along it for 5,540 rows and ended at objective 2.2199844973e-5.
+        # stage and its finish step only the coordinates free to move, so
+        # together they stop within a few hundred rows; with steps clipped
+        # into the bound the stage crawled along it for 5,540 rows and ended
+        # at objective 2.2199844973e-5.
         rows = []
         real_stage, real_system = fitter._gauss_newton, fitter._law_system
 
-        def counting_system(x, *args):
+        def counting_system(x, *args, **kwargs):
             rows.append(len(x))
-            return real_system(x, *args)
+            return real_system(x, *args, **kwargs)
 
-        def counting_stage(*args):
+        def counting_stage(*args, **kwargs):
             monkeypatch.setattr(fitter, "_law_system", counting_system)
             try:
-                return real_stage(*args)
+                return real_stage(*args, **kwargs)
             finally:
                 monkeypatch.setattr(fitter, "_law_system", real_system)
 
