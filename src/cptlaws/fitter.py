@@ -13,36 +13,31 @@ term switched off (b = -inf).  Each fit frees a subset of q and holds the
 rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
 gamma is optimized raw because its fitted sign is meaningful.
 
-Every fit runs a deterministic initialization grid of starts through three
-phases.  First, all starts advance together in a damped Gauss-Newton
-(Levenberg-Marquardt) stage on the IRLS-weighted Huber residuals: blocks of
-starts are evaluated as (starts, records) arrays by one kernel,
-``_law_system``, which returns each start's objective, Gauss-Newton matrix
-and gradient, each start's Jacobian being its softmax term weights times
-each term's derivative.  A start stops on a relative decrease or a step
-below 1e-10, or when it has used its share of a fixed budget of row trials,
-``_GN_ROW_TRIALS``: 30 trials each on the default 512-start scratch grid,
-while a fit with few starts runs until the other two rules stop it.  Steps
-are projected onto the bounds (only the free-offset frontier has one): a
-coordinate on its bound whose descent direction points outward takes no
-step, and the other coordinates are solved without it.  This stage
-converges in relative terms and ranks every start by the objective it ends
-at; the other starts are dropped.  Second, the starts of the best basin,
-those within ``_BASIN_TOLERANCE`` relative of the lowest stage objective,
-go through a finish pass of the same iteration with Huber-Newton weights
-(the penalty's second derivative, 1 inside delta and 0 outside), which
-converges quadratically where the IRLS weights converge linearly.  A start
-leaves it once its projected gradient is within L-BFGS-B's ``gtol``, on the
-step rule, or after L-BFGS-B's ``maxiter`` trials.  Third, each finish
-endpoint goes to a quasi-Newton local search (L-BFGS-B) on the same
-kernel's value and gradient.  For an endpoint whose projected gradient is
-within ``gtol``, as the finish leaves nearly every one, L-BFGS-B would stop
-before its first iteration; ``minimize`` returns that result itself.  The
-lowest-objective finished start wins, ties resolved by the
-lexicographically smallest start.  scipy, which supplies L-BFGS-B, is
-imported only when a search has an iteration to take, that is, when the
-finish leaves a start above ``gtol``; the commands that never fit, and the
-fits whose best basin the finish converges, do not load it.
+Every fit runs a deterministic grid of starts through three phases.  The
+default grids give each law term a set share of the loss at the median
+record, so no term starts dead whatever the data's scale.  First, all
+starts advance together through a damped Gauss-Newton (Levenberg-Marquardt)
+stage on the IRLS-weighted Huber residuals, in blocks evaluated as (starts,
+records) arrays by one kernel, ``_law_system`` (objective, Gauss-Newton
+matrix and gradient; each Jacobian is the softmax term weights times each
+term's derivative).  A start stops on a relative decrease or step below
+1e-10, or after its share of ``_GN_ROW_TRIALS`` row trials (30 each on the
+96-start scratch grid).  Steps are projected onto the bounds (only the
+free-offset frontier has one): a coordinate on its bound whose descent
+direction points outward takes no step.  Second, the best basin, the starts
+within ``_BASIN_TOLERANCE`` relative of the lowest stage objective, goes
+through a finish pass of the same iteration with Huber-Newton weights (the
+penalty's second derivative, 1 inside delta and 0 outside), which converges
+quadratically where IRLS converges linearly; a start leaves it once its
+projected gradient is within ``_FINISH_GTOL``, on the step rule, or after
+L-BFGS-B's ``maxiter`` trials.  Third, each finish endpoint goes to L-BFGS-B
+on the same kernel's value and gradient; at an endpoint within its ``gtol``,
+as the finish leaves nearly every one, L-BFGS-B would stop before its first
+iteration, and ``minimize`` returns that result itself.  The lowest-objective
+finished start wins, the lexicographically smallest on ties.  scipy, which
+supplies L-BFGS-B, is imported only when a search has an iteration to take,
+so the commands that never fit, and the fits whose best basin the finish
+converges, do not load it.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import FLOPS_PER_PARAM_TOKEN, RunSet, warmup_filter
-from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams
+from .laws import _MATH, ChinchillaParams, ExtendedCptParams, FrontierParams
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -81,14 +76,22 @@ _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position ent
 
 # Options of every local search.  maxls = 50 (scipy's default is 20) lets the
 # first line search from a far-out start finish instead of ending ABNORMAL.
-# The Newton finish stops on the same gtol and takes at most maxiter trials.
+# The Newton finish takes at most maxiter trials.
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
+# The Newton finish stops 1000 times below L-BFGS-B's gtol.  The noisy fits
+# have a flat direction (J^T W J has condition number ~1e7 on the sigma =
+# 0.01 scratch replica), along which an endpoint at gtol can still lie 1e-7
+# relative off the optimum: on the seed 1 replica the finished starts whose
+# objectives agree to 1e-12 spread over 1.2e-7 in E at a finish gtol of
+# 1e-10, 2.7e-8 at 1e-12 and 2.9e-9 at 1e-13.
+_FINISH_GTOL = 1e-3 * _LBFGSB_OPTIONS["gtol"]
 
-# The Gauss-Newton stage ahead of the finish; BENCH_7.json has the sweeps behind
-# the trial cap.  A stage shares _GN_ROW_TRIALS out evenly over its starts:
-# the default 512-start scratch grid gets 30 trials each, and a stage with
-# few starts runs until its stop rules end it (the 2-start free-offset
-# frontier needs about 100).  A block holds _GN_BLOCK_ELEMENTS // n starts of
+# The Gauss-Newton stage ahead of the finish.  A stage shares _GN_ROW_TRIALS
+# out evenly over its starts: the default 96-start scratch grid gets the 30
+# trials each that the sweeps of BENCH_7.json chose, the 16-start CPT grid 180
+# and compare_laws' 17-start extended grid 169, and a stage with few starts
+# runs until its stop rules end it (the 2-start free-offset frontier needs
+# about 100 of its 1,440).  A block holds _GN_BLOCK_ELEMENTS // n starts of
 # n records.  Every (starts, records) array of a step is written into one
 # workspace that the stage allocates once (``_workspace``), so no step hands
 # large arrays back to the allocator to be trimmed and faulted in again.
@@ -97,7 +100,7 @@ _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 # BENCH_13.json) fit_scratch took 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at
 # 24, 1.11 s at 32, 1.08 s at 40 and 1.04 s at 64, while peak RSS grew by
 # 0.08 MB a row.  32 rows take most of that gain with a 2.6 MB workspace.
-_GN_ROW_TRIALS = 30 * 512
+_GN_ROW_TRIALS = 30 * 96
 _GN_BLOCK_ELEMENTS = 27_000
 _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
 _GN_DAMPING = 0.1  # initial damping of the curvature-scaled system
@@ -108,12 +111,15 @@ _GN_CURVATURE_FLOOR = 1e-8  # smallest curvature scale, relative to the largest
 # this fraction of the lowest one; only those starts are finished.
 _BASIN_TOLERANCE = 1e-3
 
-# Default initialization grid: brackets the plausible coefficient range with
-# margin.  Coefficient starts are log-coefficients (A = e^a up to ~1.2e6).
-COEFFICIENT_STARTS = (2.0, 6.0, 10.0, 14.0)
+# Default start grids, built from the data: each start sets the coefficients
+# so that every law term takes a given share of the loss at the median record.
 EXPONENT_STARTS = (0.1, 0.3, 0.5, 0.7)
 GAMMA_STARTS = (-0.1, 0.0, 0.1, 0.2)
 OFFSET_FRACTIONS = (0.5, 0.9)  # E starts at these fractions of the lowest observed loss
+TERM_SHARES = (0.25, 0.5, 0.75)  # the N-term's share of the loss above E; the D-term takes the rest
+# A CPT start's data term takes at least this share of the median loss, also
+# where the fixed terms (which may come from another fit) leave less or none.
+_MIN_DATA_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ class FitConfig:
 
     ``init_grid`` entries are starting points in natural coordinates:
     (a, b, e, alpha, beta) for from-scratch fits and (b', beta', gamma) for
-    CPT fits.  When omitted, the default grid is built from the data (the
-    offset starts depend on the lowest observed loss).
+    CPT fits.  When omitted, the default grid is built from the data: each
+    term starts with a set share of the loss at the median record.
     """
 
     delta: float = DEFAULT_DELTA
@@ -201,18 +207,11 @@ def _fit_records(data: RunSet):
 
 
 def _flatten(data: RunSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_vals, d_vals, l_vals = [], [], []
-    for run, rec in _fit_records(data):
-        n_vals.append(run.param_count)
-        d_vals.append(rec.tokens)
-        l_vals.append(rec.loss)
-    if not n_vals:
+    """log N, log D and log L of every record the fits use."""
+    rows = [(run.param_count, rec.tokens, rec.loss) for run, rec in _fit_records(data)]
+    if not rows:
         raise UnidentifiableDataError("RunSet contains no usable records")
-    return (
-        np.log(np.asarray(n_vals, dtype=float)),
-        np.log(np.asarray(d_vals, dtype=float)),
-        np.log(np.asarray(l_vals, dtype=float)),
-    )
+    return tuple(np.log(np.asarray(column, dtype=float)) for column in zip(*rows))
 
 
 def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
@@ -471,7 +470,7 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     lower, upper = _bound_arrays(bounds)
     rows = min(len(x0), max(1, _GN_BLOCK_ELEMENTS // n))
     if finish:
-        trials, gtol = _LBFGSB_OPTIONS["maxiter"], _LBFGSB_OPTIONS["gtol"]
+        trials, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
     else:
         trials, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
     workspace = _workspace(rows, len(free), n)  # reused by every step of every block
@@ -624,41 +623,59 @@ def _apply_warmup(data: RunSet, fraction: float) -> RunSet:
     return RunSet(runs=tuple(warmup_filter(run, fraction) for run in data))
 
 
-def _default_scratch_grid(min_loss: float) -> list[tuple[float, ...]]:
-    offsets = tuple(math.log(frac * min_loss) for frac in OFFSET_FRACTIONS)
-    return [
-        (a, b, e, alpha, beta)
-        for a in COEFFICIENT_STARTS
-        for b in COEFFICIENT_STARTS
-        for e in offsets
-        for alpha in EXPONENT_STARTS
-        for beta in EXPONENT_STARTS
-    ]
+def _median_record(flat) -> tuple[float, float, float]:
+    """Median log N, median log D and the loss at the median log loss of the fit's records."""
+    log_n, log_d, log_l = (float(np.median(values)) for values in flat)
+    return log_n, log_d, math.exp(log_l)
 
 
-def _default_cpt_grid() -> list[tuple[float, ...]]:
-    return list(product(COEFFICIENT_STARTS, EXPONENT_STARTS, GAMMA_STARTS))
+def _default_scratch_grid(flat) -> list[tuple[float, ...]]:
+    """96 starts (a, b, e, alpha, beta) that give each law term a set share of the median loss."""
+    log_n, log_d, loss = _median_record(flat)
+    offsets = [fraction * math.exp(flat[2].min()) for fraction in OFFSET_FRACTIONS]
+    return [(math.log(share * (loss - e)) + alpha * log_n,
+             math.log((1.0 - share) * (loss - e)) + beta * log_d, math.log(e), alpha, beta)
+            for e, share, alpha, beta in product(offsets, TERM_SHARES, EXPONENT_STARTS,
+                                                 EXPONENT_STARTS)]
+
+
+def _data_term_grid(log_term: float, log_n: float, log_d: float) -> list[tuple[float, ...]]:
+    """16 starts (b, beta, gamma) whose data term is e^log_term at (log_n, log_d)."""
+    return [(log_term + beta * log_d + gamma * log_n, beta, gamma)
+            for beta, gamma in product(EXPONENT_STARTS, GAMMA_STARTS)]
+
+
+def _default_cpt_grid(flat, fixed_e: float, fixed_a: float, fixed_alpha: float):
+    """16 starts (b', beta', gamma) whose data term takes the median loss E + A N^-alpha leave."""
+    log_n, log_d, loss = _median_record(flat)
+    rest = loss - fixed_e - fixed_a * math.exp(-fixed_alpha * log_n)
+    return _data_term_grid(math.log(max(rest, _MIN_DATA_SHARE * loss)), log_n, log_d)
+
+
+def _exp_coefficients(**logs: float) -> dict[str, float]:
+    """exp of each named log-coefficient, raising ``FitFailureError`` for a value of 0 or inf.
+
+    Such a coefficient cannot be reported: the data leave its term undetermined
+    (its weight underflows, so no step moves it), or no float covers their scale.
+    """
+    values = {name: _MATH.exp(x) for name, x in logs.items()}
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise FitFailureError(f"fitted {name} = exp({logs[name]:.6g}) is outside float range")
+    return values
 
 
 def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitReport:
     """FitReport of a law fitted at q, with its residuals on the ``flat`` data."""
     residuals = _residuals(q, flat)
-    return FitReport(
-        params=params,
-        objective=objective,
-        n_points=int(residuals.size),
-        residuals=tuple(float(r) for r in residuals),
-        chosen_init=chosen,
-    )
+    return FitReport(params=params, objective=objective, n_points=int(residuals.size),
+                     residuals=tuple(float(r) for r in residuals), chosen_init=chosen)
 
 
 def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
-    grid = cfg.init_grid or _default_scratch_grid(float(np.exp(flat[2].min())))
+    grid = cfg.init_grid or _default_scratch_grid(flat)
     objective, chosen, q = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
-    params = ChinchillaParams(
-        E=math.exp(q[2]), A=math.exp(q[0]), B=math.exp(q[1]),
-        alpha=math.exp(q[3]), beta=math.exp(q[4]),
-    )
+    params = ChinchillaParams(**_exp_coefficients(E=q[2], A=q[0], B=q[1], alpha=q[3], beta=q[4]))
     return _fit_report(params, objective, q, flat, chosen)
 
 
@@ -668,9 +685,7 @@ def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
     return _fit_scratch(_prepare(data, cfg), cfg)
 
 
-def fit_cpt(
-    data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None
-) -> FitReport:
+def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) -> FitReport:
     """Fit the CPT law's free coefficients (B', beta', gamma).
 
     ``fixed`` supplies (E, A, alpha) from a completed from-scratch fit; those
@@ -682,11 +697,11 @@ def fit_cpt(
         raise ValidationError(f"fixed (E, A, alpha) must be positive, got {tuple(fixed)!r}")
     flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
-    grid = cfg.init_grid or _default_cpt_grid()
+    grid = cfg.init_grid or _default_cpt_grid(flat, fixed_e, fixed_a, fixed_alpha)
     objective, chosen, q = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
     params = ExtendedCptParams(
-        E=fixed_e, A=fixed_a, alpha=fixed_alpha,
-        B_prime=math.exp(q[1]), beta_prime=math.exp(q[4]), gamma=float(q[5]),
+        E=fixed_e, A=fixed_a, alpha=fixed_alpha, gamma=float(q[5]),
+        **_exp_coefficients(B_prime=q[1], beta_prime=q[4]),
     )
     return _fit_report(params, objective, q, flat, chosen)
 
@@ -741,9 +756,8 @@ def fit_frontier(
     exponent = -float(slope)
     if abs(exponent) < 1e-12:  # flat data: suppress least-squares noise
         exponent = 0.0
-    zero_offset = FrontierParams(
-        coefficient=float(np.exp(intercept)), exponent=exponent, offset=0.0
-    )
+    zero_offset = FrontierParams(exponent=exponent, offset=0.0,
+                                 **_exp_coefficients(coefficient=float(intercept)))
     # Flat data is fitted exactly by the zero-offset law (and a zero exponent
     # has no log).
     if fix_offset_zero or exponent == 0.0:
@@ -758,9 +772,7 @@ def fit_frontier(
         flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
         bounds=[(None, None), (None, e_max), (None, None)],
     )
-    return FrontierParams(
-        coefficient=math.exp(q[0]), exponent=math.exp(q[3]), offset=math.exp(q[2])
-    )
+    return FrontierParams(**_exp_coefficients(coefficient=q[0], exponent=q[3], offset=q[2]))
 
 
 def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
@@ -768,11 +780,13 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
 
     Stage one is the full five-coefficient from-scratch fit.  Stage two
     refits the extended family's complete coefficient set, warm-started from
-    the stage-one solution (with the stage-one optimum at gamma = 0 included
-    as a start, so the extended objective can never exceed the from-scratch
-    objective).  The data-parameter exponent gamma is reported as fitted;
-    fixing (E, A, alpha) here instead would leave gamma unidentifiable
-    because a single RunSet cannot separate it from the stage-one bias.
+    the stage-one solution: the stage-one optimum at gamma = 0 is one start,
+    so the extended objective can never exceed the from-scratch objective,
+    and the other 16 keep its data term's value at the median record for
+    each (beta', gamma) of ``EXPONENT_STARTS`` x ``GAMMA_STARTS``.  The
+    data-parameter exponent gamma is reported as fitted; fixing (E, A, alpha)
+    here instead would leave gamma unidentifiable because a single RunSet
+    cannot separate it from the stage-one bias.
     """
     cfg = cfg or FitConfig()
     flat = _prepare(data, cfg)
@@ -780,11 +794,10 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     p = scratch_report.params
     # Natural start coordinates: (a, b', e, alpha, beta', gamma) with a, b',
     # e as log-coefficients, matching the scratch-grid convention.
-    a1, b1, e1 = math.log(p.A), math.log(p.B), math.log(p.E)
-    grid = [
-        (a1, b, e1, p.alpha, beta, gamma)
-        for b, beta, gamma in [(b1, p.beta, 0.0), *_default_cpt_grid()]
-    ]
+    log_n, log_d, _ = _median_record(flat)
+    data_terms = _data_term_grid(math.log(p.B) - p.beta * log_d, log_n, log_d)
+    grid = [(math.log(p.A), b, math.log(p.E), p.alpha, beta, gamma)
+            for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *data_terms]]
     extended_error, _, q = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
     return ModelComparison(
         chinchilla_error=scratch_report.objective,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -57,3 +59,21 @@ def fast_cfg():
         for beta in (0.2, 0.4)
     )
     return FitConfig(init_grid=grid)
+
+
+def past_float_range_runset():
+    """Noise-free logs of L = 1.5 + 400 / N^0.35 + B / D^1.2 whose B = e^816 lies past float range.
+
+    The token counts run from e^655 to e^690, so every data term is an
+    ordinary loss; only B itself cannot be represented.
+    """
+    runs = []
+    for i, n in enumerate(np.geomspace(5e7, 5e9, 4).astype(int)):
+        tokens = [int(math.exp(log_d)) for log_d in np.linspace(655.0, 690.0, 12)]
+        records = tuple(
+            LossRecord(tokens=d, loss=1.5 + 400.0 * float(n) ** -0.35 + math.exp(816.0 - 1.2 * math.log(d)))
+            for d in tokens
+        )
+        runs.append(TrainingRun(id=f"huge-{i}", strategy="scratch", language="synthetic",
+                                replay_ratio=0.0, param_count=int(n), records=records))
+    return RunSet(runs=tuple(runs))

@@ -27,7 +27,7 @@ from cptlaws import (
     paper_replica_config,
 )
 from cptlaws.cli import main
-from conftest import law_run, law_runset
+from conftest import law_run, law_runset, past_float_range_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -395,6 +395,14 @@ class TestErrorPaths:
         assert "fit error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coefficient_past_float_range_exit_code(self, tmp_path, capsys):
+        runs, out = tmp_path / "huge-tokens.jsonl", tmp_path / "o.json"
+        dump_runs(past_float_range_runset(), runs)
+        assert main(["fit", "--runs", str(runs), "--strategy", "scratch",
+                     "--out", str(out)]) == 4
+        assert "fit error: fitted B = exp(816" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5
@@ -701,8 +709,8 @@ class TestStartup:
         # finish, so L-BFGS-B iterates it.
         runs = tmp_path / "runs.jsonl"
         if command == "fit":
-            # sigma = 0.1, seed 6: one of the two finished starts ends at
-            # projected gradient 1.3e-4 and takes 12 iterations.
+            # sigma = 0.1, seed 6: the one finished start ends at projected
+            # gradient 4.5e-7 and takes one iteration.
             dump_runs(generate_runset(SynthConfig(
                 law=SCRATCH, param_sizes=SIZES, records_per_run=8, noise_sigma=0.1, seed=6,
             )), runs)
@@ -717,7 +725,8 @@ class TestStartup:
             argv = ["frontier", "--runs", str(runs), "--no-fix-offset-zero",
                     "--out", str(tmp_path / "frontier.json")]
         else:
-            # sigma = 0.03, seed 3: two of compare-laws' extended starts.
+            # sigma = 0.03, seed 3: two of compare-laws' extended starts end at
+            # projected gradient 1.9e-7 and take one iteration each.
             dump_runs(generate_runset(dataclasses.replace(
                 paper_replica_config("cpt"), noise_sigma=0.03, seed=3)), runs)
             argv = ["compare-laws", "--runs", str(runs),

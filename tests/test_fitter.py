@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +44,7 @@ from cptlaws.fitter import (
     _flatten,
     _q,
 )
-from conftest import law_runset
+from conftest import law_runset, past_float_range_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -490,7 +492,7 @@ class TestFitCpt:
         fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
         (flat, base, free, x0), (endpoints, values) = stage
         objective = masked_objective(flat, base, free)
-        assert len(x0) == 64 and np.isfinite(values).all()
+        assert len(x0) == 16 and np.isfinite(values).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
         assert_finishes_the_basin(stage, finish, finished)
         assert all(res.success for _, res in finished)
@@ -585,7 +587,9 @@ class TestMinimize:
         fun, x0, kwargs = replica_call
         real, calls = scipy_minimize
         if case == "gradient above gtol":
-            x0 = fitter._law_starts(fitter._default_cpt_grid(), _CPT_FREE)[0][1]
+            grid = fitter._default_cpt_grid(_flatten(generate_runset(paper_replica_config("cpt"))),
+                                            CPT.E, CPT.A, CPT.alpha)
+            x0 = fitter._law_starts(grid, _CPT_FREE)[0][1]
         else:
             kwargs = {**kwargs, "bounds": [(None, None), (None, None), (None, x0[2] - 0.01)]}
         ours = fitter.minimize(fun, x0, **kwargs)
@@ -677,6 +681,29 @@ class TestFitFailure:
             fit_scratch(data, fast_cfg)
         for point in fast_cfg.init_grid:
             assert f"start {point!r}: stopped" in str(excinfo.value)
+
+    # Each fit ends with a log-coefficient whose exp() is 0 or past float
+    # range: an offset or data term switched off from its start (its weight,
+    # and so its gradient, is exactly 0), or a coefficient of huge logs.
+    @pytest.mark.parametrize("fit, name", [
+        (lambda: fit_scratch(law_runset(SCRATCH, SIZES),
+                             FitConfig(init_grid=((6.0, 6.0, -800.0, 0.3, 0.3),))),
+         "E = exp(-800)"),
+        (lambda: fit_scratch(past_float_range_runset()), "B = exp(816"),
+        (lambda: fit_cpt(law_runset(CPT, SIZES, strategy="cpt"), (CPT.E, CPT.A, CPT.alpha),
+                         FitConfig(init_grid=((-800.0, 0.3, 0.1),))),
+         "B_prime = exp(-800)"),
+        (lambda: fit_frontier([(float(c), 1.5 + math.exp(816.0 - 1.2 * math.log(c)))
+                               for c in np.geomspace(1e285, 1e300, 30)], fix_offset_zero=False),
+         "coefficient = exp(816"),
+        (lambda: fit_frontier([(float(c), math.exp(816.0 - 1.2 * math.log(c)))
+                               for c in np.geomspace(1e285, 1e300, 30)]),
+         "coefficient = exp(816"),
+    ], ids=["scratch offset", "scratch data term", "cpt data term", "free-offset frontier",
+            "zero-offset frontier"])
+    def test_coefficient_past_float_range_is_named(self, fit, name):
+        with pytest.raises(FitFailureError, match=re.escape(f"fitted {name}")):
+            fit()
 
 
 class TestExtractComputeFrontier:
@@ -836,7 +863,8 @@ class TestFitFrontier:
     # a finish with the stage's IRLS weights converges only linearly: after
     # 34-62 trials it stops on the step rule with one start's projected
     # gradient still above gtol (1.0e-10 to 1.4e-10).  The Newton weights
-    # converge both starts in 7-8 trials.
+    # converge both starts in 7-8 trials to gtol, and in 14-19 to the finish's
+    # own stop, a thousandth of it.
     @pytest.mark.parametrize("token_multiple",
                              [22.527198069341523, 22.941202589985927, 20.011436939921154])
     def test_newton_finish_converges_on_large_logs(self, monkeypatch, token_multiple):
@@ -911,7 +939,7 @@ class TestGaussNewtonStage:
     def replica(self):
         """The scratch replica's fit arrays and its default start grid in optimizer coordinates."""
         flat = _flatten(generate_runset(paper_replica_config("scratch")))
-        grid = fitter._default_scratch_grid(float(np.exp(flat[2].min())))
+        grid = fitter._default_scratch_grid(flat)
         return flat, np.array([x0 for _, x0 in fitter._law_starts(grid, _SCRATCH_FREE)])
 
     @staticmethod
@@ -986,6 +1014,111 @@ class TestGaussNewtonStage:
             tracemalloc.stop()
         assert rows > 1
         assert peak - start < rows * n * 8
+
+
+def term_shares(q, log_n, log_d):
+    """Softmax shares of the law terms (N, D, offset) at q: shape (3, *q.shape[:-1], records)."""
+    _, weights, total, _ = fitter._law_terms(q, np.atleast_1d(log_n), np.atleast_1d(log_d))
+    return np.array(weights) / total
+
+
+class TestDefaultGrids:
+    """The default starts are built from the data, so that every law term starts alive."""
+
+    @pytest.fixture(scope="class")
+    def replica(self):
+        return _flatten(generate_runset(paper_replica_config("scratch")))
+
+    def test_scratch_starts_give_every_term_its_share_at_the_median_record(self, replica):
+        log_n, log_d, loss = fitter._median_record(replica)
+        min_loss = math.exp(replica[2].min())
+        grid = fitter._default_scratch_grid(replica)
+        assert len(grid) == 96
+        targets = product(fitter.OFFSET_FRACTIONS, fitter.TERM_SHARES,
+                          fitter.EXPONENT_STARTS, fitter.EXPONENT_STARTS)
+        for point, (fraction, share, alpha, beta) in zip(grid, targets, strict=True):
+            assert point[3:] == (alpha, beta)
+            rest = loss - fraction * min_loss
+            expected = [share * rest / loss, (1.0 - share) * rest / loss, fraction * min_loss / loss]
+            np.testing.assert_allclose(term_shares(_q(*point), log_n, log_d)[:, 0], expected,
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("fixed_e", [CPT.E, "median loss"])
+    def test_cpt_starts_give_the_data_term_the_loss_the_fixed_terms_leave(self, fixed_e):
+        data = generate_runset(paper_replica_config("cpt"))
+        flat = _flatten(data)
+        log_n, log_d, loss = fitter._median_record(flat)
+        # With E at the median loss the fixed terms leave less than nothing
+        # there, and the data term starts at _MIN_DATA_SHARE of that loss.
+        fixed_e = loss if fixed_e == "median loss" else fixed_e
+        fixed_term = CPT.A * math.exp(-CPT.alpha * log_n)
+        data_term = max(loss - fixed_e - fixed_term, fitter._MIN_DATA_SHARE * loss)
+        assert (data_term == fitter._MIN_DATA_SHARE * loss) == (fixed_e == loss)
+        total = fixed_term + data_term + fixed_e
+        grid = fitter._default_cpt_grid(flat, fixed_e, CPT.A, CPT.alpha)
+        assert [point[1:] for point in grid] == list(product(fitter.EXPONENT_STARTS,
+                                                             fitter.GAMMA_STARTS))
+        for b, beta, gamma in grid:
+            q = _q(math.log(CPT.A), b, math.log(fixed_e), CPT.alpha, beta, gamma)
+            np.testing.assert_allclose(term_shares(q, log_n, log_d)[:, 0],
+                                       [fixed_term / total, data_term / total, fixed_e / total],
+                                       rtol=1e-12)
+        report = fit_cpt(data, (fixed_e, CPT.A, CPT.alpha))
+        assert math.isfinite(report.objective) and report.params.B_prime > 0
+
+    def test_no_default_start_has_a_dead_term(self, replica):
+        # A term is dead at a start when its share is below 1e-6 on every record.
+        log_n, log_d, _ = replica
+
+        def dead(points):
+            shares = term_shares(np.array([_q(*point) for point in points]), log_n, log_d)
+            return int((shares.max(axis=2) < 1e-6).any(axis=0).sum())
+
+        offsets = [math.log(f * math.exp(replica[2].min())) for f in fitter.OFFSET_FRACTIONS]
+        raw = product((2.0, 6.0, 10.0, 14.0), (2.0, 6.0, 10.0, 14.0), offsets,
+                      fitter.EXPONENT_STARTS, fitter.EXPONENT_STARTS)
+        assert dead(list(raw)) == 54  # the raw lattice this grid replaced
+        assert dead(fitter._default_scratch_grid(replica)) == 0
+        cpt = _flatten(generate_runset(paper_replica_config("cpt")))
+        fixed = (math.log(CPT.A), math.log(CPT.E), CPT.alpha)
+        cpt_starts = [(fixed[0], b, fixed[1], fixed[2], beta, gamma)
+                      for b, beta, gamma in fitter._default_cpt_grid(cpt, CPT.E, CPT.A, CPT.alpha)]
+        shares = term_shares(np.array([_q(*point) for point in cpt_starts]), *cpt[:2])
+        assert (shares.max(axis=2) >= 1e-6).all()
+
+    def test_scaling_every_token_count_scales_only_b(self):
+        data = generate_runset(paper_replica_config("scratch"))
+        scaled = RunSet(runs=tuple(
+            dataclasses.replace(run, records=tuple(dataclasses.replace(rec, tokens=1000 * rec.tokens)
+                                                   for rec in run.records))
+            for run in data
+        ))
+        base, p = fit_scratch(data).params, fit_scratch(scaled).params
+        for name in ("E", "A", "alpha", "beta"):
+            assert getattr(p, name) == pytest.approx(getattr(base, name), rel=1e-8)
+        assert p.B == pytest.approx(base.B * 1000.0 ** base.beta, rel=1e-8)
+
+    def test_noise_free_scratch_stage_rows(self, monkeypatch):
+        # At most 96 starts x (30 trials + the first evaluation).
+        rows = []
+        real_stage, real_system = fitter._gauss_newton, fitter._law_system
+
+        def counting_system(x, *args, **kwargs):
+            rows.append(len(x))
+            return real_system(x, *args, **kwargs)
+
+        def counting_stage(*args, **kwargs):
+            if kwargs.get("finish"):
+                return real_stage(*args, **kwargs)
+            monkeypatch.setattr(fitter, "_law_system", counting_system)
+            try:
+                return real_stage(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(fitter, "_law_system", real_system)
+
+        monkeypatch.setattr(fitter, "_gauss_newton", counting_stage)
+        fit_scratch(generate_runset(paper_replica_config("scratch")))
+        assert 0 < sum(rows) <= 96 * 31
 
 
 class TestResidualExport:
