@@ -5,7 +5,8 @@ compute-optimal parameter/data allocations, and quantifies cross-lingual
 transfer (tokens and FLOPs saved) and replay forgetting curves.
 
 The fitter's and the synthetic generator's names are loaded on first use
-(PEP 562), so ``import cptlaws`` and the closed-form commands load no numpy.
+(PEP 562), so ``import cptlaws`` loads no numpy, and neither do the
+closed-form commands, empirical transfer or the zero-offset frontier.
 """
 
 from types import ModuleType as _ModuleType
@@ -71,6 +72,8 @@ from .transfer import (
     ForgettingCurve,
     TransferReport,
     empirical_transfer,
+    extract_compute_frontier,
+    fit_frontier,
     flops_saving_from_frontiers,
     forgetting_curves,
     interp_loss_curve,
@@ -82,9 +85,8 @@ __version__ = "0.1.0"
 #: Names exported from the modules that import numpy, each loaded on first access.
 _LAZY = {
     **dict.fromkeys(
-        ("FitConfig", "FitReport", "ModelComparison", "compare_laws",
-         "extract_compute_frontier", "fit_cpt", "fit_frontier", "fit_scratch", "huber",
-         "objective_cpt", "objective_scratch"),
+        ("FitConfig", "FitReport", "ModelComparison", "compare_laws", "fit_cpt",
+         "fit_scratch", "huber", "objective_cpt", "objective_scratch"),
         "fitter",
     ),
     **dict.fromkeys(("SynthConfig", "generate_runset", "paper_replica_config"), "synth"),

@@ -8,8 +8,10 @@ Defaults for common flags can be supplied by a JSON file named by the
 ``CPTLAWS_CONFIG`` environment variable.
 
 The fitter and the synthetic generator, the modules that need numpy, are
-imported by the commands that use them, so ``allocate``, parametric
-``transfer`` and ``replay`` run on the standard library alone.
+imported by the commands that use them, so ``allocate``, ``transfer`` (both
+routes), ``replay`` and the zero-offset ``frontier`` run on the standard
+library alone.  ``frontier --no-fix-offset-zero`` is a law fit and loads the
+fitter.
 """
 
 from __future__ import annotations
@@ -151,11 +153,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    from . import fitter
-
     runs = ingest.load_runs(args.runs)
-    points = fitter.extract_compute_frontier(runs, args.bins_per_decade)
-    params = fitter.fit_frontier(points, fix_offset_zero=args.fix_offset_zero)
+    points = transfer.extract_compute_frontier(runs, args.bins_per_decade)
+    params = transfer.fit_frontier(points, fix_offset_zero=args.fix_offset_zero)
     _write_doc(args.out, "frontier_fit",
                {"params": laws.law_to_dict(params), "n_points": len(points), "points": points})
     print(

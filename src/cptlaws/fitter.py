@@ -8,10 +8,13 @@ and reuses those weights for the exact Jacobian (their normalized values are
 the softmax weights of the terms).  It works over the optimizer coordinates
 q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
 CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
-free-offset loss-compute frontier is the one-term case N := C with the data
-term switched off (b = -inf).  Each fit frees a subset of q and holds the
-rest fixed.  Exponent positivity is enforced by optimizing log-exponents;
-gamma is optimized raw because its fitted sign is meaningful.
+free-offset loss-compute frontier (``fit_offset_frontier``) is the one-term
+case N := C with the data term switched off (b = -inf).  The zero-offset
+frontier is a least-squares line, fitted in ``transfer`` without numpy; it
+also gives the free-offset fit its starts.  Each fit frees a subset of q and
+holds the rest fixed.  Exponent positivity is enforced by optimizing
+log-exponents, and a fit that ends with one at or past ``_LOG_EXPONENT_CAP``
+fails; gamma is optimized raw because its fitted sign is meaningful.
 
 Every fit runs a deterministic grid of starts through three phases.  The
 default grids give each law term a set share of the loss at the median
@@ -56,14 +59,16 @@ from .errors import (
     UnidentifiableDataError,
     ValidationError,
 )
-from .ingest import FLOPS_PER_PARAM_TOKEN, RunSet, warmup_filter
-from .laws import _MATH, ChinchillaParams, ExtendedCptParams, FrontierParams
+from .ingest import RunSet, warmup_filter
+from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams, _exp_coefficients
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
 
 # Cap on log-exponent coordinates during optimization; keeps exp() finite
 # when a line search probes far out (any exponent near e^50 is meaningless).
+# The kernel evaluates a log-exponent at or past it as the cap, with slope 0,
+# so a fit that ends there is a FitFailureError (``_fitted_exponents``).
 _LOG_EXPONENT_CAP = 50.0
 
 # Indices into q = (a, b, e, log alpha, log beta, gamma) that each fit frees.
@@ -652,17 +657,18 @@ def _default_cpt_grid(flat, fixed_e: float, fixed_a: float, fixed_alpha: float):
     return _data_term_grid(math.log(max(rest, _MIN_DATA_SHARE * loss)), log_n, log_d)
 
 
-def _exp_coefficients(**logs: float) -> dict[str, float]:
-    """exp of each named log-coefficient, raising ``FitFailureError`` for a value of 0 or inf.
+def _fitted_exponents(**logs: float) -> dict[str, float]:
+    """exp of each named fitted log-exponent, raising ``FitFailureError`` at or past ``_LOG_EXPONENT_CAP``.
 
-    Such a coefficient cannot be reported: the data leave its term undetermined
-    (its weight underflows, so no step moves it), or no float covers their scale.
+    The kernel evaluates such an exponent as e^cap with a zero slope, so the
+    fit's objective is not that of the reported law and no step moved it: the
+    data do not determine the exponent.
     """
-    values = {name: _MATH.exp(x) for name, x in logs.items()}
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise FitFailureError(f"fitted {name} = exp({logs[name]:.6g}) is outside float range")
-    return values
+    for name, x in logs.items():
+        if not x < _LOG_EXPONENT_CAP:  # also rejects NaN
+            raise FitFailureError(f"fitted {name} = exp({x:.6g}) is at or past the exponent cap "
+                                  f"exp({_LOG_EXPONENT_CAP:g}): the data do not determine it")
+    return _exp_coefficients(**logs)
 
 
 def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitReport:
@@ -675,7 +681,8 @@ def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitRep
 def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
     grid = cfg.init_grid or _default_scratch_grid(flat)
     objective, chosen, q = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
-    params = ChinchillaParams(**_exp_coefficients(E=q[2], A=q[0], B=q[1], alpha=q[3], beta=q[4]))
+    params = ChinchillaParams(**_exp_coefficients(E=q[2], A=q[0], B=q[1]),
+                              **_fitted_exponents(alpha=q[3], beta=q[4]))
     return _fit_report(params, objective, q, flat, chosen)
 
 
@@ -701,78 +708,35 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     objective, chosen, q = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
     params = ExtendedCptParams(
         E=fixed_e, A=fixed_a, alpha=fixed_alpha, gamma=float(q[5]),
-        **_exp_coefficients(B_prime=q[1], beta_prime=q[4]),
+        **_exp_coefficients(B_prime=q[1]), **_fitted_exponents(beta_prime=q[4]),
     )
     return _fit_report(params, objective, q, flat, chosen)
 
 
-def extract_compute_frontier(
-    data: RunSet, bins_per_decade: int = 10
-) -> list[tuple[float, float]]:
-    """Lowest loss per compute bin, Pareto-filtered to be strictly decreasing.
+def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercept: float,
+                        exponent: float) -> FrontierParams:
+    """Fit the loss-compute law offset + coefficient / C^exponent with a free offset.
 
-    Compute is binned in log10 space (``bins_per_decade`` bins per decade);
-    each bin keeps its minimum-loss record at that record's actual compute.
+    ``log_c`` and ``log_l`` are the frontier points' log compute and log
+    loss, and (``intercept``, ``exponent``) their zero-offset regression line
+    (``transfer.fit_frontier``, the public entry).  This is a law fit with
+    N := C and no data term, over the free coordinates (a, e, log alpha) =
+    (log coefficient, log offset, log exponent) with the offset at most the
+    lowest loss, started from the regression with the offset at
+    ``OFFSET_FRACTIONS`` of that loss.
     """
-    if bins_per_decade < 1:
-        raise DomainError(f"bins_per_decade must be at least 1, got {bins_per_decade!r}")
-    best: dict[int, tuple[float, float]] = {}
-    for run, rec in _fit_records(data):
-        compute = FLOPS_PER_PARAM_TOKEN * run.param_count * rec.tokens
-        key = math.floor(math.log10(compute) * bins_per_decade)
-        incumbent = best.get(key)
-        if incumbent is None or (rec.loss, compute) < incumbent:
-            best[key] = (rec.loss, compute)
-    if not best:
-        raise ValidationError("cannot extract a frontier from an empty RunSet")
-
-    frontier = []
-    for loss, compute in sorted(best.values(), key=lambda item: item[1]):
-        if not frontier or loss < frontier[-1][1]:
-            frontier.append((compute, loss))
-    return frontier
-
-
-def fit_frontier(
-    points: Sequence[tuple[float, float]], fix_offset_zero: bool = True
-) -> FrontierParams:
-    """Fit the loss-compute power law to (C, L) frontier points.
-
-    With the offset fixed at zero this is linear regression in
-    (log C, log L).  Otherwise it is a law fit with N := C and no data term,
-    over the free coordinates (a, e, log alpha) = (log coefficient, log
-    offset, log exponent) with the offset at most the lowest loss, started
-    from the regression with the offset at ``OFFSET_FRACTIONS`` of that loss.
-    """
-    pts = [(float(c), float(l)) for c, l in points]
-    if any(c <= 0 or l <= 0 for c, l in pts):
-        raise DomainError("frontier points must have positive compute and loss")
-    log_c = np.log([c for c, _ in pts])
-    log_l = np.log([l for _, l in pts])
-    if np.unique(log_c).size < 2:
-        raise UnidentifiableDataError("frontier fitting requires two distinct compute values")
-
-    slope, intercept = np.polyfit(log_c, log_l, 1)
-    exponent = -float(slope)
-    if abs(exponent) < 1e-12:  # flat data: suppress least-squares noise
-        exponent = 0.0
-    zero_offset = FrontierParams(exponent=exponent, offset=0.0,
-                                 **_exp_coefficients(coefficient=float(intercept)))
-    # Flat data is fitted exactly by the zero-offset law (and a zero exponent
-    # has no log).
-    if fix_offset_zero or exponent == 0.0:
-        return zero_offset
-
+    log_c, log_l = np.array(log_c, dtype=float), np.array(log_l, dtype=float)
     # b = -inf switches the data term off: its weight exp(-inf - top) is
     # exactly 0, and so is its gradient.
     e_max = float(log_l.min())
-    grid = [(float(intercept), e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
+    grid = [(intercept, e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)
     _, _, q = _fit_mask(
         flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
         bounds=[(None, None), (None, e_max), (None, None)],
     )
-    return FrontierParams(**_exp_coefficients(coefficient=q[0], exponent=q[3], offset=q[2]))
+    return FrontierParams(**_exp_coefficients(coefficient=q[0], offset=q[2]),
+                          **_fitted_exponents(exponent=q[3]))
 
 
 def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
@@ -799,6 +763,7 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     grid = [(math.log(p.A), b, math.log(p.E), p.alpha, beta, gamma)
             for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *data_terms]]
     extended_error, _, q = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
+    _fitted_exponents(alpha=q[3], beta_prime=q[4])
     return ModelComparison(
         chinchilla_error=scratch_report.objective,
         extended_error=extended_error,

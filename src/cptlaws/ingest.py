@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
@@ -36,6 +37,11 @@ _REQUIRED_FIELDS = (
     "tokens",
     "loss",
 )
+_required = itemgetter(*_REQUIRED_FIELDS)
+
+# One decoder for every line: json.loads would wrap each decode in two
+# whitespace scans, which a stripped line does not need.
+_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -193,8 +199,9 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
     """Parse a line-delimited record stream into a validated :class:`RunSet`.
 
     Records belonging to the same ``run_id`` may appear in any order and are
-    sorted by token count.  Run-level fields must agree across a run's lines;
-    a conflict is treated as a duplicate-id error.
+    sorted by token count; runs keep the order of their first line.  Run-level
+    fields must agree across a run's lines; a conflict is treated as a
+    duplicate-id error.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -203,29 +210,31 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
 
     meta: dict[str, tuple] = {}
     records: dict[str, list[LossRecord]] = {}
-    order: list[str] = []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        # A stripped line has no whitespace at either end, so the document
+        # must end where the line does.
         try:
-            doc = json.loads(line)
+            doc, end = _DECODE(line)
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_number) from exc
+        if end != len(line):
+            raise ParseError("invalid JSON (Extra data)", line_number)
         if not isinstance(doc, dict):
             raise ParseError("record must be a JSON object", line_number)
-        missing = [f for f in _REQUIRED_FIELDS if f not in doc]
-        if missing:
-            raise ParseError(f"missing fields: {', '.join(missing)}", line_number)
+        try:
+            run_id, strategy, language, replay_ratio, param_count, tokens, loss = _required(doc)
+        except KeyError:
+            missing = [f for f in _REQUIRED_FIELDS if f not in doc]
+            raise ParseError(f"missing fields: {', '.join(missing)}", line_number) from None
 
-        run_id = doc["run_id"]
         if not isinstance(run_id, str) or not run_id:
             raise ParseError("field 'run_id' must be a nonempty string", line_number)
-        for field in ("strategy", "language"):
-            if not isinstance(doc[field], str):
-                raise ParseError(
-                    f"field {field!r} must be a string, got {doc[field]!r}", line_number
-                )
+        for field, value in (("strategy", strategy), ("language", language)):
+            if not isinstance(value, str):
+                raise ParseError(f"field {field!r} must be a string, got {value!r}", line_number)
         val_language = doc.get("val_language")
         if val_language is not None and not isinstance(val_language, str):
             raise ParseError(
@@ -233,23 +242,22 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
             )
         try:
             record = LossRecord(
-                tokens=_coerce_int(doc["tokens"], "tokens", line_number),
-                loss=_coerce_float(doc["loss"], "loss", line_number),
+                tokens=_coerce_int(tokens, "tokens", line_number),
+                loss=_coerce_float(loss, "loss", line_number),
                 val_language=val_language,
             )
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
 
         run_meta = (
-            doc["strategy"],
-            doc["language"],
-            _coerce_float(doc["replay_ratio"], "replay_ratio", line_number),
-            _coerce_int(doc["param_count"], "param_count", line_number),
+            strategy,
+            language,
+            _coerce_float(replay_ratio, "replay_ratio", line_number),
+            _coerce_int(param_count, "param_count", line_number),
         )
         if run_id not in meta:
             meta[run_id] = run_meta
             records[run_id] = []
-            order.append(run_id)
         elif meta[run_id] != run_meta:
             raise ValidationError(
                 f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
@@ -257,7 +265,7 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         records[run_id].append(record)
 
     runs = []
-    for run_id in order:
+    for run_id, run_records in records.items():
         strategy, language, replay_ratio, param_count = meta[run_id]
         runs.append(
             TrainingRun(
@@ -266,7 +274,7 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
                 language=language,
                 replay_ratio=replay_ratio,
                 param_count=param_count,
-                records=tuple(sorted(records[run_id], key=lambda r: r.tokens)),
+                records=tuple(sorted(run_records, key=lambda r: r.tokens)),
             )
         )
     return RunSet(runs=tuple(runs))

@@ -28,7 +28,13 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Union
 
-from .errors import DomainError, NoCrossoverError, UnreachableLossError, ValidationError
+from .errors import (
+    DomainError,
+    FitFailureError,
+    NoCrossoverError,
+    UnreachableLossError,
+    ValidationError,
+)
 
 #: Version stamp written into every serialized parameter document.
 SCHEMA_VERSION = 1
@@ -127,6 +133,19 @@ class _Math:
 
 
 _MATH = _Math()
+
+
+def _exp_coefficients(**logs: float) -> dict[str, float]:
+    """exp of each named log-coefficient, raising ``FitFailureError`` for a value of 0 or inf.
+
+    Such a coefficient cannot be reported: the data leave its term undetermined
+    (its weight underflows, so no step moves it), or no float covers their scale.
+    """
+    values = {name: _MATH.exp(x) for name, x in logs.items()}
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise FitFailureError(f"fitted {name} = exp({logs[name]:.6g}) is outside float range")
+    return values
 
 
 def _namespace(*values):

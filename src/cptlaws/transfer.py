@@ -1,25 +1,37 @@
-"""Cross-strategy transfer measurement and replay forgetting curves.
+"""Cross-strategy transfer measurement, loss-compute frontiers and replay forgetting curves.
 
-Two routes quantify the CPT benefit at matched loss:
+Three routes quantify the CPT benefit at matched loss:
 
 * empirically, by interpolating a pair of measured loss curves at common
-  loss levels (tokens saved, FLOPs-saving fraction), and
+  loss levels (tokens saved, FLOPs-saving fraction),
 * parametrically, by inverting a fitted from-scratch law at the loss the
-  fitted CPT law reaches.
+  fitted CPT law reaches, and
+* from the loss-compute frontiers of the two strategies (the lowest loss per
+  compute bin, fitted by a power law in compute), as in Approach 1 of
+  Hoffmann et al. 2022.
 
 Transfer values are signed and never clamped: past the point where the two
 laws cross, continued pre-training is predicted to need *more* tokens.
+
+Everything here runs on the standard library: the curves are interpolated
+with ``bisect`` and the zero-offset frontier is a least-squares line in
+(log C, log L).  Only the free-offset frontier, a law fit, imports the fitter
+and with it numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import (
     DomainError,
     InterpolationRangeError,
+    UnidentifiableDataError,
     UnreachableLossError,
     ValidationError,
 )
@@ -33,12 +45,39 @@ from .laws import (
     ChinchillaParams,
     ExtendedCptParams,
     FrontierParams,
+    _exp_coefficients,
     eval_law,
     solve_tokens_for_loss,
 )
 
 #: Default number of loss levels for empirical transfer reports.
 DEFAULT_LEVELS = 32
+
+
+def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """``numpy.interp(x, xs, ys)`` for strictly increasing ``xs``: piecewise-linear, clamped at the ends.
+
+    The formula is numpy's, slope * (x - x_j) + y_j, and a knot returns its
+    own y exactly.
+    """
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j >= len(xs) - 1:
+        return ys[-1]
+    if xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.geomspace(start, stop, num)`` for positive floats: evenly spaced in log10, exact endpoints."""
+    if num == 1:
+        return [start]
+    log_start = math.log10(start)
+    step = (math.log10(stop) - log_start) / (num - 1)
+    return [start, *(10.0 ** (i * step + log_start) for i in range(1, num - 1)), stop]
 
 
 @dataclass(frozen=True)
@@ -77,13 +116,11 @@ class CurveInterpolator:
             raise InterpolationRangeError(
                 f"tokens {tokens!r} outside curve domain {self.domain!r}"
             )
-        import numpy as np
-
-        return math.exp(float(np.interp(x, self.log_tokens, self.log_losses)))
+        return math.exp(_interp(x, self.log_tokens, self.log_losses))
 
     def tokens_at_loss(self, loss: float) -> float:
         lo, hi = self.loss_range
-        if loss <= 0 or loss < lo or loss > hi:
+        if not (loss > 0 and lo <= loss <= hi):  # also rejects NaN
             raise InterpolationRangeError(
                 f"loss {loss!r} outside achieved range {(lo, hi)!r}"
             )
@@ -96,10 +133,8 @@ class CurveInterpolator:
                 xs.append(l)
                 ys.append(t)
                 last = l
-        import numpy as np
-
-        # np.interp needs ascending x
-        return math.exp(float(np.interp(math.log(loss), xs[::-1], ys[::-1])))
+        # _interp needs ascending x
+        return math.exp(_interp(math.log(loss), xs[::-1], ys[::-1]))
 
 
 def interp_loss_curve(run: TrainingRun) -> CurveInterpolator:
@@ -107,12 +142,10 @@ def interp_loss_curve(run: TrainingRun) -> CurveInterpolator:
     records = run.main_series()
     if len(records) < 2:
         raise DomainError(f"run {run.id!r} needs at least two records to interpolate")
-    import numpy as np
-
-    tokens = np.array([rec.tokens for rec in records], dtype=float)
-    losses = np.minimum.accumulate(np.array([rec.loss for rec in records], dtype=float))
+    losses = accumulate((rec.loss for rec in records), min)
     return CurveInterpolator(
-        log_tokens=tuple(np.log(tokens)), log_losses=tuple(np.log(losses))
+        log_tokens=tuple(math.log(rec.tokens) for rec in records),
+        log_losses=tuple(math.log(loss) for loss in losses),
     )
 
 
@@ -157,11 +190,8 @@ def empirical_transfer(
     if low > high:
         raise ValidationError("the two runs' loss ranges do not overlap")
 
-    import numpy as np
-
     rows = []
-    for level in np.geomspace(high, low, levels):
-        level = float(level)
+    for level in _geomspace(high, low, levels):
         d_pt = curve_pt.tokens_at_loss(level)
         d_cpt = curve_cpt.tokens_at_loss(level)
         c_pt = FLOPS_PER_PARAM_TOKEN * run_pt.param_count * d_pt
@@ -194,6 +224,73 @@ def parametric_transfer(
             f"from-scratch floor: {exc}"
         ) from exc
     return d_pt - D_cpt
+
+
+def extract_compute_frontier(
+    data: RunSet, bins_per_decade: int = 10
+) -> list[tuple[float, float]]:
+    """Lowest loss per compute bin, Pareto-filtered to be strictly decreasing.
+
+    Compute is binned in log10 space (``bins_per_decade`` bins per decade);
+    each bin keeps its minimum-loss record at that record's actual compute.
+    Records are each run's own-language loss series, the records the fits use.
+    """
+    if bins_per_decade < 1:
+        raise DomainError(f"bins_per_decade must be at least 1, got {bins_per_decade!r}")
+    best: dict[int, tuple[float, float]] = {}
+    for run in data:
+        for rec in run.main_series():
+            compute = FLOPS_PER_PARAM_TOKEN * run.param_count * rec.tokens
+            if compute == math.inf:
+                raise DomainError(f"run {run.id!r}: compute 6 N D at {rec.tokens:.6g} tokens "
+                                  "is past float range")
+            key = math.floor(math.log10(compute) * bins_per_decade)
+            incumbent = best.get(key)
+            if incumbent is None or (rec.loss, compute) < incumbent:
+                best[key] = (rec.loss, compute)
+    if not best:
+        raise ValidationError("cannot extract a frontier from an empty RunSet")
+
+    frontier = []
+    for loss, compute in sorted(best.values(), key=lambda item: item[1]):
+        if not frontier or loss < frontier[-1][1]:
+            frontier.append((compute, loss))
+    return frontier
+
+
+def fit_frontier(
+    points: Sequence[tuple[float, float]], fix_offset_zero: bool = True
+) -> FrontierParams:
+    """Fit the loss-compute power law to (C, L) frontier points.
+
+    With the offset fixed at zero this is least-squares linear regression in
+    (log C, log L).  Otherwise the regression starts a law fit with a free
+    offset (``fitter.fit_offset_frontier``, which needs numpy).
+    """
+    pts = [(float(c), float(l)) for c, l in points]
+    if any(c <= 0 or l <= 0 for c, l in pts):
+        raise DomainError("frontier points must have positive compute and loss")
+    log_c = [math.log(c) for c, _ in pts]
+    log_l = [math.log(l) for _, l in pts]
+    if len(set(log_c)) < 2:
+        raise UnidentifiableDataError("frontier fitting requires two distinct compute values")
+
+    # Imported here, so that the other commands do not pay its 5 ms.
+    from statistics import linear_regression
+
+    slope, intercept = linear_regression(log_c, log_l)
+    exponent = -slope
+    if abs(exponent) < 1e-12:  # flat data: suppress least-squares noise
+        exponent = 0.0
+    zero_offset = FrontierParams(exponent=exponent, offset=0.0,
+                                 **_exp_coefficients(coefficient=intercept))
+    # Flat data is fitted exactly by the zero-offset law (and a zero exponent
+    # has no log).
+    if fix_offset_zero or exponent == 0.0:
+        return zero_offset
+    from . import fitter
+
+    return fitter.fit_offset_frontier(log_c, log_l, intercept, exponent)
 
 
 def flops_saving_from_frontiers(

@@ -403,6 +403,18 @@ class TestErrorPaths:
         assert "fit error: fitted B = exp(816" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exponent_past_the_cap_exit_code(self, tmp_path, capsys):
+        # sigma = 0.1, seed 11: the fit ends at log alpha = 65.9, past the cap
+        # of 50 at which the kernel holds alpha and its slope.
+        runs, out = tmp_path / "noisy.jsonl", tmp_path / "o.json"
+        dump_runs(generate_runset(SynthConfig(
+            law=SCRATCH, param_sizes=SIZES, records_per_run=8, noise_sigma=0.1, seed=11,
+        )), runs)
+        assert main(["fit", "--runs", str(runs), "--strategy", "scratch",
+                     "--out", str(out)]) == 4
+        assert "fit error: fitted alpha = exp(65.9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fit", "--runs", str(tmp_path / "nope.jsonl"),
                      "--strategy", "scratch", "--out", str(tmp_path / "o.json")]) == 5
@@ -614,7 +626,8 @@ class TestStartup:
 
     The commands that never fit do not load scipy, and neither does a fit
     whose best-basin starts all end the Newton finish converged.  The
-    closed-form commands load neither.
+    closed-form commands, empirical transfer and the zero-offset frontier
+    load neither.
     """
 
     def test_package_import_loads_no_numpy(self):
@@ -636,18 +649,24 @@ class TestStartup:
     def test_closed_form_commands_never_load_numpy(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")
         cpt = write_law(tmp_path, CPT, "cpt.json")
+        pt_run, cpt_run = write_paired_runs(tmp_path)
         argvs = [
             ["allocate", "--fit", scratch, "--compute", "1e21",
              "--out", str(tmp_path / "plan.json")],
             ["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt, "--n", "1e9", "--d", "1e9",
              "--out", str(tmp_path / "transfer.json")],
+            ["transfer", "--pt-run", pt_run, "--cpt-run", cpt_run,
+             "--out", str(tmp_path / "empirical.json")],
             ["replay", "--runs", write_replay_runs(tmp_path),
              "--out", str(tmp_path / "curves.csv")],
+            ["frontier", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+             "--out", str(tmp_path / "frontier.json")],
         ]
         result = _run_startup_probe(argvs, module="numpy")
         assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
 
-    @pytest.mark.parametrize("command", ["fit", "isoloss", "frontier", "synth"])
+    @pytest.mark.parametrize("command",
+                             ["fit", "isoloss", "frontier-free", "compare-laws", "synth"])
     def test_array_commands_load_numpy(self, tmp_path, command):
         law = write_law(tmp_path, SCRATCH, "scratch.json")
         runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
@@ -657,7 +676,9 @@ class TestStartup:
             "isoloss": ["isoloss", "--fit", law, "--n-range", "1e8:1e10",
                         "--d-range", "1e9:1e12", "--resolution", "4",
                         "--out", str(tmp_path / "grid.csv")],
-            "frontier": ["frontier", "--runs", runs, "--out", str(tmp_path / "frontier.json")],
+            "frontier-free": ["frontier", "--runs", runs, "--no-fix-offset-zero",
+                              "--out", str(tmp_path / "frontier.json")],
+            "compare-laws": ["compare-laws", "--runs", runs],
             "synth": ["synth", "--law", law, "--out", str(tmp_path / "synth.jsonl")],
         }[command]
         result = _run_startup_probe([argv], module="numpy")

@@ -705,6 +705,33 @@ class TestFitFailure:
         with pytest.raises(FitFailureError, match=re.escape(f"fitted {name}")):
             fit()
 
+    # Each fit ends with a log-exponent at or past _LOG_EXPONENT_CAP, where the
+    # kernel holds the exponent at e^50 with slope 0.  On the sigma = 0.1,
+    # seed 11 log the from-scratch fit runs alpha off to e^65.9 (compare_laws
+    # fails in its first stage); the other two fits start past the cap.
+    @pytest.mark.parametrize("fit, name", [
+        (lambda: fit_scratch(noisy_four_size_runset(11)), "alpha = exp(65.9"),
+        (lambda: compare_laws(noisy_four_size_runset(11)), "alpha = exp(65.9"),
+        (lambda: fit_cpt(law_runset(CPT, SIZES, strategy="cpt"), (CPT.E, CPT.A, CPT.alpha),
+                         FitConfig(init_grid=((6.0, math.exp(60.0), 0.1),))),
+         "beta_prime = exp(60) is at or past"),
+        (lambda: fitter.fit_offset_frontier(
+            [math.log(c) for c in np.geomspace(1e16, 1e22, 40)],
+            [math.log(1.2 + 20.0 * c ** -0.06) for c in np.geomspace(1e16, 1e22, 40)],
+            math.log(20.0), math.exp(60.0)),
+         "exponent = exp(60) is at or past"),
+    ], ids=["scratch", "compare_laws", "cpt", "free-offset frontier"])
+    def test_exponent_past_the_cap_is_named(self, fit, name):
+        with pytest.raises(FitFailureError, match=re.escape(f"fitted {name}")):
+            fit()
+
+
+def noisy_four_size_runset(seed):
+    """The from-scratch law on four sizes, 8 records each, with log-normal noise sigma = 0.1."""
+    sizes = tuple(int(x) for x in np.geomspace(5e7, 5e9, 4))
+    return generate_runset(SynthConfig(law=SCRATCH, param_sizes=sizes, records_per_run=8,
+                                       noise_sigma=0.1, seed=seed))
+
 
 class TestExtractComputeFrontier:
     def _runset(self, n, token_loss_pairs):
@@ -765,6 +792,11 @@ class TestExtractComputeFrontier:
     def test_empty_runset_rejected(self):
         with pytest.raises(ValidationError):
             extract_compute_frontier(RunSet(runs=()), 10)
+
+    def test_compute_past_float_range_is_domain_error(self):
+        # Token counts up to e^690 are floats, but 6 N D is not.
+        with pytest.raises(DomainError, match="past float range"):
+            extract_compute_frontier(past_float_range_runset(), 10)
 
 
 class TestFitFrontier:
@@ -836,9 +868,20 @@ class TestFitFrontier:
     }
 
     @staticmethod
-    def replica_frontier(sigma, seed):
-        config = dataclasses.replace(paper_replica_config("scratch"), noise_sigma=sigma, seed=seed)
+    def replica_frontier(sigma, seed, strategy="scratch"):
+        config = dataclasses.replace(paper_replica_config(strategy), noise_sigma=sigma, seed=seed)
         return extract_compute_frontier(generate_runset(config))
+
+    @pytest.mark.parametrize("strategy", ["scratch", "cpt"])
+    @pytest.mark.parametrize("sigma, seed",
+                             [(0.0, 0), (0.01, 1), (0.01, 2), (0.01, 4), (0.03, 3), (0.03, 5)])
+    def test_zero_offset_path_matches_polyfit_on_replica(self, sigma, seed, strategy):
+        points = self.replica_frontier(sigma, seed, strategy)
+        slope, intercept = np.polyfit(np.log([c for c, _ in points]),
+                                      np.log([l for _, l in points]), 1)
+        fitted = fit_frontier(points)
+        assert fitted.exponent == pytest.approx(-slope, rel=1e-14, abs=0)
+        assert fitted.coefficient == pytest.approx(math.exp(intercept), rel=1e-14, abs=0)
 
     @staticmethod
     def frontier_objective(fitted, points):

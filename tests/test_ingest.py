@@ -62,6 +62,26 @@ class TestParseRuns:
         with pytest.raises(ParseError, match="line 2"):
             parse_runs(text)
 
+    # The decoder reads one JSON value from the start of the line; whatever
+    # follows it, or a value that is not an object, is an error on that line.
+    @pytest.mark.parametrize("line, message", [
+        (record_line(tokens=20) + " x", r"invalid JSON \(Extra data\)"),
+        (record_line(tokens=20) + record_line(tokens=30), r"invalid JSON \(Extra data\)"),
+        ("[" + record_line(tokens=20) + "]", "record must be a JSON object"),
+    ], ids=["trailing data", "two objects", "array"])
+    def test_line_that_is_not_one_object_is_parse_error(self, line, message):
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse_runs(record_line(tokens=10) + "\n" + line + "\n")
+
+    def test_whitespace_only_line_is_skipped(self):
+        text = record_line(tokens=10) + "\n \t \n" + record_line(tokens=20) + "\n"
+        assert [rec.tokens for rec in parse_runs(text).get("r1").records] == [10, 20]
+
+    def test_interleaved_runs_keep_first_seen_order(self):
+        lines = [record_line(run_id=run_id, tokens=tokens)
+                 for tokens in (10, 20, 30) for run_id in ("b", "c", "a")]
+        assert parse_runs("\n".join(lines)).ids == ("b", "c", "a")
+
     def test_missing_field_is_parse_error(self):
         doc = json.loads(record_line())
         del doc["loss"]

@@ -15,6 +15,7 @@ from cptlaws import (
     REFERENCE_SCRATCH_FRONTIER,
     REFERENCE_SCRATCH_LAW,
     RunSet,
+    SynthConfig,
     TrainingRun,
     UnreachableLossError,
     ValidationError,
@@ -23,6 +24,7 @@ from cptlaws import (
     eval_law,
     flops_saving_from_frontiers,
     forgetting_curves,
+    generate_runset,
     interp_loss_curve,
     parametric_transfer,
     solve_tokens_for_loss,
@@ -85,6 +87,8 @@ class TestCurveInterpolator:
             curve.tokens_at_loss(2.0)
         with pytest.raises(InterpolationRangeError):
             curve.tokens_at_loss(3.5)
+        with pytest.raises(InterpolationRangeError):
+            curve.tokens_at_loss(math.nan)
 
     def test_needs_two_records(self):
         with pytest.raises(DomainError):
@@ -108,6 +112,27 @@ class TestCurveInterpolator:
             assert curve.tokens_at_loss(math.exp(log_l)) == pytest.approx(
                 math.exp(log_t), rel=1e-12
             )
+
+
+def numpy_transfer(run_pt, run_cpt, levels):
+    """Reference for ``empirical_transfer`` in numpy: running minimum, np.geomspace and np.interp.
+
+    Each curve keeps its first-achievement knots in (log loss, log tokens);
+    the levels span the overlap of the two achieved loss ranges.
+    """
+    curves = []
+    for run in (run_pt, run_cpt):
+        records = run.main_series()
+        log_t = np.log(np.array([rec.tokens for rec in records], dtype=float))
+        log_l = np.log(np.minimum.accumulate([rec.loss for rec in records]))
+        first = np.r_[True, log_l[1:] < log_l[:-1]]
+        curves.append((log_l[first][::-1], log_t[first][::-1]))
+    low = max(math.exp(xs[0]) for xs, _ in curves)
+    high = min(math.exp(xs[-1]) for xs, _ in curves)
+    loss_levels = np.geomspace(high, low, levels)
+    d_pt, d_cpt = (np.exp(np.interp(np.log(loss_levels), xs, ys)) for xs, ys in curves)
+    return {"loss_levels": loss_levels, "d_pt": d_pt, "d_cpt": d_cpt,
+            "transferred_tokens": d_pt - d_cpt, "flops_saved_fraction": (d_pt - d_cpt) / d_pt}
 
 
 class TestEmpiricalTransfer:
@@ -140,6 +165,30 @@ class TestEmpiricalTransfer:
             assert moved == pytest.approx(
                 parametric_transfer(SCRATCH, CPT, 10**9, d_cpt), rel=2e-2
             )
+
+    # Paired runs of one 1B model with log-normal noise (sigma = 0.005), whose
+    # running minimum has flat stretches, and exact law curves; 1, 2 and 32
+    # levels cover numpy.geomspace's endpoint cases.
+    @pytest.mark.parametrize("levels", [1, 2, 32])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_matches_numpy_reference(self, seed, levels):
+        if seed is None:
+            d_values = np.geomspace(2e8, 2e9, 48)
+            run_pt = law_run(SCRATCH, 10**9, d_values, "pt", "scratch")
+            run_cpt = law_run(CPT, 10**9, d_values, "cpt", "cpt")
+        else:
+            run_pt, run_cpt = (generate_runset(SynthConfig(
+                law=law, param_sizes=(10**9,), records_per_run=48, noise_sigma=0.005, seed=seed,
+            )).runs[0] for law in (SCRATCH, CPT))
+        report = empirical_transfer(run_pt, run_cpt, levels)
+        expected = numpy_transfer(run_pt, run_cpt, levels)
+        for name in ("loss_levels", "d_pt", "d_cpt"):
+            np.testing.assert_allclose(getattr(report, name), expected[name], rtol=1e-14, atol=0)
+        # Differences are compared on the scale of the terms they subtract.
+        np.testing.assert_allclose(report.transferred_tokens, expected["transferred_tokens"],
+                                   rtol=0, atol=1e-14 * max(expected["d_pt"]))
+        np.testing.assert_allclose(report.flops_saved_fraction,
+                                   expected["flops_saved_fraction"], rtol=0, atol=1e-14)
 
     def test_mismatched_sizes_rejected(self):
         run_a = law_run(SCRATCH, 10**9, [1e8, 1e9], "a", "scratch")
