@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 fit failure,
 5 I/O error.  Machine-readable outputs are written atomically (temp file
-then rename) and every document carries a schema version.
+then rename, with the mode ``open()`` gives) and every document carries a
+schema version.  Inputs may start with a UTF-8 byte-order mark.
 
 Defaults for common flags can be supplied by a JSON file named by the
 ``CPTLAWS_CONFIG`` environment variable.
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +53,15 @@ _PRESETS = {"paper-scratch": "scratch", "paper-cpt": "cpt"}
 _LOSS_LAWS = (laws.ChinchillaParams, laws.ExtendedCptParams)
 
 
+def _open_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves: an existing file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))  # the umask is read by setting it
+        return 0o666 & ~umask
+
+
 def _write_atomic(path: str, write_fn) -> None:
     """Run a path-taking writer against a temp file beside ``path``, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -58,6 +69,7 @@ def _write_atomic(path: str, write_fn) -> None:
     os.close(fd)
     try:
         write_fn(tmp)
+        os.chmod(tmp, _open_mode(path))  # mkstemp created it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,7 +96,7 @@ def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
         return json.load(fh)
 
 
@@ -387,7 +399,7 @@ def _env_overrides() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: config must be a JSON object")

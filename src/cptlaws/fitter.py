@@ -97,14 +97,17 @@ _FINISH_GTOL = 1e-3 * _LBFGSB_OPTIONS["gtol"]
 # and compare_laws' 17-start extended grid 169, and a stage with few starts
 # runs until its stop rules end it (the 2-start free-offset frontier needs
 # about 100 of its 1,440).  A block holds _GN_BLOCK_ELEMENTS // n starts of
-# n records.  Every (starts, records) array of a step is written into one
-# workspace that the stage allocates once (``_workspace``), so no step hands
-# large arrays back to the allocator to be trimmed and faulted in again.
-# Larger blocks then only cut the Python overhead per step, and they cost
-# RSS: on the 840-record scratch replica (2-CPU host, fresh processes,
-# BENCH_13.json) fit_scratch took 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at
-# 24, 1.11 s at 32, 1.08 s at 40 and 1.04 s at 64, while peak RSS grew by
-# 0.08 MB a row.  32 rows take most of that gain with a 2.6 MB workspace.
+# n records (one start on a 42k-record log), and so bounds the buffers that
+# each ``_law_system`` call allocates: seven (rows, records) float arrays, a
+# mask and the Jacobian, 2.6 MB at 32 rows.  The kernel writes every array of
+# the data's size into those buffers in place.  That style is what keeps the
+# heap quiet: on the 840-record scratch replica (2-CPU host, Python 3.11,
+# numpy 2.4) a second fit_scratch in one process took 7 minor page faults,
+# and 65,000-80,000 with the same arithmetic written as plain expressions,
+# whose temporaries glibc trims and faults in again.  Larger blocks only cut
+# the Python overhead per step, and they cost RSS: there fit_scratch took
+# 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at 24, 1.11 s at 32, 1.08 s at 40
+# and 1.04 s at 64 (BENCH_13.json), while peak RSS grew by 0.08 MB a row.
 _GN_ROW_TRIALS = 30 * 96
 _GN_BLOCK_ELEMENTS = 27_000
 _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
@@ -224,17 +227,7 @@ def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
     return np.array([a, b, e, math.log(alpha), math.log(beta), gamma])
 
 
-def _workspace(rows: int, k: int, n: int):
-    """Buffers for ``_law_system`` on up to ``rows`` points, ``k`` free coordinates and ``n`` records.
-
-    Seven (rows, records) float arrays, one (rows, records) mask and the
-    (rows, k, records) Jacobian: every array of the data's size that a call
-    needs is written into these.
-    """
-    return np.empty((7, rows, n)), np.empty((rows, n), dtype=bool), np.empty((rows, k, n))
-
-
-def _law_terms(q: np.ndarray, log_n, log_d, out=None):
+def _law_terms(q: np.ndarray, log_n, log_d, out):
     """The extended law's log-sum-exp at q: prediction, term weights, their sum, exponent slopes.
 
     q is one point (shape (6,)) or one point per row (shape (S, 6)); every
@@ -244,15 +237,12 @@ def _law_terms(q: np.ndarray, log_n, log_d, out=None):
     term's softmax weight is w / (w_n + w_d + w_e).  The slopes are
     d(alpha, beta)/d(log alpha, log beta): the exponent itself, or 0 past
     ``_LOG_EXPONENT_CAP``.  ``out``, six arrays of the prediction's shape,
-    receives the three weights, top, the sum and the prediction; without it
-    they are allocated.
+    receives the three weights, top, the sum and the prediction, in place.
     """
     log_exponents = q[..., 3:5]
     exponents = np.exp(np.minimum(log_exponents, _LOG_EXPONENT_CAP))
     a, b, e, _, _, gamma = q.T[..., None]
     alpha, beta = exponents.T[..., None]
-    if out is None:
-        out = np.empty((6, *q.shape[:-1], log_n.size))
     term_n, term_d, term_e, top, total, prediction = out
     # Each term turns into its weight in place; top holds gamma log N until
     # it is formed.
@@ -276,11 +266,11 @@ def _law_terms(q: np.ndarray, log_n, log_d, out=None):
 def _residuals(q: np.ndarray, flat) -> np.ndarray:
     """Predicted minus observed log loss of the extended law at one point q."""
     log_n, log_d, log_l = flat
-    return _law_terms(q, log_n, log_d)[0] - log_l
+    return _law_terms(q, log_n, log_d, np.empty((6, log_l.size)))[0] - log_l
 
 
 def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: float,
-                work=None, newton: bool = False):
+                newton: bool = False):
     """Huber objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) at each row of x.
 
     Row s is the point q = ``base`` with q[free] = x[s].  The objective is the
@@ -288,15 +278,14 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
     the returned one divided by the record count.  J is the Jacobian of the
     prediction in q[free].  W holds the IRLS weights (1 where |r| <= delta,
     delta / |r| elsewhere), or with ``newton`` the Huber penalty's second
-    derivative (1 where |r| <= delta, 0 elsewhere).  ``work``, a
-    ``_workspace`` of at least len(x) rows, holds every (rows, records) array
-    of the call; without it one is allocated.
+    derivative (1 where |r| <= delta, 0 elsewhere).  The call allocates its
+    buffers once, for len(x) rows, and writes every array of the data's size
+    into them in place (``_GN_BLOCK_ELEMENTS`` says why, and bounds the rows).
     """
     log_n, log_d, log_l = flat
-    n = log_l.size
-    rows = len(x)
-    arrays, mask, jac = work or _workspace(rows, len(free), n)
-    arrays, mask, jac = arrays[:, :rows], mask[:rows], jac[:rows]
+    rows, n = len(x), log_l.size
+    arrays, mask = np.empty((7, rows, n)), np.empty((rows, n), dtype=bool)
+    jac = np.empty((rows, len(free), n))
     q = np.repeat(base[None, :], rows, axis=0)
     q[:, free] = x
     prediction, weights, total, slopes = _law_terms(q, log_n, log_d, arrays[:6])
@@ -478,10 +467,9 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         trials, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
     else:
         trials, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
-    workspace = _workspace(rows, len(free), n)  # reused by every step of every block
 
     def system(x: np.ndarray):
-        return _law_system(x, base, free, flat, delta, workspace, newton=finish)
+        return _law_system(x, base, free, flat, delta, newton=finish)
 
     blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials, gtol)
               for i in range(0, len(x0), rows)]

@@ -301,7 +301,7 @@ def serialize_runs(runset: RunSet) -> str:
 
 
 def load_runs(path) -> RunSet:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
         return parse_runs(fh)
 
 

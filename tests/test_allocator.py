@@ -215,6 +215,15 @@ class TestNumericFrontier:
         with pytest.raises(DomainError, match="edge of the bracket"):
             numeric_optimal_params(SCRATCH, compute)
 
+    @pytest.mark.parametrize("gamma", [CPT.beta_prime, 0.3])
+    def test_data_term_that_does_not_grow_with_n_raises_at_the_upper_edge(self, gamma):
+        # With beta' <= gamma the loss falls along the whole iso-compute line,
+        # so the bisection runs into the bracket's upper edge.
+        law = ExtendedCptParams(E=CPT.E, A=CPT.A, alpha=CPT.alpha, B_prime=CPT.B_prime,
+                                beta_prime=CPT.beta_prime, gamma=gamma)
+        with pytest.raises(DomainError, match="edge of the bracket"):
+            numeric_optimal_params(law, 1e21)
+
 
 class TestIsoLossGrid:
     def test_pointwise_values(self):

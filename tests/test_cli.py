@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from cptlaws import (
     load_runs,
     paper_replica_config,
 )
+from cptlaws import cli
 from cptlaws.cli import main
 from conftest import law_run, law_runset, past_float_range_runset
 
@@ -301,6 +303,17 @@ class TestTransferCommand:
         assert main(["transfer", "--scratch-fit", scratch, "--pt-run", "x.jsonl"]) == 2
         assert main(["transfer"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--pt-run", "--cpt-run", "--scratch-fit", "--cpt-fit"])
+    def test_half_a_route_is_usage_error(self, tmp_path, capsys, flag):
+        assert main(["transfer", flag, str(tmp_path / "unread.json")]) == 2
+        assert "needs" in capsys.readouterr().err
+
+    def test_run_log_of_several_runs_exits_3_naming_the_file(self, tmp_path, capsys):
+        _, cpt_path = write_paired_runs(tmp_path)
+        several = write_runs(tmp_path, SCRATCH, "several.jsonl")
+        assert main(["transfer", "--pt-run", several, "--cpt-run", cpt_path]) == 3
+        assert f"error: {several} must contain exactly one run, found 4" in capsys.readouterr().err
+
 
 class TestReplayCommand:
     def test_forgetting_csv(self, tmp_path):
@@ -534,6 +547,102 @@ class TestWrongKindLaw:
         assert main([arg.format(**paths) for arg in argv]) == 3
         assert f"error: {paths['wrong']}: expected a" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputFiles:
+    """Outputs are written like ``open(path, "w")`` would write them, but atomically."""
+
+    @pytest.fixture(params=[(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"])
+    def umask(self, request):
+        mask, mode = request.param
+        old = os.umask(mask)
+        yield mode
+        os.umask(old)
+
+    @pytest.mark.parametrize("command", ["fit", "isoloss", "synth"])
+    def test_new_output_takes_the_umask(self, tmp_path, umask, command):
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["fit", "--runs", write_runs(tmp_path, SCRATCH, "runs.jsonl"),
+                    "--strategy", "scratch", "--out", f"{out}.json"],
+            "isoloss": ["isoloss", "--fit", write_law(tmp_path, SCRATCH, "law.json"),
+                        "--n-range", "1e8:1e10", "--d-range", "1e9:1e12", "--resolution", "4",
+                        "--out", f"{out}.csv"],
+            "synth": ["synth", "--preset", "paper-scratch", "--out", f"{out}.jsonl"],
+        }[command]
+        assert main(argv) == 0
+        (written,) = tmp_path.glob("out.*")
+        assert stat.S_IMODE(written.stat().st_mode) == umask
+
+    def test_existing_output_keeps_its_mode(self, tmp_path, umask):
+        out = tmp_path / "runs.jsonl"
+        out.write_text("")
+        out.chmod(0o640)
+        assert main(["synth", "--preset", "paper-scratch", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert len(load_runs(out)) == 42
+
+    def test_failed_writer_leaves_the_destination_and_no_temp_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old contents\n")
+
+        def writer(tmp):
+            Path(tmp).write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(str(out), writer)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert out.read_bytes() == b"old contents\n"
+
+    def test_failed_write_exits_5(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "runs.jsonl"
+        out.write_bytes(b"old contents\n")
+
+        def failing_dump(runs, path):
+            Path(path).write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cptlaws.ingest, "dump_runs", failing_dump)
+        assert main(["synth", "--preset", "paper-scratch", "--out", str(out)]) == 5
+        assert "i/o error: disk full" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
+        assert out.read_bytes() == b"old contents\n"
+
+
+class TestByteOrderMark:
+    """Inputs that start with a UTF-8 byte-order mark read as they would without it."""
+
+    @staticmethod
+    def with_bom(path):
+        path = Path(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return str(path)
+
+    def test_frontier_on_a_marked_run_log(self, tmp_path):
+        runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert main(["frontier", "--runs", runs, "--out", str(plain)]) == 0
+        assert main(["frontier", "--runs", self.with_bom(runs), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_allocate_on_a_marked_law_document(self, tmp_path):
+        law = write_law(tmp_path, SCRATCH, "law.json")
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert main(["allocate", "--fit", law, "--compute", "1e21", "--out", str(plain)]) == 0
+        assert main(["allocate", "--fit", self.with_bom(law), "--compute", "1e21",
+                     "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_marked_config_file(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolution": 3}))
+        monkeypatch.setenv("CPTLAWS_CONFIG", self.with_bom(config))
+        out = tmp_path / "grid.csv"
+        assert main(["isoloss", "--fit", write_law(tmp_path, SCRATCH, "law.json"),
+                     "--n-range", "1e8:1e10", "--d-range", "1e9:1e12", "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 9 + 3
 
 
 class TestEnvConfig:

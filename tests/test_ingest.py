@@ -15,6 +15,7 @@ from cptlaws import (
     catalog_lookup,
     compute_flops,
     load_catalog,
+    load_runs,
     parse_runs,
     serialize_runs,
     warmup_filter,
@@ -37,6 +38,14 @@ def record_line(run_id="r1", strategy="scratch", language="zh", replay_ratio=0.0
 
 
 class TestParseRuns:
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = "\n".join([record_line(tokens=100, loss=3.0), record_line(tokens=200, loss=2.5)])
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_runs(marked) == load_runs(plain) == parse_runs(text)
+
     def test_two_lines_one_run(self):
         text = "\n".join([record_line(tokens=100, loss=3.0), record_line(tokens=200, loss=2.5)])
         rs = parse_runs(text)
