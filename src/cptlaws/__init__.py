@@ -6,7 +6,8 @@ transfer (tokens and FLOPs saved) and replay forgetting curves.
 
 The fitter's and the synthetic generator's names are loaded on first use
 (PEP 562), so ``import cptlaws`` loads no numpy, and neither do the
-closed-form commands, empirical transfer or the zero-offset frontier.
+closed-form commands, the IsoLoss grid, empirical transfer or the zero-offset
+frontier.
 """
 
 from types import ModuleType as _ModuleType

@@ -11,20 +11,20 @@ Closed forms, with C = 6 N D:
 The from-scratch law is the case gamma = 0, B' = B.  An interior optimum
 exists only when beta' > gamma and alpha > gamma; anything else is an error,
 never a silent clamp.
+
+Everything here runs on the standard library.  The IsoLoss grid and the
+frontier levels are spaced as ``numpy.geomspace`` spaces them, and each grid
+cell equals the scalar ``eval_law`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .ingest import FLOPS_PER_PARAM_TOKEN
-from .laws import LawParams, _coefficients, eval_law
-
-if TYPE_CHECKING:
-    import numpy as np
+from .laws import LawParams, _coefficients, _geomspace, _law_grid, eval_law
 
 #: Default log-N search bracket for the numeric frontier: spans every catalog
 #: model size with margin.
@@ -75,23 +75,23 @@ class AllocationPlan:
 class IsoLossGrid:
     """Loss surface over log-spaced (N, D) plus the efficient frontier.
 
+    ``loss_values[i][j]`` is the loss at ``n_axis[i]`` and ``d_axis[j]``.
     ``frontier`` holds (C, N) pairs found by numeric argmin of loss over N at
-    each compute level.
+    each compute level.  Every field is a tuple, so a grid cannot be changed.
     """
 
-    n_axis: np.ndarray
-    d_axis: np.ndarray
-    loss_values: np.ndarray
+    n_axis: tuple[float, ...]
+    d_axis: tuple[float, ...]
+    loss_values: tuple[tuple[float, ...], ...]
     frontier: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.loss_values.shape != (self.n_axis.size, self.d_axis.size):
+        if len(self.loss_values) != len(self.n_axis) or any(
+            len(row) != len(self.d_axis) for row in self.loss_values
+        ):
             raise ValidationError(
-                f"loss matrix shape {self.loss_values.shape} does not match axes "
-                f"({self.n_axis.size}, {self.d_axis.size})"
+                f"loss matrix does not match axes ({len(self.n_axis)}, {len(self.d_axis)})"
             )
-        for arr in (self.n_axis, self.d_axis, self.loss_values):
-            arr.setflags(write=False)
 
 
 def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
@@ -197,27 +197,27 @@ def isoloss_grid(
     """Sample the loss surface over log-spaced axes and trace the frontier.
 
     Frontier compute levels span the grid's compute range (6 * n * d at the
-    corners), one level per resolution step.
+    corners), one level per resolution step.  Axes and levels are spaced as
+    ``numpy.geomspace`` spaces them, and each cell equals the scalar
+    ``eval_law`` at its (N, D).
     """
     for name, (lo, hi) in (("n_range", n_range), ("d_range", d_range)):
         if not 0 < lo < hi < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution!r}")
-    import numpy as np
-
-    n_axis = np.geomspace(n_range[0], n_range[1], resolution)
-    d_axis = np.geomspace(d_range[0], d_range[1], resolution)
-    loss_values = eval_law(law, n_axis[:, None], d_axis[None, :])
-
+    n_axis = tuple(_geomspace(n_range[0], n_range[1], resolution))
+    d_axis = tuple(_geomspace(d_range[0], d_range[1], resolution))
     c_lo = FLOPS_PER_PARAM_TOKEN * n_range[0] * d_range[0]
     c_hi = FLOPS_PER_PARAM_TOKEN * n_range[1] * d_range[1]
     frontier = tuple(
-        (float(c), numeric_optimal_params(law, float(c)))
-        for c in np.geomspace(c_lo, c_hi, resolution)
+        (c, numeric_optimal_params(law, c)) for c in _geomspace(c_lo, c_hi, resolution)
     )
     return IsoLossGrid(
-        n_axis=n_axis, d_axis=d_axis, loss_values=loss_values, frontier=frontier
+        n_axis=n_axis,
+        d_axis=d_axis,
+        loss_values=_law_grid(law, n_axis, d_axis),
+        frontier=frontier,
     )
 
 
@@ -233,11 +233,9 @@ def efficient_frontier_loss(
         raise DomainError(f"c_range must satisfy 0 < lo <= hi < inf, got {c_range!r}")
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples!r}")
-    import numpy as np
-
-    levels = np.geomspace(lo, hi, samples)
     return [
-        (float(c), optimal_allocation(coeffs, float(c), law).predicted_loss) for c in levels
+        (c, optimal_allocation(coeffs, c, law).predicted_loss)
+        for c in _geomspace(lo, hi, samples)
     ]
 
 
@@ -249,14 +247,13 @@ def export_isoloss_csv(grid: IsoLossGrid, law: LawParams, path) -> None:
     """
     # The rows csv.writer would write (no field needs quoting), built as one
     # string: each axis value is formatted once, not once per cell.
-    n_axis, d_axis = grid.n_axis.tolist(), grid.d_axis.tolist()
-    d_text = [f"{d:.9g}" for d in d_axis]
+    d_text = [f"{d:.9g}" for d in grid.d_axis]
     lines = ["N,D,C,loss,is_frontier"]
-    for n, losses in zip(n_axis, grid.loss_values.tolist()):
+    for n, losses in zip(grid.n_axis, grid.loss_values):
         n_text = f"{n:.9g}"
         lines.extend(
             f"{n_text},{d_str},{FLOPS_PER_PARAM_TOKEN * n * d:.9g},{loss:.9g},false"
-            for d, d_str, loss in zip(d_axis, d_text, losses)
+            for d, d_str, loss in zip(grid.d_axis, d_text, losses)
         )
     for compute, n in grid.frontier:
         d = compute / (FLOPS_PER_PARAM_TOKEN * n)

@@ -9,10 +9,11 @@ Defaults for common flags can be supplied by a JSON file named by the
 ``CPTLAWS_CONFIG`` environment variable.
 
 The fitter and the synthetic generator, the modules that need numpy, are
-imported by the commands that use them, so ``allocate``, ``transfer`` (both
-routes), ``replay`` and the zero-offset ``frontier`` run on the standard
-library alone.  ``frontier --no-fix-offset-zero`` is a law fit and loads the
-fitter.
+imported by the commands that use them, so ``allocate``, ``isoloss``,
+``transfer`` (both routes), ``replay`` and the zero-offset ``frontier`` run on
+the standard library alone.  ``frontier --no-fix-offset-zero`` is a law fit
+and loads the fitter.  An output path that is a symbolic link is written
+through: its target is replaced and the link stays.
 """
 
 from __future__ import annotations
@@ -63,9 +64,13 @@ def _open_mode(path: str) -> int:
 
 
 def _write_atomic(path: str, write_fn) -> None:
-    """Run a path-taking writer against a temp file beside ``path``, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
+    """Run a path-taking writer against a temp file beside ``path``, then rename.
+
+    A symbolic link is resolved first, so the rename replaces its target, as
+    ``open(path, "w")`` would write through it, and the link stays a link.
+    """
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
     os.close(fd)
     try:
         write_fn(tmp)
@@ -208,7 +213,7 @@ def cmd_isoloss(args) -> int:
     grid = allocator.isoloss_grid(law, n_range, d_range, args.resolution)
     _write_atomic(args.out, lambda tmp: allocator.export_isoloss_csv(grid, law, tmp))
     print(
-        f"wrote {args.out}: {grid.loss_values.size} grid cells, "
+        f"wrote {args.out}: {len(grid.n_axis) * len(grid.d_axis)} grid cells, "
         f"{len(grid.frontier)} frontier points"
     )
     return EXIT_OK

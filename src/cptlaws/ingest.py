@@ -39,9 +39,10 @@ _REQUIRED_FIELDS = (
 )
 _required = itemgetter(*_REQUIRED_FIELDS)
 
-# One decoder for every line: json.loads would wrap each decode in two
-# whitespace scans, which a stripped line does not need.
-_DECODE = json.JSONDecoder().raw_decode
+# One decoder's scanner for every line: json.loads would wrap each decode in
+# two whitespace scans, which a stripped line does not need, and raw_decode in
+# a call that only turns StopIteration into "Expecting value".
+_SCAN = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,10 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         lines = source
 
     meta: dict[str, tuple] = {}
+    # A run's first line's raw metadata, and the types of its two numbers: a
+    # later line that repeats them passed the same checks and coerces to the
+    # same values.  A type is compared too, since True == 1 and 1e9 == 10**9.
+    first_raw: dict[str, tuple] = {}
     records: dict[str, list[LossRecord]] = {}
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -217,7 +222,9 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         # A stripped line has no whitespace at either end, so the document
         # must end where the line does.
         try:
-            doc, end = _DECODE(line)
+            doc, end = _SCAN(line, 0)
+        except StopIteration:  # no JSON value starts the line
+            raise ParseError("invalid JSON (Expecting value)", line_number) from None
         except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_number) from exc
         if end != len(line):
@@ -232,36 +239,44 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
 
         if not isinstance(run_id, str) or not run_id:
             raise ParseError("field 'run_id' must be a nonempty string", line_number)
-        for field, value in (("strategy", strategy), ("language", language)):
-            if not isinstance(value, str):
-                raise ParseError(f"field {field!r} must be a string, got {value!r}", line_number)
+        raw_meta = (strategy, language, replay_ratio, param_count,
+                    type(replay_ratio), type(param_count))
+        checked = first_raw.get(run_id) == raw_meta
+        if not checked:
+            for field, value in (("strategy", strategy), ("language", language)):
+                if not isinstance(value, str):
+                    raise ParseError(
+                        f"field {field!r} must be a string, got {value!r}", line_number
+                    )
         val_language = doc.get("val_language")
         if val_language is not None and not isinstance(val_language, str):
             raise ParseError(
                 f"field 'val_language' must be a string or null, got {val_language!r}", line_number
             )
         try:
-            record = LossRecord(
-                tokens=_coerce_int(tokens, "tokens", line_number),
-                loss=_coerce_float(loss, "loss", line_number),
-                val_language=val_language,
+            record = LossRecord(  # positional: keywords cost about 5% of the parse
+                _coerce_int(tokens, "tokens", line_number),
+                _coerce_float(loss, "loss", line_number),
+                val_language,
             )
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
 
-        run_meta = (
-            strategy,
-            language,
-            _coerce_float(replay_ratio, "replay_ratio", line_number),
-            _coerce_int(param_count, "param_count", line_number),
-        )
-        if run_id not in meta:
-            meta[run_id] = run_meta
-            records[run_id] = []
-        elif meta[run_id] != run_meta:
-            raise ValidationError(
-                f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
+        if not checked:
+            run_meta = (
+                strategy,
+                language,
+                _coerce_float(replay_ratio, "replay_ratio", line_number),
+                _coerce_int(param_count, "param_count", line_number),
             )
+            if run_id not in meta:
+                meta[run_id] = run_meta
+                first_raw[run_id] = raw_meta
+                records[run_id] = []
+            elif meta[run_id] != run_meta:
+                raise ValidationError(
+                    f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
+                )
         records[run_id].append(record)
 
     runs = []

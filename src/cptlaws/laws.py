@@ -18,7 +18,9 @@ input runs in numpy, which broadcasts arrays and returns a float for a 0-d
 result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
 are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
-and a non-positive, infinite or NaN input is a DomainError.
+and a non-positive, infinite or NaN input is a DomainError.  A grid of the
+loss law over N and D (``_law_grid``) takes the scalar path's operations in
+its order, so each cell equals the scalar ``eval_law`` bit for bit.
 """
 
 from __future__ import annotations
@@ -180,6 +182,19 @@ def _any_nonpositive(value) -> bool:
     return value <= 0 if isinstance(value, float) else bool((value <= 0).any())
 
 
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.geomspace(start, stop, num)`` for positive numbers.
+
+    Floats evenly spaced in log10, with exact endpoints.
+    """
+    start, stop = float(start), float(stop)
+    if num == 1:
+        return [start]
+    log_start = math.log10(start)
+    step = (math.log10(stop) - log_start) / (num - 1)
+    return [start, *(10.0 ** (i * step + log_start) for i in range(1, num - 1)), stop]
+
+
 def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, float]:
     """(E, A, alpha, B, beta, gamma) of either loss law.
 
@@ -206,6 +221,26 @@ def eval_law(law: LawParams, N, D):
         + xp.exp(math.log(B) - beta * xp.log(d) - gamma * log_n)
     )
     return _result(loss)
+
+
+def _law_grid(law: LawParams, n_values, d_values) -> tuple[tuple[float, ...], ...]:
+    """``eval_law(law, n, d)`` for each n (rows) and d (columns) of positive finite floats.
+
+    Each cell takes the scalar path's operations in its order, so it equals
+    ``eval_law(law, n, d)`` bit for bit; a row's E + A e^(-alpha log n) and a
+    column's log B' - beta' log d are computed once.
+    """
+    E, A, alpha, B, beta, gamma = _coefficients(law)
+    exp = _MATH.exp
+    log_a, log_b = math.log(A), math.log(B)
+    columns = [log_b - beta * math.log(d) for d in d_values]
+    grid = []
+    for n in n_values:
+        log_n = math.log(n)
+        row = E + exp(log_a - alpha * log_n)
+        n_term = gamma * log_n
+        grid.append(tuple([row + exp(column - n_term) for column in columns]))
+    return tuple(grid)
 
 
 def eval_frontier(p: FrontierParams, C):

@@ -46,6 +46,7 @@ from .laws import (
     ExtendedCptParams,
     FrontierParams,
     _exp_coefficients,
+    _geomspace,
     eval_law,
     solve_tokens_for_loss,
 )
@@ -69,15 +70,6 @@ def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
         return ys[j]
     slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
     return slope * (x - xs[j]) + ys[j]
-
-
-def _geomspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.geomspace(start, stop, num)`` for positive floats: evenly spaced in log10, exact endpoints."""
-    if num == 1:
-        return [start]
-    log_start = math.log10(start)
-    step = (math.log10(stop) - log_start) / (num - 1)
-    return [start, *(10.0 ** (i * step + log_start) for i in range(1, num - 1)), stop]
 
 
 @dataclass(frozen=True)

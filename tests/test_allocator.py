@@ -230,9 +230,30 @@ class TestIsoLossGrid:
         grid = isoloss_grid(SCRATCH, (1e8, 1e9), (1e10, 1e11), 2)
         for i, n in enumerate(grid.n_axis):
             for j, d in enumerate(grid.d_axis):
-                assert grid.loss_values[i, j] == pytest.approx(
+                assert grid.loss_values[i][j] == pytest.approx(
                     float(eval_law(SCRATCH, n, d)), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("law", [SCRATCH, CPT], ids=["scratch", "cpt"])
+    def test_every_cell_equals_the_scalar_eval_law(self, law):
+        grid = isoloss_grid(law, (1e7, 1e11), (1e9, 1e13), 40)
+        for n, row in zip(grid.n_axis, grid.loss_values):
+            assert row == tuple(eval_law(law, n, d) for d in grid.d_axis)
+
+    @pytest.mark.parametrize("law", [SCRATCH, CPT], ids=["scratch", "cpt"])
+    def test_axes_are_numpy_geomspace(self, law):
+        grid = isoloss_grid(law, (1e7, 1e11), (1e9, 1e13), 40)
+        for axis, (lo, hi) in ((grid.n_axis, (1e7, 1e11)), (grid.d_axis, (1e9, 1e13))):
+            assert all(type(x) is float for x in axis)
+            np.testing.assert_allclose(axis, np.geomspace(lo, hi, 40), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("law", [SCRATCH, CPT], ids=["scratch", "cpt"])
+    def test_cells_are_within_4_ulp_of_the_array_eval_law(self, law):
+        grid = isoloss_grid(law, (1e7, 1e11), (1e9, 1e13), 40)
+        n_axis, d_axis = np.array(grid.n_axis), np.array(grid.d_axis)
+        expected = eval_law(law, n_axis[:, None], d_axis[None, :])
+        got = np.array(grid.loss_values)
+        assert np.all(np.abs(got - expected) <= 4 * np.spacing(expected))
 
     @pytest.mark.property
     def test_loss_decreases_along_both_axes(self):
@@ -285,7 +306,7 @@ class TestIsoLossGrid:
             for i, n in enumerate(grid.n_axis):
                 for j, d in enumerate(grid.d_axis):
                     writer.writerow([f"{n:.9g}", f"{d:.9g}", f"{6.0 * n * d:.9g}",
-                                     f"{grid.loss_values[i, j]:.9g}", "false"])
+                                     f"{grid.loss_values[i][j]:.9g}", "false"])
             for compute, n in grid.frontier:
                 d = compute / (6.0 * n)
                 writer.writerow([f"{n:.9g}", f"{d:.9g}", f"{compute:.9g}",
@@ -299,6 +320,13 @@ class TestEfficientFrontierLoss:
         curve = efficient_frontier_loss(coeffs, SCRATCH, (1e18, 1e23), 24)
         losses = [l for _, l in curve]
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_levels_are_numpy_geomspace(self):
+        coeffs = allocation_coefficients(SCRATCH)
+        for samples in (1, 2, 24):
+            curve = efficient_frontier_loss(coeffs, SCRATCH, (1e18, 1e23), samples)
+            np.testing.assert_allclose([c for c, _ in curve], np.geomspace(1e18, 1e23, samples),
+                                       rtol=1e-14, atol=0)
 
     def test_single_sample(self):
         coeffs = allocation_coefficients(SCRATCH)

@@ -582,6 +582,22 @@ class TestOutputFiles:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert len(load_runs(out)) == 42
 
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+    def test_output_through_a_symbolic_link_writes_its_target(self, tmp_path, target_exists):
+        law = write_law(tmp_path, SCRATCH, "law.json")
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        if target_exists:
+            target.write_text("old contents\n")
+            target.chmod(0o640)
+        link.symlink_to(target.name)
+        assert main(["allocate", "--fit", law, "--compute", "1e21", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert json.loads(target.read_text())["kind"] == "allocation_plan"
+        if target_exists:
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["law.json", "link.json",
+                                                              "target.json"]
+
     def test_failed_writer_leaves_the_destination_and_no_temp_file(self, tmp_path):
         out = tmp_path / "out.json"
         out.write_bytes(b"old contents\n")
@@ -735,8 +751,8 @@ class TestStartup:
 
     The commands that never fit do not load scipy, and neither does a fit
     whose best-basin starts all end the Newton finish converged.  The
-    closed-form commands, empirical transfer and the zero-offset frontier
-    load neither.
+    closed-form commands, isoloss, empirical transfer and the zero-offset
+    frontier load neither.
     """
 
     def test_package_import_loads_no_numpy(self):
@@ -762,6 +778,8 @@ class TestStartup:
         argvs = [
             ["allocate", "--fit", scratch, "--compute", "1e21",
              "--out", str(tmp_path / "plan.json")],
+            ["isoloss", "--fit", cpt, "--n-range", "1e8:1e10", "--d-range", "1e9:1e12",
+             "--resolution", "4", "--out", str(tmp_path / "grid.csv")],
             ["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt, "--n", "1e9", "--d", "1e9",
              "--out", str(tmp_path / "transfer.json")],
             ["transfer", "--pt-run", pt_run, "--cpt-run", cpt_run,
@@ -774,17 +792,13 @@ class TestStartup:
         result = _run_startup_probe(argvs, module="numpy")
         assert result == {"codes": [0] * len(argvs), "after_import": False, "at_end": False}
 
-    @pytest.mark.parametrize("command",
-                             ["fit", "isoloss", "frontier-free", "compare-laws", "synth"])
+    @pytest.mark.parametrize("command", ["fit", "frontier-free", "compare-laws", "synth"])
     def test_array_commands_load_numpy(self, tmp_path, command):
         law = write_law(tmp_path, SCRATCH, "scratch.json")
         runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
         argv = {
             "fit": ["fit", "--runs", runs, "--strategy", "scratch",
                     "--out", str(tmp_path / "fit.json")],
-            "isoloss": ["isoloss", "--fit", law, "--n-range", "1e8:1e10",
-                        "--d-range", "1e9:1e12", "--resolution", "4",
-                        "--out", str(tmp_path / "grid.csv")],
             "frontier-free": ["frontier", "--runs", runs, "--no-fix-offset-zero",
                               "--out", str(tmp_path / "frontier.json")],
             "compare-laws": ["compare-laws", "--runs", runs],

@@ -135,6 +135,44 @@ class TestParseRuns:
         with pytest.raises(ValidationError, match="conflicting"):
             parse_runs(text)
 
+    # A run's later lines that repeat its first line's metadata skip the
+    # metadata checks; one that differs in value or in type is checked as the
+    # first line was.
+    @pytest.mark.parametrize("first, second, error, message", [
+        ({"param_count": 1}, {"param_count": True}, ParseError,
+         "line 2: field 'param_count' must be an integer, got True"),
+        ({"replay_ratio": 0}, {"replay_ratio": False}, ParseError,
+         "line 2: field 'replay_ratio' must be a number, got False"),
+        ({"run_id": "r1"}, {"run_id": ["r1"]}, ParseError,
+         "line 2: field 'run_id' must be a nonempty string"),
+        ({"run_id": "r1"}, {"run_id": {"r1": 1}}, ParseError,
+         "line 2: field 'run_id' must be a nonempty string"),
+        # json gives every NaN literal as one float object, so the two lines
+        # agree and the run itself rejects the ratio.
+        ({"replay_ratio": math.nan}, {"replay_ratio": math.nan}, ValidationError,
+         "run 'r1': replay_ratio must lie in [0, 1], got nan"),
+    ], ids=["true-after-1", "false-after-0", "list-run-id", "object-run-id", "nan-twice"])
+    def test_later_line_metadata_gets_the_first_line_checks(self, first, second, error, message):
+        text = record_line(tokens=10, **first) + "\n" + record_line(tokens=20, **second)
+        with pytest.raises(error) as info:
+            parse_runs(text)
+        assert str(info.value) == message
+
+    def test_float_param_count_after_the_same_integer_is_accepted(self):
+        ints = record_line(param_count=10**9, tokens=10) + "\n" + record_line(
+            param_count=10**9, tokens=20)
+        floats = ints.replace('"param_count": 1000000000, "tokens": 20',
+                              '"param_count": 1e9, "tokens": 20')
+        assert '"param_count": 1e9' in floats
+        assert parse_runs(floats) == parse_runs(ints)
+        assert type(parse_runs(floats).get("r1").param_count) is int
+
+    def test_error_after_many_valid_lines_names_its_own_line(self):
+        lines = [record_line(tokens=tokens) for tokens in range(1, 1001)] + [","]
+        with pytest.raises(ParseError) as info:
+            parse_runs("\n".join(lines))
+        assert str(info.value) == "line 1001: invalid JSON (Expecting value)"
+
     def test_duplicate_tokens_in_run_rejected(self):
         text = "\n".join([record_line(tokens=100), record_line(tokens=100, loss=2.0)])
         with pytest.raises(ValidationError, match="strictly increase"):
