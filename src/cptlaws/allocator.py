@@ -136,7 +136,6 @@ def numeric_optimal_params(
     law: LawParams,
     compute: float,
     bracket: tuple[float, float] = FRONTIER_BRACKET,
-    tol: float = 1e-10,
 ) -> float:
     """Argmin over N of the law's loss at fixed compute (D = C/(6N)).
 
@@ -148,18 +147,16 @@ def numeric_optimal_params(
     bisection on that sign, compared in log space, runs until the bracket
     cannot be split further.  Unlike a search on loss values, which cannot
     see differences below the float spacing of a flat minimum, it resolves N
-    to about the float spacing of log N.  Raises DomainError when the argmin
-    lands within ``tol`` (in log N) of a bracket edge, where the true optimum
-    may lie outside the bracket, and when ``tol`` is not positive and finite
-    or ``bracket`` lacks two positive finite edges.
+    to about the float spacing of log N.  Raises DomainError when the
+    bisection never moves one of the bracket's edges, so that the true optimum
+    may lie outside the bracket, and when ``bracket`` lacks two positive
+    finite edges.
     """
     if not 0 < compute < math.inf:  # also rejects NaN
         raise DomainError(f"compute must be positive and finite, got {compute!r}")
-    if not 0 < tol < math.inf:  # also rejects NaN
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if len(bracket) != 2 or not all(0 < edge < math.inf for edge in bracket):
         raise DomainError(f"bracket must have two positive finite edges, got {bracket!r}")
-    lo, hi = (math.log(edge) for edge in bracket)
+    edges = lo, hi = tuple(math.log(edge) for edge in bracket)
     if not lo < hi:
         raise DomainError(f"bad bracket {bracket!r}")
     _, A, alpha, B, beta, gamma = _coefficients(law)
@@ -180,12 +177,11 @@ def numeric_optimal_params(
             hi = x
         else:
             lo = x
-    x = 0.5 * (lo + hi)
-    if min(x - math.log(bracket[0]), math.log(bracket[1]) - x) <= tol:
+    if lo == edges[0] or hi == edges[1]:
         raise DomainError(
             f"argmin over N at C={compute:.6g} is at the edge of the bracket {bracket!r}"
         )
-    return math.exp(x)
+    return math.exp(0.5 * (lo + hi))
 
 
 def isoloss_grid(

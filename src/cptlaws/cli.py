@@ -138,23 +138,22 @@ def _fit_config(args):
 
 
 def cmd_fit(args) -> int:
+    if args.strategy == "scratch" and args.fixed_from:
+        print("error: --fixed-from only applies to --strategy cpt", file=sys.stderr)
+        return EXIT_USAGE
+    if args.strategy == "cpt" and not args.fixed_from:
+        print("error: --strategy cpt requires --fixed-from <scratch-fit.json>", file=sys.stderr)
+        return EXIT_USAGE
     from . import fitter
 
     runs = ingest.load_runs(args.runs)
     cfg = _fit_config(args)
-    if args.strategy == "scratch":
-        if args.fixed_from:
-            print("error: --fixed-from only applies to --strategy cpt", file=sys.stderr)
-            return EXIT_USAGE
-        report = fitter.fit_scratch(runs, cfg)
-    else:
-        if not args.fixed_from:
-            print("error: --strategy cpt requires --fixed-from <scratch-fit.json>",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    if args.fixed_from:
         base = _load_law(args.fixed_from, (laws.ChinchillaParams,),
                          "a from-scratch law for --fixed-from")
         report = fitter.fit_cpt(runs, (base.E, base.A, base.alpha), cfg)
+    else:
+        report = fitter.fit_scratch(runs, cfg)
     _write_doc(args.out, "fit_report", {
         "params": laws.law_to_dict(report.params),
         "objective": report.objective,
@@ -322,21 +321,16 @@ def cmd_compare_laws(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The main parser plus a name -> subparser map (for default injection)."""
+def build_parser(defaults: dict) -> argparse.ArgumentParser:
+    """The main parser, each subcommand defaulting its flags to ``defaults`` (destination -> value)."""
     parser = argparse.ArgumentParser(
         prog="cptlaws",
         description="Fit scaling laws to training-run logs and derive "
         "compute-optimal allocations and transfer metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
-        subparsers[name] = sub.add_parser(name, **kwargs)
-        return subparsers[name]
-
-    p = add_command("fit", help="fit a loss law to a run log")
+    p = sub.add_parser("fit", help="fit a loss law to a run log")
     p.add_argument("--runs", required=True)
     p.add_argument("--strategy", required=True, choices=("scratch", "cpt"))
     p.add_argument("--fixed-from", help="from-scratch fit JSON supplying (E, A, alpha)")
@@ -345,20 +339,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = add_command("frontier", help="extract and fit the loss-compute frontier")
+    p = sub.add_parser("frontier", help="extract and fit the loss-compute frontier")
     p.add_argument("--runs", required=True)
     p.add_argument("--bins-per-decade", type=int, default=10)
     p.add_argument("--fix-offset-zero", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_frontier)
 
-    p = add_command("allocate", help="compute-optimal (N, D) for a budget")
+    p = sub.add_parser("allocate", help="compute-optimal (N, D) for a budget")
     p.add_argument("--fit", required=True, help="law or fit-report JSON")
     p.add_argument("--compute", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_allocate)
 
-    p = add_command("isoloss", help="loss grid and efficient frontier as CSV")
+    p = sub.add_parser("isoloss", help="loss grid and efficient frontier as CSV")
     p.add_argument("--fit", required=True)
     p.add_argument("--n-range", required=True, help="lo:hi in parameters")
     p.add_argument("--d-range", required=True, help="lo:hi in tokens")
@@ -366,7 +360,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_isoloss)
 
-    p = add_command("transfer", help="tokens and FLOPs saved by CPT")
+    p = sub.add_parser("transfer", help="tokens and FLOPs saved by CPT")
     p.add_argument("--pt-run", help="run log holding the from-scratch run")
     p.add_argument("--cpt-run", help="run log holding the CPT run")
     p.add_argument("--scratch-fit", help="from-scratch law JSON (parametric route)")
@@ -377,12 +371,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out")
     p.set_defaults(func=cmd_transfer)
 
-    p = add_command("replay", help="forgetting curves from replay runs")
+    p = sub.add_parser("replay", help="forgetting curves from replay runs")
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_replay)
 
-    p = add_command("synth", help="generate a synthetic run log")
+    p = sub.add_parser("synth", help="generate a synthetic run log")
     p.add_argument("--preset", choices=tuple(_PRESETS))
     p.add_argument("--law", help="loss-law JSON to generate from")
     p.add_argument("--noise", type=float, default=0.0)
@@ -390,22 +384,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = add_command("compare-laws", help="fit both law families and compare")
+    p = sub.add_parser("compare-laws", help="fit both law families and compare")
     p.add_argument("--runs", required=True)
     p.add_argument("--delta", type=float, help="Huber threshold; the fitter's default when omitted")
     p.add_argument("--warmup-fraction", type=float, default=0.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare_laws)
 
-    return parser, subparsers
+    # Subcommands parse into a fresh namespace, so each one that defines a
+    # flag must carry its default itself.
+    for p in sub.choices.values():
+        dests = {action.dest for action in p._actions}
+        p.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+    return parser
 
 
 def _env_overrides() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    with open(path, encoding="utf-8-sig") as fh:
-        overrides = json.load(fh)
+    overrides = _load_json(path)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     # As strings, argparse converts each default with its flag's type and
@@ -419,13 +417,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error reading {CONFIG_ENV_VAR} config: {exc}", file=sys.stderr)
         return EXIT_IO
-    parser, subparsers = build_parser()
-    # Subcommands parse into a fresh namespace, so config-file defaults must
-    # be installed on each subparser that defines the flag.
-    for sub_parser in subparsers.values():
-        dests = {action.dest for action in sub_parser._actions}
-        sub_parser.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
-    args = parser.parse_args(argv)
+    args = build_parser(overrides).parse_args(argv)
     try:
         return args.func(args)
     except FitError as exc:

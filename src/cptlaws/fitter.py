@@ -412,29 +412,6 @@ def _bound_arrays(bounds):
             np.array([math.inf if hi is None else hi for _, hi in bounds]))
 
 
-def _minimize_multistart(fun, starts, bounds=None):
-    """Run L-BFGS-B from every (key, x0) start; return the winner's (objective, key, x).
-
-    ``fun`` returns the objective and its gradient.  Winner selection is a
-    deterministic reduction: lowest objective, ties broken by the smallest key.
-    """
-    results = []
-    failures = []
-    for key, x0 in starts:
-        res = minimize(
-            fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS
-        )
-        if res.success and math.isfinite(res.fun):
-            results.append((float(res.fun), key, np.asarray(res.x, dtype=float)))
-        else:
-            failures.append(f"start {key}: {res.message}")
-    if not results:
-        raise FitFailureError(
-            "no optimizer start converged; diagnostics:\n  " + "\n  ".join(failures)
-        )
-    return min(results, key=lambda item: item[:2])
-
-
 def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
                   bounds=None, finish: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Advance every start (one row of x0) by damped Gauss-Newton steps.
@@ -582,7 +559,8 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
 
     The Gauss-Newton stage advances every grid point; each one that ends it
     in the best basin goes through the Newton finish and then L-BFGS-B.
-    ``bounds`` are L-BFGS-B bounds on q[free].
+    ``bounds`` are L-BFGS-B bounds on q[free].  The winner is a deterministic
+    reduction: lowest objective, ties broken by the smallest grid point.
     """
 
     def fun(x: np.ndarray):
@@ -593,8 +571,18 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
     x0, values = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
     basin = _best_basin(values)
     x0, _ = _gauss_newton(flat, base, free, x0[basin], delta, bounds, finish=True)
-    finished = [(keys[i], x) for i, x in zip(basin, x0)]
-    objective, chosen, x = _minimize_multistart(fun, finished, bounds)
+    results, failures = [], []
+    for i, x in zip(basin, x0):
+        res = minimize(fun, x, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
+        if res.success and math.isfinite(res.fun):
+            results.append((float(res.fun), keys[i], np.asarray(res.x, dtype=float)))
+        else:
+            failures.append(f"start {keys[i]}: {res.message}")
+    if not results:
+        raise FitFailureError(
+            "no optimizer start converged; diagnostics:\n  " + "\n  ".join(failures)
+        )
+    objective, chosen, x = min(results, key=lambda item: item[:2])
     q = base.copy()
     q[free] = x
     return objective, chosen, q

@@ -209,12 +209,11 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
     else:
         lines = source
 
-    meta: dict[str, tuple] = {}
-    # A run's first line's raw metadata, and the types of its two numbers: a
-    # later line that repeats them passed the same checks and coerces to the
-    # same values.  A type is compared too, since True == 1 and 1e9 == 10**9.
-    first_raw: dict[str, tuple] = {}
-    records: dict[str, list[LossRecord]] = {}
+    # run_id -> (its declaring line's raw metadata and the types of its two
+    # numbers, the checked and coerced metadata, the records).  A line that
+    # repeats the raw metadata passed the same checks and coerces to the same
+    # values.  A type is compared too, since True == 1 and 1e9 == 10**9.
+    runs: dict[str, tuple[tuple, tuple, list[LossRecord]]] = {}
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -241,74 +240,54 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
             raise ParseError("field 'run_id' must be a nonempty string", line_number)
         raw_meta = (strategy, language, replay_ratio, param_count,
                     type(replay_ratio), type(param_count))
-        checked = first_raw.get(run_id) == raw_meta
-        if not checked:
+        run = runs.get(run_id)
+        if run is None or run[0] != raw_meta:
             for field, value in (("strategy", strategy), ("language", language)):
                 if not isinstance(value, str):
                     raise ParseError(
                         f"field {field!r} must be a string, got {value!r}", line_number
                     )
+            meta = (strategy, language, _coerce_float(replay_ratio, "replay_ratio", line_number),
+                    _coerce_int(param_count, "param_count", line_number))
+            if run is None:
+                run = runs[run_id] = (raw_meta, meta, [])
+            elif run[1] != meta:
+                raise ValidationError(
+                    f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
+                )
         val_language = doc.get("val_language")
         if val_language is not None and not isinstance(val_language, str):
             raise ParseError(
                 f"field 'val_language' must be a string or null, got {val_language!r}", line_number
             )
         try:
-            record = LossRecord(  # positional: keywords cost about 5% of the parse
+            run[2].append(LossRecord(  # positional: keywords cost about 5% of the parse
                 _coerce_int(tokens, "tokens", line_number),
                 _coerce_float(loss, "loss", line_number),
                 val_language,
-            )
+            ))
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
 
-        if not checked:
-            run_meta = (
-                strategy,
-                language,
-                _coerce_float(replay_ratio, "replay_ratio", line_number),
-                _coerce_int(param_count, "param_count", line_number),
-            )
-            if run_id not in meta:
-                meta[run_id] = run_meta
-                first_raw[run_id] = raw_meta
-                records[run_id] = []
-            elif meta[run_id] != run_meta:
-                raise ValidationError(
-                    f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
-                )
-        records[run_id].append(record)
-
-    runs = []
-    for run_id, run_records in records.items():
-        strategy, language, replay_ratio, param_count = meta[run_id]
-        runs.append(
-            TrainingRun(
-                id=run_id,
-                strategy=strategy,
-                language=language,
-                replay_ratio=replay_ratio,
-                param_count=param_count,
-                records=tuple(sorted(run_records, key=lambda r: r.tokens)),
-            )
-        )
-    return RunSet(runs=tuple(runs))
+    return RunSet(runs=tuple(
+        TrainingRun(run_id, *meta, records=tuple(sorted(records, key=lambda r: r.tokens)))
+        for run_id, (_, meta, records) in runs.items()
+    ))
 
 
 def serialize_runs(runset: RunSet) -> str:
     """Serialize a RunSet to the line-delimited format consumed by parse_runs."""
     lines = []
     for run in runset:
+        meta = {
+            "run_id": run.id,
+            "strategy": run.strategy,
+            "language": run.language,
+            "replay_ratio": run.replay_ratio,
+            "param_count": run.param_count,
+        }
         for rec in run.records:
-            doc = {
-                "run_id": run.id,
-                "strategy": run.strategy,
-                "language": run.language,
-                "replay_ratio": run.replay_ratio,
-                "param_count": run.param_count,
-                "tokens": rec.tokens,
-                "loss": rec.loss,
-            }
+            doc = {**meta, "tokens": rec.tokens, "loss": rec.loss}
             if rec.val_language is not None:
                 doc["val_language"] = rec.val_language
             lines.append(json.dumps(doc))

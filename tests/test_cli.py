@@ -161,6 +161,16 @@ class TestFitCommand:
         assert main(["fit", "--runs", runs, "--strategy", "scratch",
                      "--fixed-from", law, "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_pairing_is_checked_before_the_log_is_read(self, tmp_path):
+        # Neither the missing log nor the missing law is opened, and the
+        # fitter is never imported.
+        missing, out = str(tmp_path / "missing.jsonl"), str(tmp_path / "o.json")
+        argvs = [["fit", "--runs", missing, "--strategy", "cpt", "--out", out],
+                 ["fit", "--runs", missing, "--strategy", "scratch",
+                  "--fixed-from", str(tmp_path / "missing.json"), "--out", out]]
+        result = _run_startup_probe(argvs, module="cptlaws.fitter")
+        assert result == {"codes": [2, 2], "after_import": False, "at_end": False}
+
 
 class TestAllocateCommand:
     def test_reference_budget(self, tmp_path, capsys):
@@ -456,6 +466,35 @@ class TestErrorPaths:
             main(["fit", "--strategy", "scratch"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("field, value", [("strategy", "foo"), ("param_count", 0)])
+    def test_run_field_out_of_range_exit_code(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({
+            "run_id": "r", "strategy": "scratch", "language": "zh",
+            "replay_ratio": 0.0, "param_count": 10**9, "tokens": 10, "loss": 3.0, field: value,
+        }))
+        assert main(["frontier", "--runs", str(bad), "--out", str(tmp_path / "o.json")]) == 3
+        assert f"error: run 'r': {field} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "law document must be a JSON object"),
+        (json.dumps({**law_to_dict(SCRATCH), "extra": 1}), "unexpected keyword argument 'extra'"),
+    ], ids=["array", "unknown-field"])
+    def test_malformed_law_shape_exit_code(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["allocate", "--fit", str(bad), "--compute", "1e21"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_zero_bins_and_levels_exit_code(self, tmp_path, capsys):
+        pt_path, cpt_path = write_paired_runs(tmp_path)
+        assert main(["frontier", "--runs", pt_path, "--bins-per-decade", "0",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "bins_per_decade must be at least 1, got 0" in capsys.readouterr().err
+        assert main(["transfer", "--pt-run", pt_path, "--cpt-run", cpt_path, "--levels", "0"]) == 3
+        assert "levels must be at least 1, got 0" in capsys.readouterr().err
+
     def test_unreachable_loss_maps_to_validation_exit(self, tmp_path):
         scratch = write_law(tmp_path, SCRATCH, "scratch.json")
         # a CPT law with a lower irreducible loss dips under the scratch
@@ -711,6 +750,15 @@ class TestEnvConfig:
         main(["synth", "--preset", "paper-scratch", "--noise", "0.01", "--seed", "9",
               "--out", str(explicit)])
         assert flagged.read_bytes() == explicit.read_bytes()
+
+    def test_config_that_is_not_an_object_is_io_error(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        monkeypatch.setenv("CPTLAWS_CONFIG", str(config))
+        assert main(["synth", "--preset", "paper-scratch",
+                     "--out", str(tmp_path / "x.jsonl")]) == 5
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CPTLAWS_CONFIG", str(tmp_path / "missing.json"))

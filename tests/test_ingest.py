@@ -91,6 +91,18 @@ class TestParseRuns:
                  for tokens in (10, 20, 30) for run_id in ("b", "c", "a")]
         assert parse_runs("\n".join(lines)).ids == ("b", "c", "a")
 
+    # A run's metadata is checked before its record, on the line that
+    # declares the run and on a later line that redeclares it.
+    @pytest.mark.parametrize("text, error, message", [
+        (record_line(replay_ratio="x", tokens=0), ParseError,
+         "line 1: field 'replay_ratio' must be a number"),
+        (record_line(tokens=5) + "\n" + record_line(replay_ratio=0.5, tokens=0), ValidationError,
+         "line 2: run 'r1' redeclared with conflicting metadata"),
+    ], ids=["declaring line", "later line"])
+    def test_metadata_fault_is_reported_before_a_record_fault(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_runs(text)
+
     def test_missing_field_is_parse_error(self):
         doc = json.loads(record_line())
         del doc["loss"]
