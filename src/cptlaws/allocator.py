@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .ingest import FLOPS_PER_PARAM_TOKEN
-from .laws import LawParams, _coefficients, _geomspace, _law_grid, eval_law
+from .laws import _MATH, LawParams, _coefficients, _geomspace, _law_grid, eval_law
 
 #: Default log-N search bracket for the numeric frontier: spans every catalog
 #: model size with margin.
@@ -105,14 +105,15 @@ def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
     total = alpha + beta - gamma
     a = beta / total
     b = (alpha - gamma) / total
-    G = (alpha * A / ((beta - gamma) * B)) ** (1.0 / total)
-    return AllocationCoefficients(
-        G=G,
-        a=a,
-        b=b,
-        k_N=G / FLOPS_PER_PARAM_TOKEN**a,
-        k_D=1.0 / (G * FLOPS_PER_PARAM_TOKEN**b),
-    )
+    try:
+        G = (alpha * A / ((beta - gamma) * B)) ** (1.0 / total)
+        k_N, k_D = G / FLOPS_PER_PARAM_TOKEN**a, 1.0 / (G * FLOPS_PER_PARAM_TOKEN**b)
+        in_range = all(0 < x < math.inf for x in (G, a, b, k_N, k_D))  # also rejects NaN
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise DomainError(f"the allocation coefficients of {law!r} are outside float range")
+    return AllocationCoefficients(G=G, a=a, b=b, k_N=k_N, k_D=k_D)
 
 
 def optimal_allocation(
@@ -122,8 +123,10 @@ def optimal_allocation(
     if not 0 < compute < math.inf:  # also rejects NaN
         raise DomainError(f"compute must be positive and finite, got {compute!r}")
     log_c = math.log(compute)
-    n_opt = math.exp(math.log(coeffs.k_N) + coeffs.a * log_c)
-    d_opt = math.exp(math.log(coeffs.k_D) + coeffs.b * log_c)
+    n_opt = _MATH.exp(math.log(coeffs.k_N) + coeffs.a * log_c)
+    d_opt = _MATH.exp(math.log(coeffs.k_D) + coeffs.b * log_c)
+    if not (0 < n_opt < math.inf and 0 < d_opt < math.inf):
+        raise DomainError(f"the optimal N and D at C={compute!r} are outside float range")
     return AllocationPlan(
         compute=compute,
         n_opt=n_opt,
@@ -202,10 +205,12 @@ def isoloss_grid(
             raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be at least 2, got {resolution!r}")
-    n_axis = tuple(_geomspace(n_range[0], n_range[1], resolution))
-    d_axis = tuple(_geomspace(d_range[0], d_range[1], resolution))
     c_lo = FLOPS_PER_PARAM_TOKEN * n_range[0] * d_range[0]
     c_hi = FLOPS_PER_PARAM_TOKEN * n_range[1] * d_range[1]
+    if not 0 < c_lo <= c_hi < math.inf:
+        raise DomainError(f"6 N D over n_range {n_range!r}, d_range {d_range!r} leaves float range")
+    n_axis = tuple(_geomspace(n_range[0], n_range[1], resolution))
+    d_axis = tuple(_geomspace(d_range[0], d_range[1], resolution))
     frontier = tuple(
         (c, numeric_optimal_params(law, c)) for c in _geomspace(c_lo, c_hi, resolution)
     )

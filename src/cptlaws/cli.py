@@ -1,12 +1,14 @@
 """Command-line workflows: synthesize, fit, allocate, and analyze run logs.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 fit failure,
-5 I/O error.  Machine-readable outputs are written atomically (temp file
-then rename, with the mode ``open()`` gives) and every document carries a
-schema version.  Inputs may start with a UTF-8 byte-order mark.
-
-Defaults for common flags can be supplied by a JSON file named by the
-``CPTLAWS_CONFIG`` environment variable.
+Exit codes: 0 success, 2 usage error, then by the package's error types
+alone: 4 a ``FitError``, 3 any other ``CptLawsError``, 5 an ``OSError``.  Any
+other exception is a fault and shows as a traceback.  Argparse reads the
+command line first.  Then comes the JSON file named by the ``CPTLAWS_CONFIG``
+environment variable, which may supply defaults for common flags; any error
+in it exits 5.  Then each command checks its usage rule, and only then reads
+its inputs.  Machine-readable outputs are written atomically (temp file then
+rename, with the mode ``open()`` gives) and every document carries a schema
+version.  Inputs may start with a UTF-8 byte-order mark.
 
 The fitter and the synthetic generator, the modules that need numpy, are
 imported by the commands that use them, so ``allocate``, ``isoloss``,
@@ -49,7 +51,7 @@ _CONFIG_KEYS = (
     "seed",
 )
 
-_PRESETS = {"paper-scratch": "scratch", "paper-cpt": "cpt"}
+_PRESETS = {"paper-scratch": laws.REFERENCE_SCRATCH_LAW, "paper-cpt": laws.REFERENCE_CPT_LAW}
 
 _LOSS_LAWS = (laws.ChinchillaParams, laws.ExtendedCptParams)
 
@@ -100,18 +102,13 @@ def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
         _write_atomic(path, export_csv)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
-        return json.load(fh)
-
-
 def _load_law(path: str, kinds: tuple[type, ...], what: str):
     """Read a law of one of ``kinds`` from a bare law document or a fit-report document.
 
     A law of any other kind is a ValidationError naming the file and ``what``
     was expected.
     """
-    doc = _load_json(path)
+    doc = ingest.load_json(path)
     if isinstance(doc, dict) and "params" in doc:
         doc = doc["params"]
     law = laws.law_from_dict(doc)
@@ -138,11 +135,8 @@ def _fit_config(args):
 
 
 def cmd_fit(args) -> int:
-    if args.strategy == "scratch" and args.fixed_from:
-        print("error: --fixed-from only applies to --strategy cpt", file=sys.stderr)
-        return EXIT_USAGE
-    if args.strategy == "cpt" and not args.fixed_from:
-        print("error: --strategy cpt requires --fixed-from <scratch-fit.json>", file=sys.stderr)
+    if (args.strategy == "cpt") != bool(args.fixed_from):
+        print("error: --fixed-from goes with --strategy cpt, and only with it", file=sys.stderr)
         return EXIT_USAGE
     from . import fitter
 
@@ -226,22 +220,15 @@ def _load_single_run(path: str) -> ingest.TrainingRun:
 
 
 def cmd_transfer(args) -> int:
-    empirical = args.pt_run is not None or args.cpt_run is not None
-    parametric = any(
-        value is not None for value in (args.scratch_fit, args.cpt_fit, args.n, args.d)
-    )
-    if empirical == parametric:
-        print(
-            "error: use either --pt-run/--cpt-run or --scratch-fit/--cpt-fit/--n/--d",
-            file=sys.stderr,
-        )
+    # The flags of the empirical and the parametric route: give all of one.
+    routes = ({"pt_run", "cpt_run"}, {"scratch_fit", "cpt_fit", "n", "d"})
+    given = {flag for flag in set().union(*routes) if getattr(args, flag) is not None}
+    if given not in routes:
+        print("error: transfer needs either --pt-run and --cpt-run, "
+              "or --scratch-fit, --cpt-fit, --n and --d", file=sys.stderr)
         return EXIT_USAGE
 
-    if empirical:
-        if not (args.pt_run and args.cpt_run):
-            print("error: empirical transfer needs both --pt-run and --cpt-run",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    if given == routes[0]:
         report = transfer.empirical_transfer(
             _load_single_run(args.pt_run), _load_single_run(args.cpt_run), args.levels
         )
@@ -250,16 +237,9 @@ def cmd_transfer(args) -> int:
                           lambda tmp: transfer.export_transfer_csv(report, tmp))
             print(f"wrote {args.out}")
         saved = report.flops_saved_fraction
-        print(
-            f"{len(saved)} loss levels; FLOPs saved "
-            f"{min(saved):.3f} .. {max(saved):.3f}"
-        )
+        print(f"{len(saved)} loss levels; FLOPs saved {min(saved):.3f} .. {max(saved):.3f}")
         return EXIT_OK
 
-    if None in (args.scratch_fit, args.cpt_fit, args.n, args.d):
-        print("error: parametric transfer needs --scratch-fit, --cpt-fit, --n, and --d",
-              file=sys.stderr)
-        return EXIT_USAGE
     scratch = _load_law(args.scratch_fit, (laws.ChinchillaParams,),
                         "a from-scratch law for --scratch-fit")
     cpt = _load_law(args.cpt_fit, (laws.ExtendedCptParams,), "a CPT law for --cpt-fit")
@@ -287,18 +267,15 @@ def cmd_replay(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from . import synth
-
     if bool(args.preset) == bool(args.law):
         print("error: use exactly one of --preset or --law", file=sys.stderr)
         return EXIT_USAGE
-    if args.preset:
-        cfg = synth.paper_replica_config(_PRESETS[args.preset])
-    else:
-        law = _load_law(args.law, _LOSS_LAWS, "a loss law")
-        sizes = tuple(s.param_size_millions * 1_000_000 for s in ingest.load_catalog())
-        cfg = synth.SynthConfig(law=law, param_sizes=sizes)
-    cfg = dataclasses.replace(cfg, noise_sigma=args.noise, seed=args.seed)
+    from . import synth
+
+    law = (_PRESETS[args.preset] if args.preset
+           else _load_law(args.law, _LOSS_LAWS, "a loss law"))
+    sizes = tuple(spec.param_size_millions * 1_000_000 for spec in ingest.load_catalog())
+    cfg = synth.SynthConfig(law=law, param_sizes=sizes, noise_sigma=args.noise, seed=args.seed)
     runs = synth.generate_runset(cfg)
     _write_atomic(args.out, lambda tmp: ingest.dump_runs(runs, tmp))
     total = sum(len(run.records) for run in runs)
@@ -329,13 +306,15 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
         "compute-optimal allocations and transfer metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fit_flags = argparse.ArgumentParser(add_help=False)
+    fit_flags.add_argument("--runs", required=True)
+    fit_flags.add_argument("--delta", type=float,
+                           help="Huber threshold; the fitter's default when omitted")
+    fit_flags.add_argument("--warmup-fraction", type=float, default=0.0)
 
-    p = sub.add_parser("fit", help="fit a loss law to a run log")
-    p.add_argument("--runs", required=True)
+    p = sub.add_parser("fit", parents=[fit_flags], help="fit a loss law to a run log")
     p.add_argument("--strategy", required=True, choices=("scratch", "cpt"))
     p.add_argument("--fixed-from", help="from-scratch fit JSON supplying (E, A, alpha)")
-    p.add_argument("--delta", type=float, help="Huber threshold; the fitter's default when omitted")
-    p.add_argument("--warmup-fraction", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -384,10 +363,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("compare-laws", help="fit both law families and compare")
-    p.add_argument("--runs", required=True)
-    p.add_argument("--delta", type=float, help="Huber threshold; the fitter's default when omitted")
-    p.add_argument("--warmup-fraction", type=float, default=0.0)
+    p = sub.add_parser("compare-laws", parents=[fit_flags],
+                       help="fit both law families and compare")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare_laws)
 
@@ -403,28 +380,29 @@ def _env_overrides() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    overrides = _load_json(path)
+    overrides = ingest.load_json(path)
     if not isinstance(overrides, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise ValidationError(f"{path}: config must be a JSON object")
     # As strings, argparse converts each default with its flag's type and
     # rejects a bad value exactly as it would on the command line.
     return {k: str(v) for k, v in overrides.items() if k in _CONFIG_KEYS}
 
 
 def main(argv=None) -> int:
+    args = build_parser({}).parse_args(argv)
     try:
         overrides = _env_overrides()
-    except (OSError, ValueError) as exc:
+    except (OSError, CptLawsError) as exc:
         print(f"error reading {CONFIG_ENV_VAR} config: {exc}", file=sys.stderr)
         return EXIT_IO
-    args = build_parser(overrides).parse_args(argv)
+    if overrides:
+        args = build_parser(overrides).parse_args(argv)
     try:
         return args.func(args)
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (CptLawsError, ValueError) as exc:
-        # ValueError covers malformed JSON documents and bad numeric flags
+    except CptLawsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -295,8 +295,21 @@ def serialize_runs(runset: RunSet) -> str:
 
 
 def load_runs(path) -> RunSet:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
-        return parse_runs(fh)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
+            return parse_runs(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def load_json(path):
+    """The JSON document at ``path``; one that does not decode is a ParseError naming the path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
+            return json.load(fh)
+    # Invalid UTF-8 or JSON, an integer past the digit limit, or nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def dump_runs(runset: RunSet, path) -> None:

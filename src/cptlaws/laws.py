@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Union
 
 from .errors import (
@@ -332,28 +332,31 @@ def law_to_dict(law) -> dict:
 
 
 def law_from_dict(doc: dict):
-    """Inverse of :func:`law_to_dict`; validates the discriminator and version."""
+    """Inverse of :func:`law_to_dict`; validates the version, the discriminator and each field."""
     if not isinstance(doc, dict):
         raise ValidationError("law document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}")
     kind = doc.get("law_kind")
-    cls = _KIND_TYPES.get(kind)
+    cls = _KIND_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValidationError(f"unknown law_kind {kind!r}")
-    fields = {k: v for k, v in doc.items() if k not in ("schema_version", "law_kind")}
-    for name, value in fields.items():
+    values = {k: v for k, v in doc.items() if k not in ("schema_version", "law_kind")}
+    defaults = {field.name: field.default for field in fields(cls)}
+    for name, value in values.items():
+        if name not in defaults:
+            raise ValidationError(f"bad {kind} document: unknown field {name!r}")
         # Reject bools (an int subclass) and ints past float range.
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(
                 f"bad {kind} document: {name} must be a number, got {type(value).__name__}"
             )
         try:
-            fields[name] = float(value)
+            values[name] = float(value)
         except OverflowError:
             raise ValidationError(f"bad {kind} document: {name} is too large") from None
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ValidationError(f"bad {kind} document: {exc}") from exc
+    for name, default in defaults.items():
+        if default is MISSING and name not in values:
+            raise ValidationError(f"bad {kind} document: missing field {name!r}")
+    return cls(**values)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +104,18 @@ class TestCoefficientsCpt:
         with pytest.raises(AllocationRegimeError):
             allocation_coefficients(bad_alpha)
 
+    @pytest.mark.parametrize("law", [
+        dataclasses.replace(SCRATCH, A=1e308), dataclasses.replace(SCRATCH, A=1e-308),
+        dataclasses.replace(SCRATCH, B=1e308), dataclasses.replace(SCRATCH, alpha=1e-308),
+        dataclasses.replace(SCRATCH, beta=1e308), dataclasses.replace(SCRATCH, beta=1e-308),
+        dataclasses.replace(CPT, B_prime=1e308), dataclasses.replace(CPT, gamma=-1e308),
+    ])
+    def test_coefficients_past_float_range_name_the_law(self, law):
+        # Each raised OverflowError or ZeroDivisionError from the closed form.
+        name = type(law).__name__
+        with pytest.raises(DomainError, match=rf"^the allocation coefficients of {name}\("):
+            allocation_coefficients(law)
+
     def test_dispatch_helper(self):
         as_cpt = ExtendedCptParams(
             E=SCRATCH.E, A=SCRATCH.A, alpha=SCRATCH.alpha,
@@ -163,6 +177,13 @@ class TestOptimalAllocation:
             n = plan.n_opt * bump
             d = compute / (6.0 * n)
             assert eval_law(law, n, d) >= plan.predicted_loss
+
+    @pytest.mark.parametrize("law", [dataclasses.replace(SCRATCH, A=5e142),
+                                     dataclasses.replace(SCRATCH, B=1e-150)])
+    def test_plan_past_float_range_is_a_domain_error(self, law):
+        # N_opt (or D_opt) at 1e300 FLOPs is past float range; math.exp raised.
+        with pytest.raises(DomainError, match=r"the optimal N and D at C=1e\+300"):
+            optimal_allocation(allocation_coefficients(law), 1e300, law)
 
 
 class TestNumericFrontier:
@@ -262,6 +283,14 @@ class TestIsoLossGrid:
             isoloss_grid(SCRATCH, (1e9, 1e8), (1e9, 1e12), 4)
         with pytest.raises(DomainError):
             isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e12), 1)
+
+    @pytest.mark.parametrize("n_range, d_range", [((1e-200, 1e9), (1e-200, 1e12)),
+                                                  ((1e8, 1e200), (1e9, 1e200))],
+                             ids=["underflow", "overflow"])
+    def test_compute_past_float_range_names_both_ranges(self, n_range, d_range):
+        with pytest.raises(DomainError, match=rf"n_range {re.escape(repr(n_range))}, "
+                                              rf"d_range {re.escape(repr(d_range))}"):
+            isoloss_grid(SCRATCH, n_range, d_range, 3)
 
     @pytest.mark.parametrize("bad", [(1e8, math.inf), (math.nan, 1e9)])
     def test_non_finite_ranges_are_named(self, bad):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -461,6 +462,29 @@ class TestErrorPaths:
             assert f"--n-range expects LO:HI, got {text!r}" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_compute_past_float_range_exit_code(self, tmp_path, capsys):
+        law = write_law(tmp_path, SCRATCH, "law.json")
+        assert main(["isoloss", "--fit", law, "--n-range", "1e-200:1e9", "--d-range",
+                     "1e-200:1e12", "--out", str(tmp_path / "g.csv")]) == 3
+        assert "n_range (1e-200, 1000000000.0), d_range (1e-200, 1000000000000.0)" in (
+            capsys.readouterr().err)
+
+    def test_run_log_of_invalid_utf8_exit_code_names_the_file(self, tmp_path, capsys):
+        runs = Path(write_runs(tmp_path, SCRATCH, "runs.jsonl"))
+        runs.write_bytes(runs.read_bytes().replace(b'"synthetic"', b'"\xff"', 1))
+        assert main(["frontier", "--runs", str(runs), "--out", str(tmp_path / "o.json")]) == 3
+        assert f"error: {runs}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b'{"schema_version": 1, "law_kind": "\xff"}', b'{"E": 1' + b"0" * 5000 + b"}",
+        b"[" * 100_000,
+    ], ids=["invalid-utf8", "integer-past-digit-limit", "nested-past-recursion-limit"])
+    def test_undecodable_law_document_exit_code_names_the_file(self, tmp_path, capsys, text):
+        law = tmp_path / "law.json"
+        law.write_bytes(text)
+        assert main(["allocate", "--fit", str(law), "--compute", "1e21"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {law}: ")
+
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["fit", "--strategy", "scratch"])
@@ -478,7 +502,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "law document must be a JSON object"),
-        (json.dumps({**law_to_dict(SCRATCH), "extra": 1}), "unexpected keyword argument 'extra'"),
+        (json.dumps({**law_to_dict(SCRATCH), "extra": 1}),
+         "bad chinchilla document: unknown field 'extra'"),
     ], ids=["array", "unknown-field"])
     def test_malformed_law_shape_exit_code(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
@@ -760,6 +785,17 @@ class TestEnvConfig:
         assert "config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("config", ["missing", "not-json"])
+    def test_help_and_usage_errors_come_before_the_config(self, tmp_path, monkeypatch, config):
+        path = tmp_path / "config.json"
+        if config == "not-json":
+            path.write_text("{not json")
+        monkeypatch.setenv("CPTLAWS_CONFIG", str(path))
+        for argv, code in ((["--help"], 0), (["fit", "--runs", "x"], 2)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == code
+
     def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CPTLAWS_CONFIG", str(tmp_path / "missing.json"))
         assert main(["synth", "--preset", "paper-scratch",
@@ -937,3 +973,111 @@ class TestStartup:
         ]
         result = _run_startup_probe(argvs)
         assert result == {"codes": [0, 0], "after_import": False, "at_end": False}
+
+
+# Each mutation either drops a field (_DROP), sets it to a JSON value, or
+# sets it to a string holding invalid UTF-8 (_BAD_UTF8).
+_DROP, _BAD_UTF8 = object(), object()
+_FUZZ_VALUES = (_DROP, None, True, "x", [1], {"a": 1}, 1e308, -1e308, 1e-308,
+                float("nan"), float("inf"), float("-inf"), 10**400, 0, -1, _BAD_UTF8)
+
+
+def _mutated_line(doc: dict, field: str, value) -> bytes:
+    """``doc`` as one JSON line with ``field`` set to ``value`` (or dropped)."""
+    doc = {k: v for k, v in doc.items() if k != field}
+    if value is not _DROP:
+        doc[field] = "\x00" if value is _BAD_UTF8 else value
+    return json.dumps(doc).encode().replace(b'"\\u0000"', b'"\xff\xfe"')
+
+
+@pytest.mark.property
+class TestFuzzedInputs:
+    """Every malformed law document or run log ends in a documented exit code.
+
+    A case passes when ``main`` returns 0, 3, 4 or 5, or argparse exits 2;
+    any other exception escaping ``main`` is a failure.  Law documents are
+    mutated one field at a time over every field and value (240 documents,
+    each fed to four slots, and the 213 that ``law_from_dict`` rejects also
+    to ``fit --fixed-from``: 1,173 cases).  Run logs get 300 seeded
+    single-field mutations of one line of the two-run replay log, each fed to
+    ``frontier`` and ``replay``, and 300 of one line of the paired pre-training
+    and CPT logs, fed to empirical ``transfer`` (900 cases).
+    """
+
+    @staticmethod
+    def _escapes(cases, capsys) -> list[str]:
+        """The cases that end in anything but a documented exit code."""
+        escapes = []
+        for name, argv in cases:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # what escapes main is the finding
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4, 5):
+                escapes.append(f"{name}: {code}")
+        capsys.readouterr()
+        return escapes
+
+    def test_law_documents(self, tmp_path, capsys):
+        scratch, cpt = write_law(tmp_path, SCRATCH, "s.json"), write_law(tmp_path, CPT, "c.json")
+        runs, out = write_runs(tmp_path, SCRATCH, "runs.jsonl"), str(tmp_path / "out")
+        cases = []
+        for law in (SCRATCH, CPT):
+            doc = law_to_dict(law)
+            for field in doc:
+                for i, value in enumerate(_FUZZ_VALUES):
+                    path = tmp_path / f"{doc['law_kind']}-{field}-{i}.json"
+                    path.write_bytes(_mutated_line(doc, field, value))
+                    name, bad = f"{doc['law_kind']}.{field}={value!r}", str(path)
+                    cases += [
+                        (f"allocate {name}", ["allocate", "--fit", bad, "--compute", "1e21"]),
+                        (f"isoloss {name}", ["isoloss", "--fit", bad, "--n-range", "1e8:1e10",
+                                             "--d-range", "1e9:1e12", "--resolution", "3",
+                                             "--out", out]),
+                        (f"transfer-scratch {name}", ["transfer", "--scratch-fit", bad,
+                                                      "--cpt-fit", cpt, "--n", "1e9",
+                                                      "--d", "1e10"]),
+                        (f"transfer-cpt {name}", ["transfer", "--scratch-fit", scratch,
+                                                  "--cpt-fit", bad, "--n", "1e9", "--d", "1e10"]),
+                    ]
+                    try:  # only a rejected document keeps fit from fitting
+                        cptlaws.law_from_dict(json.loads(path.read_bytes()))
+                    except Exception:
+                        cases.append((f"fit {name}", ["fit", "--runs", runs, "--strategy", "cpt",
+                                                      "--fixed-from", bad, "--out", out]))
+        assert len(cases) == 1173
+        assert self._escapes(cases, capsys) == []
+
+    def test_run_logs(self, tmp_path, capsys):
+        rng = random.Random(0)
+        replay = Path(write_replay_runs(tmp_path)).read_text().splitlines()
+        pt_path, cpt_path = write_paired_runs(tmp_path)
+        paired = [Path(pt_path).read_text().splitlines(), Path(cpt_path).read_text().splitlines()]
+        out = str(tmp_path / "out.json")
+        fields = ("run_id", "strategy", "language", "replay_ratio", "param_count", "tokens",
+                  "loss", "val_language")
+
+        def mutate(lines, path):
+            index = rng.randrange(len(lines))
+            field, value = rng.choice(fields), rng.choice(_FUZZ_VALUES)
+            mutated = [line.encode() for line in lines]
+            mutated[index] = _mutated_line(json.loads(lines[index]), field, value)
+            path.write_bytes(b"\n".join(mutated))
+            return f"line {index + 1} {field}={value!r}"
+
+        cases = []
+        for i in range(300):
+            log = tmp_path / f"replay-{i}.jsonl"
+            name = mutate(replay, log)
+            cases += [(f"frontier {name}", ["frontier", "--runs", str(log), "--out", out]),
+                      (f"replay {name}", ["replay", "--runs", str(log), "--out", out])]
+            side = rng.randrange(2)
+            logs = [pt_path, cpt_path]
+            logs[side] = str(tmp_path / f"paired-{i}.jsonl")
+            name = mutate(paired[side], Path(logs[side]))
+            cases.append((f"transfer {('pt', 'cpt')[side]} {name}",
+                          ["transfer", "--pt-run", logs[0], "--cpt-run", logs[1], "--levels", "4"]))
+        assert len(cases) == 900
+        assert self._escapes(cases, capsys) == []

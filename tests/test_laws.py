@@ -305,6 +305,25 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="law_kind"):
             law_from_dict({"schema_version": 1, "law_kind": "mystery"})
 
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, 1, None],
+                             ids=["list", "object", "int", "null"])
+    def test_kind_that_is_not_a_string_rejected(self, kind):
+        with pytest.raises(ValidationError, match="unknown law_kind"):
+            law_from_dict({"schema_version": 1, "law_kind": kind})
+
+    def test_unknown_and_missing_fields_are_named(self):
+        doc = law_to_dict(SCRATCH)
+        with pytest.raises(ValidationError, match="bad chinchilla document: unknown field 'extra'"):
+            law_from_dict({**doc, "extra": 1})
+        del doc["B"]
+        with pytest.raises(ValidationError, match="bad chinchilla document: missing field 'B'"):
+            law_from_dict(doc)
+
+    def test_field_with_a_default_may_be_omitted(self):
+        doc = law_to_dict(REFERENCE_SCRATCH_FRONTIER)
+        del doc["offset"]
+        assert law_from_dict(doc) == REFERENCE_SCRATCH_FRONTIER
+
     def test_bad_version_rejected(self):
         doc = law_to_dict(SCRATCH)
         doc["schema_version"] = 99
