@@ -20,16 +20,17 @@ Every fit runs a deterministic grid of starts through three phases.  The
 default grids give each law term a set share of the loss at the median
 record, so no term starts dead whatever the data's scale.  First, all
 starts advance together through a damped Gauss-Newton (Levenberg-Marquardt)
-stage on the IRLS-weighted Huber residuals, in blocks evaluated as (starts,
-records) arrays by one kernel, ``_law_system`` (objective, Gauss-Newton
-matrix and gradient; each Jacobian is the softmax term weights times each
-term's derivative).  A start stops on a relative decrease or step below
-1e-10, or after its share of ``_GN_ROW_TRIALS`` row trials (30 each on the
-96-start scratch grid).  Steps are projected onto the bounds (only the
-free-offset frontier has one): a coordinate on its bound whose descent
-direction points outward takes no step.  Second, the best basin, the starts
-within ``_BASIN_TOLERANCE`` relative of the lowest stage objective, goes
-through a finish pass of the same iteration with Huber-Newton weights (the
+stage on the IRLS-weighted Huber residuals.  Each iteration evaluates the
+starts still running, in (starts, records) arrays of bounded size, by one
+kernel, ``_law_system`` (objective, Gauss-Newton matrix and gradient; each
+Jacobian is the softmax term weights times each term's derivative).  A
+start stops on a relative decrease or step below 1e-10, or after its share
+of ``_GN_ROW_TRIALS`` row trials (30 each on the 96-start scratch grid).
+Steps are projected onto the bounds (only the free-offset frontier has
+one): a coordinate on its bound whose descent direction points outward
+takes no step.  Second, the best basin, the starts within
+``_BASIN_TOLERANCE`` relative of the lowest stage objective, goes through a
+finish pass of the same iteration with Huber-Newton weights (the
 penalty's second derivative, 1 inside delta and 0 outside), which converges
 quadratically where IRLS converges linearly; a start leaves it once its
 projected gradient is within ``_FINISH_GTOL``, on the step rule, or after
@@ -79,9 +80,8 @@ _FRONTIER_FREE = [0, 2, 3]  # L(C) = E + A / C^alpha: N := C, no data term
 _LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
 _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position enters
 
-# Options of every local search.  maxls = 50 (scipy's default is 20) lets the
-# first line search from a far-out start finish instead of ending ABNORMAL.
-# The Newton finish takes at most maxiter trials.
+# Options of every local search.  The Newton finish takes at most maxiter
+# trials.
 _LBFGSB_OPTIONS = {"maxiter": 300, "ftol": 1e-11, "gtol": 1e-10, "maxls": 50}
 # The Newton finish stops 1000 times below L-BFGS-B's gtol.  The noisy fits
 # have a flat direction (J^T W J has condition number ~1e7 on the sigma =
@@ -96,18 +96,19 @@ _FINISH_GTOL = 1e-3 * _LBFGSB_OPTIONS["gtol"]
 # trials each that the sweeps of BENCH_7.json chose, the 16-start CPT grid 180
 # and compare_laws' 17-start extended grid 169, and a stage with few starts
 # runs until its stop rules end it (the 2-start free-offset frontier needs
-# about 100 of its 1,440).  A block holds _GN_BLOCK_ELEMENTS // n starts of
-# n records (one start on a 42k-record log), and so bounds the buffers that
-# each ``_law_system`` call allocates: seven (rows, records) float arrays, a
-# mask and the Jacobian, 2.6 MB at 32 rows.  The kernel writes every array of
-# the data's size into those buffers in place.  That style is what keeps the
-# heap quiet: on the 840-record scratch replica (2-CPU host, Python 3.11,
-# numpy 2.4) a second fit_scratch in one process took 7 minor page faults,
-# and 65,000-80,000 with the same arithmetic written as plain expressions,
-# whose temporaries glibc trims and faults in again.  Larger blocks only cut
-# the Python overhead per step, and they cost RSS: there fit_scratch took
-# 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at 24, 1.11 s at 32, 1.08 s at 40
-# and 1.04 s at 64 (BENCH_13.json), while peak RSS grew by 0.08 MB a row.
+# about 100 of its 1,440).  One ``_law_system`` call evaluates at most
+# _GN_BLOCK_ELEMENTS // n running starts of n records (one start on a
+# 42k-record log), and so bounds the buffers the call allocates: seven (rows,
+# records) float arrays, a mask and the Jacobian, 2.6 MB at 32 rows.  The
+# kernel writes every array of the data's size into those buffers in place.
+# That style is what keeps the heap quiet: on the 840-record scratch replica
+# (2-CPU host, Python 3.11, numpy 2.4) a second fit_scratch in one process
+# took 7 minor page faults, and 65,000-80,000 with the same arithmetic written
+# as plain expressions, whose temporaries glibc trims and faults in again.
+# Larger calls only cut the Python overhead per step, and they cost RSS: there
+# fit_scratch took 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at 24, 1.11 s at
+# 32, 1.08 s at 40 and 1.04 s at 64 (BENCH_13.json), while peak RSS grew by
+# 0.08 MB a row.
 _GN_ROW_TRIALS = 30 * 96
 _GN_BLOCK_ELEMENTS = 27_000
 _GN_TOLERANCE = 1e-10  # relative decrease and relative step that end a start's stage
@@ -421,101 +422,91 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
 
     This is Levenberg-Marquardt on the IRLS-weighted Huber residuals (weight
     1 where |r| <= delta, delta / |r| elsewhere) over q[free], the rest held
-    at ``base``.  The starts move together, ``_GN_BLOCK_ELEMENTS // n`` rows
-    at a time, and trial points are clipped into ``bounds`` (L-BFGS-B form).
-    A start takes a trial only when its objective is finite and lower, and
+    at ``base``.  Each iteration steps the starts still running, clips their
+    trial points into ``bounds`` (L-BFGS-B form) and evaluates them in
+    ``_law_system`` calls of at most ``_GN_BLOCK_ELEMENTS // n`` rows.  A
+    start takes a trial only when its objective is finite and lower, and
     stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
     most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after its share
-    of ``_GN_ROW_TRIALS``, the same number of trials for every start.
+    of ``_GN_ROW_TRIALS``, the same number of trials for every start.  The
+    damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
+    for Non-linear Least Squares Problems, 2004): a taken step scales it by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
+    decrease clipped to [0, 1]; a refused one multiplies it by a factor that
+    doubles with each refusal in a row.
 
     With ``finish`` the iteration is a Huber-Newton one instead: the weights
     are the penalty's second derivative (1 where |r| <= delta, 0 elsewhere;
     Madsen and Nielsen 1990), which converges quadratically where IRLS
-    converges linearly.  A start then stops when its projected gradient is
-    within L-BFGS-B's ``gtol``, on the step rule, or after L-BFGS-B's
-    ``maxiter`` trials; there is no relative-decrease rule.  No row's
-    arithmetic reads another row, so the endpoints and objectives do not
-    depend on the order or the blocking of the starts.
+    converges linearly.  A start then stops once the largest component of
+    its mean objective's projected gradient is within ``_FINISH_GTOL``, on
+    the step rule, or after L-BFGS-B's ``maxiter`` trials; there is no
+    relative-decrease rule.  No row's arithmetic reads another row, so the
+    endpoints and objectives do not depend on the order of the starts or on
+    how the kernel calls split them.
     """
     n = flat[2].size
     lower, upper = _bound_arrays(bounds)
-    rows = min(len(x0), max(1, _GN_BLOCK_ELEMENTS // n))
+    rows = max(1, _GN_BLOCK_ELEMENTS // n)
     if finish:
         trials, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
     else:
         trials, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
 
     def system(x: np.ndarray):
-        return _law_system(x, base, free, flat, delta, newton=finish)
+        calls = [_law_system(x[i:i + rows], base, free, flat, delta, newton=finish)
+                 for i in range(0, len(x), rows)]
+        return tuple(np.concatenate(parts) for parts in zip(*calls))
 
-    blocks = [_gauss_newton_block(system, x0[i:i + rows], n, lower, upper, trials, gtol)
-              for i in range(0, len(x0), rows)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _gauss_newton_block(system, x: np.ndarray, n: int, lower, upper, trials: int,
-                        gtol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The Levenberg-Marquardt iteration of ``_gauss_newton`` on one block of starts.
-
-    The damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
-    for Non-linear Least Squares Problems, 2004): a taken step scales it by
-    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
-    decrease clipped to [0, 1]; a refused one multiplies it by a factor that
-    doubles with each refusal in a row.  Every row is stepped each
-    iteration, and only the active rows take their trial points and update
-    their damping (a stopped row's would otherwise grow until it overflows).
-    With ``gtol`` a row stops once the largest component of its mean
-    objective's projected gradient is at most ``gtol``, and the
-    relative-decrease rule is off.
-    """
-    x = x.copy()
+    x = x0.copy()
     value, hess, grad = system(x)
     eye = np.eye(x.shape[1])
     damping = np.full(len(x), _GN_DAMPING)
     growth = np.full(len(x), 2.0)
-    active = np.isfinite(value)
-    hess[~active], grad[~active] = eye, 0.0  # a start without a finite objective stays put
+    running = np.flatnonzero(np.isfinite(value))
     for _ in range(trials):
         if gtol is not None:
-            active &= np.abs(_projected_gradient(x, grad / n, lower, upper)).max(axis=1) > gtol
-        if not active.any():
-            break
+            projected = _projected_gradient(x[running], grad[running] / n, lower, upper)
+            running = running[np.abs(projected).max(axis=1) > gtol]
+        xr, hr, gr = x[running], hess[running], grad[running]
         # Marquardt's scaling: each coordinate is damped in proportion to its
         # curvature, floored at _GN_CURVATURE_FLOOR of the largest so that a
         # nearly flat coordinate cannot take an unbounded step.  A start with
         # no curvature at all gets no step and stops.
-        curvature = np.diagonal(hess, axis1=1, axis2=2)
+        curvature = np.diagonal(hr, axis1=1, axis2=2)
         curvature = np.maximum(curvature, _GN_CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
         scale = np.divide(1.0, np.sqrt(curvature), out=np.zeros_like(curvature),
                           where=curvature > 0)
         # A coordinate on its bound whose descent direction points out of the
         # box takes no step, and the others are solved without it: a projected
         # Levenberg-Marquardt step (Kanzow, Yamashita and Fukushima 2004).
-        scale[((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))] = 0.0
-        matrix = hess * scale[:, :, None] * scale[:, None, :] + damping[:, None, None] * eye
-        step = -scale * np.linalg.solve(matrix, (scale * grad)[:, :, None])[:, :, 0]
-        trial = np.clip(x + step, lower, upper)
-        step = trial - x
-        active &= (np.abs(step) > _GN_TOLERANCE * (1.0 + np.abs(x))).any(axis=1)
+        scale[((xr <= lower) & (gr > 0)) | ((xr >= upper) & (gr < 0))] = 0.0
+        matrix = hr * scale[:, :, None] * scale[:, None, :] + damping[running, None, None] * eye
+        step = -scale * np.linalg.solve(matrix, (scale * gr)[:, :, None])[:, :, 0]
+        trial = np.clip(xr + step, lower, upper)
+        step = trial - xr
+        moving = (np.abs(step) > _GN_TOLERANCE * (1.0 + np.abs(xr))).any(axis=1)
+        running, trial, step, hr, gr = (a[moving] for a in (running, trial, step, hr, gr))
+        if not running.size:
+            break
         # Decrease of the quadratic model, in units of n * objective.
-        predicted = -(np.einsum("ij,ij->i", grad, step)
-                      + 0.5 * (step[:, None, :] @ hess @ step[:, :, None])[:, 0, 0])
+        predicted = -(np.einsum("ij,ij->i", gr, step)
+                      + 0.5 * (step[:, None, :] @ hr @ step[:, :, None])[:, 0, 0])
         trial_value, trial_hess, trial_grad = system(trial)
-        better = active & np.isfinite(trial_value) & (trial_value < value)
-        decrease = np.subtract(value, trial_value, out=np.zeros_like(value), where=better)
+        better = np.isfinite(trial_value) & (trial_value < value[running])
+        decrease = np.subtract(value[running], trial_value, out=np.zeros_like(trial_value),
+                               where=better)
         ratio = np.divide(n * decrease, predicted, out=np.zeros_like(predicted),
                           where=better & (predicted > 0))
         factor = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.clip(ratio, 0.0, 1.0) - 1.0) ** 3)
-        np.multiply(damping, np.where(better, factor, growth), out=damping, where=active)
-        np.maximum(damping, _GN_DAMPING_FLOOR, out=damping)
-        np.multiply(growth, 2.0, out=growth, where=active & ~better)
-        growth[better] = 2.0
-        x[better] = trial[better]
-        value[better] = trial_value[better]
-        hess[better] = trial_hess[better]
-        grad[better] = trial_grad[better]
+        damping[running] = np.maximum(damping[running] * np.where(better, factor, growth[running]),
+                                      _GN_DAMPING_FLOOR)
+        growth[running] = np.where(better, 2.0, 2.0 * growth[running])
+        taken = running[better]
+        x[taken], value[taken] = trial[better], trial_value[better]
+        hess[taken], grad[taken] = trial_hess[better], trial_grad[better]
         if gtol is None:
-            active &= ~better | (decrease > _GN_TOLERANCE * value)
+            running = running[~better | (decrease > _GN_TOLERANCE * value[running])]
     return x, value
 
 

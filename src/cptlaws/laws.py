@@ -336,7 +336,7 @@ def law_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise ValidationError("law document must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # bool and float are not a version
         raise ValidationError(f"unsupported schema_version {version!r}")
     kind = doc.get("law_kind")
     cls = _KIND_TYPES.get(kind) if isinstance(kind, str) else None

@@ -353,6 +353,10 @@ class TestEfficientFrontierLoss:
         plan = optimal_allocation(coeffs, 1e20, SCRATCH)
         assert curve == [(pytest.approx(1e20), pytest.approx(plan.predicted_loss))]
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(DomainError, match="samples must be at least 1, got 0"):
+            efficient_frontier_loss(allocation_coefficients(SCRATCH), SCRATCH, (1e20, 1e22), 0)
+
     @pytest.mark.parametrize("c_range", [(1e20, math.inf), (math.nan, 1e22), (1e20, math.nan)])
     def test_non_finite_c_range_rejected(self, c_range):
         # RuntimeWarnings are errors in this suite, so a warning ahead of the

@@ -504,7 +504,9 @@ class TestErrorPaths:
         ("[1, 2]", "law document must be a JSON object"),
         (json.dumps({**law_to_dict(SCRATCH), "extra": 1}),
          "bad chinchilla document: unknown field 'extra'"),
-    ], ids=["array", "unknown-field"])
+        (json.dumps({**law_to_dict(SCRATCH), "schema_version": True}),
+         "unsupported schema_version True"),
+    ], ids=["array", "unknown-field", "bool-version"])
     def test_malformed_law_shape_exit_code(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -997,8 +999,8 @@ class TestFuzzedInputs:
     A case passes when ``main`` returns 0, 3, 4 or 5, or argparse exits 2;
     any other exception escaping ``main`` is a failure.  Law documents are
     mutated one field at a time over every field and value (240 documents,
-    each fed to four slots, and the 213 that ``law_from_dict`` rejects also
-    to ``fit --fixed-from``: 1,173 cases).  Run logs get 300 seeded
+    each fed to four slots, and the 215 that ``law_from_dict`` rejects also
+    to ``fit --fixed-from``: 1,175 cases).  Run logs get 300 seeded
     single-field mutations of one line of the two-run replay log, each fed to
     ``frontier`` and ``replay``, and 300 of one line of the paired pre-training
     and CPT logs, fed to empirical ``transfer`` (900 cases).
@@ -1047,7 +1049,7 @@ class TestFuzzedInputs:
                     except Exception:
                         cases.append((f"fit {name}", ["fit", "--runs", runs, "--strategy", "cpt",
                                                       "--fixed-from", bad, "--out", out]))
-        assert len(cases) == 1173
+        assert len(cases) == 1175
         assert self._escapes(cases, capsys) == []
 
     def test_run_logs(self, tmp_path, capsys):

@@ -302,6 +302,17 @@ class TestRunInvariants:
                 param_count=10, records=(LossRecord(1, 1.0),),
             )
 
+    def test_int_loss_becomes_a_float(self):
+        record = LossRecord(10, 3)
+        assert record.loss == 3.0 and type(record.loss) is float
+
+    def test_records_out_of_token_order_across_series_rejected(self):
+        # Each series is increasing on its own; the second record goes back.
+        records = (LossRecord(20, 2.0, "zh"), LossRecord(10, 2.5, "en"))
+        with pytest.raises(ValidationError, match="records must be sorted by tokens"):
+            TrainingRun(id="x", strategy="cpt", language="zh", replay_ratio=0.1,
+                        param_count=10, records=records)
+
     def test_duplicate_run_ids_rejected(self):
         run = TrainingRun(
             id="x", strategy="scratch", language="zh", replay_ratio=0.0,

@@ -231,6 +231,14 @@ class TestParamValidation:
         p = ExtendedCptParams(E=1.5, A=400, alpha=0.4, B_prime=700, beta_prime=0.3, gamma=-0.005)
         assert p.gamma == -0.005
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"coefficient": 0.0, "exponent": 0.1}, "coefficient must be positive"),
+        ({"coefficient": 2.5, "exponent": 0.1, "offset": -0.5}, "offset must be nonnegative"),
+    ], ids=["zero-coefficient", "negative-offset"])
+    def test_frontier_rejects_bad_fields(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            FrontierParams(**fields)
+
     def test_frontier_allows_zero_exponent(self):
         assert FrontierParams(coefficient=2.5, exponent=0.0).exponent == 0.0
         with pytest.raises(ValidationError):
@@ -328,6 +336,13 @@ class TestSerialization:
         doc = law_to_dict(SCRATCH)
         doc["schema_version"] = 99
         with pytest.raises(ValidationError, match="schema_version"):
+            law_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_version_that_is_not_an_integer_rejected(self, version):
+        # True == 1 and 1.0 == 1 in Python; JSON keeps them apart.
+        doc = {**law_to_dict(SCRATCH), "schema_version": version}
+        with pytest.raises(ValidationError, match=f"unsupported schema_version {version!r}"):
             law_from_dict(doc)
 
     @pytest.mark.parametrize(

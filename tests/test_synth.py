@@ -122,6 +122,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=())
 
+    def test_rejects_a_zero_size(self):
+        with pytest.raises(ValidationError, match="param_sizes must be positive"):
+            SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(10**8, 0))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, seed=-1)
+
     def test_rejects_single_record_runs(self):
         with pytest.raises(ValidationError):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, records_per_run=1)

@@ -29,7 +29,7 @@ from cptlaws import (
     parametric_transfer,
     solve_tokens_for_loss,
 )
-from cptlaws.transfer import export_forgetting_csv, export_transfer_csv
+from cptlaws.transfer import CurveInterpolator, export_forgetting_csv, export_transfer_csv
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -71,6 +71,16 @@ class TestCurveInterpolator:
         losses = [math.exp(v) for v in curve.log_losses]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert curve.tokens_at_loss(3.0) == pytest.approx(1e8, rel=1e-12)
+
+    @pytest.mark.parametrize("log_tokens, log_losses, message", [
+        ((1.0,), (2.0,), "at least two aligned knots"),
+        ((1.0, 2.0), (2.0, 1.5, 1.0), "at least two aligned knots"),
+        ((1.0, 1.0), (2.0, 1.5), "knot tokens must strictly increase"),
+        ((1.0, 2.0), (1.5, 2.0), "knot losses must be nonincreasing"),
+    ], ids=["one-knot", "misaligned", "repeated-tokens", "rising-loss"])
+    def test_bad_knots_rejected(self, log_tokens, log_losses, message):
+        with pytest.raises(ValidationError, match=message):
+            CurveInterpolator(log_tokens, log_losses)
 
     def test_log_log_midpoint_is_geometric_mean(self):
         curve = interp_loss_curve(run_from_points([(10**8, 4.0), (10**10, 1.0)]))
@@ -284,6 +294,10 @@ class TestFlopsSaving:
                 FrontierParams(coefficient=30.0, exponent=0.06, offset=0.5),
                 REFERENCE_CPT_FRONTIER,
                 2.0,
+            )
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            flops_saving_from_frontiers(
+                FrontierParams(coefficient=30.0, exponent=0.0), REFERENCE_CPT_FRONTIER, 2.0
             )
 
 
