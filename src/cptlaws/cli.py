@@ -15,7 +15,9 @@ imported by the commands that use them, so ``allocate``, ``isoloss``,
 ``transfer`` (both routes), ``replay`` and the zero-offset ``frontier`` run on
 the standard library alone.  ``frontier --no-fix-offset-zero`` is a law fit
 and loads the fitter.  An output path that is a symbolic link is written
-through: its target is replaced and the link stays.
+through: its target is replaced and the link stays.  Unless the environment
+sets a BLAS thread count, ``main`` sets ``OPENBLAS_NUM_THREADS=1`` before any
+command imports numpy.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ EXIT_FIT = 4
 EXIT_IO = 5
 
 CONFIG_ENV_VAR = "CPTLAWS_CONFIG"
+
+#: Thread-count variables that numpy's BLAS (OpenBLAS or MKL) reads when numpy is imported.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Flag destinations the environment config file may override.
 _CONFIG_KEYS = (
@@ -105,11 +110,16 @@ def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
 def _load_law(path: str, kinds: tuple[type, ...], what: str):
     """Read a law of one of ``kinds`` from a bare law document or a fit-report document.
 
-    A law of any other kind is a ValidationError naming the file and ``what``
-    was expected.
+    A document with ``params`` must be a ``fit_report`` of this schema
+    version.  A law of any other kind is a ValidationError naming the file and
+    ``what`` was expected.
     """
     doc = ingest.load_json(path)
     if isinstance(doc, dict) and "params" in doc:
+        if doc.get("kind") != "fit_report":
+            raise ValidationError(f"{path}: a document with params must be a fit_report, "
+                                  f"got kind {doc.get('kind')!r}")
+        laws.check_schema_version(doc)
         doc = doc["params"]
     law = laws.law_from_dict(doc)
     if not isinstance(law, kinds):
@@ -389,6 +399,11 @@ def _env_overrides() -> dict:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS starts a thread per CPU when numpy is imported, which costs
+    # tens of milliseconds of start-up, and the fits are far too small to gain
+    # from them.  A thread count the user set is left alone.
+    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser({}).parse_args(argv)
     try:
         overrides = _env_overrides()

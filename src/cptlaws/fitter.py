@@ -582,7 +582,8 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
 def _prepare(data: RunSet, cfg: FitConfig):
     """The (log N, log D, log L) arrays a law fit uses, after the warmup filter."""
     log_n, log_d, log_l = _flatten(_apply_warmup(data, cfg.warmup_fraction))
-    if np.unique(log_n).size < 2 or np.unique(log_d).size < 2:
+    # Not np.unique: under numpy 2 its first call imports numpy.ma.
+    if not (log_n.min() < log_n.max() and log_d.min() < log_d.max()):
         raise UnidentifiableDataError(
             "fitting requires at least two distinct model sizes and two distinct token counts"
         )
@@ -595,9 +596,18 @@ def _apply_warmup(data: RunSet, fraction: float) -> RunSet:
     return RunSet(runs=tuple(warmup_filter(run, fraction) for run in data))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a NaN-free array, bit for bit, without its import of numpy.ma (numpy 2)."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _median_record(flat) -> tuple[float, float, float]:
     """Median log N, median log D and the loss at the median log loss of the fit's records."""
-    log_n, log_d, log_l = (float(np.median(values)) for values in flat)
+    log_n, log_d, log_l = (_median(values) for values in flat)
     return log_n, log_d, math.exp(log_l)
 
 

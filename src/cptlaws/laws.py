@@ -331,13 +331,18 @@ def law_to_dict(law) -> dict:
     return doc
 
 
+def check_schema_version(doc: dict) -> None:
+    """Raise ValidationError unless ``doc["schema_version"]`` is the integer SCHEMA_VERSION."""
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # bool and float are not a version
+        raise ValidationError(f"unsupported schema_version {version!r}")
+
+
 def law_from_dict(doc: dict):
     """Inverse of :func:`law_to_dict`; validates the version, the discriminator and each field."""
     if not isinstance(doc, dict):
         raise ValidationError("law document must be a JSON object")
-    version = doc.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:  # bool and float are not a version
-        raise ValidationError(f"unsupported schema_version {version!r}")
+    check_schema_version(doc)
     kind = doc.get("law_kind")
     cls = _KIND_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:

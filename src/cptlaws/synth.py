@@ -72,7 +72,9 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
     for i, n in enumerate(cfg.param_sizes):
         budget = cfg.token_multiple * n
         grid = np.geomspace(0.01 * budget, budget, cfg.records_per_run)
-        tokens = [max(1, int(round(d))) for d in grid]
+        # rint rounds half to even, as round does; int of each float keeps
+        # counts past 2**63 exact, where an int64 cast would overflow.
+        tokens = [max(1, int(d)) for d in np.rint(grid).tolist()]
         if any(b <= a for a, b in zip(tokens, tokens[1:])):
             raise DomainError(
                 f"token grid for N={n} collapses after rounding; "
@@ -94,7 +96,7 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
                         f"noise_sigma {cfg.noise_sigma!r} is too large: a log-noise draw of "
                         f"{noise:.4g} takes the loss of N={n}, D={d} out of float range"
                     )
-            records.append(LossRecord(tokens=d, loss=loss))
+            records.append(LossRecord(d, loss))
         runs.append(
             TrainingRun(
                 id=f"{strategy}-{i:0{width}d}",

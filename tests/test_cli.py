@@ -203,6 +203,20 @@ class TestAllocateCommand:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["n_opt"] == pytest.approx(5.72e8, rel=1e-2)
 
+    @pytest.mark.parametrize("envelope, message", [
+        ({"schema_version": 99, "kind": "anything"}, "must be a fit_report, got kind 'anything'"),
+        ({"schema_version": 99, "kind": "fit_report"}, "unsupported schema_version 99"),
+        ({"schema_version": True, "kind": "fit_report"}, "unsupported schema_version True"),
+        ({"kind": "fit_report"}, "unsupported schema_version None"),
+        ({"schema_version": 1, "kind": "frontier_fit"}, "got kind 'frontier_fit'"),
+        ({"schema_version": 1}, "got kind None"),
+    ], ids=["tampered", "version-99", "bool-version", "no-version", "other-kind", "no-kind"])
+    def test_rejects_a_report_that_is_not_a_fit_report(self, tmp_path, capsys, envelope, message):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({**envelope, "params": law_to_dict(CPT)}))
+        assert main(["allocate", "--fit", str(path), "--compute", "1e21"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_frontier_document_rejected(self, tmp_path):
         law = write_law(tmp_path, REFERENCE_SCRATCH_FRONTIER, "frontier.json")
         assert main(["allocate", "--fit", law, "--compute", "1e21"]) == 3
@@ -817,9 +831,18 @@ print(json.dumps({"codes": codes, "after_import": after_import, "at_end": module
 """
 
 
-def _run_python(*args) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports this checkout's cptlaws."""
+def _run_python(*args, env_update=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's cptlaws.
+
+    ``env_update`` maps variable names to the value they take in the child,
+    or to None to unset them.
+    """
     env = {k: v for k, v in os.environ.items() if k != "CPTLAWS_CONFIG"}
+    for name, value in (env_update or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     src = str(Path(cptlaws.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
@@ -963,6 +986,37 @@ class TestStartup:
                     "--out", str(tmp_path / "comparison.json")]
         result = _run_startup_probe([argv])
         assert result == {"codes": [0], "after_import": False, "at_end": True}
+
+    def test_fits_never_load_numpy_ma(self, tmp_path):
+        # Under numpy 2, np.unique and np.median import numpy.ma on their
+        # first call; numpy 1 imports it with numpy itself.
+        bare = _run_python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)")
+        assert bare.returncode == 0, bare.stderr
+        runs = write_runs(tmp_path, CPT, "runs.jsonl", strategy="cpt")
+        argvs = [["fit", "--runs", runs, "--strategy", "scratch",
+                  "--out", str(tmp_path / "fit.json")],
+                 ["compare-laws", "--runs", runs]]
+        result = _run_startup_probe(argvs, module="numpy.ma")
+        assert result == {"codes": [0, 0], "after_import": False,
+                          "at_end": bare.stdout.strip() == "True"}
+
+    @pytest.mark.parametrize("preset, expected", [
+        ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+        ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+        ({"MKL_NUM_THREADS": "2"}, {"MKL_NUM_THREADS": "2"}),
+    ], ids=["unset", "omp", "openblas", "mkl"])
+    def test_one_blas_thread_unless_the_environment_sets_a_count(self, tmp_path, preset,
+                                                                 expected):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = ("import json, os, sys, cptlaws.cli\n"
+                 "assert cptlaws.cli.main(['synth', '--preset', 'paper-scratch', "
+                 "'--out', sys.argv[1]]) == 0\n"
+                 f"print(json.dumps({{k: os.environ[k] for k in {names!r} if k in os.environ}}))")
+        proc = _run_python("-c", probe, str(tmp_path / "runs.jsonl"),
+                           env_update={**dict.fromkeys(names), **preset})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == expected
 
     def test_converged_two_stage_fit_never_loads_scipy(self, tmp_path):
         scratch_fit = str(tmp_path / "scratch-fit.json")

@@ -1079,6 +1079,15 @@ def term_shares(q, log_n, log_d):
     return np.array(weights) / total
 
 
+@pytest.mark.property
+# "+ 0.0" turns -0.0, which no log value is and which sorts level with 0.0, into 0.0.
+@given(st.lists((st.floats(-1e300, 1e300) | st.integers(-5, 5).map(float)).map(lambda x: x + 0.0),
+                min_size=1, max_size=60))
+def test_median_is_numpy_median_bit_for_bit(values):
+    values = np.array(values)
+    assert fitter._median(values).hex() == float(np.median(values)).hex()
+
+
 class TestDefaultGrids:
     """The default starts are built from the data, so that every law term starts alive."""
 

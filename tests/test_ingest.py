@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -236,6 +240,83 @@ class TestParseRuns:
         )
         rs = RunSet(runs=tuple(runs))
         assert parse_runs(serialize_runs(rs)) == rs
+
+
+def reference_serialize(runset):
+    """The run log as one ``json.dumps`` per record: serialize_runs must give the same bytes."""
+    lines = []
+    for run in runset:
+        meta = {"run_id": run.id, "strategy": run.strategy, "language": run.language,
+                "replay_ratio": run.replay_ratio, "param_count": run.param_count}
+        for rec in run.records:
+            doc = {**meta, "tokens": rec.tokens, "loss": rec.loss}
+            if rec.val_language is not None:
+                doc["val_language"] = rec.val_language
+            lines.append(json.dumps(doc) + "\n")
+    return "".join(lines)
+
+
+POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+LOSSES = POSITIVE_FLOATS | POSITIVE_FLOATS.map(np.float64) | st.integers(1, 10**6)
+# Counts reach past 2**63, and names past ASCII.
+COUNTS = st.integers(1, 2**64) | st.integers(2**63 - 2, 2**63 + 2)
+NAMES = st.text(max_size=4) | st.sampled_from(["zh", "en", "日本語", "ñ\u2028"])
+
+
+@st.composite
+def training_runs(draw, run_id):
+    strategy = draw(st.sampled_from(["scratch", "cpt"]))
+    replay_ratio = 0.0 if strategy == "scratch" else draw(st.floats(0.0, 1.0))
+    # (tokens, val_language) pairs are unique, so each series strictly increases.
+    points = sorted(draw(st.lists(st.tuples(COUNTS, st.none() | NAMES),
+                                  min_size=1, max_size=6, unique=True)), key=lambda p: p[0])
+    records = tuple(LossRecord(tokens, draw(LOSSES), lang) for tokens, lang in points)
+    return TrainingRun(run_id, strategy, draw(NAMES), replay_ratio, draw(COUNTS), records)
+
+
+RUNSETS = st.lists(st.text(min_size=1, max_size=4) | NAMES.filter(bool),
+                   max_size=4, unique=True).flatmap(
+    lambda ids: st.tuples(*(training_runs(run_id) for run_id in ids))).map(RunSet)
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(RUNSETS)
+def test_serialize_runs_is_one_dumps_per_record(runset):
+    text = serialize_runs(runset)
+    assert text == reference_serialize(runset)
+    assert parse_runs(text) == runset
+
+
+@pytest.mark.property
+def test_serialize_runs_edge_cases():
+    one = TrainingRun("r", "scratch", "zh", 0.0, 10, (LossRecord(2**64 + 1, np.float64(0.1)),))
+    mixed = TrainingRun("运行", "cpt", "日本語", 0.5, 2**70, (
+        LossRecord(1, 3), LossRecord(1, 2.5, "zh"), LossRecord(2, 2.0, "日本語"),
+        LossRecord(3, 1e-300, "zh"), LossRecord(4, 1e300)))
+    for runset in (RunSet(()), RunSet((one,)), RunSet((one, mixed))):
+        assert serialize_runs(runset) == reference_serialize(runset)
+    assert serialize_runs(RunSet(())) == ""
+
+
+@pytest.mark.property
+def test_loss_record_is_a_slotted_value():
+    record = LossRecord(2**64 + 1, 2.5, "zh")
+    assert not hasattr(record, "__dict__")
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(record), copy.deepcopy(record), dataclasses.replace(record)]
+    for other in copies:
+        assert other == record and hash(other) == hash(record)
+        assert (other.tokens, other.loss, other.val_language) == (2**64 + 1, 2.5, "zh")
+    assert hash(record) == hash((2**64 + 1, 2.5, "zh"))
+    assert record != LossRecord(2**64 + 1, 2.5) and record != (2**64 + 1, 2.5, "zh")
+    assert dataclasses.replace(record, loss=3) == LossRecord(2**64 + 1, 3.0, "zh")
+    assert dataclasses.asdict(record) == {"tokens": 2**64 + 1, "loss": 2.5, "val_language": "zh"}
+    with pytest.raises(ValidationError, match="loss must be finite"):
+        dataclasses.replace(record, loss=math.inf)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.loss = 1.0
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 
 from cptlaws import (
     DomainError,
+    ExtendedCptParams,
+    LossRecord,
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
+    RunSet,
     SynthConfig,
+    TrainingRun,
     ValidationError,
     eval_law,
     generate_runset,
@@ -115,6 +120,55 @@ class TestGenerateRunset:
                 SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(5,),
                             records_per_run=50)
             )
+
+
+def reference_generate(cfg):
+    """generate_runset with each token count rounded on its own, by ``round``."""
+    strategy = "cpt" if isinstance(cfg.law, ExtendedCptParams) else "scratch"
+    width = len(str(len(cfg.param_sizes) - 1))
+    runs = []
+    for i, n in enumerate(cfg.param_sizes):
+        budget = cfg.token_multiple * n
+        grid = np.geomspace(0.01 * budget, budget, cfg.records_per_run)
+        tokens = [max(1, int(round(d))) for d in grid]
+        losses = eval_law(cfg.law, float(n), np.array(tokens, dtype=float)).tolist()
+        records = []
+        for j, (d, loss) in enumerate(zip(tokens, losses)):
+            if cfg.noise_sigma > 0:
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i, j)))
+                loss *= math.exp(float(rng.normal(0.0, cfg.noise_sigma)))
+            records.append(LossRecord(tokens=d, loss=loss))
+        runs.append(TrainingRun(id=f"{strategy}-{i:0{width}d}", strategy=strategy,
+                                language="synthetic", replay_ratio=0.0, param_count=int(n),
+                                records=tuple(records)))
+    return RunSet(runs=tuple(runs))
+
+
+@pytest.mark.property
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.01])
+@pytest.mark.parametrize("cfg", [
+    paper_replica_config("scratch"),
+    paper_replica_config("cpt"),
+    # Budgets of 250 and 2e19 tokens: the first grid point is 2.5, which
+    # rounds half to even, and the last lies past 2**63.
+    SynthConfig(law=REFERENCE_CPT_LAW, param_sizes=(125, 10**19),
+                token_multiple=2.0, records_per_run=2),
+    SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, records_per_run=1000),
+], ids=["replica-scratch", "replica-cpt", "half-even-and-past-int64", "1000-per-run"])
+def test_generate_runset_matches_per_element_rounding(cfg, noise_sigma):
+    cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, seed=7)
+    runset = generate_runset(cfg)
+    expected = reference_generate(cfg)
+    assert runset == expected
+    assert serialize_runs(runset) == serialize_runs(expected)
+
+
+def test_token_grid_rounds_half_to_even_and_stays_exact_past_int64():
+    cfg = SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(125, 10**19),
+                      token_multiple=2.0, records_per_run=2)
+    small, large = (run.records for run in generate_runset(cfg))
+    assert [rec.tokens for rec in small] == [2, 250]
+    assert large[-1].tokens == 2 * 10**19 and large[-1].tokens > 2**63
 
 
 class TestConfigValidation:
