@@ -17,7 +17,6 @@ from .allocator import (
     AllocationPlan,
     IsoLossGrid,
     allocation_coefficients,
-    efficient_frontier_loss,
     isoloss_grid,
     numeric_optimal_params,
     optimal_allocation,
@@ -42,8 +41,6 @@ from .ingest import (
     RunSet,
     TrainingRun,
     attribute_flops_by_language,
-    catalog_lookup,
-    compute_flops,
     dump_runs,
     load_catalog,
     load_runs,
@@ -65,7 +62,6 @@ from .laws import (
     law_from_dict,
     law_to_dict,
     loss_floor,
-    solve_params_for_loss,
     solve_tokens_for_loss,
 )
 from .transfer import (
@@ -87,7 +83,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("FitConfig", "FitReport", "ModelComparison", "compare_laws", "fit_cpt",
-         "fit_scratch", "huber", "objective_cpt", "objective_scratch"),
+         "fit_scratch", "huber", "objective_scratch"),
         "fitter",
     ),
     **dict.fromkeys(("SynthConfig", "generate_runset", "paper_replica_config"), "synth"),

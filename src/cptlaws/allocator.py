@@ -12,9 +12,9 @@ The from-scratch law is the case gamma = 0, B' = B.  An interior optimum
 exists only when beta' > gamma and alpha > gamma; anything else is an error,
 never a silent clamp.
 
-Everything here runs on the standard library.  The IsoLoss grid and the
-frontier levels are spaced as ``numpy.geomspace`` spaces them, and each grid
-cell equals the scalar ``eval_law`` bit for bit.
+Everything here runs on the standard library.  The IsoLoss grid's axes and
+its frontier's compute levels are spaced as ``numpy.geomspace`` spaces them,
+and each grid cell equals the scalar ``eval_law`` bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import AllocationRegimeError, DomainError, ValidationError
 from .ingest import FLOPS_PER_PARAM_TOKEN
 from .laws import _MATH, LawParams, _coefficients, _geomspace, _law_grid, eval_law
 
-#: Default log-N search bracket for the numeric frontier: spans every catalog
-#: model size with margin.
+#: The numeric frontier's search bracket over N: spans every catalog model
+#: size with margin.
 FRONTIER_BRACKET = (1e6, 1e13)
 
 # Bisection steps after which the frontier search stops: 200 halvings narrow
@@ -135,11 +135,7 @@ def optimal_allocation(
     )
 
 
-def numeric_optimal_params(
-    law: LawParams,
-    compute: float,
-    bracket: tuple[float, float] = FRONTIER_BRACKET,
-) -> float:
+def numeric_optimal_params(law: LawParams, compute: float) -> float:
     """Argmin over N of the law's loss at fixed compute (D = C/(6N)).
 
     Along the iso-compute line, with x = log N, the loss is
@@ -147,21 +143,16 @@ def numeric_optimal_params(
     derivative in x is -alpha A e^(-alpha x) + (beta' - gamma) B' (C/6)^(-beta')
     e^((beta' - gamma) x).  The loss is convex in x and the derivative
     increasing, so the argmin is where the derivative changes sign; a
-    bisection on that sign, compared in log space, runs until the bracket
-    cannot be split further.  Unlike a search on loss values, which cannot
-    see differences below the float spacing of a flat minimum, it resolves N
-    to about the float spacing of log N.  Raises DomainError when the
-    bisection never moves one of the bracket's edges, so that the true optimum
-    may lie outside the bracket, and when ``bracket`` lacks two positive
-    finite edges.
+    bisection on that sign, compared in log space, runs over N in
+    ``FRONTIER_BRACKET`` until the interval cannot be split further.  Unlike a
+    search on loss values, which cannot see differences below the float
+    spacing of a flat minimum, it resolves N to about the float spacing of
+    log N.  Raises DomainError when the bisection never moves one of the
+    interval's edges, so that the true optimum may lie outside it.
     """
     if not 0 < compute < math.inf:  # also rejects NaN
         raise DomainError(f"compute must be positive and finite, got {compute!r}")
-    if len(bracket) != 2 or not all(0 < edge < math.inf for edge in bracket):
-        raise DomainError(f"bracket must have two positive finite edges, got {bracket!r}")
-    edges = lo, hi = tuple(math.log(edge) for edge in bracket)
-    if not lo < hi:
-        raise DomainError(f"bad bracket {bracket!r}")
+    edges = lo, hi = tuple(math.log(edge) for edge in FRONTIER_BRACKET)
     _, A, alpha, B, beta, gamma = _coefficients(law)
     # The derivative is positive where data_log(x) > params_log(x), the logs
     # of its two terms' sizes; a data term that does not grow with x (beta' <=
@@ -182,7 +173,7 @@ def numeric_optimal_params(
             lo = x
     if lo == edges[0] or hi == edges[1]:
         raise DomainError(
-            f"argmin over N at C={compute:.6g} is at the edge of the bracket {bracket!r}"
+            f"argmin over N at C={compute:.6g} is at the edge of the bracket {FRONTIER_BRACKET!r}"
         )
     return math.exp(0.5 * (lo + hi))
 
@@ -220,24 +211,6 @@ def isoloss_grid(
         loss_values=_law_grid(law, n_axis, d_axis),
         frontier=frontier,
     )
-
-
-def efficient_frontier_loss(
-    coeffs: AllocationCoefficients,
-    law: LawParams,
-    c_range: tuple[float, float],
-    samples: int,
-) -> list[tuple[float, float]]:
-    """Optimal loss per compute level along the closed-form frontier."""
-    lo, hi = c_range
-    if not 0 < lo <= hi < math.inf:  # also rejects NaN
-        raise DomainError(f"c_range must satisfy 0 < lo <= hi < inf, got {c_range!r}")
-    if samples < 1:
-        raise DomainError(f"samples must be at least 1, got {samples!r}")
-    return [
-        (c, optimal_allocation(coeffs, c, law).predicted_loss)
-        for c in _geomspace(lo, hi, samples)
-    ]
 
 
 def export_isoloss_csv(grid: IsoLossGrid, law: LawParams, path) -> None:

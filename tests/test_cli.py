@@ -873,7 +873,26 @@ class TestStartup:
         assert result == {"codes": [], "after_import": False, "at_end": False}
 
     def test_every_exported_name_resolves(self):
-        assert {"fit_scratch", "SynthConfig", "eval_law"} <= set(cptlaws.__all__)
+        # The public API, pinned: an addition or a removal is an edit here.
+        assert tuple(cptlaws.__all__) == (
+            "AllocationCoefficients", "AllocationPlan", "AllocationRegimeError",
+            "ChinchillaParams", "CptLawsError", "CurveInterpolator", "DomainError",
+            "ExtendedCptParams", "FLOPS_PER_PARAM_TOKEN", "FitConfig", "FitError",
+            "FitFailureError", "FitReport", "ForgettingCurve", "FrontierParams",
+            "InterpolationRangeError", "IsoLossGrid", "LossRecord", "ModelComparison",
+            "ModelSpec", "NoCrossoverError", "ParseError", "REFERENCE_CPT_FRONTIER",
+            "REFERENCE_CPT_LAW", "REFERENCE_SCRATCH_FRONTIER", "REFERENCE_SCRATCH_LAW", "RunSet",
+            "SynthConfig", "TrainingRun", "TransferReport", "UnidentifiableDataError",
+            "UnreachableLossError", "ValidationError", "allocation_coefficients",
+            "attribute_flops_by_language", "compare_laws", "dump_runs", "empirical_transfer",
+            "eval_frontier", "eval_law", "extract_compute_frontier", "fit_cpt", "fit_frontier",
+            "fit_scratch", "flops_saving_from_frontiers", "forgetting_curves",
+            "frontier_crossover", "generate_runset", "huber", "interp_loss_curve",
+            "isoloss_grid", "law_from_dict", "law_to_dict", "load_catalog", "load_runs",
+            "loss_floor", "numeric_optimal_params", "objective_scratch", "optimal_allocation",
+            "paper_replica_config", "parametric_transfer", "parse_runs", "serialize_runs",
+            "solve_tokens_for_loss", "warmup_filter",
+        )
         assert set(cptlaws.__all__) <= set(dir(cptlaws))
         for name in cptlaws.__all__:
             getattr(cptlaws, name)

@@ -32,7 +32,6 @@ from cptlaws import (
     generate_runset,
     huber,
     paper_replica_config,
-    objective_cpt,
     objective_scratch,
 )
 from cptlaws import fitter
@@ -57,8 +56,6 @@ TRUE_THETA_SCRATCH = (
     SCRATCH.alpha,
     SCRATCH.beta,
 )
-TRUE_THETA2_CPT = (math.log(CPT.B_prime), CPT.beta_prime, CPT.gamma)
-TRUE_FIXED_CPT = (math.log(CPT.A), math.log(CPT.E), CPT.alpha)
 
 
 class TestHuber:
@@ -146,22 +143,23 @@ class TestObjectives:
             objective_scratch(theta, shuffled), rel=1e-12
         )
 
+    # The CPT cases check the kernel that fit_cpt minimizes.
     def test_cpt_zero_on_exact_data(self):
-        data = law_runset(CPT, SIZES, strategy="cpt")
-        assert objective_cpt(TRUE_THETA2_CPT, TRUE_FIXED_CPT, data) < 1e-20
+        flat = _flatten(law_runset(CPT, SIZES, strategy="cpt"))
+        q = _q(math.log(CPT.A), math.log(CPT.B_prime), math.log(CPT.E), CPT.alpha,
+               CPT.beta_prime, CPT.gamma)
+        assert kernel(q, flat, fitter.DEFAULT_DELTA)[0] < 1e-20
 
     def test_cpt_gamma_inert_at_unit_params(self):
-        data = single_record_runset(loss=2.0, n=1, tokens=50)
-        fixed = (0.0, 0.0, 0.5)
-        low = objective_cpt((1.0, 0.3, -0.4), fixed, data)
-        high = objective_cpt((1.0, 0.3, 0.7), fixed, data)
+        flat = _flatten(single_record_runset(loss=2.0, n=1, tokens=50))
+        low, high = (kernel(_q(0.0, 1.0, 0.0, 0.5, 0.3, gamma), flat, fitter.DEFAULT_DELTA)[0]
+                     for gamma in (-0.4, 0.7))
         assert low == high
 
     def test_cpt_reduces_to_scratch_at_zero_gamma(self):
         data = law_runset(SCRATCH, SIZES)
         theta = (5.5, 6.5, 0.44, 0.41, 0.29)
-        a, b, e, alpha, beta = theta
-        assert objective_cpt((b, beta, 0.0), (a, e, alpha), data) == pytest.approx(
+        assert kernel(_q(*theta), _flatten(data), fitter.DEFAULT_DELTA)[0] == pytest.approx(
             objective_scratch(theta, data), rel=1e-14
         )
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from cptlaws import (
     TrainingRun,
     ValidationError,
     attribute_flops_by_language,
-    catalog_lookup,
-    compute_flops,
     load_catalog,
     load_runs,
     parse_runs,
@@ -387,6 +386,34 @@ class TestRunInvariants:
         record = LossRecord(10, 3)
         assert record.loss == 3.0 and type(record.loss) is float
 
+    def test_int_replay_ratio_becomes_a_float(self):
+        run = TrainingRun(id="x", strategy="cpt", language="zh", replay_ratio=1,
+                          param_count=10, records=(LossRecord(1, 1.0),))
+        assert run.replay_ratio == 1.0 and type(run.replay_ratio) is float
+
+    # Values a run log cannot hold: parse_runs rejects each of them on a log line.
+    @pytest.mark.parametrize("field, value, message", [
+        ("tokens", True, "tokens must be a positive integer, got True"),
+        ("tokens", 10**400, "tokens is too large"),
+        ("loss", True, "loss must be a number, got bool"),
+        ("loss", "3.5", "loss must be a number, got str"),
+        ("loss", 10**400, "loss is too large"),
+        ("replay_ratio", True, "run 'x': replay_ratio must be a number, got bool"),
+        ("replay_ratio", "0.5", "run 'x': replay_ratio must be a number, got str"),
+        ("param_count", True, "run 'x': param_count must be a positive integer, got True"),
+        ("param_count", 10**400, "run 'x': param_count is too large"),
+    ], ids=["tokens-bool", "tokens-huge", "loss-bool", "loss-str", "loss-huge", "replay-bool",
+            "replay-str", "param_count-bool", "param_count-huge"])
+    def test_value_a_run_log_cannot_hold_is_rejected(self, field, value, message):
+        record = {"tokens": 10, "loss": 2.0}
+        run = {"id": "x", "strategy": "cpt", "language": "zh", "replay_ratio": 0.5,
+               "param_count": 10}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            if field in record:
+                LossRecord(**{**record, field: value})
+            else:
+                TrainingRun(**{**run, field: value}, records=(LossRecord(**record),))
+
     def test_records_out_of_token_order_across_series_rejected(self):
         # Each series is increasing on its own; the second record goes back.
         records = (LossRecord(20, 2.0, "zh"), LossRecord(10, 2.5, "en"))
@@ -401,30 +428,6 @@ class TestRunInvariants:
         )
         with pytest.raises(ValidationError, match="duplicate"):
             RunSet(runs=(run, run))
-
-
-class TestComputeFlops:
-    def test_basic(self):
-        assert compute_flops(1e9, 2e10) == pytest.approx(1.2e20)
-        assert compute_flops(1, 1) == 6
-
-    def test_largest_catalog_budget(self):
-        assert compute_flops(5.5e9, 1.1e11) == pytest.approx(3.63e21)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            compute_flops(0, 1)
-        with pytest.raises(DomainError):
-            compute_flops(1e9, -2.0)
-
-    @pytest.mark.property
-    @given(
-        n1=st.floats(1, 1e12), n2=st.floats(1, 1e12), d=st.floats(1, 1e13)
-    )
-    def test_monotone_in_params(self, n1, n2, d):
-        lo, hi = sorted((n1, n2))
-        assert compute_flops(lo, d) <= compute_flops(hi, d)
-        assert compute_flops(d, lo) <= compute_flops(d, hi)
 
 
 class TestAttributeFlops:
@@ -466,26 +469,8 @@ class TestCatalog:
         ],
     )
     def test_exact_rows(self, target, expected):
-        spec = catalog_lookup(target)
+        [spec] = [row for row in load_catalog() if row.param_size_millions == target]
         assert (spec.hidden, spec.intermediate, spec.heads, spec.layers) == expected
-
-    def test_nearest_row(self):
-        assert catalog_lookup(1000).param_size_millions == 992
-        assert catalog_lookup(50_000).param_size_millions == 5534
-
-    def test_tie_prefers_smaller(self):
-        # 57.5 is equidistant from the 49 and 66 rows
-        assert catalog_lookup(57.5).param_size_millions == 49
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(DomainError):
-            catalog_lookup(0)
-
-    @pytest.mark.property
-    def test_lookup_returns_catalog_rows_verbatim(self):
-        rows = set(load_catalog())
-        for target in (1, 49, 120, 555, 1800, 4000, 10**6):
-            assert catalog_lookup(target) in rows
 
 
 class TestWarmupFilter:

@@ -23,7 +23,6 @@ from cptlaws import (
     law_from_dict,
     law_to_dict,
     loss_floor,
-    solve_params_for_loss,
     solve_tokens_for_loss,
 )
 
@@ -159,27 +158,6 @@ class TestSolveTokens:
         for law in (SCRATCH, CPT):
             level = eval_law(law, n, d)
             assert solve_tokens_for_loss(law, n, level) == pytest.approx(d, rel=1e-6)
-
-
-class TestSolveParams:
-    def test_round_trip(self):
-        level = eval_law(SCRATCH, 1e9, 2e10)
-        assert solve_params_for_loss(SCRATCH, 2e10, level) == pytest.approx(1e9, rel=1e-9)
-
-    def test_below_floor(self):
-        with pytest.raises(UnreachableLossError):
-            solve_params_for_loss(SCRATCH, 2e10, 1.0)
-
-    def test_easier_targets_need_fewer_params(self):
-        easy = solve_params_for_loss(SCRATCH, 2e10, 2.5)
-        hard = solve_params_for_loss(SCRATCH, 2e10, 2.3)
-        assert easy < hard
-
-    @pytest.mark.property
-    @given(n=st.floats(1e4, 1e13), d=st.floats(1e4, 1e13))
-    def test_inverse_of_eval(self, n, d):
-        level = eval_law(SCRATCH, n, d)
-        assert solve_params_for_loss(SCRATCH, d, level) == pytest.approx(n, rel=1e-6)
 
 
 class TestFrontierCrossover:
