@@ -63,14 +63,46 @@ class LossRecord:
     val_language: str | None = None
 
     def __post_init__(self):
-        if type(self.tokens) is not int or self.tokens <= 0:  # also rejects bool
-            raise ValidationError(f"tokens must be a positive integer, got {self.tokens!r}")
-        if self.tokens >= _FLOAT_INT_LIMIT:
-            raise ValidationError("tokens is too large")
+        # also rejects bool, and a count that float() cannot convert
+        if type(self.tokens) is not int or not 0 < self.tokens < _FLOAT_INT_LIMIT:
+            raise _count_error(self.tokens, "tokens")
         if type(self.loss) is not float:
             object.__setattr__(self, "loss", _as_float(self.loss, "loss"))
         if not 0 < self.loss < math.inf:  # also rejects NaN
             raise ValidationError(f"loss must be finite and positive, got {self.loss!r}")
+        if self.val_language is not None and not isinstance(self.val_language, str):
+            raise ValidationError(f"val_language must be a string or None, "
+                                  f"got {type(self.val_language).__name__}")
+
+
+def _count_error(value, name: str) -> ValidationError:
+    """A bad count's error; an int past float range is not shown, since its repr may raise."""
+    if type(value) is int and abs(value) >= _FLOAT_INT_LIMIT:
+        return ValidationError(f"{name} is too large" if value > 0 else f"{name} must be positive")
+    return ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _run_metadata(run_id, strategy, language, replay_ratio, param_count) -> tuple:
+    """The one rule for a run's fields, which ``TrainingRun`` and ``parse_runs`` both call.
+
+    Returns ``(strategy, language, replay_ratio, param_count)`` with the ratio a float.
+    """
+    if not isinstance(run_id, str) or not run_id:
+        raise ValidationError("run id must be a nonempty string")
+    where = f"run {run_id!r}"
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
+        shown = repr(strategy) if isinstance(strategy, str) else type(strategy).__name__
+        raise ValidationError(f"{where}: strategy must be one of {STRATEGIES}, got {shown}")
+    if not isinstance(language, str):
+        raise ValidationError(f"{where}: language must be a string, got {type(language).__name__}")
+    if type(param_count) is not int or not 0 < param_count < _FLOAT_INT_LIMIT:  # also rejects bool
+        raise _count_error(param_count, f"{where}: param_count")
+    replay_ratio = _as_float(replay_ratio, f"{where}: replay_ratio")
+    if not 0.0 <= replay_ratio <= 1.0:
+        raise ValidationError(f"{where}: replay_ratio must lie in [0, 1], got {replay_ratio!r}")
+    if strategy == "scratch" and replay_ratio != 0.0:
+        raise ValidationError(f"{where}: from-scratch runs cannot replay source-language data")
+    return strategy, language, replay_ratio, param_count
 
 
 @dataclass(frozen=True)
@@ -91,33 +123,16 @@ class TrainingRun:
     records: tuple[LossRecord, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "replay_ratio", _run_metadata(
+            self.id, self.strategy, self.language, self.replay_ratio, self.param_count)[2])
         object.__setattr__(self, "records", tuple(self.records))
-        if not self.id:
-            raise ValidationError("run id must be nonempty")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(
-                f"run {self.id!r}: strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if type(self.param_count) is not int or self.param_count <= 0:  # also rejects bool
-            raise ValidationError(
-                f"run {self.id!r}: param_count must be a positive integer, got {self.param_count!r}"
-            )
-        _as_float(self.param_count, f"run {self.id!r}: param_count")  # raises past float range
-        ratio = _as_float(self.replay_ratio, f"run {self.id!r}: replay_ratio")
-        object.__setattr__(self, "replay_ratio", ratio)
-        if not 0.0 <= self.replay_ratio <= 1.0:
-            raise ValidationError(
-                f"run {self.id!r}: replay_ratio must lie in [0, 1], got {self.replay_ratio!r}"
-            )
-        if self.strategy == "scratch" and self.replay_ratio != 0.0:
-            raise ValidationError(
-                f"run {self.id!r}: from-scratch runs cannot replay source-language data"
-            )
         if not self.records:
             raise ValidationError(f"run {self.id!r}: records must be nonempty")
         last_any = 0
         last_by_series: dict[str | None, int] = {}
         for rec in self.records:
+            if not isinstance(rec, LossRecord):
+                raise ValidationError(f"run {self.id!r}: {type(rec).__name__} is not a LossRecord")
             if rec.tokens < last_any:
                 raise ValidationError(f"run {self.id!r}: records must be sorted by tokens")
             prev = last_by_series.get(rec.val_language)
@@ -149,7 +164,9 @@ class RunSet:
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
         seen: set[str] = set()
-        for run in self.runs:
+        for i, run in enumerate(self.runs):
+            if not isinstance(run, TrainingRun):
+                raise ValidationError(f"runs[{i}] is not a TrainingRun")
             if run.id in seen:
                 raise ValidationError(f"duplicate run id {run.id!r}")
             seen.add(run.id)
@@ -188,35 +205,13 @@ class ModelSpec:
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _coerce_float(value, field: str, line_number: int) -> float:
-    """A JSON number as a float; bools, strings and numbers past float range are rejected."""
-    if type(value) is float:
-        return value
-    if type(value) is not int:  # json gives exact types, so this also rejects bool
-        raise ParseError(f"field {field!r} must be a number, got {value!r}", line_number)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"field {field!r} is too large for a float", line_number) from None
-
-
-def _coerce_int(value, field: str, line_number: int) -> int:
-    """A JSON integer, or an integral float, that also converts to a finite float."""
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}", line_number)
-    _coerce_float(value, field, line_number)
-    return value
-
-
 def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
     """Parse a line-delimited record stream into a validated :class:`RunSet`.
 
-    Records belonging to the same ``run_id`` may appear in any order and are
-    sorted by token count; runs keep the order of their first line.  Run-level
-    fields must agree across a run's lines; a conflict is treated as a
-    duplicate-id error.
+    A run's records may come in any order and are sorted by token count; runs
+    keep the order of their first line, and a run's lines must agree on its fields.
+    A line that is not a record document is a ParseError, and a value that breaks
+    a rule is the constructors' ValidationError; both name the line.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -250,36 +245,25 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
             missing = [f for f in _REQUIRED_FIELDS if f not in doc]
             raise ParseError(f"missing fields: {', '.join(missing)}", line_number) from None
 
-        if not isinstance(run_id, str) or not run_id:
+        if not isinstance(run_id, str) or not run_id:  # the grouping key: a list is unhashable
             raise ParseError("field 'run_id' must be a nonempty string", line_number)
         raw_meta = (strategy, language, replay_ratio, param_count,
                     type(replay_ratio), type(param_count))
         run = runs.get(run_id)
-        if run is None or run[0] != raw_meta:
-            for field, value in (("strategy", strategy), ("language", language)):
-                if not isinstance(value, str):
-                    raise ParseError(
-                        f"field {field!r} must be a string, got {value!r}", line_number
-                    )
-            meta = (strategy, language, _coerce_float(replay_ratio, "replay_ratio", line_number),
-                    _coerce_int(param_count, "param_count", line_number))
-            if run is None:
-                run = runs[run_id] = (raw_meta, meta, [])
-            elif run[1] != meta:
-                raise ValidationError(
-                    f"line {line_number}: run {run_id!r} redeclared with conflicting metadata"
-                )
-        val_language = doc.get("val_language")
-        if val_language is not None and not isinstance(val_language, str):
-            raise ParseError(
-                f"field 'val_language' must be a string or null, got {val_language!r}", line_number
-            )
+        # An integral float is the count it writes: "tokens": 1e9 means 10**9.
+        if type(tokens) is float and tokens.is_integer():
+            tokens = int(tokens)
         try:
-            run[2].append(LossRecord(  # positional: keywords cost about 5% of the parse
-                _coerce_int(tokens, "tokens", line_number),
-                _coerce_float(loss, "loss", line_number),
-                val_language,
-            ))
+            if run is None or run[0] != raw_meta:
+                if type(param_count) is float and param_count.is_integer():
+                    param_count = int(param_count)
+                meta = _run_metadata(run_id, strategy, language, replay_ratio, param_count)
+                if run is None:
+                    run = runs[run_id] = (raw_meta, meta, [])
+                elif run[1] != meta:
+                    raise ValidationError(f"run {run_id!r} redeclared with conflicting metadata")
+            # positional: keywords cost about 5% of the parse
+            run[2].append(LossRecord(tokens, loss, doc.get("val_language")))
         except ValidationError as exc:
             raise ValidationError(f"line {line_number}: {exc}") from exc
 

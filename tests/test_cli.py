@@ -393,7 +393,7 @@ class TestErrorPaths:
         }))
         assert main(["fit", "--runs", str(bad), "--strategy", "scratch",
                      "--out", str(tmp_path / "o.json")]) == 3
-        assert "line 1: field 'replay_ratio'" in capsys.readouterr().err
+        assert "line 1: run 'r': replay_ratio" in capsys.readouterr().err
 
     def test_integer_past_float_range_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -403,7 +403,7 @@ class TestErrorPaths:
         }))
         assert main(["fit", "--runs", str(bad), "--strategy", "scratch",
                      "--out", str(tmp_path / "o.json")]) == 3
-        assert "line 1: field 'tokens'" in capsys.readouterr().err
+        assert "line 1: tokens is too large" in capsys.readouterr().err
 
     def test_nan_delta_exit_code(self, tmp_path, capsys):
         runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
@@ -512,7 +512,7 @@ class TestErrorPaths:
             "replay_ratio": 0.0, "param_count": 10**9, "tokens": 10, "loss": 3.0, field: value,
         }))
         assert main(["frontier", "--runs", str(bad), "--out", str(tmp_path / "o.json")]) == 3
-        assert f"error: run 'r': {field} must" in capsys.readouterr().err
+        assert f"error: line 1: run 'r': {field} must" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "law document must be a JSON object"),

@@ -23,6 +23,7 @@ from cptlaws import (
     serialize_runs,
     warmup_filter,
 )
+from cptlaws.ingest import _FLOAT_INT_LIMIT
 
 
 def record_line(run_id="r1", strategy="scratch", language="zh", replay_ratio=0.0,
@@ -97,10 +98,10 @@ class TestParseRuns:
     # A run's metadata is checked before its record, on the line that
     # declares the run and on a later line that redeclares it.
     @pytest.mark.parametrize("text, error, message", [
-        (record_line(replay_ratio="x", tokens=0), ParseError,
-         "line 1: field 'replay_ratio' must be a number"),
+        (record_line(replay_ratio="x", tokens=0), ValidationError,
+         "line 1: run 'r1': replay_ratio must be a number"),
         (record_line(tokens=5) + "\n" + record_line(replay_ratio=0.5, tokens=0), ValidationError,
-         "line 2: run 'r1' redeclared with conflicting metadata"),
+         "line 2: run 'r1': from-scratch runs cannot replay"),
     ], ids=["declaring line", "later line"])
     def test_metadata_fault_is_reported_before_a_record_fault(self, text, error, message):
         with pytest.raises(error, match=message):
@@ -126,14 +127,16 @@ class TestParseRuns:
         ],
     )
     def test_bad_field_type_is_parse_error(self, field, value):
+        # A value of the wrong type is the constructors' ValidationError, on its line.
         text = record_line(tokens=10) + "\n" + record_line(tokens=20, **{field: value})
-        with pytest.raises(ParseError, match=f"line 2: field '{field}'"):
+        with pytest.raises(ValidationError, match=f"^line 2: (run 'r1': )?{field} must be"):
             parse_runs(text)
 
     @pytest.mark.parametrize("field", ["tokens", "param_count", "loss", "replay_ratio"])
     def test_number_past_float_range_is_parse_error(self, field):
+        # A number past float range is the constructors' ValidationError, on its line.
         text = record_line(tokens=10) + "\n" + record_line(**{"tokens": 20, field: 10**400})
-        with pytest.raises(ParseError, match=f"line 2: field '{field}' is too large"):
+        with pytest.raises(ValidationError, match=f"^line 2: (run 'r1': )?{field} is too large$"):
             parse_runs(text)
 
     def test_integer_past_digit_limit_is_parse_error(self):
@@ -154,18 +157,17 @@ class TestParseRuns:
     # metadata checks; one that differs in value or in type is checked as the
     # first line was.
     @pytest.mark.parametrize("first, second, error, message", [
-        ({"param_count": 1}, {"param_count": True}, ParseError,
-         "line 2: field 'param_count' must be an integer, got True"),
-        ({"replay_ratio": 0}, {"replay_ratio": False}, ParseError,
-         "line 2: field 'replay_ratio' must be a number, got False"),
+        ({"param_count": 1}, {"param_count": True}, ValidationError,
+         "line 2: run 'r1': param_count must be a positive integer, got True"),
+        ({"replay_ratio": 0}, {"replay_ratio": False}, ValidationError,
+         "line 2: run 'r1': replay_ratio must be a number, got bool"),
         ({"run_id": "r1"}, {"run_id": ["r1"]}, ParseError,
          "line 2: field 'run_id' must be a nonempty string"),
         ({"run_id": "r1"}, {"run_id": {"r1": 1}}, ParseError,
          "line 2: field 'run_id' must be a nonempty string"),
-        # json gives every NaN literal as one float object, so the two lines
-        # agree and the run itself rejects the ratio.
+        # The run's rule rejects a NaN ratio on the line that declares it.
         ({"replay_ratio": math.nan}, {"replay_ratio": math.nan}, ValidationError,
-         "run 'r1': replay_ratio must lie in [0, 1], got nan"),
+         "line 1: run 'r1': replay_ratio must lie in [0, 1], got nan"),
     ], ids=["true-after-1", "false-after-0", "list-run-id", "object-run-id", "nan-twice"])
     def test_later_line_metadata_gets_the_first_line_checks(self, first, second, error, message):
         text = record_line(tokens=10, **first) + "\n" + record_line(tokens=20, **second)
@@ -257,8 +259,9 @@ def reference_serialize(runset):
 
 POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
 LOSSES = POSITIVE_FLOATS | POSITIVE_FLOATS.map(np.float64) | st.integers(1, 10**6)
-# Counts reach past 2**63, and names past ASCII.
-COUNTS = st.integers(1, 2**64) | st.integers(2**63 - 2, 2**63 + 2)
+# Counts reach past 2**63 and up to the largest a run log holds, and names past ASCII.
+COUNTS = (st.integers(1, 2**64) | st.integers(2**63 - 2, 2**63 + 2)
+          | st.integers(_FLOAT_INT_LIMIT - 3, _FLOAT_INT_LIMIT - 1))
 NAMES = st.text(max_size=4) | st.sampled_from(["zh", "en", "日本語", "ñ\u2028"])
 
 
@@ -360,6 +363,60 @@ def test_any_json_value_in_any_field(field, value):
             assert rec.val_language is None or isinstance(rec.val_language, str)
 
 
+# Each breaks the rule of at least one field, and some are valid in others.
+BAD_VALUES = [True, False, "x", "", None, [], ["zh"], 0, -1, -2.5, math.nan, math.inf, -math.inf,
+              10**400, -10**400]
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(RUNSETS, st.data())
+def test_every_runset_the_constructors_accept_round_trips(runset, data):
+    """The drawn RunSet round-trips, and so does the one with a bad value in one of its fields
+    whenever the constructors accept that."""
+    assert parse_runs(serialize_runs(runset)) == runset
+    if not runset:
+        return
+    i = data.draw(st.integers(0, len(runset) - 1))
+    run = runset.runs[i]
+    field = data.draw(st.sampled_from(["id", "strategy", "language", "replay_ratio",
+                                       "param_count", "tokens", "loss", "val_language"]))
+    value = data.draw(st.sampled_from(BAD_VALUES))
+    try:
+        if field in ("tokens", "loss", "val_language"):
+            records = list(run.records)
+            j = data.draw(st.integers(0, len(records) - 1))
+            records[j] = dataclasses.replace(records[j], **{field: value})
+            run = dataclasses.replace(run, records=records)
+        else:
+            run = dataclasses.replace(run, **{field: value})
+        changed = RunSet(runset.runs[:i] + (run,) + runset.runs[i + 1:])
+    except ValidationError:
+        return
+    assert parse_runs(serialize_runs(changed)) == changed
+
+
+@pytest.mark.property
+def test_constructors_and_parser_reject_the_same_values():
+    """A one-line log takes each field's value as the constructors do: the same RunSet, or
+    their ValidationError on line 1.  A bad run_id is a ParseError: it is the grouping key."""
+    base = json.loads(record_line(strategy="cpt", replay_ratio=0.25, tokens=10))
+    for field in [*base, "val_language"]:
+        for value in BAD_VALUES:
+            doc = {**base, field: value}
+            try:
+                record = LossRecord(doc["tokens"], doc["loss"], doc.get("val_language"))
+                built = RunSet((TrainingRun(doc["run_id"], doc["strategy"], doc["language"],
+                                            doc["replay_ratio"], doc["param_count"], (record,)),))
+            except ValidationError as exc:
+                with pytest.raises(ParseError if field == "run_id" else ValidationError) as info:
+                    parse_runs(json.dumps(doc))
+                if field != "run_id":
+                    assert str(info.value) == f"line 1: {exc}"
+            else:
+                assert parse_runs(json.dumps(doc)) == built
+
+
 class TestRunInvariants:
     def test_scratch_run_cannot_replay(self):
         with pytest.raises(ValidationError, match="replay"):
@@ -402,10 +459,17 @@ class TestRunInvariants:
         ("replay_ratio", "0.5", "run 'x': replay_ratio must be a number, got str"),
         ("param_count", True, "run 'x': param_count must be a positive integer, got True"),
         ("param_count", 10**400, "run 'x': param_count is too large"),
+        # repr of an int past 4300 digits raises, so the message leaves it out
+        ("tokens", -10**5000, "tokens must be positive"),
+        ("param_count", -10**5000, "run 'x': param_count must be positive"),
+        ("val_language", 5, "val_language must be a string or None, got int"),
+        ("id", 5, "run id must be a nonempty string"),
+        ("language", 5, "run 'x': language must be a string, got int"),
     ], ids=["tokens-bool", "tokens-huge", "loss-bool", "loss-str", "loss-huge", "replay-bool",
-            "replay-str", "param_count-bool", "param_count-huge"])
+            "replay-str", "param_count-bool", "param_count-huge", "tokens-huge-negative",
+            "param_count-huge-negative", "val_language-int", "id-int", "language-int"])
     def test_value_a_run_log_cannot_hold_is_rejected(self, field, value, message):
-        record = {"tokens": 10, "loss": 2.0}
+        record = {"tokens": 10, "loss": 2.0, "val_language": None}
         run = {"id": "x", "strategy": "cpt", "language": "zh", "replay_ratio": 0.5,
                "param_count": 10}
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -413,6 +477,14 @@ class TestRunInvariants:
                 LossRecord(**{**record, field: value})
             else:
                 TrainingRun(**{**run, field: value}, records=(LossRecord(**record),))
+
+    def test_record_or_run_of_the_wrong_type_is_rejected(self):
+        run = TrainingRun(id="x", strategy="scratch", language="zh", replay_ratio=0.0,
+                          param_count=10, records=(LossRecord(1, 1.0),))
+        with pytest.raises(ValidationError, match="run 'x': int is not a LossRecord"):
+            dataclasses.replace(run, records=(LossRecord(1, 1.0), 2))
+        with pytest.raises(ValidationError, match=re.escape("runs[1] is not a TrainingRun")):
+            RunSet(runs=(run, 1))
 
     def test_records_out_of_token_order_across_series_rejected(self):
         # Each series is increasing on its own; the second record goes back.
