@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
-from .ingest import FLOPS_PER_PARAM_TOKEN
-from .laws import _MATH, LawParams, _coefficients, _geomspace, _law_grid, eval_law
+from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, LawParams, _coefficients, _geomspace,
+                   _law_grid, eval_law)
 
 #: The numeric frontier's search bracket over N: spans every catalog model
 #: size with margin.

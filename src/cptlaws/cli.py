@@ -10,14 +10,12 @@ its inputs.  Machine-readable outputs are written atomically (temp file then
 rename, with the mode ``open()`` gives) and every document carries a schema
 version.  Inputs may start with a UTF-8 byte-order mark.
 
-The fitter and the synthetic generator, the modules that need numpy, are
-imported by the commands that use them, so ``allocate``, ``isoloss``,
-``transfer`` (both routes), ``replay`` and the zero-offset ``frontier`` run on
-the standard library alone.  ``frontier --no-fix-offset-zero`` is a law fit
-and loads the fitter.  An output path that is a symbolic link is written
-through: its target is replaced and the link stays.  Unless the environment
-sets a BLAS thread count, ``main`` sets ``OPENBLAS_NUM_THREADS=1`` before any
-command imports numpy.
+Each command imports the package's layers it calls, where it calls them, so
+only the law fits (``fit``, ``compare-laws`` and ``frontier
+--no-fix-offset-zero``) and ``synth`` load numpy.  An output path that is a
+symbolic link is written through: its target is replaced and the link stays.
+Unless the environment sets a BLAS thread count, ``main`` sets
+``OPENBLAS_NUM_THREADS=1`` before any command imports numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import allocator, ingest, laws, transfer
-from .errors import CptLawsError, FitError, ValidationError
+from . import laws
+from .errors import CptLawsError, FitError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,6 +105,16 @@ def _write_report(path: str, kind: str, fields: dict, export_csv) -> None:
         _write_atomic(path, export_csv)
 
 
+def load_json(path):
+    """The JSON document at ``path``; one that does not decode is a ParseError naming the path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
+            return json.load(fh)
+    # Invalid UTF-8 or JSON, an integer past the digit limit, or nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_law(path: str, kinds: tuple[type, ...], what: str):
     """Read a law of one of ``kinds`` from a bare law document or a fit-report document.
 
@@ -114,7 +122,7 @@ def _load_law(path: str, kinds: tuple[type, ...], what: str):
     version.  A law of any other kind is a ValidationError naming the file and
     ``what`` was expected.
     """
-    doc = ingest.load_json(path)
+    doc = load_json(path)
     if isinstance(doc, dict) and "params" in doc:
         if doc.get("kind") != "fit_report":
             raise ValidationError(f"{path}: a document with params must be a fit_report, "
@@ -148,7 +156,7 @@ def cmd_fit(args) -> int:
     if (args.strategy == "cpt") != bool(args.fixed_from):
         print("error: --fixed-from goes with --strategy cpt, and only with it", file=sys.stderr)
         return EXIT_USAGE
-    from . import fitter
+    from . import fitter, ingest
 
     runs = ingest.load_runs(args.runs)
     cfg = _fit_config(args)
@@ -173,6 +181,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_frontier(args) -> int:
+    from . import ingest, transfer
+
     runs = ingest.load_runs(args.runs)
     points = transfer.extract_compute_frontier(runs, args.bins_per_decade)
     params = transfer.fit_frontier(points, fix_offset_zero=args.fix_offset_zero)
@@ -194,6 +204,8 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    from . import allocator
+
     law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
     coeffs = allocator.allocation_coefficients(law)
     plan = allocator.optimal_allocation(coeffs, args.compute, law)
@@ -210,6 +222,8 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_isoloss(args) -> int:
+    from . import allocator
+
     law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
     n_range = _parse_range("--n-range", args.n_range)
     d_range = _parse_range("--d-range", args.d_range)
@@ -222,7 +236,9 @@ def cmd_isoloss(args) -> int:
     return EXIT_OK
 
 
-def _load_single_run(path: str) -> ingest.TrainingRun:
+def _load_single_run(path: str):
+    from . import ingest
+
     runs = ingest.load_runs(path)
     if len(runs) != 1:
         raise ValidationError(f"{path} must contain exactly one run, found {len(runs)}")
@@ -237,10 +253,12 @@ def cmd_transfer(args) -> int:
         print("error: transfer needs either --pt-run and --cpt-run, "
               "or --scratch-fit, --cpt-fit, --n and --d", file=sys.stderr)
         return EXIT_USAGE
+    from . import transfer
 
     if given == routes[0]:
+        levels = transfer.DEFAULT_LEVELS if args.levels is None else args.levels
         report = transfer.empirical_transfer(
-            _load_single_run(args.pt_run), _load_single_run(args.cpt_run), args.levels
+            _load_single_run(args.pt_run), _load_single_run(args.cpt_run), levels
         )
         if args.out:
             _write_report(args.out, "transfer_report", dataclasses.asdict(report),
@@ -267,6 +285,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import ingest, transfer
+
     runs = ingest.load_runs(args.runs)
     curves = transfer.forgetting_curves(runs)
     _write_report(args.out, "forgetting_curves",
@@ -280,7 +300,7 @@ def cmd_synth(args) -> int:
     if bool(args.preset) == bool(args.law):
         print("error: use exactly one of --preset or --law", file=sys.stderr)
         return EXIT_USAGE
-    from . import synth
+    from . import ingest, synth
 
     law = (_PRESETS[args.preset] if args.preset
            else _load_law(args.law, _LOSS_LAWS, "a loss law"))
@@ -294,7 +314,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare_laws(args) -> int:
-    from . import fitter
+    from . import fitter, ingest
 
     runs = ingest.load_runs(args.runs)
     cfg = _fit_config(args)
@@ -356,7 +376,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--cpt-fit", help="CPT law JSON (parametric route)")
     p.add_argument("--n", type=float, help="model size for the parametric route")
     p.add_argument("--d", type=float, help="CPT token count for the parametric route")
-    p.add_argument("--levels", type=int, default=transfer.DEFAULT_LEVELS)
+    p.add_argument("--levels", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_transfer)
 
@@ -390,7 +410,7 @@ def _env_overrides() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    overrides = ingest.load_json(path)
+    overrides = load_json(path)
     if not isinstance(overrides, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     # As strings, argparse converts each default with its flag's type and

@@ -163,7 +163,7 @@ class FitReport:
     """A fitted law plus the objective value and per-record diagnostics.
 
     ``residuals`` are predicted minus observed log loss, aligned with the
-    records the fit actually used (main-series records, in run order, after
+    records the fit actually used (main-series records, in size order, after
     any warmup filtering).
     """
 
@@ -209,8 +209,13 @@ def huber(residual, delta: float = DEFAULT_DELTA):
 
 
 def _fit_records(data: RunSet):
-    """(run, record) pairs the fits use: each run's own-language loss series."""
-    for run in data:
+    """(run, record) pairs the fits use: each run's own-language loss series, in size order.
+
+    Runs are sorted by size, then by their series' (tokens, loss) pairs, so the
+    order of a log's lines cannot move a fit.
+    """
+    for run in sorted(data, key=lambda run: (
+            run.param_count, [(rec.tokens, rec.loss) for rec in run.main_series()])):
         for rec in run.main_series():
             yield run, rec
 
@@ -733,7 +738,7 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
 
 
 def export_residuals_csv(report: FitReport, data: RunSet, path, warmup_fraction: float = 0.0):
-    """Write per-record residuals as CSV.
+    """Write per-record residuals as CSV, in size order.
 
     Pass the same RunSet and warmup fraction used for the fit so rows align
     with ``report.residuals``.

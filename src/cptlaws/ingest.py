@@ -15,19 +15,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
 from .laws import _as_float
 
 STRATEGIES = ("scratch", "cpt")
-
-#: FLOPs attributed per parameter per training token (C = 6 N D).
-FLOPS_PER_PARAM_TOKEN = 6.0
 
 # The least int that float() cannot convert: halfway from the largest float to
 # 2**1024, where rounding to even goes up.  A run log's counts lie below it.
@@ -125,6 +123,9 @@ class TrainingRun:
     def __post_init__(self):
         object.__setattr__(self, "replay_ratio", _run_metadata(
             self.id, self.strategy, self.language, self.replay_ratio, self.param_count)[2])
+        if not isinstance(self.records, Iterable):
+            raise ValidationError(f"run {self.id!r}: records must be an iterable of LossRecord, "
+                                  f"got {type(self.records).__name__}")
         object.__setattr__(self, "records", tuple(self.records))
         if not self.records:
             raise ValidationError(f"run {self.id!r}: records must be nonempty")
@@ -162,6 +163,9 @@ class RunSet:
     runs: tuple[TrainingRun, ...]
 
     def __post_init__(self):
+        if not isinstance(self.runs, Iterable):
+            raise ValidationError(f"runs must be an iterable of TrainingRun, "
+                                  f"got {type(self.runs).__name__}")
         object.__setattr__(self, "runs", tuple(self.runs))
         seen: set[str] = set()
         for i, run in enumerate(self.runs):
@@ -306,16 +310,6 @@ def load_runs(path) -> RunSet:
         with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
             return parse_runs(fh)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def load_json(path):
-    """The JSON document at ``path``; one that does not decode is a ParseError naming the path."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is ignored
-            return json.load(fh)
-    # Invalid UTF-8 or JSON, an integer past the digit limit, or nesting past the recursion limit.
-    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

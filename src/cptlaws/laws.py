@@ -41,6 +41,9 @@ from .errors import (
 #: Version stamp written into every serialized parameter document.
 SCHEMA_VERSION = 1
 
+#: FLOPs attributed per parameter per training token (C = 6 N D).
+FLOPS_PER_PARAM_TOKEN = 6.0
+
 
 @dataclass(frozen=True)
 class ChinchillaParams:

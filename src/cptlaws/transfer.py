@@ -26,7 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DomainError,
@@ -35,13 +35,8 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .ingest import (
-    FLOPS_PER_PARAM_TOKEN,
-    RunSet,
-    TrainingRun,
-    attribute_flops_by_language,
-)
 from .laws import (
+    FLOPS_PER_PARAM_TOKEN,
     ChinchillaParams,
     ExtendedCptParams,
     FrontierParams,
@@ -50,6 +45,9 @@ from .laws import (
     eval_law,
     solve_tokens_for_loss,
 )
+
+if TYPE_CHECKING:  # only annotations name them; forgetting_curves imports ingest
+    from .ingest import RunSet, TrainingRun
 
 #: Default number of loss levels for empirical transfer reports.
 DEFAULT_LEVELS = 32
@@ -324,6 +322,8 @@ class ForgettingCurve:
 
 def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:
     """Build per-language forgetting datasets from validation-tagged runs."""
+    from .ingest import attribute_flops_by_language
+
     curves = []
     for run in runs:
         tagged = [rec for rec in run.records if rec.val_language is not None]

@@ -172,6 +172,38 @@ class TestFitCommand:
         result = _run_startup_probe(argvs, module="cptlaws.fitter")
         assert result == {"codes": [2, 2], "after_import": False, "at_end": False}
 
+    @pytest.mark.property
+    def test_line_order_does_not_move_a_fit(self, tmp_path):
+        # Three seeded shuffles of a four-size noisy log each give the fits of
+        # the log in size order, to the last digit of their repr; the
+        # free-offset frontier sorts its points by compute.
+        def noisy(law):
+            return generate_runset(SynthConfig(law=law, param_sizes=SIZES, records_per_run=8,
+                                               noise_sigma=0.03, seed=3))
+
+        def fits(scratch, cpt):
+            first = cptlaws.fit_scratch(scratch)
+            fixed = (first.params.E, first.params.A, first.params.alpha)
+            frontier = cptlaws.fit_frontier(cptlaws.extract_compute_frontier(scratch),
+                                            fix_offset_zero=False)
+            return repr((first, cptlaws.fit_cpt(cpt, fixed), cptlaws.compare_laws(cpt), frontier))
+
+        def fit_command(lines, name):
+            (tmp_path / name).write_text("".join(lines))
+            assert main(["fit", "--runs", str(tmp_path / name), "--strategy", "scratch",
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+            return (tmp_path / f"{name}.json").read_bytes()
+
+        scratch, cpt = noisy(SCRATCH), noisy(CPT)
+        expected = fits(scratch, cpt)
+        lines = cptlaws.serialize_runs(scratch).splitlines(keepends=True)
+        expected_doc = fit_command(lines, "log.jsonl")
+        rng = random.Random(0)
+        for k in range(3):
+            assert fits(*(RunSet(runs=tuple(rng.sample(data.runs, len(data))))
+                          for data in (scratch, cpt))) == expected
+            assert fit_command(rng.sample(lines, len(lines)), f"shuffled-{k}.jsonl") == expected_doc
+
 
 class TestAllocateCommand:
     def test_reference_budget(self, tmp_path, capsys):
@@ -819,15 +851,17 @@ class TestEnvConfig:
 
 
 # Runs CLI commands in a fresh interpreter and reports, as its last output
-# line, the exit codes and whether a module (argv[2]) was loaded after the
-# import of cptlaws.cli and at the end.
+# line, the exit codes, whether a module (argv[2]) was loaded after the
+# import of cptlaws.cli and at the end, and the package's modules at the end.
 _STARTUP_PROBE = """
 import json, sys
 module = sys.argv[2]
 import cptlaws.cli
 after_import = module in sys.modules
 codes = [cptlaws.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "after_import": after_import, "at_end": module in sys.modules}))
+package = sorted(name for name in sys.modules if name.split(".")[0] == "cptlaws")
+print(json.dumps({"codes": codes, "after_import": after_import, "at_end": module in sys.modules,
+                  "package": package}))
 """
 
 
@@ -849,10 +883,14 @@ def _run_python(*args, env_update=None) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def _run_startup_probe(argvs, module="scipy"):
+def _run_startup_probe(argvs, module="scipy", package=False):
+    """The probe's report on ``argvs``; with ``package``, the list of cptlaws modules too."""
     proc = _run_python("-c", _STARTUP_PROBE, json.dumps(argvs), module)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not package:
+        del result["package"]
+    return result
 
 
 class TestStartup:
@@ -863,6 +901,47 @@ class TestStartup:
     closed-form commands, isoloss, empirical transfer and the zero-offset
     frontier load neither.
     """
+
+    # The package's modules each command loads beyond cptlaws, cptlaws.cli,
+    # cptlaws.errors and cptlaws.laws: the layers it calls.
+    @pytest.mark.parametrize("command, layers", [
+        ("allocate", "allocator"),
+        ("isoloss", "allocator"),
+        ("transfer-parametric", "transfer"),
+        ("transfer-empirical", "ingest transfer"),
+        ("replay", "ingest transfer"),
+        ("frontier", "ingest transfer"),
+        ("frontier-free", "ingest transfer fitter"),
+        ("fit", "ingest fitter"),
+        ("compare-laws", "ingest fitter"),
+        ("synth", "ingest synth"),
+    ])
+    def test_each_command_loads_only_the_layers_it_calls(self, tmp_path, command, layers):
+        scratch = write_law(tmp_path, SCRATCH, "scratch.json")
+        cpt = write_law(tmp_path, CPT, "cpt.json")
+        pt_run, cpt_run = write_paired_runs(tmp_path)
+        runs = write_runs(tmp_path, SCRATCH, "runs.jsonl")
+        argv = {
+            "allocate": ["allocate", "--fit", scratch, "--compute", "1e21"],
+            "isoloss": ["isoloss", "--fit", cpt, "--n-range", "1e8:1e10", "--d-range",
+                        "1e9:1e12", "--resolution", "4", "--out", str(tmp_path / "grid.csv")],
+            "transfer-parametric": ["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt,
+                                    "--n", "1e9", "--d", "1e9"],
+            "transfer-empirical": ["transfer", "--pt-run", pt_run, "--cpt-run", cpt_run],
+            "replay": ["replay", "--runs", write_replay_runs(tmp_path),
+                       "--out", str(tmp_path / "curves.csv")],
+            "frontier": ["frontier", "--runs", runs, "--out", str(tmp_path / "frontier.json")],
+            "frontier-free": ["frontier", "--runs", runs, "--no-fix-offset-zero",
+                              "--out", str(tmp_path / "frontier.json")],
+            "fit": ["fit", "--runs", runs, "--strategy", "scratch",
+                    "--out", str(tmp_path / "fit.json")],
+            "compare-laws": ["compare-laws", "--runs", runs],
+            "synth": ["synth", "--law", scratch, "--out", str(tmp_path / "synth.jsonl")],
+        }[command]
+        result = _run_startup_probe([argv], package=True)
+        assert result["codes"] == [0]
+        loaded = {"cli", "errors", "laws", *layers.split()}
+        assert result["package"] == sorted(["cptlaws", *(f"cptlaws.{name}" for name in loaded)])
 
     def test_package_import_loads_no_numpy(self):
         # The fitter's names are still exported: the first access loads them.

@@ -486,6 +486,19 @@ class TestRunInvariants:
         with pytest.raises(ValidationError, match=re.escape("runs[1] is not a TrainingRun")):
             RunSet(runs=(run, 1))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda run: dataclasses.replace(run, records=5),
+         "run 'x': records must be an iterable of LossRecord, got int"),
+        (lambda run: dataclasses.replace(run, records=None),
+         "run 'x': records must be an iterable of LossRecord, got NoneType"),
+        (lambda run: RunSet(runs=5), "runs must be an iterable of TrainingRun, got int"),
+    ], ids=["records-int", "records-none", "runs-int"])
+    def test_records_or_runs_that_are_not_iterable_are_rejected(self, make, message):
+        run = TrainingRun(id="x", strategy="scratch", language="zh", replay_ratio=0.0,
+                          param_count=10, records=(LossRecord(1, 1.0),))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(run)
+
     def test_records_out_of_token_order_across_series_rejected(self):
         # Each series is increasing on its own; the second record goes back.
         records = (LossRecord(20, 2.0, "zh"), LossRecord(10, 2.5, "en"))
