@@ -10,12 +10,6 @@ class CptLawsError(Exception):
 class ParseError(CptLawsError):
     """A run-log line could not be decoded."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class ValidationError(CptLawsError, ValueError):
     """Input data violates a structural invariant."""

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -61,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams, _exp_coefficients
+from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams, _as_float, _exp_coefficients
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -146,10 +147,12 @@ class FitConfig:
     warmup_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("delta", "warmup_fraction"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if not self.delta > 0:  # also rejects NaN; inf gives a least-squares fit
             raise ValidationError(f"delta must be positive, got {self.delta!r}")
         if self.init_grid is not None:
-            object.__setattr__(self, "init_grid", tuple(tuple(p) for p in self.init_grid))
+            object.__setattr__(self, "init_grid", _as_tuple(self.init_grid, "init_grid", _as_tuple))
             if not self.init_grid:
                 raise ValidationError("init_grid must be nonempty when given")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -169,17 +172,17 @@ class FitReport:
 
     params: ChinchillaParams | ExtendedCptParams
     objective: float
-    n_points: int
     residuals: tuple[float, ...]
     chosen_init: tuple[float, ...]
 
     def __post_init__(self):
         if self.objective < 0:
             raise ValidationError(f"objective must be nonnegative, got {self.objective!r}")
-        if len(self.residuals) != self.n_points:
-            raise ValidationError(
-                f"residual count {len(self.residuals)} != n_points {self.n_points}"
-            )
+
+    @property
+    def n_points(self) -> int:
+        """The number of records the fit used, one residual each."""
+        return len(self.residuals)
 
 
 @dataclass(frozen=True)
@@ -208,21 +211,28 @@ def huber(residual, delta: float = DEFAULT_DELTA):
     return float(out) if out.ndim == 0 else out
 
 
-def _fit_records(data: RunSet):
-    """(run, record) pairs the fits use: each run's own-language loss series, in size order.
+def _as_tuple(values, name: str, convert=_as_float) -> tuple:
+    """``values`` as a tuple of ``convert(value, name)``; a non-iterable is a ValidationError."""
+    if not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}")
+    return tuple(convert(value, name) for value in values)
+
+
+def _fit_records(data: RunSet, warmup_fraction: float = 0.0) -> list:
+    """(run, record) pairs of a fit: each run's main series after ``warmup_filter``, in size order.
 
     Runs are sorted by size, then by their series' (tokens, loss) pairs, so the
     order of a log's lines cannot move a fit.
     """
-    for run in sorted(data, key=lambda run: (
-            run.param_count, [(rec.tokens, rec.loss) for rec in run.main_series()])):
-        for rec in run.main_series():
-            yield run, rec
+    series = [(run, warmup_filter(run, warmup_fraction).main_series()) for run in data]
+    series.sort(key=lambda item: (item[0].param_count, [(r.tokens, r.loss) for r in item[1]]))
+    return [(run, rec) for run, records in series for rec in records]
 
 
-def _flatten(data: RunSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log N, log D and log L of every record the fits use."""
-    rows = [(run.param_count, rec.tokens, rec.loss) for run, rec in _fit_records(data)]
+def _flatten(data: RunSet, warmup_fraction: float = 0.0) -> tuple[np.ndarray, ...]:
+    """log N, log D and log L of every record a fit uses."""
+    rows = [(run.param_count, rec.tokens, rec.loss)
+            for run, rec in _fit_records(data, warmup_fraction)]
     if not rows:
         raise UnidentifiableDataError("RunSet contains no usable records")
     return tuple(np.log(np.asarray(column, dtype=float)) for column in zip(*rows))
@@ -570,19 +580,13 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
 
 def _prepare(data: RunSet, cfg: FitConfig):
     """The (log N, log D, log L) arrays a law fit uses, after the warmup filter."""
-    log_n, log_d, log_l = _flatten(_apply_warmup(data, cfg.warmup_fraction))
+    log_n, log_d, log_l = _flatten(data, cfg.warmup_fraction)
     # Not np.unique: under numpy 2 its first call imports numpy.ma.
     if not (log_n.min() < log_n.max() and log_d.min() < log_d.max()):
         raise UnidentifiableDataError(
             "fitting requires at least two distinct model sizes and two distinct token counts"
         )
     return log_n, log_d, log_l
-
-
-def _apply_warmup(data: RunSet, fraction: float) -> RunSet:
-    if fraction == 0.0:
-        return data
-    return RunSet(runs=tuple(warmup_filter(run, fraction) for run in data))
 
 
 def _median(values: np.ndarray) -> float:
@@ -639,9 +643,8 @@ def _fitted_exponents(**logs: float) -> dict[str, float]:
 
 def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitReport:
     """FitReport of a law fitted at q, with its residuals on the ``flat`` data."""
-    residuals = _residuals(q, flat)
-    return FitReport(params=params, objective=objective, n_points=int(residuals.size),
-                     residuals=tuple(float(r) for r in residuals), chosen_init=chosen)
+    return FitReport(params=params, objective=objective,
+                     residuals=tuple(_residuals(q, flat).tolist()), chosen_init=chosen)
 
 
 def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
@@ -665,9 +668,10 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     three values are not updated.
     """
     cfg = cfg or FitConfig()
-    fixed_e, fixed_a, fixed_alpha = (float(v) for v in fixed)
-    if not (fixed_e > 0 and fixed_a > 0 and fixed_alpha > 0):  # also rejects NaN
-        raise ValidationError(f"fixed (E, A, alpha) must be positive, got {tuple(fixed)!r}")
+    fixed = _as_tuple(fixed, "fixed (E, A, alpha)")
+    if len(fixed) != 3 or not all(value > 0 for value in fixed):  # also rejects NaN
+        raise ValidationError(f"fixed (E, A, alpha) must be three positive numbers, got {fixed!r}")
+    fixed_e, fixed_a, fixed_alpha = fixed
     flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
     grid = cfg.init_grid or _default_cpt_grid(flat, fixed_e, fixed_a, fixed_alpha)
@@ -743,8 +747,7 @@ def export_residuals_csv(report: FitReport, data: RunSet, path, warmup_fraction:
     Pass the same RunSet and warmup fraction used for the fit so rows align
     with ``report.residuals``.
     """
-    data = _apply_warmup(data, warmup_fraction)
-    rows = list(_fit_records(data))
+    rows = _fit_records(data, warmup_fraction)
     if len(rows) != report.n_points:
         raise ValidationError(
             f"data yields {len(rows)} records but the report covers {report.n_points}"

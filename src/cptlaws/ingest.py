@@ -231,33 +231,33 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
         line = raw.strip()
         if not line:
             continue
-        # A stripped line has no whitespace at either end, so the document
-        # must end where the line does.
         try:
-            doc, end = _SCAN(line, 0)
-        except StopIteration:  # no JSON value starts the line
-            raise ParseError("invalid JSON (Expecting value)", line_number) from None
-        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_number) from exc
-        if end != len(line):
-            raise ParseError("invalid JSON (Extra data)", line_number)
-        if not isinstance(doc, dict):
-            raise ParseError("record must be a JSON object", line_number)
-        try:
-            run_id, strategy, language, replay_ratio, param_count, tokens, loss = _required(doc)
-        except KeyError:
-            missing = [f for f in _REQUIRED_FIELDS if f not in doc]
-            raise ParseError(f"missing fields: {', '.join(missing)}", line_number) from None
+            # A stripped line has no whitespace at either end, so the document
+            # must end where the line does.
+            try:
+                doc, end = _SCAN(line, 0)
+            except StopIteration:  # no JSON value starts the line
+                raise ParseError("invalid JSON (Expecting value)") from None
+            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+                raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            if end != len(line):
+                raise ParseError("invalid JSON (Extra data)")
+            if not isinstance(doc, dict):
+                raise ParseError("record must be a JSON object")
+            try:
+                run_id, strategy, language, replay_ratio, param_count, tokens, loss = _required(doc)
+            except KeyError:
+                missing = [f for f in _REQUIRED_FIELDS if f not in doc]
+                raise ParseError(f"missing fields: {', '.join(missing)}") from None
 
-        if not isinstance(run_id, str) or not run_id:  # the grouping key: a list is unhashable
-            raise ParseError("field 'run_id' must be a nonempty string", line_number)
-        raw_meta = (strategy, language, replay_ratio, param_count,
-                    type(replay_ratio), type(param_count))
-        run = runs.get(run_id)
-        # An integral float is the count it writes: "tokens": 1e9 means 10**9.
-        if type(tokens) is float and tokens.is_integer():
-            tokens = int(tokens)
-        try:
+            if not isinstance(run_id, str) or not run_id:  # the grouping key: a list is unhashable
+                raise ParseError("field 'run_id' must be a nonempty string")
+            raw_meta = (strategy, language, replay_ratio, param_count,
+                        type(replay_ratio), type(param_count))
+            run = runs.get(run_id)
+            # An integral float is the count it writes: "tokens": 1e9 means 10**9.
+            if type(tokens) is float and tokens.is_integer():
+                tokens = int(tokens)
             if run is None or run[0] != raw_meta:
                 if type(param_count) is float and param_count.is_integer():
                     param_count = int(param_count)
@@ -268,8 +268,8 @@ def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
                     raise ValidationError(f"run {run_id!r} redeclared with conflicting metadata")
             # positional: keywords cost about 5% of the parse
             run[2].append(LossRecord(tokens, loss, doc.get("val_language")))
-        except ValidationError as exc:
-            raise ValidationError(f"line {line_number}: {exc}") from exc
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"line {line_number}: {exc}") from exc
 
     return RunSet(runs=tuple(
         TrainingRun(run_id, *meta, records=tuple(sorted(records, key=lambda r: r.tokens)))

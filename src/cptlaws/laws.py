@@ -18,7 +18,7 @@ input runs in numpy, which broadcasts arrays and returns a float for a 0-d
 result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
 are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
-and a non-positive, infinite or NaN input is a DomainError.  A grid of the
+and a non-positive, infinite, NaN or text input is a DomainError.  A grid of the
 loss law over N and D (``_law_grid``) takes the scalar path's operations in
 its order, so each cell equals the scalar ``eval_law`` bit for bit.
 """
@@ -45,8 +45,41 @@ SCHEMA_VERSION = 1
 FLOPS_PER_PARAM_TOKEN = 6.0
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)`` for a number; a bool, a non-number or one past float range is an error."""
+    if isinstance(value, bool) or not hasattr(value, "__float__"):  # a str has no __float__
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large") from None
+
+
+# Each coefficient's rule over the three law records, by name: the wording of
+# its fault and its test, which also rejects NaN.
+_POSITIVE = ("positive and finite", lambda value: 0 < value < math.inf)
+_RULES = {
+    **dict.fromkeys(("E", "A", "B", "alpha", "beta", "B_prime", "beta_prime"), _POSITIVE),
+    "gamma": ("finite", math.isfinite),
+    "coefficient": ("positive", _POSITIVE[1]),
+    **dict.fromkeys(("exponent", "offset"), ("nonnegative", lambda value: 0 <= value < math.inf)),
+}
+
+
+class _Law:
+    """Base of the law records: each coefficient is stored as a float that meets its rule."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            wording, test = _RULES[field.name]
+            value = _as_float(getattr(self, field.name), field.name)
+            if not test(value):
+                raise ValidationError(f"{field.name} must be {wording}, got {value!r}")
+            object.__setattr__(self, field.name, value)
+
+
 @dataclass(frozen=True)
-class ChinchillaParams:
+class ChinchillaParams(_Law):
     """Coefficients of the from-scratch loss law E + A/N^alpha + B/D^beta."""
 
     E: float
@@ -55,15 +88,9 @@ class ChinchillaParams:
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        for name in ("E", "A", "B", "alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-
 
 @dataclass(frozen=True)
-class ExtendedCptParams:
+class ExtendedCptParams(_Law):
     """Coefficients of the CPT loss law E + A/N^alpha + B'/(D^beta' N^gamma).
 
     ``E``, ``A``, and ``alpha`` are inherited from a from-scratch fit and held
@@ -79,17 +106,9 @@ class ExtendedCptParams:
     beta_prime: float
     gamma: float
 
-    def __post_init__(self):
-        for name in ("E", "A", "alpha", "B_prime", "beta_prime"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.gamma):
-            raise ValidationError(f"gamma must be finite, got {self.gamma!r}")
-
 
 @dataclass(frozen=True)
-class FrontierParams:
+class FrontierParams(_Law):
     """Optimal-loss power law in compute: offset + coefficient / C^exponent.
 
     A zero exponent is allowed so that a flat frontier (constant loss) is
@@ -100,14 +119,6 @@ class FrontierParams:
     coefficient: float
     exponent: float
     offset: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.coefficient) or self.coefficient <= 0:
-            raise ValidationError(f"coefficient must be positive, got {self.coefficient!r}")
-        if not math.isfinite(self.exponent) or self.exponent < 0:
-            raise ValidationError(f"exponent must be nonnegative, got {self.exponent!r}")
-        if not math.isfinite(self.offset) or self.offset < 0:
-            raise ValidationError(f"offset must be nonnegative, got {self.offset!r}")
 
 
 LawParams = Union[ChinchillaParams, ExtendedCptParams]
@@ -168,7 +179,10 @@ def _positive(xp, x, name: str):
         x = float(x)
         ok = 0 < x < math.inf  # also rejects NaN
     else:
-        x = xp.asarray(x, dtype=float)
+        x = xp.asarray(x)
+        if x.dtype.kind in "SU":  # numpy would read the text as a number
+            raise DomainError(f"{name} must be a number, not text")
+        x = x.astype(float, copy=False)
         # One pass that also rejects NaN (both comparisons are False).
         ok = ((x > 0) & (x < math.inf)).all()
     if not ok:
@@ -327,18 +341,8 @@ def check_schema_version(doc: dict) -> None:
         raise ValidationError(f"unsupported schema_version {version!r}")
 
 
-def _as_float(value, name: str) -> float:
-    """``float(value)`` for a number; a bool, a non-number or one past float range is an error."""
-    if isinstance(value, bool) or not hasattr(value, "__float__"):  # a str has no __float__
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is too large") from None
-
-
 def law_from_dict(doc: dict):
-    """Inverse of :func:`law_to_dict`; validates the version, the discriminator and each field."""
+    """Inverse of :func:`law_to_dict`; validates the version, the discriminator and the fields."""
     if not isinstance(doc, dict):
         raise ValidationError("law document must be a JSON object")
     check_schema_version(doc)
@@ -348,11 +352,13 @@ def law_from_dict(doc: dict):
         raise ValidationError(f"unknown law_kind {kind!r}")
     values = {k: v for k, v in doc.items() if k not in ("schema_version", "law_kind")}
     defaults = {field.name: field.default for field in fields(cls)}
-    for name, value in values.items():
-        if name not in defaults:
-            raise ValidationError(f"bad {kind} document: unknown field {name!r}")
-        values[name] = _as_float(value, f"bad {kind} document: {name}")
-    for name, default in defaults.items():
-        if default is MISSING and name not in values:
-            raise ValidationError(f"bad {kind} document: missing field {name!r}")
-    return cls(**values)
+    try:
+        for name in values:
+            if name not in defaults:
+                raise ValidationError(f"unknown field {name!r}")
+        for name, default in defaults.items():
+            if default is MISSING and name not in values:
+                raise ValidationError(f"missing field {name!r}")
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"bad {kind} document: {exc}") from exc

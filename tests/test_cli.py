@@ -172,15 +172,17 @@ class TestFitCommand:
         result = _run_startup_probe(argvs, module="cptlaws.fitter")
         assert result == {"codes": [2, 2], "after_import": False, "at_end": False}
 
+    @staticmethod
+    def small_log(law, noise_sigma=0.03) -> RunSet:
+        """The four-size log, 8 records a run, that the invariance tests fit."""
+        return generate_runset(SynthConfig(law=law, param_sizes=SIZES, records_per_run=8,
+                                           noise_sigma=noise_sigma, seed=3))
+
     @pytest.mark.property
     def test_line_order_does_not_move_a_fit(self, tmp_path):
         # Three seeded shuffles of a four-size noisy log each give the fits of
         # the log in size order, to the last digit of their repr; the
         # free-offset frontier sorts its points by compute.
-        def noisy(law):
-            return generate_runset(SynthConfig(law=law, param_sizes=SIZES, records_per_run=8,
-                                               noise_sigma=0.03, seed=3))
-
         def fits(scratch, cpt):
             first = cptlaws.fit_scratch(scratch)
             fixed = (first.params.E, first.params.A, first.params.alpha)
@@ -188,21 +190,47 @@ class TestFitCommand:
                                             fix_offset_zero=False)
             return repr((first, cptlaws.fit_cpt(cpt, fixed), cptlaws.compare_laws(cpt), frontier))
 
-        def fit_command(lines, name):
+        def command(argv, lines, name):
             (tmp_path / name).write_text("".join(lines))
-            assert main(["fit", "--runs", str(tmp_path / name), "--strategy", "scratch",
+            assert main([*argv, "--runs", str(tmp_path / name),
                          "--out", str(tmp_path / f"{name}.json")]) == 0
             return (tmp_path / f"{name}.json").read_bytes()
 
-        scratch, cpt = noisy(SCRATCH), noisy(CPT)
+        scratch, cpt = self.small_log(SCRATCH), self.small_log(CPT)
         expected = fits(scratch, cpt)
-        lines = cptlaws.serialize_runs(scratch).splitlines(keepends=True)
-        expected_doc = fit_command(lines, "log.jsonl")
+        commands = [(["fit", "--strategy", "scratch"], scratch), (["compare-laws"], cpt)]
+        logs = [(argv, cptlaws.serialize_runs(data).splitlines(keepends=True))
+                for argv, data in commands]
+        expected_docs = [command(argv, lines, f"log-{i}.jsonl")
+                         for i, (argv, lines) in enumerate(logs)]
         rng = random.Random(0)
         for k in range(3):
             assert fits(*(RunSet(runs=tuple(rng.sample(data.runs, len(data))))
                           for data in (scratch, cpt))) == expected
-            assert fit_command(rng.sample(lines, len(lines)), f"shuffled-{k}.jsonl") == expected_doc
+            assert [command(argv, rng.sample(lines, len(lines)), f"shuffled-{k}-{i}.jsonl")
+                    for i, (argv, lines) in enumerate(logs)] == expected_docs
+
+    # The bound is the largest relative deviation seen on these two logs,
+    # 3.3e-8 (sigma = 0.03, token counts scaled; 5.7e-14 without noise),
+    # rounded up.
+    @pytest.mark.property
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+    def test_units_do_not_move_a_fit(self, noise_sigma):
+        # Counts in thousands of parameters or tokens give the same law once
+        # A and B are mapped back by k^alpha and k^beta.
+        k = 1000
+        data = self.small_log(SCRATCH, noise_sigma)
+        base = cptlaws.fit_scratch(data).params
+        for n_unit, d_unit in ((k, 1), (1, k)):
+            scaled = RunSet(runs=tuple(dataclasses.replace(
+                run, param_count=run.param_count * n_unit,
+                records=tuple(LossRecord(rec.tokens * d_unit, rec.loss) for rec in run.records))
+                for run in data))
+            p = cptlaws.fit_scratch(scaled).params
+            mapped = {"E": p.E, "A": p.A / n_unit**p.alpha, "B": p.B / d_unit**p.beta,
+                      "alpha": p.alpha, "beta": p.beta}
+            for name, value in mapped.items():
+                assert value == pytest.approx(getattr(base, name), rel=4e-8, abs=0), name
 
 
 class TestAllocateCommand:

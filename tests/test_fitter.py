@@ -83,6 +83,14 @@ class TestHuber:
         with pytest.raises(ValidationError, match="delta"):
             FitConfig(delta=delta)
 
+    @pytest.mark.parametrize("fields", [
+        {"delta": "x"}, {"delta": True}, {"warmup_fraction": None}, {"init_grid": 5},
+        {"init_grid": ((6.0, "x", 0.1),)},
+    ], ids=["str-delta", "bool-delta", "null-warmup", "int-grid", "str-in-grid"])
+    def test_config_rejects_what_is_not_a_number(self, fields):
+        with pytest.raises(ValidationError, match=next(iter(fields))):
+            FitConfig(**fields)
+
     def test_vectorized(self):
         out = huber(np.array([0.0, 5e-4, 0.01]), 1e-3)
         assert out == pytest.approx([0.0, 1.25e-7, 9.5e-6])
@@ -469,6 +477,12 @@ class TestFitCpt:
             fit_cpt(data, (0.0, 420.0, 0.4))
         with pytest.raises(ValidationError):
             fit_cpt(data, (math.nan, 420.0, 0.4))
+
+    @pytest.mark.parametrize("fixed", [(1.0, 2.0), ("a", 2, 3), None],
+                             ids=["two-values", "str", "null"])
+    def test_fixed_must_be_three_numbers(self, fixed):
+        with pytest.raises(ValidationError, match="fixed"):
+            fit_cpt(law_runset(CPT, SIZES, strategy="cpt"), fixed)
 
     def test_nonpositive_exponent_start_rejected(self):
         data = law_runset(CPT, SIZES, strategy="cpt")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cptlaws import (
     law_from_dict,
     law_to_dict,
     loss_floor,
+    parametric_transfer,
     solve_tokens_for_loss,
 )
 
@@ -247,14 +249,18 @@ class TestScalarPath:
             solved = solve_tokens_for_loss(law, float(n[i]), float(losses[i]))
             assert abs(solved / tokens[i] - 1) <= 4e-16
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 0])
+    # numpy reads the text "1e9" as a number; a law function does not.
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 0, "1e9"])
     def test_scalar_path_rejects_what_the_array_path_rejects(self, bad):
         for args in ((bad, 1e9), (1e9, bad)):
-            for convert in (lambda v: v, np.asarray):
+            for convert in (lambda v: v, np.asarray, lambda v: np.array([v])):
                 with pytest.raises(DomainError):
                     eval_law(SCRATCH, *(convert(v) for v in args))
-        with pytest.raises(DomainError):
-            solve_tokens_for_loss(SCRATCH, 1e9, bad)
+            with pytest.raises(DomainError):
+                parametric_transfer(SCRATCH, CPT, *args)
+        for args in ((bad, 3.0), (1e9, bad)):
+            with pytest.raises(DomainError):
+                solve_tokens_for_loss(SCRATCH, *args)
         with pytest.raises(DomainError):
             eval_frontier(REFERENCE_SCRATCH_FRONTIER, bad)
 
@@ -266,7 +272,46 @@ class TestScalarPath:
             assert solve_tokens_for_loss(law, np.array(1e9), 2e-200) == math.inf
 
 
+# Coefficient values every law accepts, and values of every kind a caller or
+# a JSON document can give.
+GOOD_VALUES = st.floats(0.01, 100.0) | st.integers(1, 100)
+ANY_VALUES = st.one_of(
+    GOOD_VALUES, st.floats(), st.integers(-2**1100, 2**1100), st.booleans(), st.none(),
+    st.text(max_size=3), st.lists(st.integers(), max_size=1),
+)
+LAW_TYPES = (ChinchillaParams, ExtendedCptParams, FrontierParams)
+
+
 class TestSerialization:
+    @pytest.mark.property
+    @given(data=st.data())
+    def test_every_accepted_law_round_trips(self, data):
+        cls = data.draw(st.sampled_from(LAW_TYPES))
+        values = {field.name: data.draw(GOOD_VALUES, label=field.name) for field in fields(cls)}
+        replaced = data.draw(st.sampled_from(list(values)))
+        values[replaced] = data.draw(ANY_VALUES, label=replaced)
+        try:
+            law = cls(**values)
+        except ValidationError:
+            return
+        assert all(type(getattr(law, name)) is float for name in values)
+        assert law_from_dict(json.loads(json.dumps(law_to_dict(law)))) == law
+
+    @pytest.mark.property
+    @given(data=st.data())
+    def test_every_fault_in_a_law_document_names_its_kind(self, data):
+        doc = law_to_dict(data.draw(st.sampled_from((SCRATCH, CPT, REFERENCE_SCRATCH_FRONTIER))))
+        field = data.draw(st.sampled_from([*list(doc)[2:], "extra"]))
+        if data.draw(st.booleans(), label="drop"):
+            doc.pop(field, None)
+        else:
+            doc[field] = data.draw(ANY_VALUES, label="value")
+        try:
+            law_from_dict(doc)
+        except ValidationError as exc:
+            prefix = f"bad {doc['law_kind']} document: "
+            assert str(exc).startswith(prefix) and str(exc).count(prefix) == 1
+
     @pytest.mark.property
     @pytest.mark.parametrize(
         "law",
