@@ -281,9 +281,9 @@ def serialize_runs(runset: RunSet) -> str:
     """Serialize a RunSet to the line-delimited format consumed by parse_runs.
 
     Each line is ``json.dumps`` of the run's metadata followed by ``tokens``,
-    ``loss`` and, when present, ``val_language``.  A run's metadata is encoded
-    once, and its token counts and losses with one encoder call each: the
-    items of a list of numbers are joined by ", " and hold no comma.
+    ``loss`` and, when present, ``val_language``.  A run's metadata and tags
+    are encoded once; a count and a loss are written by ``repr``, as ``json``
+    writes the int and the finite float that ``LossRecord`` holds.
     """
     lines = []
     for run in runset:
@@ -294,14 +294,10 @@ def serialize_runs(runset: RunSet) -> str:
             "replay_ratio": run.replay_ratio,
             "param_count": run.param_count,
         })[:-1]
-        records = run.records
-        tokens = json.dumps([rec.tokens for rec in records])[1:-1].split(", ")
-        losses = json.dumps([rec.loss for rec in records])[1:-1].split(", ")
-        series = [rec.val_language for rec in records]
         tails = {lang: "}" if lang is None else f', "val_language": {json.dumps(lang)}}}'
-                 for lang in set(series)}
-        lines += [f'{head}, "tokens": {t}, "loss": {loss}{tails[lang]}'
-                  for t, loss, lang in zip(tokens, losses, series)]
+                 for lang in {rec.val_language for rec in run.records}}
+        lines += [f'{head}, "tokens": {rec.tokens!r}, "loss": {rec.loss!r}{tails[rec.val_language]}'
+                  for rec in run.records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

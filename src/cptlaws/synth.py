@@ -8,6 +8,7 @@ a correct fit must recover the generating coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .laws import (
     LawParams,
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
+    _as_float,
     eval_law,
 )
 
@@ -32,6 +34,10 @@ class SynthConfig:
     exist.  Noise is multiplicative log-normal: loss = law(N, D) * exp(eps)
     with eps ~ Normal(0, noise_sigma^2), drawn from a generator seeded by
     (seed, run index, record index).
+
+    Sizes, ``records_per_run`` and ``seed`` are stored as ints (a bool is
+    refused, an integral float size read as its int), and ``token_multiple``
+    and ``noise_sigma`` as floats.
     """
 
     law: LawParams
@@ -42,21 +48,53 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "param_sizes", tuple(self.param_sizes))
-        if not self.param_sizes:
+        try:
+            # An integral float is read as the int it writes: 1e9 is 10**9.
+            sizes = tuple(int(n) if isinstance(n, float) and n.is_integer()
+                          else _integer(n, f"param_sizes[{i}]")
+                          for i, n in enumerate(self.param_sizes))
+        except TypeError:  # not iterable
+            raise ValidationError(f"param_sizes must be a sequence of integers, "
+                                  f"got {type(self.param_sizes).__name__}") from None
+        object.__setattr__(self, "param_sizes", sizes)
+        if not sizes:
             raise ValidationError("param_sizes must be nonempty")
-        if any(n <= 0 for n in self.param_sizes):
+        if any(n <= 0 for n in sizes):
             raise ValidationError("param_sizes must be positive")
-        if not self.token_multiple > 0:  # also rejects NaN
-            raise ValidationError(f"token_multiple must be positive, got {self.token_multiple!r}")
-        if self.records_per_run < 2:
-            raise ValidationError(
-                f"records_per_run must be at least 2, got {self.records_per_run!r}"
-            )
-        if not self.noise_sigma >= 0:  # also rejects NaN
-            raise ValidationError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
+        multiple = _as_float(self.token_multiple, "token_multiple")
+        object.__setattr__(self, "token_multiple", multiple)
+        if not multiple > 0:  # also rejects NaN
+            raise ValidationError(f"token_multiple must be positive, got {multiple!r}")
+        # Every run's budget, and the first point of its grid, must be a positive float.
+        try:
+            in_range = multiple * max(sizes) < math.inf and 0.01 * (multiple * min(sizes)) > 0
+        except OverflowError:  # a size past float range
+            in_range = False
+        if not in_range:
+            raise ValidationError("the token budget token_multiple * param_sizes "
+                                  "must lie in float range")
+        records = _integer(self.records_per_run, "records_per_run")
+        object.__setattr__(self, "records_per_run", records)
+        if records < 2:
+            raise ValidationError(f"records_per_run must be at least 2, got {records!r}")
+        sigma = _as_float(self.noise_sigma, "noise_sigma")
+        object.__setattr__(self, "noise_sigma", sigma)
+        if not sigma >= 0:  # also rejects NaN
+            raise ValidationError(f"noise_sigma must be nonnegative, got {sigma!r}")
+        seed = _integer(self.seed, "seed")
+        object.__setattr__(self, "seed", seed)
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``; a bool or a value it refuses is an error."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _record_noise(seed: int, run_index: int, record_index: int, sigma: float) -> float:
@@ -65,26 +103,35 @@ def _record_noise(seed: int, run_index: int, record_index: int, sigma: float) ->
 
 
 def generate_runset(cfg: SynthConfig) -> RunSet:
-    """Generate one run per parameter size, exactly on the law when noise is 0."""
+    """Generate one run per parameter size, exactly on the law when noise is 0.
+
+    The token grids and losses of all runs are one (runs x records) array step.
+    """
     strategy = "cpt" if isinstance(cfg.law, ExtendedCptParams) else "scratch"
     width = len(str(len(cfg.param_sizes) - 1))
+    sizes = np.array(cfg.param_sizes, dtype=float)
+    budgets = cfg.token_multiple * sizes
+    # Each row runs from 1% to 100% of its budget; rint rounds half to even,
+    # as round does, and a count is at least 1.
+    tokens = np.maximum(np.rint(np.geomspace(0.01 * budgets, budgets, cfg.records_per_run, axis=1)), 1.0)
+    # One array evaluation: the scalar path of eval_law could move a loss by
+    # an ulp, and the generated logs are part of the contract.
+    losses = eval_law(cfg.law, sizes[:, None], tokens)
+    # Runs are checked and built in order, one row at a time, so a collapsed
+    # grid or a noise draw out of float range is reported for the first run
+    # that has one.
     runs = []
     for i, n in enumerate(cfg.param_sizes):
-        budget = cfg.token_multiple * n
-        grid = np.geomspace(0.01 * budget, budget, cfg.records_per_run)
-        # rint rounds half to even, as round does; int of each float keeps
-        # counts past 2**63 exact, where an int64 cast would overflow.
-        tokens = [max(1, int(d)) for d in np.rint(grid).tolist()]
-        if any(b <= a for a, b in zip(tokens, tokens[1:])):
+        # int of each float keeps counts past 2**63 exact, where an int64
+        # cast would overflow.
+        row = [int(d) for d in tokens[i].tolist()]
+        if any(b <= a for a, b in zip(row, row[1:])):
             raise DomainError(
                 f"token grid for N={n} collapses after rounding; "
                 f"reduce records_per_run or increase the budget"
             )
-        # One array evaluation per run: the scalar path of eval_law could move
-        # a loss by an ulp, and the generated logs are part of the contract.
-        losses = eval_law(cfg.law, float(n), np.array(tokens, dtype=float)).tolist()
         records = []
-        for j, (d, loss) in enumerate(zip(tokens, losses)):
+        for j, (d, loss) in enumerate(zip(row, losses[i].tolist())):
             if cfg.noise_sigma > 0:
                 noise = _record_noise(cfg.seed, i, j, cfg.noise_sigma)
                 try:
@@ -103,7 +150,7 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
                 strategy=strategy,
                 language="synthetic",
                 replay_ratio=0.0,
-                param_count=int(n),
+                param_count=n,
                 records=tuple(records),
             )
         )

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -121,6 +122,19 @@ class TestGenerateRunset:
                             records_per_run=50)
             )
 
+    # Runs are checked in order, each before the next: a fault names the first
+    # run that has one, whatever a later run holds.
+    def test_collapse_of_a_later_run_is_reported(self):
+        with pytest.raises(DomainError, match="^token grid for N=5 collapses"):
+            generate_runset(SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(10**9, 5),
+                                        records_per_run=50))
+
+    def test_noise_fault_of_an_earlier_run_comes_before_a_later_collapse(self):
+        cfg = SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(10**9, 5),
+                          records_per_run=50, noise_sigma=1e4, seed=0)
+        with pytest.raises(DomainError, match=r"^noise_sigma 10000\.0 is too large: .* N=1000000000,"):
+            generate_runset(cfg)
+
 
 def reference_generate(cfg):
     """generate_runset with each token count rounded on its own, by ``round``."""
@@ -154,13 +168,50 @@ def reference_generate(cfg):
     SynthConfig(law=REFERENCE_CPT_LAW, param_sizes=(125, 10**19),
                 token_multiple=2.0, records_per_run=2),
     SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, records_per_run=1000),
-], ids=["replica-scratch", "replica-cpt", "half-even-and-past-int64", "1000-per-run"])
+    # The benchmark's small replica, and all 42 sizes x 1000 records.
+    dataclasses.replace(paper_replica_config("cpt"),
+                        param_sizes=paper_replica_config("cpt").param_sizes[::6], records_per_run=8),
+    dataclasses.replace(paper_replica_config("cpt"), records_per_run=1000, token_multiple=17.3),
+], ids=["replica-scratch", "replica-cpt", "half-even-and-past-int64", "1000-per-run",
+        "small-replica", "42x1000"])
 def test_generate_runset_matches_per_element_rounding(cfg, noise_sigma):
     cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, seed=7)
     runset = generate_runset(cfg)
     expected = reference_generate(cfg)
     assert runset == expected
     assert serialize_runs(runset) == serialize_runs(expected)
+
+
+def _replay_tagged():
+    zh, en = (generate_runset(SynthConfig(law=law, param_sizes=(10**9,), records_per_run=40,
+                                          noise_sigma=0.005, seed=seed)).runs[0]
+              for law, seed in ((REFERENCE_CPT_LAW, 1), (REFERENCE_SCRATCH_LAW, 2)))
+    series = sorted([dataclasses.replace(r, val_language="zh") for r in zh.records]
+                    + [dataclasses.replace(r, val_language="en") for r in en.records],
+                    key=lambda r: r.tokens)
+    return RunSet(runs=(TrainingRun(id="replay-0.25", strategy="cpt", language="zh",
+                                    replay_ratio=0.25, param_count=10**9, records=tuple(series)),))
+
+
+@pytest.mark.property
+@pytest.mark.parametrize("make", [
+    lambda: generate_runset(paper_replica_config("scratch")),
+    lambda: generate_runset(dataclasses.replace(paper_replica_config("cpt"), noise_sigma=0.01,
+                                                seed=3)),
+    _replay_tagged,
+    lambda: generate_runset(SynthConfig(law=REFERENCE_CPT_LAW, param_sizes=SIZES,
+                                        records_per_run=1000, noise_sigma=0.01, seed=5)),
+], ids=["replica", "noisy", "replay-tagged", "1000-per-run"])
+def test_serialize_runs_writes_each_record_as_json_dumps(make):
+    runset = make()
+    expected = [
+        json.dumps({"run_id": run.id, "strategy": run.strategy, "language": run.language,
+                    "replay_ratio": run.replay_ratio, "param_count": run.param_count,
+                    "tokens": rec.tokens, "loss": rec.loss,
+                    **({} if rec.val_language is None else {"val_language": rec.val_language})})
+        for run in runset for rec in run.records
+    ]
+    assert serialize_runs(runset) == "".join(line + "\n" for line in expected)
 
 
 def test_token_grid_rounds_half_to_even_and_stays_exact_past_int64():
@@ -191,6 +242,34 @@ class TestConfigValidation:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValidationError):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, noise_sigma=-0.1)
+
+    # A value of the wrong type, a size that is not an integer, and a budget
+    # out of float range are each a ValidationError that names the field.
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"param_sizes": 5}, "param_sizes"),
+        ({"param_sizes": ("a",)}, r"param_sizes\[0\]"),
+        ({"param_sizes": (10**9, None)}, r"param_sizes\[1\]"),
+        ({"param_sizes": (True,)}, r"param_sizes\[0\]"),
+        ({"param_sizes": (1e9 + 0.5,)}, r"param_sizes\[0\]"),
+        ({"param_sizes": (10**400,)}, "param_sizes"),
+        ({"token_multiple": math.inf}, "token_multiple"),
+        ({"param_sizes": (1,), "token_multiple": 1e-323}, "token_multiple"),
+        ({"token_multiple": "x"}, "token_multiple"),
+        ({"records_per_run": 2.5}, "records_per_run"),
+        ({"records_per_run": "3"}, "records_per_run"),
+        ({"noise_sigma": "x"}, "noise_sigma"),
+        ({"seed": 1.5, "noise_sigma": 0.01}, "seed"),
+    ], ids=["sizes-not-a-sequence", "size-str", "size-none", "size-bool", "size-not-integral",
+            "size-past-float-range", "budget-infinite", "budget-underflows", "multiple-str",
+            "records-float", "records-str", "noise-str", "seed-float"])
+    def test_rejects_a_value_of_the_wrong_type_or_range(self, kwargs, field):
+        kwargs = {"param_sizes": SIZES, **kwargs}
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(law=REFERENCE_SCRATCH_LAW, **kwargs)
+
+    def test_an_integral_float_size_is_read_as_its_int(self):
+        cfg = SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(1e9, np.int64(5 * 10**9)))
+        assert [(type(n), n) for n in cfg.param_sizes] == [(int, 10**9), (int, 5 * 10**9)]
 
     @pytest.mark.parametrize("field", ["noise_sigma", "token_multiple"])
     def test_rejects_nan(self, field):
