@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
-from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, LawParams, _coefficients, _geomspace,
-                   _law_grid, eval_law)
+from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, _POSITIVE, LawParams, _as_tuple, _checked,
+                   _coefficients, _count, _geomspace, _law_grid, eval_law)
 
 #: The numeric frontier's search bracket over N: spans every catalog model
 #: size with margin.
@@ -46,8 +46,8 @@ class AllocationCoefficients:
     k_D: float
 
     def __post_init__(self):
-        if self.G <= 0 or self.k_N <= 0 or self.k_D <= 0:
-            raise ValidationError("G, k_N, and k_D must be positive")
+        for name in ("G", "a", "b", "k_N", "k_D"):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, _POSITIVE))
         if abs(self.a + self.b - 1.0) > 1e-12:
             raise ValidationError(f"exponents must satisfy a + b = 1, got {self.a + self.b!r}")
 
@@ -62,8 +62,8 @@ class AllocationPlan:
     predicted_loss: float
 
     def __post_init__(self):
-        if self.compute <= 0:
-            raise ValidationError(f"compute must be positive, got {self.compute!r}")
+        for name in ("compute", "n_opt", "d_opt", "predicted_loss"):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, _POSITIVE))
         product = FLOPS_PER_PARAM_TOKEN * self.n_opt * self.d_opt
         if abs(product / self.compute - 1.0) > 1e-9:
             raise ValidationError(
@@ -107,21 +107,19 @@ def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
     b = (alpha - gamma) / total
     try:
         G = (alpha * A / ((beta - gamma) * B)) ** (1.0 / total)
-        k_N, k_D = G / FLOPS_PER_PARAM_TOKEN**a, 1.0 / (G * FLOPS_PER_PARAM_TOKEN**b)
-        in_range = all(0 < x < math.inf for x in (G, a, b, k_N, k_D))  # also rejects NaN
-    except (OverflowError, ZeroDivisionError):
-        in_range = False
-    if not in_range:
-        raise DomainError(f"the allocation coefficients of {law!r} are outside float range")
-    return AllocationCoefficients(G=G, a=a, b=b, k_N=k_N, k_D=k_D)
+        # The record refuses a coefficient of 0, inf or NaN.
+        return AllocationCoefficients(G=G, a=a, b=b, k_N=G / FLOPS_PER_PARAM_TOKEN**a,
+                                      k_D=1.0 / (G * FLOPS_PER_PARAM_TOKEN**b))
+    except (OverflowError, ZeroDivisionError, ValidationError):
+        raise DomainError(
+            f"the allocation coefficients of {law!r} are outside float range") from None
 
 
 def optimal_allocation(
     coeffs: AllocationCoefficients, compute: float, law: LawParams
 ) -> AllocationPlan:
     """Compute-optimal (N, D) for one budget, with the law's predicted loss."""
-    if not 0 < compute < math.inf:  # also rejects NaN
-        raise DomainError(f"compute must be positive and finite, got {compute!r}")
+    compute = _checked(compute, "compute", _POSITIVE, DomainError)
     log_c = math.log(compute)
     n_opt = _MATH.exp(math.log(coeffs.k_N) + coeffs.a * log_c)
     d_opt = _MATH.exp(math.log(coeffs.k_D) + coeffs.b * log_c)
@@ -150,8 +148,7 @@ def numeric_optimal_params(law: LawParams, compute: float) -> float:
     log N.  Raises DomainError when the bisection never moves one of the
     interval's edges, so that the true optimum may lie outside it.
     """
-    if not 0 < compute < math.inf:  # also rejects NaN
-        raise DomainError(f"compute must be positive and finite, got {compute!r}")
+    compute = _checked(compute, "compute", _POSITIVE, DomainError)
     edges = lo, hi = tuple(math.log(edge) for edge in FRONTIER_BRACKET)
     _, A, alpha, B, beta, gamma = _coefficients(law)
     # The derivative is positive where data_log(x) > params_log(x), the logs
@@ -191,11 +188,12 @@ def isoloss_grid(
     ``numpy.geomspace`` spaces them, and each cell equals the scalar
     ``eval_law`` at its (N, D).
     """
+    n_range = _as_tuple(n_range, "n_range", length=2)
+    d_range = _as_tuple(d_range, "d_range", length=2)
     for name, (lo, hi) in (("n_range", n_range), ("d_range", d_range)):
         if not 0 < lo < hi < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)!r}")
-    if resolution < 2:
-        raise DomainError(f"resolution must be at least 2, got {resolution!r}")
+    resolution = _count(resolution, "resolution", 2, DomainError)
     c_lo = FLOPS_PER_PARAM_TOKEN * n_range[0] * d_range[0]
     c_hi = FLOPS_PER_PARAM_TOKEN * n_range[1] * d_range[1]
     if not 0 < c_lo <= c_hi < math.inf:

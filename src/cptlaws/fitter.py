@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -62,7 +62,8 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import ChinchillaParams, ExtendedCptParams, FrontierParams, _as_float, _exp_coefficients
+from .laws import (_ABOVE_ZERO, _BELOW_ONE, _POSITIVE, ChinchillaParams, ExtendedCptParams,
+                   FrontierParams, _as_array, _as_tuple, _checked, _exp_coefficients)
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -147,18 +148,14 @@ class FitConfig:
     warmup_fraction: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "warmup_fraction"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        if not self.delta > 0:  # also rejects NaN; inf gives a least-squares fit
-            raise ValidationError(f"delta must be positive, got {self.delta!r}")
+        # An infinite delta gives a least-squares fit.
+        object.__setattr__(self, "delta", _checked(self.delta, "delta", _ABOVE_ZERO))
         if self.init_grid is not None:
             object.__setattr__(self, "init_grid", _as_tuple(self.init_grid, "init_grid", _as_tuple))
             if not self.init_grid:
                 raise ValidationError("init_grid must be nonempty when given")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValidationError(
-                f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction!r}"
-            )
+        object.__setattr__(self, "warmup_fraction",
+                           _checked(self.warmup_fraction, "warmup_fraction", _BELOW_ONE))
 
 
 @dataclass(frozen=True)
@@ -203,19 +200,11 @@ def huber(residual, delta: float = DEFAULT_DELTA):
 
     With c = clip(r, -delta, delta), the derivative, this is c (r - c/2).
     """
-    if not delta > 0:  # also rejects NaN
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    r = np.asarray(residual, dtype=float)
+    delta = _checked(delta, "delta", _ABOVE_ZERO, DomainError)
+    r = _as_array(residual, "residual")
     slope = np.clip(r, -delta, delta)
     out = slope * (r - 0.5 * slope)
     return float(out) if out.ndim == 0 else out
-
-
-def _as_tuple(values, name: str, convert=_as_float) -> tuple:
-    """``values`` as a tuple of ``convert(value, name)``; a non-iterable is a ValidationError."""
-    if not isinstance(values, Iterable):
-        raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}")
-    return tuple(convert(value, name) for value in values)
 
 
 def _fit_records(data: RunSet, warmup_fraction: float = 0.0) -> list:
@@ -348,7 +337,10 @@ def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAU
     Coefficients follow the A = exp(a), B = exp(b), E = exp(e) convention.
     Nonpositive losses cannot occur here; ingest rejects them at load time.
     """
-    return float(np.mean(huber(_residuals(_q(*theta), _flatten(data)), delta)))
+    a, b, e, alpha, beta = _as_tuple(theta, "theta", length=5)
+    alpha = _checked(alpha, "alpha", _POSITIVE, DomainError)
+    beta = _checked(beta, "beta", _POSITIVE, DomainError)
+    return float(np.mean(huber(_residuals(_q(a, b, e, alpha, beta), _flatten(data)), delta)))
 
 
 class _SearchResult(dict):
@@ -668,10 +660,7 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     three values are not updated.
     """
     cfg = cfg or FitConfig()
-    fixed = _as_tuple(fixed, "fixed (E, A, alpha)")
-    if len(fixed) != 3 or not all(value > 0 for value in fixed):  # also rejects NaN
-        raise ValidationError(f"fixed (E, A, alpha) must be three positive numbers, got {fixed!r}")
-    fixed_e, fixed_a, fixed_alpha = fixed
+    fixed_e, fixed_a, fixed_alpha = _as_tuple(fixed, "fixed", partial(_checked, rule=_POSITIVE), 3)
     flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
     grid = cfg.init_grid or _default_cpt_grid(flat, fixed_e, fixed_a, fixed_alpha)

@@ -23,13 +23,9 @@ from operator import itemgetter
 from typing import IO
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
-from .laws import _as_float
+from .laws import _BELOW_ONE, _FLOAT_INT_LIMIT, _FRACTION, _NONNEGATIVE, _as_float, _checked, _count
 
 STRATEGIES = ("scratch", "cpt")
-
-# The least int that float() cannot convert: halfway from the largest float to
-# 2**1024, where rounding to even goes up.  A run log's counts lie below it.
-_FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 _REQUIRED_FIELDS = (
     "run_id",
@@ -95,9 +91,7 @@ def _run_metadata(run_id, strategy, language, replay_ratio, param_count) -> tupl
         raise ValidationError(f"{where}: language must be a string, got {type(language).__name__}")
     if type(param_count) is not int or not 0 < param_count < _FLOAT_INT_LIMIT:  # also rejects bool
         raise _count_error(param_count, f"{where}: param_count")
-    replay_ratio = _as_float(replay_ratio, f"{where}: replay_ratio")
-    if not 0.0 <= replay_ratio <= 1.0:
-        raise ValidationError(f"{where}: replay_ratio must lie in [0, 1], got {replay_ratio!r}")
+    replay_ratio = _checked(replay_ratio, f"{where}: replay_ratio", _FRACTION)
     if strategy == "scratch" and replay_ratio != 0.0:
         raise ValidationError(f"{where}: from-scratch runs cannot replay source-language data")
     return strategy, language, replay_ratio, param_count
@@ -203,10 +197,8 @@ class ModelSpec:
     layers: int
 
     def __post_init__(self):
-        for name in ("param_size_millions", "hidden", "intermediate", "heads", "layers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        for field in dataclasses.fields(self):
+            object.__setattr__(self, field.name, _count(getattr(self, field.name), field.name, 1))
 
 
 def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:
@@ -320,10 +312,8 @@ def attribute_flops_by_language(total: float, replay_ratio: float) -> tuple[floa
     The two shares always sum to ``total`` exactly: the target share is
     computed as the remainder rather than as an independent product.
     """
-    if not 0.0 <= replay_ratio <= 1.0:
-        raise DomainError(f"replay_ratio must lie in [0, 1], got {replay_ratio!r}")
-    if total < 0:
-        raise DomainError(f"total FLOPs must be nonnegative, got {total!r}")
+    replay_ratio = _checked(replay_ratio, "replay_ratio", _FRACTION, DomainError)
+    total = _checked(total, "total FLOPs", _NONNEGATIVE, DomainError)
     source = total * replay_ratio
     target = total - source
     # Nudge source by at most one ulp so the rounded pair sums to total exactly.
@@ -344,8 +334,7 @@ def load_catalog() -> tuple[ModelSpec, ...]:
 
 def warmup_filter(run: TrainingRun, fraction: float = 0.05) -> TrainingRun:
     """Drop records from the warmup region (tokens below fraction * max tokens)."""
-    if not 0.0 <= fraction < 1.0:
-        raise DomainError(f"warmup fraction must lie in [0, 1), got {fraction!r}")
+    fraction = _checked(fraction, "warmup fraction", _BELOW_ONE, DomainError)
     if fraction == 0.0:
         return run
     threshold = fraction * max(rec.tokens for rec in run.records)

@@ -18,15 +18,19 @@ input runs in numpy, which broadcasts arrays and returns a float for a 0-d
 result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
 are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
-and a non-positive, infinite, NaN or text input is a DomainError.  A grid of the
-loss law over N and D (``_law_grid``) takes the scalar path's operations in
-its order, so each cell equals the scalar ``eval_law`` bit for bit.
+and a non-positive, infinite, NaN or text input is a DomainError; on the
+scalar path a bool, or an int past float range, is a ValidationError.  A
+grid of the loss law over N and D (``_law_grid``) takes the scalar path's
+operations in its order, so each cell equals the scalar ``eval_law`` bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Union
 
@@ -44,6 +48,10 @@ SCHEMA_VERSION = 1
 #: FLOPs attributed per parameter per training token (C = 6 N D).
 FLOPS_PER_PARAM_TOKEN = 6.0
 
+# The least int that float() cannot convert: halfway from the largest float to
+# 2**1024, where rounding to even goes up.  Every count lies below it.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
 
 def _as_float(value, name: str) -> float:
     """``float(value)`` for a number; a bool, a non-number or one past float range is an error."""
@@ -55,27 +63,62 @@ def _as_float(value, name: str) -> float:
         raise ValidationError(f"{name} is too large") from None
 
 
-# Each coefficient's rule over the three law records, by name: the wording of
-# its fault and its test, which also rejects NaN.
-_POSITIVE = ("positive and finite", lambda value: 0 < value < math.inf)
+# The rules of the library's number arguments and coefficients: the wording of
+# a fault and a test, which also rejects NaN.
+_POSITIVE = ("be positive and finite", lambda value: 0 < value < math.inf)
+_ABOVE_ZERO = ("be positive", lambda value: value > 0)
+_NONNEGATIVE = ("be nonnegative", lambda value: 0 <= value < math.inf)
+_FRACTION = ("lie in [0, 1]", lambda value: 0 <= value <= 1)
+_BELOW_ONE = ("lie in [0, 1)", lambda value: 0 <= value < 1)
+
+# Each coefficient's rule over the three law records, by name.
 _RULES = {
     **dict.fromkeys(("E", "A", "B", "alpha", "beta", "B_prime", "beta_prime"), _POSITIVE),
-    "gamma": ("finite", math.isfinite),
-    "coefficient": ("positive", _POSITIVE[1]),
-    **dict.fromkeys(("exponent", "offset"), ("nonnegative", lambda value: 0 <= value < math.inf)),
+    "gamma": ("be finite", math.isfinite),
+    "coefficient": ("be positive", _POSITIVE[1]),
+    **dict.fromkeys(("exponent", "offset"), _NONNEGATIVE),
 }
+
+
+def _checked(value, name: str, rule, error=ValidationError) -> float:
+    """``_as_float(value, name)`` that meets ``rule``; a value that does not is ``error``."""
+    value = _as_float(value, name)
+    wording, test = rule
+    if not test(value):
+        raise error(f"{name} must {wording}, got {value!r}")
+    return value
+
+
+def _count(value, name: str, least: int, error=ValidationError) -> int:
+    """``operator.index(value)`` of at least ``least``; a bool, a non-integer or a count
+    past float range is a ValidationError, and a count below ``least`` is ``error``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if abs(value) >= _FLOAT_INT_LIMIT:  # as _as_float says; its repr may raise
+        raise ValidationError(f"{name} is too large")
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
+def _as_tuple(values, name: str, convert=_as_float, length=None) -> tuple:
+    """``values`` as a tuple of ``convert(value, f"{name}[i]")``; a non-iterable, or a
+    length other than ``length`` when one is given, is a ValidationError."""
+    if not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}")
+    values = tuple(convert(value, f"{name}[{i}]") for i, value in enumerate(values))
+    if length is not None and len(values) != length:
+        raise ValidationError(f"{name} must hold {length} values, got {len(values)}")
+    return values
 
 
 class _Law:
     """Base of the law records: each coefficient is stored as a float that meets its rule."""
 
     def __post_init__(self):
-        for field in fields(self):
-            wording, test = _RULES[field.name]
-            value = _as_float(getattr(self, field.name), field.name)
-            if not test(value):
-                raise ValidationError(f"{field.name} must be {wording}, got {value!r}")
-            object.__setattr__(self, field.name, value)
+        for name in (field.name for field in fields(self)):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, _RULES[name]))
 
 
 @dataclass(frozen=True)
@@ -173,19 +216,26 @@ def _namespace(*values):
     return numpy
 
 
+def _as_array(value, name: str):
+    """``value`` as a float array; text, or a value numpy reads as no float, is a DomainError."""
+    import numpy
+
+    try:
+        x = numpy.asarray(value)
+        if x.dtype.kind not in "SU":  # numpy would read the text "1e9" as a number
+            return x.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # None, a ragged list, an int past float range
+        pass
+    raise DomainError(f"{name} must be a number or an array of numbers, got {type(value).__name__}")
+
+
 def _positive(xp, x, name: str):
     """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite."""
     if xp is _MATH:
-        x = float(x)
-        ok = 0 < x < math.inf  # also rejects NaN
-    else:
-        x = xp.asarray(x)
-        if x.dtype.kind in "SU":  # numpy would read the text as a number
-            raise DomainError(f"{name} must be a number, not text")
-        x = x.astype(float, copy=False)
-        # One pass that also rejects NaN (both comparisons are False).
-        ok = ((x > 0) & (x < math.inf)).all()
-    if not ok:
+        return _checked(x, name, _POSITIVE, DomainError)
+    x = _as_array(x, name)
+    # One pass that also rejects NaN (both comparisons are False).
+    if not ((x > 0) & (x < math.inf)).all():
         raise DomainError(f"{name} must be positive and finite")
     return x
 
@@ -218,11 +268,9 @@ def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, fl
     The from-scratch law is the extended law with gamma = 0 and B' = B; this
     is the only place that knows the two families' field names.
     """
-    if isinstance(law, ChinchillaParams):
+    if _law_kind(law, "a loss law") == "chinchilla":
         return law.E, law.A, law.alpha, law.B, law.beta, 0.0
-    if isinstance(law, ExtendedCptParams):
-        return law.E, law.A, law.alpha, law.B_prime, law.beta_prime, law.gamma
-    raise ValidationError(f"expected a loss law, got {type(law).__name__}")
+    return law.E, law.A, law.alpha, law.B_prime, law.beta_prime, law.gamma
 
 
 def eval_law(law: LawParams, N, D):
@@ -262,6 +310,7 @@ def _law_grid(law: LawParams, n_values, d_values) -> tuple[tuple[float, ...], ..
 
 def eval_frontier(p: FrontierParams, C):
     """Evaluate offset + coefficient / C^exponent."""
+    _law_kind(p, "a frontier")
     xp = _namespace(C)
     c = _positive(xp, C, "C")
     return _result(p.offset + xp.exp(math.log(p.coefficient) - p.exponent * xp.log(c)))
@@ -300,8 +349,7 @@ def frontier_crossover(f1: FrontierParams, f2: FrontierParams) -> float:
     Identical frontiers intersect everywhere; that degenerate case returns
     C = 1 and emits a warning rather than an error.
     """
-    if f1.offset != 0.0 or f2.offset != 0.0:
-        raise DomainError("crossover has no closed form for frontiers with nonzero offsets")
+    _zero_offset(f1, f2)
     if f1.exponent == f2.exponent:
         if f1.coefficient == f2.coefficient:
             warnings.warn(
@@ -324,12 +372,31 @@ _LAW_KINDS = {
 _KIND_TYPES = {kind: cls for cls, kind in _LAW_KINDS.items()}
 
 
+# The law_kinds an argument may take, by what a fault calls it.
+_EXPECTED = {"a law record": tuple(_KIND_TYPES), "a loss law": ("chinchilla", "extended_cpt"),
+             "a frontier": ("frontier",)}
+
+
+def _law_kind(law, expected: str = "a law record") -> str:
+    """``law``'s law_kind, one of those ``_EXPECTED[expected]`` names; else a ValidationError."""
+    kind = _LAW_KINDS.get(type(law))
+    if kind not in _EXPECTED[expected]:
+        raise ValidationError(f"expected {expected}, got {type(law).__name__}")
+    return kind
+
+
+def _zero_offset(*frontiers: FrontierParams) -> None:
+    """Check that each frontier is one and has offset 0, which the closed forms need."""
+    for frontier in frontiers:
+        _law_kind(frontier, "a frontier")
+        if frontier.offset != 0.0:
+            raise DomainError(f"the closed form needs zero-offset frontiers, got offset "
+                              f"{frontier.offset!r}")
+
+
 def law_to_dict(law) -> dict:
     """Serialize any parameter record to a versioned JSON-compatible dict."""
-    kind = _LAW_KINDS.get(type(law))
-    if kind is None:
-        raise TypeError(f"cannot serialize {type(law).__name__}")
-    doc = {"schema_version": SCHEMA_VERSION, "law_kind": kind}
+    doc = {"schema_version": SCHEMA_VERSION, "law_kind": _law_kind(law)}
     doc.update(asdict(law))
     return doc
 

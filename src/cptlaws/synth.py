@@ -8,21 +8,14 @@ a correct fit must recover the generating coefficients.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .ingest import LossRecord, RunSet, TrainingRun, load_catalog
-from .laws import (
-    ExtendedCptParams,
-    LawParams,
-    REFERENCE_CPT_LAW,
-    REFERENCE_SCRATCH_LAW,
-    _as_float,
-    eval_law,
-)
+from .laws import (_NONNEGATIVE, _POSITIVE, REFERENCE_CPT_LAW, REFERENCE_SCRATCH_LAW,
+                   ExtendedCptParams, LawParams, _as_tuple, _checked, _count, _law_kind, eval_law)
 
 
 @dataclass(frozen=True)
@@ -48,53 +41,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            # An integral float is read as the int it writes: 1e9 is 10**9.
-            sizes = tuple(int(n) if isinstance(n, float) and n.is_integer()
-                          else _integer(n, f"param_sizes[{i}]")
-                          for i, n in enumerate(self.param_sizes))
-        except TypeError:  # not iterable
-            raise ValidationError(f"param_sizes must be a sequence of integers, "
-                                  f"got {type(self.param_sizes).__name__}") from None
-        object.__setattr__(self, "param_sizes", sizes)
+        _law_kind(self.law, "a loss law")
+        # An integral float size is read as the int it writes: 1e9 is 10**9.
+        sizes = _as_tuple(self.param_sizes, "param_sizes", lambda n, name: _count(
+            int(n) if isinstance(n, float) and n.is_integer() else n, name, 1))
         if not sizes:
             raise ValidationError("param_sizes must be nonempty")
-        if any(n <= 0 for n in sizes):
-            raise ValidationError("param_sizes must be positive")
-        multiple = _as_float(self.token_multiple, "token_multiple")
-        object.__setattr__(self, "token_multiple", multiple)
-        if not multiple > 0:  # also rejects NaN
-            raise ValidationError(f"token_multiple must be positive, got {multiple!r}")
+        multiple = _checked(self.token_multiple, "token_multiple", _POSITIVE)
         # Every run's budget, and the first point of its grid, must be a positive float.
-        try:
-            in_range = multiple * max(sizes) < math.inf and 0.01 * (multiple * min(sizes)) > 0
-        except OverflowError:  # a size past float range
-            in_range = False
-        if not in_range:
+        if not (multiple * max(sizes) < math.inf and 0.01 * (multiple * min(sizes)) > 0):
             raise ValidationError("the token budget token_multiple * param_sizes "
                                   "must lie in float range")
-        records = _integer(self.records_per_run, "records_per_run")
-        object.__setattr__(self, "records_per_run", records)
-        if records < 2:
-            raise ValidationError(f"records_per_run must be at least 2, got {records!r}")
-        sigma = _as_float(self.noise_sigma, "noise_sigma")
-        object.__setattr__(self, "noise_sigma", sigma)
-        if not sigma >= 0:  # also rejects NaN
-            raise ValidationError(f"noise_sigma must be nonnegative, got {sigma!r}")
-        seed = _integer(self.seed, "seed")
-        object.__setattr__(self, "seed", seed)
-        if seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {seed!r}")
-
-
-def _integer(value, name: str) -> int:
-    """``operator.index(value)``; a bool or a value it refuses is an error."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "param_sizes", sizes)
+        object.__setattr__(self, "token_multiple", multiple)
+        object.__setattr__(self, "records_per_run", _count(self.records_per_run, "records_per_run", 2))
+        object.__setattr__(self, "noise_sigma", _checked(self.noise_sigma, "noise_sigma", _NONNEGATIVE))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
 def _record_noise(seed: int, run_index: int, record_index: int, sigma: float) -> float:
@@ -115,11 +77,14 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
     # as round does, and a count is at least 1.
     tokens = np.maximum(np.rint(np.geomspace(0.01 * budgets, budgets, cfg.records_per_run, axis=1)), 1.0)
     # One array evaluation: the scalar path of eval_law could move a loss by
-    # an ulp, and the generated logs are part of the contract.
-    losses = eval_law(cfg.law, sizes[:, None], tokens)
+    # an ulp, and the generated logs are part of the contract.  A law term past
+    # float range gives a loss of inf, which is checked once for every run.
+    with np.errstate(over="ignore"):
+        losses = eval_law(cfg.law, sizes[:, None], tokens)
+    past_range = np.isinf(losses).any(axis=1).tolist()
     # Runs are checked and built in order, one row at a time, so a collapsed
-    # grid or a noise draw out of float range is reported for the first run
-    # that has one.
+    # grid, a loss or a noise draw out of float range is reported for the
+    # first run that has one.
     runs = []
     for i, n in enumerate(cfg.param_sizes):
         # int of each float keeps counts past 2**63 exact, where an int64
@@ -130,6 +95,9 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
                 f"token grid for N={n} collapses after rounding; "
                 f"reduce records_per_run or increase the budget"
             )
+        if past_range[i]:
+            d = row[int(np.argmax(np.isinf(losses[i])))]
+            raise DomainError(f"the law's loss at N={n}, D={d} is past float range")
         records = []
         for j, (d, loss) in enumerate(zip(row, losses[i].tolist())):
             if cfg.noise_sigma > 0:

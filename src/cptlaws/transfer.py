@@ -25,6 +25,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,16 +36,9 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .laws import (
-    FLOPS_PER_PARAM_TOKEN,
-    ChinchillaParams,
-    ExtendedCptParams,
-    FrontierParams,
-    _exp_coefficients,
-    _geomspace,
-    eval_law,
-    solve_tokens_for_loss,
-)
+from .laws import (_FRACTION, _POSITIVE, FLOPS_PER_PARAM_TOKEN, ChinchillaParams,
+                   ExtendedCptParams, FrontierParams, _as_float, _as_tuple, _checked, _count,
+                   _exp_coefficients, _geomspace, _zero_offset, eval_law, solve_tokens_for_loss)
 
 if TYPE_CHECKING:  # only annotations name them; forgetting_curves imports ingest
     from .ingest import RunSet, TrainingRun
@@ -171,8 +165,7 @@ def empirical_transfer(
             f"runs must have equal param_count, got {run_pt.param_count} "
             f"and {run_cpt.param_count}"
         )
-    if levels < 1:
-        raise DomainError(f"levels must be at least 1, got {levels!r}")
+    levels = _count(levels, "levels", 1, DomainError)
     curve_pt = interp_loss_curve(run_pt)
     curve_cpt = interp_loss_curve(run_cpt)
     low = max(curve_pt.loss_range[0], curve_cpt.loss_range[0])
@@ -225,8 +218,7 @@ def extract_compute_frontier(
     each bin keeps its minimum-loss record at that record's actual compute.
     Records are each run's own-language loss series, the records the fits use.
     """
-    if bins_per_decade < 1:
-        raise DomainError(f"bins_per_decade must be at least 1, got {bins_per_decade!r}")
+    bins_per_decade = _count(bins_per_decade, "bins_per_decade", 1, DomainError)
     best: dict[int, tuple[float, float]] = {}
     for run in data:
         for rec in run.main_series():
@@ -257,9 +249,8 @@ def fit_frontier(
     (log C, log L).  Otherwise the regression starts a law fit with a free
     offset (``fitter.fit_offset_frontier``, which needs numpy).
     """
-    pts = [(float(c), float(l)) for c, l in points]
-    if any(c <= 0 or l <= 0 for c, l in pts):
-        raise DomainError("frontier points must have positive compute and loss")
+    positive = partial(_checked, rule=_POSITIVE, error=DomainError)
+    pts = _as_tuple(points, "points", partial(_as_tuple, convert=positive, length=2))
     log_c = [math.log(c) for c, _ in pts]
     log_l = [math.log(l) for _, l in pts]
     if len(set(log_c)) < 2:
@@ -287,11 +278,11 @@ def flops_saving_from_frontiers(
     f_pt: FrontierParams, f_cpt: FrontierParams, L: float
 ) -> float:
     """Fraction of compute CPT avoids at loss L, from two zero-offset frontiers."""
-    if f_pt.offset != 0.0 or f_cpt.offset != 0.0:
-        raise DomainError("savings require zero-offset frontiers")
+    _zero_offset(f_pt, f_cpt)
     if f_pt.exponent <= 0 or f_cpt.exponent <= 0:
         raise DomainError("savings require strictly decreasing frontiers")
-    if L <= 0 or L >= min(f_pt.coefficient, f_cpt.coefficient):
+    L = _as_float(L, "loss")
+    if not 0 < L < min(f_pt.coefficient, f_cpt.coefficient):  # also rejects NaN
         raise DomainError(
             f"loss must lie in (0, {min(f_pt.coefficient, f_cpt.coefficient)!r}), got {L!r}"
         )
@@ -316,8 +307,8 @@ class ForgettingCurve:
     target_points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.replay_ratio <= 1.0:
-            raise ValidationError(f"replay_ratio must lie in [0, 1], got {self.replay_ratio!r}")
+        ratio = _checked(self.replay_ratio, "replay_ratio", _FRACTION)
+        object.__setattr__(self, "replay_ratio", ratio)
 
 
 def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:

@@ -14,6 +14,7 @@ from cptlaws import (
     ExtendedCptParams,
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_LAW,
+    ValidationError,
     allocation_coefficients,
     eval_law,
     fit_frontier,
@@ -155,6 +156,13 @@ class TestOptimalAllocation:
             optimal_allocation(allocation_coefficients(SCRATCH), compute, SCRATCH)
         with pytest.raises(DomainError, match="compute must be positive and finite"):
             numeric_optimal_params(SCRATCH, compute)
+
+    @pytest.mark.parametrize("field", ["compute", "n_opt", "d_opt", "predicted_loss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, True])
+    def test_plan_fields_are_positive_finite_numbers(self, field, value):
+        plan = optimal_allocation(allocation_coefficients(SCRATCH), 1e21, SCRATCH)
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            dataclasses.replace(plan, **{field: value})
 
     @pytest.mark.property
     @given(log_c=st.floats(15, 26))

@@ -832,7 +832,7 @@ class TestFitFrontier:
 
     @pytest.mark.parametrize("point", [(0.0, 2.5), (1e19, -2.5)], ids=["compute", "loss"])
     def test_non_positive_point_rejected(self, point):
-        with pytest.raises(DomainError, match="positive compute and loss"):
+        with pytest.raises(DomainError, match=r"^points\[1\]\[[01]\] must be positive and finite"):
             fit_frontier([(1e18, 2.6), point, (1e20, 2.4)])
 
     def test_requires_two_distinct_computes(self):

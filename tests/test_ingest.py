@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cptlaws import (
     DomainError,
     LossRecord,
+    ModelSpec,
     ParseError,
     RunSet,
     TrainingRun,
@@ -531,6 +532,11 @@ class TestAttributeFlops:
         with pytest.raises(DomainError):
             attribute_flops_by_language(1e20, 1.2)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
+    def test_total_must_be_nonnegative_and_finite(self, total):
+        with pytest.raises(DomainError, match="^total FLOPs must be nonnegative, got "):
+            attribute_flops_by_language(total, 0.1)
+
     @pytest.mark.property
     @given(
         total=st.floats(0, 1e24, allow_nan=False),
@@ -556,6 +562,15 @@ class TestCatalog:
     def test_exact_rows(self, target, expected):
         [spec] = [row for row in load_catalog() if row.param_size_millions == target]
         assert (spec.hidden, spec.intermediate, spec.heads, spec.layers) == expected
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "param_size_millions must be an integer, got True"),
+        (2.0, "param_size_millions must be an integer, got 2.0"),
+        (0, "param_size_millions must be at least 1, got 0"),
+    ], ids=["bool", "float", "zero"])
+    def test_spec_counts_are_positive_integers(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ModelSpec(value, 512, 3072, 8, 8)
 
 
 class TestWarmupFilter:

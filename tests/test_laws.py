@@ -264,6 +264,16 @@ class TestScalarPath:
         with pytest.raises(DomainError):
             eval_frontier(REFERENCE_SCRATCH_FRONTIER, bad)
 
+    # A bool is not read as 1, nor an int past float range as inf.
+    @pytest.mark.parametrize("args, message", [
+        ((True, 1e9), "N must be a number, got bool"),
+        ((1e9, True), "D must be a number, got bool"),
+        ((10**400, 1e9), "N is too large"),
+    ], ids=["bool-n", "bool-d", "n-past-float-range"])
+    def test_scalar_path_takes_only_numbers_in_float_range(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            eval_law(SCRATCH, *args)
+
     def test_scalar_overflow_is_inf_as_in_numpy(self):
         # A loss 1e-200 above this law's floor needs D = exp(~4600) tokens.
         law = ChinchillaParams(E=1e-200, A=1e-200, B=1.0, alpha=0.5, beta=0.1)

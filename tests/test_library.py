@@ -1,0 +1,169 @@
+import math
+import warnings
+
+import pytest
+
+from cptlaws import (
+    REFERENCE_CPT_FRONTIER,
+    REFERENCE_CPT_LAW,
+    REFERENCE_SCRATCH_FRONTIER,
+    REFERENCE_SCRATCH_LAW,
+    AllocationCoefficients,
+    AllocationPlan,
+    ChinchillaParams,
+    CptLawsError,
+    ExtendedCptParams,
+    FitConfig,
+    ForgettingCurve,
+    FrontierParams,
+    LossRecord,
+    ModelSpec,
+    SynthConfig,
+    TrainingRun,
+    allocation_coefficients,
+    attribute_flops_by_language,
+    empirical_transfer,
+    eval_frontier,
+    eval_law,
+    extract_compute_frontier,
+    fit_cpt,
+    fit_frontier,
+    flops_saving_from_frontiers,
+    frontier_crossover,
+    huber,
+    isoloss_grid,
+    law_to_dict,
+    loss_floor,
+    numeric_optimal_params,
+    objective_scratch,
+    optimal_allocation,
+    parametric_transfer,
+    solve_tokens_for_loss,
+    warmup_filter,
+)
+from conftest import law_run, law_runset
+
+SCRATCH, CPT = REFERENCE_SCRATCH_LAW, REFERENCE_CPT_LAW
+F_PT, F_CPT = REFERENCE_SCRATCH_FRONTIER, REFERENCE_CPT_FRONTIER
+
+# Values that break an argument of each kind.
+NUMBER = ("x", True, None, math.nan, math.inf, -math.inf, 0, -1, 10**400)
+COUNT = NUMBER + (2.5,)
+SEQUENCE = NUMBER + ((), ("x",), (None,), (math.nan,), (10**400,))
+PAIR = SEQUENCE + ((1e8,), (1e8, 1e10, 1e12), ("x", 1e10), (1e10, 10**400))
+PAIRS = SEQUENCE + (
+    [("a", 1.0), (2.0, 1.0)], [(1.0,), (2.0, 1.0)], [(1.0, 2.0, 3.0), (2.0, 1.0)],
+    [5, (2.0, 1.0)], [(None, 1.0), (2.0, 1.0)], [(1.0, -1.0), (2.0, 1.0)],
+    [(math.inf, 1.0), (2.0, 1.0)], [(10**400, 1.0), (2.0, 1.0)],
+)
+LOSS_LAW = ("x", None, 1.0, F_PT)
+FRONTIER = ("x", None, 1.0, SCRATCH)
+SIZES = (10**8, 10**9)
+
+
+def library_calls():
+    """(callable, the keyword arguments of one valid call, each argument's bad values)."""
+    runs = law_runset(SCRATCH, SIZES, records_per_run=4)
+    d_values = [1e9, 1e10, 1e11]
+    run_pt, run_cpt = law_run(SCRATCH, 10**9, d_values), law_run(CPT, 10**9, d_values, "c", "cpt")
+    cpt_runs = law_runset(CPT, SIZES, records_per_run=4, strategy="cpt")
+    coeffs = allocation_coefficients(SCRATCH)
+    plan = optimal_allocation(coeffs, 1e21, SCRATCH)
+    record = LossRecord(tokens=10**9, loss=3.0)
+    return [
+        (ChinchillaParams, vars(SCRATCH), dict.fromkeys(vars(SCRATCH), NUMBER)),
+        (ExtendedCptParams, vars(CPT), dict.fromkeys(vars(CPT), NUMBER)),
+        (FrontierParams, vars(F_PT), dict.fromkeys(vars(F_PT), NUMBER)),
+        (eval_law, dict(law=SCRATCH, N=1e9, D=1e10), dict(law=LOSS_LAW, N=NUMBER, D=NUMBER)),
+        (loss_floor, dict(law=CPT, N=1e9), dict(law=LOSS_LAW, N=NUMBER)),
+        (solve_tokens_for_loss, dict(law=SCRATCH, N=1e9, L=3.0),
+         dict(law=LOSS_LAW, N=NUMBER, L=NUMBER)),
+        (eval_frontier, dict(p=F_PT, C=1e21), dict(p=FRONTIER, C=NUMBER)),
+        (frontier_crossover, dict(f1=F_PT, f2=F_CPT), dict(f1=FRONTIER, f2=FRONTIER)),
+        (law_to_dict, dict(law=SCRATCH), dict(law=("x", None, 1.0, {}))),
+        (allocation_coefficients, dict(law=CPT), dict(law=LOSS_LAW)),
+        (AllocationCoefficients, vars(coeffs), dict.fromkeys(vars(coeffs), NUMBER)),
+        (AllocationPlan, vars(plan), dict.fromkeys(vars(plan), NUMBER)),
+        (optimal_allocation, dict(coeffs=coeffs, compute=1e21, law=SCRATCH),
+         dict(compute=NUMBER, law=LOSS_LAW)),
+        (numeric_optimal_params, dict(law=SCRATCH, compute=1e21),
+         dict(law=LOSS_LAW, compute=NUMBER)),
+        (isoloss_grid, dict(law=SCRATCH, n_range=(1e8, 1e10), d_range=(1e9, 1e12), resolution=3),
+         dict(law=LOSS_LAW, n_range=PAIR, d_range=PAIR, resolution=COUNT)),
+        (empirical_transfer, dict(run_pt=run_pt, run_cpt=run_cpt, levels=4), dict(levels=COUNT)),
+        (parametric_transfer, dict(scratch=SCRATCH, cpt=CPT, N=1e9, D_cpt=1e10),
+         dict(scratch=LOSS_LAW, cpt=LOSS_LAW, N=NUMBER, D_cpt=NUMBER)),
+        (extract_compute_frontier, dict(data=runs, bins_per_decade=10),
+         dict(bins_per_decade=COUNT)),
+        (fit_frontier, dict(points=[(1e18, 3.0), (1e19, 2.5), (1e20, 2.2)]), dict(points=PAIRS)),
+        (flops_saving_from_frontiers, dict(f_pt=F_PT, f_cpt=F_CPT, L=2.5),
+         dict(f_pt=FRONTIER, f_cpt=FRONTIER, L=NUMBER)),
+        (ForgettingCurve, dict(run_id="r", replay_ratio=0.25, target_language="zh",
+                               source_language="en", source_points=((1e18, 2.5),),
+                               target_points=((3e18, 2.4),)),
+         dict(replay_ratio=NUMBER)),
+        (LossRecord, dict(tokens=10**9, loss=3.0), dict(tokens=COUNT, loss=NUMBER)),
+        (TrainingRun, dict(id="r", strategy="cpt", language="zh", replay_ratio=0.25,
+                           param_count=10**9, records=(record,)),
+         dict(replay_ratio=NUMBER, param_count=COUNT, records=SEQUENCE)),
+        (ModelSpec, dict(param_size_millions=1, hidden=2, intermediate=3, heads=4, layers=5),
+         dict.fromkeys(("param_size_millions", "hidden", "intermediate", "heads", "layers"),
+                       COUNT)),
+        (attribute_flops_by_language, dict(total=1e21, replay_ratio=0.1),
+         dict(total=NUMBER, replay_ratio=NUMBER)),
+        (warmup_filter, dict(run=run_pt, fraction=0.05), dict(fraction=NUMBER)),
+        (huber, dict(residual=0.1, delta=1e-3), dict(residual=NUMBER, delta=NUMBER)),
+        (objective_scratch, dict(theta=(6.0, 6.5, 0.4, 0.4, 0.3), data=runs, delta=1e-3),
+         dict(theta=SEQUENCE + ((6.0, 6.5, 0.4, 0.4), (6.0, 6.5, 0.4, -1.0, 0.3)),
+              delta=NUMBER)),
+        (FitConfig, dict(delta=1e-3, init_grid=((0.2, 0.1, 0.0),), warmup_fraction=0.0),
+         dict(delta=NUMBER, init_grid=PAIRS, warmup_fraction=NUMBER)),
+        (fit_cpt, dict(data=cpt_runs, fixed=(CPT.E, CPT.A, CPT.alpha),
+                       cfg=FitConfig(init_grid=((6.0, 0.2, 0.1),))),
+         dict(fixed=SEQUENCE + ((1.0, 2.0), (1.0, 2.0, 0.4, 1.0), (1.0, -2.0, 0.4)))),
+        (SynthConfig, dict(law=CPT, param_sizes=SIZES, token_multiple=20.0, records_per_run=3,
+                           noise_sigma=0.01, seed=1),
+         dict(law=LOSS_LAW, param_sizes=SEQUENCE, token_multiple=NUMBER, records_per_run=COUNT,
+              noise_sigma=NUMBER, seed=COUNT)),
+    ]
+
+
+def _outcome(function, kwargs):
+    """None when the call returns or raises a CptLawsError, else what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            function(**kwargs)
+        except CptLawsError:
+            pass
+        except Exception as exc:  # what escapes the library is the finding
+            return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.property
+class TestFuzzedLibrary:
+    """Every public callable that takes a number, count, sequence or law ends a bad one in a
+    CptLawsError.
+
+    Each callable's valid call returns.  Then one argument at a time is replaced
+    by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
+    10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
+    malformed pair; a law of the wrong kind) under warnings as errors: 31
+    callables, 748 cases.  Objects the library builds (runs, run sets, the
+    allocation coefficients an allocation takes, a fit's config) are not mutated.
+    """
+
+    def test_no_bad_argument_escapes_untyped(self):
+        calls = library_calls()
+        cases, escapes = 0, []
+        for function, valid, bad_values in calls:
+            function(**valid)
+            for name, values in bad_values.items():
+                for value in values:
+                    cases += 1
+                    outcome = _outcome(function, {**valid, name: value})
+                    if outcome is not None:
+                        escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
+        assert (len(calls), cases) == (31, 748)
+        assert escapes == []

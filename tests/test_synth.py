@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestGenerateRunset:
         with pytest.raises(DomainError, match=r"^noise_sigma 10000\.0 is too large: .* N=1000000000,"):
             generate_runset(cfg)
 
+    # B' / (D^beta' N^gamma) at gamma = -40 passes float range at N = 10**9,
+    # not at 10**6; numpy's overflow warning is not raised.
+    def test_a_loss_past_float_range_names_its_first_run(self):
+        cfg = SynthConfig(law=dataclasses.replace(REFERENCE_CPT_LAW, gamma=-40.0),
+                          param_sizes=(10**6, 10**9, 10**10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^the law's loss at N=1000000000, "
+                                                  r"D=200000000 is past float range$"):
+                generate_runset(cfg)
+
 
 def reference_generate(cfg):
     """generate_runset with each token count rounded on its own, by ``round``."""
@@ -228,11 +240,11 @@ class TestConfigValidation:
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=())
 
     def test_rejects_a_zero_size(self):
-        with pytest.raises(ValidationError, match="param_sizes must be positive"):
+        with pytest.raises(ValidationError, match=r"^param_sizes\[1\] must be at least 1, got 0$"):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=(10**8, 0))
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+        with pytest.raises(ValidationError, match="^seed must be at least 0, got -1$"):
             SynthConfig(law=REFERENCE_SCRATCH_LAW, param_sizes=SIZES, seed=-1)
 
     def test_rejects_single_record_runs(self):
