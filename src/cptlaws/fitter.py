@@ -37,11 +37,13 @@ projected gradient is within ``_FINISH_GTOL``, on the step rule, or after
 L-BFGS-B's ``maxiter`` trials.  Third, each finish endpoint goes to L-BFGS-B
 on the same kernel's value and gradient; at an endpoint within its ``gtol``,
 as the finish leaves nearly every one, L-BFGS-B would stop before its first
-iteration, and ``minimize`` returns that result itself.  The lowest-objective
-finished start wins, the lexicographically smallest on ties.  scipy, which
+iteration, and ``minimize`` returns that result itself.  scipy, which
 supplies L-BFGS-B, is imported only when a search has an iteration to take,
 so the commands that never fit, and the fits whose best basin the finish
-converges, do not load it.
+converges, do not load it.  A fit keeps its starts in one record,
+``_Population``: each pass's endpoints, objectives, trials and stop rules, the
+basin, L-BFGS-B's results, and the winner, the lowest-objective finished start
+(the smallest grid point on ties).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +64,9 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import (_ABOVE_ZERO, _BELOW_ONE, _POSITIVE, ChinchillaParams, ExtendedCptParams,
-                   FrontierParams, _as_array, _as_tuple, _checked, _exp_coefficients)
+from .laws import (_ABOVE_ZERO, _BELOW_ONE, _NONNEGATIVE, _POSITIVE, _RULES, ChinchillaParams,
+                   ExtendedCptParams, FrontierParams, _as_array, _as_tuple, _checked,
+                   _exp_coefficients, _law_kind)
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -173,8 +176,10 @@ class FitReport:
     chosen_init: tuple[float, ...]
 
     def __post_init__(self):
-        if self.objective < 0:
-            raise ValidationError(f"objective must be nonnegative, got {self.objective!r}")
+        _law_kind(self.params, "a loss law")
+        object.__setattr__(self, "objective", _checked(self.objective, "objective", _NONNEGATIVE))
+        for name in ("residuals", "chosen_init"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name))
 
     @property
     def n_points(self) -> int:
@@ -191,8 +196,9 @@ class ModelComparison:
     gamma_fitted: float
 
     def __post_init__(self):
-        if self.chinchilla_error < 0 or self.extended_error < 0:
-            raise ValidationError("fitting errors must be nonnegative")
+        for name, rule in (("chinchilla_error", _NONNEGATIVE), ("extended_error", _NONNEGATIVE),
+                           ("gamma_fitted", _RULES["gamma"])):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, rule))
 
 
 def huber(residual, delta: float = DEFAULT_DELTA):
@@ -404,12 +410,22 @@ def _bound_arrays(bounds):
             np.array([math.inf if hi is None else hi for _, hi in bounds]))
 
 
+class _Pass(NamedTuple):
+    """One ``_gauss_newton`` pass, one entry per start: endpoint, objective, trials and stop rule."""
+
+    x: np.ndarray
+    values: np.ndarray
+    trials: np.ndarray
+    stops: np.ndarray
+
+
 def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
-                  bounds=None, finish: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                  bounds=None, finish: bool = False) -> _Pass:
     """Advance every start (one row of x0) by damped Gauss-Newton steps.
 
-    Returns the endpoints and their objectives (non-finite for a start whose
-    objective is not finite at x0; such a start stays put).
+    Returns a ``_Pass``: each start's endpoint, objective, trial points and
+    stop rule, over ``len(x0) + trials.sum()`` kernel rows.  A start whose
+    objective is not finite at x0 stays put, stopped as "non-finite".
 
     This is Levenberg-Marquardt on the IRLS-weighted Huber residuals (weight
     1 where |r| <= delta, delta / |r| elsewhere) over q[free], the rest held
@@ -417,37 +433,41 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     trial points into ``bounds`` (L-BFGS-B form) and evaluates them in
     ``_law_system`` calls of at most ``_GN_BLOCK_ELEMENTS // n`` rows.  A
     start takes a trial only when its objective is finite and lower, and
-    stops on a relative decrease of at most ``_GN_TOLERANCE``, a step of at
-    most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate, or after its share
-    of ``_GN_ROW_TRIALS``, the same number of trials for every start.  The
-    damping follows Nielsen's rule (Madsen, Nielsen and Tingleff, Methods
-    for Non-linear Least Squares Problems, 2004): a taken step scales it by
-    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
-    decrease clipped to [0, 1]; a refused one multiplies it by a factor that
-    doubles with each refusal in a row.
+    stops on a relative decrease of at most ``_GN_TOLERANCE`` ("decrease"), a
+    step of at most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate ("step"),
+    or after its share of ``_GN_ROW_TRIALS``, the same number of trials for
+    every start ("budget").  The damping follows Nielsen's rule (Madsen,
+    Nielsen and Tingleff, Methods for Non-linear Least Squares Problems,
+    2004): a taken step scales it by max(1/3, 1 - (2 rho - 1)^3), rho being
+    the actual over the predicted decrease clipped to [0, 1]; a refused one
+    multiplies it by a factor that doubles with each refusal in a row.
 
     With ``finish`` the iteration is a Huber-Newton one instead: the weights
     are the penalty's second derivative (1 where |r| <= delta, 0 elsewhere;
     Madsen and Nielsen 1990), which converges quadratically where IRLS
     converges linearly.  A start then stops once the largest component of
-    its mean objective's projected gradient is within ``_FINISH_GTOL``, on
-    the step rule, or after L-BFGS-B's ``maxiter`` trials; there is no
-    relative-decrease rule.  No row's arithmetic reads another row, so the
-    endpoints and objectives do not depend on the order of the starts or on
-    how the kernel calls split them.
+    its mean objective's projected gradient is within ``_FINISH_GTOL``
+    ("gtol"), on the step rule, or after L-BFGS-B's ``maxiter`` trials; there
+    is no relative-decrease rule.  No row's arithmetic reads another row, so
+    the pass does not depend on the order of the starts or on how the kernel
+    calls split them.
     """
     n = flat[2].size
     lower, upper = _bound_arrays(bounds)
     rows = max(1, _GN_BLOCK_ELEMENTS // n)
     if finish:
-        trials, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
+        budget, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
     else:
-        trials, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
+        budget, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
 
     def system(x: np.ndarray):
         calls = [_law_system(x[i:i + rows], base, free, flat, delta, newton=finish)
                  for i in range(0, len(x), rows)]
         return tuple(np.concatenate(parts) for parts in zip(*calls))
+
+    def leave(running: np.ndarray, keep: np.ndarray, rule: str) -> np.ndarray:
+        stops[running[~keep]] = rule  # the starts that do not keep running stop on this rule
+        return running[keep]
 
     x = x0.copy()
     value, hess, grad = system(x)
@@ -455,10 +475,12 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     damping = np.full(len(x), _GN_DAMPING)
     growth = np.full(len(x), 2.0)
     running = np.flatnonzero(np.isfinite(value))
-    for _ in range(trials):
+    trials = np.zeros(len(x), dtype=int)
+    stops = np.where(np.isfinite(value), "budget", "non-finite")
+    for _ in range(budget):
         if gtol is not None:
             projected = _projected_gradient(x[running], grad[running] / n, lower, upper)
-            running = running[np.abs(projected).max(axis=1) > gtol]
+            running = leave(running, np.abs(projected).max(axis=1) > gtol, "gtol")
         xr, hr, gr = x[running], hess[running], grad[running]
         # Marquardt's scaling: each coordinate is damped in proportion to its
         # curvature, floored at _GN_CURVATURE_FLOOR of the largest so that a
@@ -477,9 +499,11 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         trial = np.clip(xr + step, lower, upper)
         step = trial - xr
         moving = (np.abs(step) > _GN_TOLERANCE * (1.0 + np.abs(xr))).any(axis=1)
+        stops[running[~moving]] = "step"
         running, trial, step, hr, gr = (a[moving] for a in (running, trial, step, hr, gr))
         if not running.size:
             break
+        trials[running] += 1
         # Decrease of the quadratic model, in units of n * objective.
         predicted = -(np.einsum("ij,ij->i", gr, step)
                       + 0.5 * (step[:, None, :] @ hr @ step[:, :, None])[:, 0, 0])
@@ -497,8 +521,8 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         x[taken], value[taken] = trial[better], trial_value[better]
         hess[taken], grad[taken] = trial_hess[better], trial_grad[better]
         if gtol is None:
-            running = running[~better | (decrease > _GN_TOLERANCE * value[running])]
-    return x, value
+            running = leave(running, ~better | (decrease > _GN_TOLERANCE * value[running]), "decrease")
+    return _Pass(x, value, trials, stops)
 
 
 def _best_basin(values: np.ndarray) -> np.ndarray:
@@ -536,8 +560,23 @@ def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarr
     return starts
 
 
+@dataclass(frozen=True)
+class _Population:
+    """A ``_fit_mask`` call's starts: the stage over ``keys``, its ``basin``, their ``finish``,
+    L-BFGS-B's ``searches`` from it, and the winner's ``objective``, ``chosen`` and ``q``."""
+
+    keys: tuple
+    stage: _Pass
+    basin: np.ndarray
+    finish: _Pass
+    searches: tuple
+    objective: float
+    chosen: tuple
+    q: np.ndarray
+
+
 def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
-    """Fit q[free] from every grid point, the rest held at ``base``; return (objective, chosen, q).
+    """Fit q[free] from every grid point, the rest held at ``base``; return its ``_Population``.
 
     The Gauss-Newton stage advances every grid point; each one that ends it
     in the best basin goes through the Newton finish and then L-BFGS-B.
@@ -550,24 +589,20 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
         return value[0], grad[0] / flat[2].size
 
     keys, x0 = zip(*_law_starts(grid, free))
-    x0, values = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
-    basin = _best_basin(values)
-    x0, _ = _gauss_newton(flat, base, free, x0[basin], delta, bounds, finish=True)
-    results, failures = [], []
-    for i, x in zip(basin, x0):
-        res = minimize(fun, x, jac=True, method="L-BFGS-B", bounds=bounds, options=_LBFGSB_OPTIONS)
-        if res.success and math.isfinite(res.fun):
-            results.append((float(res.fun), keys[i], np.asarray(res.x, dtype=float)))
-        else:
-            failures.append(f"start {keys[i]}: {res.message}")
-    if not results:
-        raise FitFailureError(
-            "no optimizer start converged; diagnostics:\n  " + "\n  ".join(failures)
-        )
-    objective, chosen, x = min(results, key=lambda item: item[:2])
+    stage = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
+    basin = _best_basin(stage.values)
+    finish = _gauss_newton(flat, base, free, stage.x[basin], delta, bounds, finish=True)
+    searches = tuple(minimize(fun, x, jac=True, method="L-BFGS-B", bounds=bounds,
+                              options=_LBFGSB_OPTIONS) for x in finish.x)
+    finished = [(float(res.fun), keys[i], res) for i, res in zip(basin, searches)
+                if res.success and math.isfinite(res.fun)]
+    if not finished:
+        raise FitFailureError("no optimizer start converged; diagnostics:\n  " + "\n  ".join(
+            f"start {keys[i]}: {res.message}" for i, res in zip(basin, searches)))
+    objective, chosen, res = min(finished, key=lambda item: item[:2])
     q = base.copy()
-    q[free] = x
-    return objective, chosen, q
+    q[free] = np.asarray(res.x, dtype=float)
+    return _Population(keys, stage, basin, finish, searches, objective, chosen, q)
 
 
 def _prepare(data: RunSet, cfg: FitConfig):
@@ -633,18 +668,18 @@ def _fitted_exponents(**logs: float) -> dict[str, float]:
     return _exp_coefficients(**logs)
 
 
-def _fit_report(params, objective: float, q: np.ndarray, flat, chosen) -> FitReport:
-    """FitReport of a law fitted at q, with its residuals on the ``flat`` data."""
-    return FitReport(params=params, objective=objective,
-                     residuals=tuple(_residuals(q, flat).tolist()), chosen_init=chosen)
+def _fit_report(params, fit: _Population, flat) -> FitReport:
+    """FitReport of a law fitted at ``fit.q``, with its residuals on the ``flat`` data."""
+    return FitReport(params=params, objective=fit.objective,
+                     residuals=tuple(_residuals(fit.q, flat).tolist()), chosen_init=fit.chosen)
 
 
 def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
     grid = cfg.init_grid or _default_scratch_grid(flat)
-    objective, chosen, q = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
-    params = ChinchillaParams(**_exp_coefficients(E=q[2], A=q[0], B=q[1]),
-                              **_fitted_exponents(alpha=q[3], beta=q[4]))
-    return _fit_report(params, objective, q, flat, chosen)
+    fit = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
+    params = ChinchillaParams(**_exp_coefficients(E=fit.q[2], A=fit.q[0], B=fit.q[1]),
+                              **_fitted_exponents(alpha=fit.q[3], beta=fit.q[4]))
+    return _fit_report(params, fit, flat)
 
 
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
@@ -664,12 +699,12 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     flat = _prepare(data, cfg)
     base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
     grid = cfg.init_grid or _default_cpt_grid(flat, fixed_e, fixed_a, fixed_alpha)
-    objective, chosen, q = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
+    fit = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
     params = ExtendedCptParams(
-        E=fixed_e, A=fixed_a, alpha=fixed_alpha, gamma=float(q[5]),
-        **_exp_coefficients(B_prime=q[1]), **_fitted_exponents(beta_prime=q[4]),
+        E=fixed_e, A=fixed_a, alpha=fixed_alpha, gamma=float(fit.q[5]),
+        **_exp_coefficients(B_prime=fit.q[1]), **_fitted_exponents(beta_prime=fit.q[4]),
     )
-    return _fit_report(params, objective, q, flat, chosen)
+    return _fit_report(params, fit, flat)
 
 
 def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercept: float,
@@ -690,10 +725,10 @@ def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercep
     e_max = float(log_l.min())
     grid = [(intercept, e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)
-    _, _, q = _fit_mask(
+    q = _fit_mask(
         flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
         bounds=[(None, None), (None, e_max), (None, None)],
-    )
+    ).q
     return FrontierParams(**_exp_coefficients(coefficient=q[0], offset=q[2]),
                           **_fitted_exponents(exponent=q[3]))
 
@@ -721,12 +756,12 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     data_terms = _data_term_grid(math.log(p.B) - p.beta * log_d, log_n, log_d)
     grid = [(math.log(p.A), b, math.log(p.E), p.alpha, beta, gamma)
             for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *data_terms]]
-    extended_error, _, q = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
-    _fitted_exponents(alpha=q[3], beta_prime=q[4])
+    extended = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
+    _fitted_exponents(alpha=extended.q[3], beta_prime=extended.q[4])
     return ModelComparison(
         chinchilla_error=scratch_report.objective,
-        extended_error=extended_error,
-        gamma_fitted=float(q[5]),
+        extended_error=extended.objective,
+        gamma_fitted=float(extended.q[5]),
     )
 
 

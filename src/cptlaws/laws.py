@@ -18,11 +18,11 @@ input runs in numpy, which broadcasts arrays and returns a float for a 0-d
 result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
 are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
-and a non-positive, infinite, NaN or text input is a DomainError; on the
-scalar path a bool, or an int past float range, is a ValidationError.  A
-grid of the loss law over N and D (``_law_grid``) takes the scalar path's
-operations in its order, so each cell equals the scalar ``eval_law`` bit
-for bit.
+and a non-positive, infinite, NaN or text input is a DomainError; a bool or
+an int past float range is a ValidationError on the scalar path and a
+DomainError on the array path.  A grid of the loss law over N and D
+(``_law_grid``) takes the scalar path's operations in its order, so each
+cell equals the scalar ``eval_law`` bit for bit.
 """
 
 from __future__ import annotations
@@ -217,12 +217,12 @@ def _namespace(*values):
 
 
 def _as_array(value, name: str):
-    """``value`` as a float array; text, or a value numpy reads as no float, is a DomainError."""
+    """``value`` as a float array; text, a bool, or what numpy reads as no float is a DomainError."""
     import numpy
 
     try:
         x = numpy.asarray(value)
-        if x.dtype.kind not in "SU":  # numpy would read the text "1e9" as a number
+        if x.dtype.kind not in "SUb":  # numpy would read the text "1e9" and True as numbers
             return x.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # None, a ragged list, an int past float range
         pass

@@ -3,6 +3,7 @@ import math
 import re
 import resource
 import warnings
+from collections import Counter
 from itertools import product
 from types import SimpleNamespace
 
@@ -73,6 +74,11 @@ class TestHuber:
             huber(0.1, 0.0)
         with pytest.raises(DomainError):
             huber(0.1, math.nan)
+
+    @pytest.mark.parametrize("residual", [True, np.array([True, False])], ids=["bool", "bool-array"])
+    def test_bool_residual_is_domain_error(self, residual):
+        with pytest.raises(DomainError, match="^residual must be a number"):
+            huber(residual)
 
     def test_infinite_delta_is_least_squares(self):
         assert huber(0.25, math.inf) == 0.03125
@@ -500,49 +506,34 @@ class TestFitCpt:
             fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=(start,)))
 
     def test_default_starts_finish_in_the_best_basin_on_replica(self, monkeypatch):
-        stage, finish, finished = record_fit(monkeypatch)
-        fit_cpt(generate_runset(paper_replica_config("cpt")), (CPT.E, CPT.A, CPT.alpha))
-        (flat, base, free, x0), (endpoints, values) = stage
-        objective = masked_objective(flat, base, free)
-        assert len(x0) == 16 and np.isfinite(values).all()
-        assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
-        assert_finishes_the_basin(stage, finish, finished)
-        assert all(res.success for _, res in finished)
+        populations = record_populations(monkeypatch)
+        data = generate_runset(paper_replica_config("cpt"))
+        fit_cpt(data, (CPT.E, CPT.A, CPT.alpha))
+        (fit,) = populations
+        base = _q(math.log(CPT.A), 0.0, math.log(CPT.E), CPT.alpha, 1.0)
+        objective = masked_objective(_flatten(data), base, _CPT_FREE)
+        starts = [x0 for _, x0 in fitter._law_starts(fit.keys, _CPT_FREE)]
+        assert len(starts) == 16 and np.isfinite(fit.stage.values).all()
+        assert all(objective(end) <= objective(start) for start, end in zip(starts, fit.stage.x))
+        assert np.array_equal(fit.basin, fitter._best_basin(fit.stage.values))
+        assert all(res.success for res in fit.searches)
 
 
-def record_fit(monkeypatch):
-    """Record the Gauss-Newton stage, its Newton finish and every L-BFGS-B call of the next fits.
+def record_populations(monkeypatch):
+    """The ``_Population`` of each ``_fit_mask`` call the next fits make, in call order."""
+    populations, real_fit_mask = [], fitter._fit_mask
 
-    Returns ``stage`` and ``finish``, which hold the last stage's and the
-    last finish pass's ((flat, base, free, x0), (endpoints, objectives)), and
-    ``finished``, a list of (x0, result) per ``fitter.minimize`` call.
-    """
-    stage, finish, finished = [], [], []
-    real_stage, real_minimize = fitter._gauss_newton, fitter.minimize
+    def recording_fit_mask(*args, **kwargs):
+        populations.append(real_fit_mask(*args, **kwargs))
+        return populations[-1]
 
-    def recording_stage(flat, base, free, x0, delta, bounds=None, **kwargs):
-        out = real_stage(flat, base, free, x0, delta, bounds, **kwargs)
-        (finish if kwargs.get("finish") else stage)[:] = [(flat, base, free, x0), out]
-        return out
-
-    def recording_minimize(fun, x0, **kwargs):
-        res = real_minimize(fun, x0, **kwargs)
-        finished.append((np.array(x0), res))
-        return res
-
-    monkeypatch.setattr(fitter, "_gauss_newton", recording_stage)
-    monkeypatch.setattr(fitter, "minimize", recording_minimize)
-    return stage, finish, finished
+    monkeypatch.setattr(fitter, "_fit_mask", recording_fit_mask)
+    return populations
 
 
-def assert_finishes_the_basin(stage, finish, finished, basin=None):
-    """The finish pass starts from the stage endpoints of exactly ``basin`` (by default the
-    best basin), and L-BFGS-B is handed exactly the finish pass's endpoints."""
-    _, (endpoints, values) = stage
-    (_, _, _, finish_x0), (finish_endpoints, _) = finish
-    basin = fitter._best_basin(values) if basin is None else basin
-    assert np.array_equal(finish_x0, endpoints[basin])
-    assert np.array_equal([x for x, _ in finished], finish_endpoints)
+def rows(passes):
+    """Kernel rows the ``_gauss_newton`` passes evaluated: each start once, then once a trial."""
+    return sum(len(p.x) + int(p.trials.sum()) for p in passes)
 
 
 class TestMinimize:
@@ -649,16 +640,20 @@ class TestBestBasin:
     def test_only_best_basin_starts_are_finished(self, monkeypatch, fast_cfg):
         data = generate_runset(SynthConfig(law=SCRATCH, param_sizes=SIZES, records_per_run=12,
                                            noise_sigma=0.01, seed=1))
-        stage, finish, finished = record_fit(monkeypatch)
+        populations = record_populations(monkeypatch)
         fit_scratch(data, fast_cfg)
-        basin = fitter._best_basin(stage[1][1])
-        assert 0 < len(basin) < len(fast_cfg.init_grid)
-        assert_finishes_the_basin(stage, finish, finished)
-
-        finished.clear()
+        best = fitter._best_basin(populations[0].stage.values)
         monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
         fit_scratch(data, fast_cfg)
-        assert_finishes_the_basin(stage, finish, finished, basin=np.arange(len(fast_cfg.init_grid)))
+        assert 0 < len(best) < len(fast_cfg.init_grid)
+        assert np.array_equal(populations[0].basin, best)
+        assert np.array_equal(populations[1].basin, np.arange(len(fast_cfg.init_grid)))
+        for fit in populations:
+            assert len(fit.finish.x) == len(fit.searches) == len(fit.basin)
+            assert (fit.finish.values <= fit.stage.values[fit.basin]).all()
+            # a search that takes no iteration returns the finish endpoint it was handed
+            assert all(np.array_equal(res.x, x) for res, x in zip(fit.searches, fit.finish.x)
+                       if res.nit == 0)
 
     @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.01, 1)])
     def test_matches_finishing_every_start_on_replica(self, monkeypatch, sigma, seed):
@@ -913,11 +908,12 @@ class TestFitFrontier:
         assert objective == pytest.approx(self.REPLICA_OPTIMA[sigma, seed], rel=1e-8)
 
     def test_offset_free_path_finishes_only_the_best_basin(self, monkeypatch):
-        stage, finish, finished = record_fit(monkeypatch)
+        populations = record_populations(monkeypatch)
         fit_frontier(self.replica_frontier(0.01, 1), fix_offset_zero=False)
-        basin = fitter._best_basin(stage[1][1])
-        assert len(basin) == 1  # the other start runs off to a far lower offset
-        assert_finishes_the_basin(stage, finish, finished)
+        (fit,) = populations
+        # the other start runs off to a far lower offset
+        assert len(fit.basin) == len(fit.searches) == 1
+        assert np.array_equal(fit.basin, fitter._best_basin(fit.stage.values))
 
     # Token multiples of three large logs (42 sizes x 1000 records) on which
     # a finish with the stage's IRLS weights converges only linearly: after
@@ -931,21 +927,22 @@ class TestFitFrontier:
         config = dataclasses.replace(paper_replica_config("cpt"), records_per_run=1000,
                                      token_multiple=token_multiple)
         points = extract_compute_frontier(generate_runset(config))
-        _, finish, finished = record_fit(monkeypatch)
+        populations = record_populations(monkeypatch)
         fit_frontier(points, fix_offset_zero=False)
-        assert finished and all(res.nit == 0 and res.success for _, res in finished)
-        assert np.array_equal([x for x, _ in finished], finish[1][0])
+        (fit,) = populations
+        assert fit.searches and all(res.nit == 0 and res.success for res in fit.searches)
+        assert np.array_equal([res.x for res in fit.searches], fit.finish.x)
 
     def test_long_stage_warns_nothing(self, monkeypatch):
         # One start of this frontier is refused step after step and stops
         # long before the other converges; its damping must stay finite.
-        stage, _, _ = record_fit(monkeypatch)
+        populations = record_populations(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit_frontier(self.replica_frontier(0.01, 2), fix_offset_zero=False)
-        (_, _, _, x0), (_, values) = stage
-        assert fitter._GN_ROW_TRIALS // len(x0) >= 100
-        assert np.isfinite(values).all()
+        (fit,) = populations
+        assert fitter._GN_ROW_TRIALS // len(fit.keys) >= 100
+        assert np.isfinite(fit.stage.values).all()
 
     def test_stage_stops_on_the_offset_bound(self, monkeypatch):
         # Both starts of this frontier end with the offset on its bound.  The
@@ -953,24 +950,11 @@ class TestFitFrontier:
         # together they stop within a few hundred rows; with steps clipped
         # into the bound the stage crawled along it for 5,540 rows and ended
         # at objective 2.2199844973e-5.
-        rows = []
-        real_stage, real_system = fitter._gauss_newton, fitter._law_system
-
-        def counting_system(x, *args, **kwargs):
-            rows.append(len(x))
-            return real_system(x, *args, **kwargs)
-
-        def counting_stage(*args, **kwargs):
-            monkeypatch.setattr(fitter, "_law_system", counting_system)
-            try:
-                return real_stage(*args, **kwargs)
-            finally:
-                monkeypatch.setattr(fitter, "_law_system", real_system)
-
-        monkeypatch.setattr(fitter, "_gauss_newton", counting_stage)
+        populations = record_populations(monkeypatch)
         points = self.replica_frontier(0.03, 5)
         fitted = fit_frontier(points, fix_offset_zero=False)
-        assert 0 < sum(rows) <= 500
+        (fit,) = populations
+        assert 0 < rows([fit.stage, fit.finish]) <= 500
         assert fitted.offset == min(loss for _, loss in points)
         assert self.frontier_objective(fitted, points) <= 2.2199844973247586e-05
 
@@ -1009,41 +993,32 @@ class TestGaussNewtonStage:
     def test_endpoints_do_not_depend_on_order_or_blocking(self, replica, monkeypatch):
         flat, x0 = replica
         x0 = x0[::8]
-        endpoints, values = self.advance(flat, x0)
+        stage = self.advance(flat, x0)
         order = np.random.default_rng(0).permutation(len(x0))
         permuted = self.advance(flat, x0[order])
-        assert np.array_equal(permuted[0], endpoints[order])
-        assert np.array_equal(permuted[1], values[order])
-        for rows in (1, 5, len(x0)):
-            monkeypatch.setattr(fitter, "_GN_BLOCK_ELEMENTS", rows * flat[0].size)
-            blocked = self.advance(flat, x0)
-            assert np.array_equal(blocked[0], endpoints)
-            assert np.array_equal(blocked[1], values)
+        for got, expected in zip(permuted, stage, strict=True):
+            assert np.array_equal(got, expected[order])
+        for block in (1, 5, len(x0)):
+            monkeypatch.setattr(fitter, "_GN_BLOCK_ELEMENTS", block * flat[0].size)
+            for got, expected in zip(self.advance(flat, x0), stage, strict=True):
+                assert np.array_equal(got, expected)
 
-    def test_a_start_without_a_finite_objective_is_evaluated_once(self, replica, monkeypatch):
+    def test_a_start_without_a_finite_objective_is_evaluated_once(self, replica):
         # A start with a = inf has a NaN objective at x0.  It stays put and
         # leaves the stage at once, so later kernel calls never evaluate it
         # (the call evaluates 1,267 rows in all).
         flat, x0 = replica
         x0 = x0[::8].copy()
-        endpoints, values = self.advance(flat, x0)
+        stage = self.advance(flat, x0)
         x0[3, 0] = math.inf
-        evaluated = []
-        real_system = fitter._law_system
-
-        def counting_system(x, *args, **kwargs):
-            evaluated.extend(np.isfinite(x).all(axis=1))
-            return real_system(x, *args, **kwargs)
-
-        monkeypatch.setattr(fitter, "_law_system", counting_system)
         # inf - inf in the first evaluation is the one invalid operation.
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            stopped, stopped_values = self.advance(flat, x0)
-        assert evaluated.count(False) == 1
-        assert np.array_equal(stopped[3], x0[3]) and not np.isfinite(stopped_values[3])
+            stopped = self.advance(flat, x0)
+        assert (stopped.trials[3], stopped.stops[3]) == (0, "non-finite")
+        assert np.array_equal(stopped.x[3], x0[3]) and not np.isfinite(stopped.values[3])
         others = np.arange(len(x0)) != 3
-        assert np.array_equal(stopped[others], endpoints[others])
-        assert np.array_equal(stopped_values[others], values[others])
+        for got, expected in zip(stopped, stage, strict=True):
+            assert np.array_equal(got[others], expected[others])
 
     def test_trial_points_are_clipped_into_bounds(self):
         # The frontier of L(C) = 1.2 + 20 C^-0.06 with the offset bounded by
@@ -1054,17 +1029,17 @@ class TestGaussNewtonStage:
         flat = (np.log(computes), np.zeros(len(computes)), log_l)
         x0 = np.array([[math.log(20.0), math.log(0.5), math.log(0.06)],
                        [math.log(30.0), math.log(0.9), math.log(0.1)]])
-        endpoints, _ = fitter._gauss_newton(
+        endpoints = fitter._gauss_newton(
             flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), fitter._FRONTIER_FREE, x0,
             fitter.DEFAULT_DELTA, bounds=[(None, None), (None, 0.0), (None, None)],
-        )
+        ).x
         assert endpoints[:, 1].max() == 0.0
 
     def test_default_grid_lowers_no_start_and_warns_nothing(self, replica):
         flat, x0 = replica
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            endpoints, values = self.advance(flat, x0)
+            endpoints, values, _, _ = self.advance(flat, x0)
         objective = masked_objective(flat, np.zeros(6), _SCRATCH_FREE)
         assert (endpoints != x0).any(axis=1).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
@@ -1082,6 +1057,34 @@ class TestGaussNewtonStage:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         fit_scratch(data)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5_000
+
+
+class TestPopulation:
+    """The record ``_fit_mask`` keeps of its starts, as observed on three replica logs."""
+
+    @staticmethod
+    def replica(strategy, sigma, seed):
+        config = dataclasses.replace(paper_replica_config(strategy), noise_sigma=sigma, seed=seed)
+        return generate_runset(config)
+
+    def test_replica_populations(self, monkeypatch):
+        populations = record_populations(monkeypatch)
+        fit_scratch(self.replica("scratch", 0.01, 1))
+        fit_scratch(self.replica("scratch", 0.0, 0))
+        compare_laws(self.replica("cpt", 0.03, 3))
+        noisy, noise_free, _, extended = populations
+        assert (len(noisy.keys), len(noisy.basin)) == (96, 64)
+        assert Counter(noisy.stage.stops.tolist()) == {"budget": 95, "decrease": 1}
+        assert Counter(noisy.finish.stops.tolist()) == {"gtol": 62, "step": 2}
+        assert (rows([noisy.stage]), rows([noisy.finish])) == (2976, 770)
+        assert all(res.nit == 0 for res in noisy.searches)
+        assert (rows([noise_free.stage]), len(noise_free.basin)) == (2373, 1)
+        # Both starts of the best extended basin spend the finish's whole
+        # budget short of gtol, so L-BFGS-B iterates from each.
+        assert (len(extended.keys), len(extended.basin)) == (17, 2)
+        assert extended.finish.stops.tolist() == ["budget", "budget"]
+        assert extended.finish.trials.tolist() == [fitter._LBFGSB_OPTIONS["maxiter"]] * 2
+        assert all(res.nit > 0 for res in extended.searches)
 
 
 def term_shares(q, log_n, log_d):
@@ -1179,25 +1182,10 @@ class TestDefaultGrids:
     def test_noise_free_scratch_stage_rows(self, monkeypatch):
         # Fewer than 96 starts x (30 trials + the first evaluation): a start
         # that has stopped is not evaluated again (2,373 rows on this replica).
-        rows = []
-        real_stage, real_system = fitter._gauss_newton, fitter._law_system
-
-        def counting_system(x, *args, **kwargs):
-            rows.append(len(x))
-            return real_system(x, *args, **kwargs)
-
-        def counting_stage(*args, **kwargs):
-            if kwargs.get("finish"):
-                return real_stage(*args, **kwargs)
-            monkeypatch.setattr(fitter, "_law_system", counting_system)
-            try:
-                return real_stage(*args, **kwargs)
-            finally:
-                monkeypatch.setattr(fitter, "_law_system", real_system)
-
-        monkeypatch.setattr(fitter, "_gauss_newton", counting_stage)
+        populations = record_populations(monkeypatch)
         fit_scratch(generate_runset(paper_replica_config("scratch")))
-        assert 0 < sum(rows) < 96 * 31
+        (fit,) = populations
+        assert 0 < rows([fit.stage]) < 96 * 31
 
 
 class TestResidualExport:

@@ -274,6 +274,10 @@ class TestScalarPath:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             eval_law(SCRATCH, *args)
 
+    def test_array_path_takes_no_bool_array(self):
+        with pytest.raises(DomainError, match="^N must be a number or an array of numbers"):
+            eval_law(SCRATCH, np.array([True]), 1e9)
+
     def test_scalar_overflow_is_inf_as_in_numpy(self):
         # A loss 1e-200 above this law's floor needs D = exp(~4600) tokens.
         law = ChinchillaParams(E=1e-200, A=1e-200, B=1.0, alpha=0.5, beta=0.1)

@@ -14,12 +14,15 @@ from cptlaws import (
     CptLawsError,
     ExtendedCptParams,
     FitConfig,
+    FitReport,
     ForgettingCurve,
     FrontierParams,
     LossRecord,
+    ModelComparison,
     ModelSpec,
     SynthConfig,
     TrainingRun,
+    ValidationError,
     allocation_coefficients,
     attribute_flops_by_language,
     empirical_transfer,
@@ -118,6 +121,11 @@ def library_calls():
               delta=NUMBER)),
         (FitConfig, dict(delta=1e-3, init_grid=((0.2, 0.1, 0.0),), warmup_fraction=0.0),
          dict(delta=NUMBER, init_grid=PAIRS, warmup_fraction=NUMBER)),
+        (FitReport, dict(params=SCRATCH, objective=1e-6, residuals=(1e-3, -1e-3),
+                         chosen_init=(6.0, 0.2, 0.1)),
+         dict(params=LOSS_LAW, objective=NUMBER, residuals=SEQUENCE, chosen_init=SEQUENCE)),
+        (ModelComparison, dict(chinchilla_error=2e-6, extended_error=1e-6, gamma_fitted=0.08),
+         dict.fromkeys(("chinchilla_error", "extended_error", "gamma_fitted"), NUMBER)),
         (fit_cpt, dict(data=cpt_runs, fixed=(CPT.E, CPT.A, CPT.alpha),
                        cfg=FitConfig(init_grid=((6.0, 0.2, 0.1),))),
          dict(fixed=SEQUENCE + ((1.0, 2.0), (1.0, 2.0, 0.4, 1.0), (1.0, -2.0, 0.4)))),
@@ -149,9 +157,10 @@ class TestFuzzedLibrary:
     Each callable's valid call returns.  Then one argument at a time is replaced
     by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
     10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
-    malformed pair; a law of the wrong kind) under warnings as errors: 31
-    callables, 748 cases.  Objects the library builds (runs, run sets, the
-    allocation coefficients an allocation takes, a fit's config) are not mutated.
+    malformed pair; a law of the wrong kind) under warnings as errors: 33
+    callables, 816 cases.  Objects the library builds (runs, run sets, the
+    allocation coefficients an allocation takes, a fit's config) are not mutated;
+    the records a fit returns are.
     """
 
     def test_no_bad_argument_escapes_untyped(self):
@@ -165,5 +174,27 @@ class TestFuzzedLibrary:
                     outcome = _outcome(function, {**valid, name: value})
                     if outcome is not None:
                         escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
-        assert (len(calls), cases) == (31, 748)
+        assert (len(calls), cases) == (33, 816)
         assert escapes == []
+
+
+class TestResultRecords:
+    """A fit's records take what a fit returns: a loss law, nonnegative objectives, floats."""
+
+    REPORT = dict(params=SCRATCH, objective=1e-6, residuals=(1e-3,), chosen_init=(6.0, 0.2, 0.1))
+    COMPARISON = dict(chinchilla_error=2e-6, extended_error=1e-6, gamma_fitted=0.08)
+
+    @pytest.mark.parametrize("record, fields, name", [
+        (FitReport, {"params": "x"}, "a loss law"),
+        (FitReport, {"params": F_PT}, "a loss law"),
+        (FitReport, {"objective": math.nan}, "objective"),
+        (FitReport, {"residuals": "x"}, "residuals"),
+        (FitReport, {"chosen_init": (None,)}, "chosen_init"),
+        (ModelComparison, {"gamma_fitted": "x"}, "gamma_fitted"),
+        (ModelComparison, {"gamma_fitted": math.inf}, "gamma_fitted"),
+    ], ids=["str-params", "frontier-params", "nan-objective", "str-residuals", "null-start",
+            "str-gamma", "inf-gamma"])
+    def test_refuses_what_no_fit_returns(self, record, fields, name):
+        valid = self.REPORT if record is FitReport else self.COMPARISON
+        with pytest.raises(ValidationError, match=name):
+            record(**{**valid, **fields})
