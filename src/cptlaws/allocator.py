@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, _POSITIVE, LawParams, _as_tuple, _checked,
@@ -86,12 +87,13 @@ class IsoLossGrid:
     frontier: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if len(self.loss_values) != len(self.n_axis) or any(
-            len(row) != len(self.d_axis) for row in self.loss_values
-        ):
-            raise ValidationError(
-                f"loss matrix does not match axes ({len(self.n_axis)}, {len(self.d_axis)})"
-            )
+        for name in ("n_axis", "d_axis"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name))
+        # Cells are kept as given: converting the 65,536 of a 256 x 256 grid
+        # took longer than ``_law_grid`` takes to compute them.
+        row = partial(_as_tuple, convert=None, length=len(self.d_axis))
+        object.__setattr__(self, "loss_values", _as_tuple(self.loss_values, "loss_values", row,
+                                                          len(self.n_axis)))
 
 
 def allocation_coefficients(law: LawParams) -> AllocationCoefficients:

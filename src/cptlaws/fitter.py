@@ -11,8 +11,8 @@ CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
 free-offset loss-compute frontier (``fit_offset_frontier``) is the one-term
 case N := C with the data term switched off (b = -inf).  The zero-offset
 frontier is a least-squares line, fitted in ``transfer`` without numpy; it
-also gives the free-offset fit its starts.  Each fit frees a subset of q and
-holds the rest fixed.  Exponent positivity is enforced by optimizing
+also gives the free-offset fit its starts.  Every fit is ``_fit_law`` of a
+law record type, whose fields ``_POSITION`` places in q.  Exponent positivity is enforced by optimizing
 log-exponents, and a fit that ends with one at or past ``_LOG_EXPONENT_CAP``
 fails; gamma is optimized raw because its fitted sign is meaningful.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -64,7 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import (_ABOVE_ZERO, _BELOW_ONE, _NONNEGATIVE, _POSITIVE, _RULES, ChinchillaParams,
+from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FINITE, _NONNEGATIVE, _POSITIVE, ChinchillaParams,
                    ExtendedCptParams, FrontierParams, _as_array, _as_tuple, _checked,
                    _exp_coefficients, _law_kind)
 
@@ -77,11 +77,11 @@ DEFAULT_DELTA = 1e-3
 # so a fit that ends there is a FitFailureError (``_fitted_exponents``).
 _LOG_EXPONENT_CAP = 50.0
 
-# Indices into q = (a, b, e, log alpha, log beta, gamma) that each fit frees.
-_SCRATCH_FREE = [0, 1, 2, 3, 4]  # gamma = 0
-_CPT_FREE = [1, 4, 5]  # (a, e, log alpha) come from a from-scratch fit
-_ALL_FREE = [0, 1, 2, 3, 4, 5]
-_FRONTIER_FREE = [0, 2, 3]  # L(C) = E + A / C^alpha: N := C, no data term
+# Each law field's place in q = (a, b, e, log alpha, log beta, gamma).  The CPT
+# law's B' and beta' take the places of B and beta, and the frontier is the law
+# with N := C and (A, E, alpha) := (coefficient, offset, exponent).
+_POSITION = {"A": 0, "coefficient": 0, "B": 1, "B_prime": 1, "E": 2, "offset": 2,
+             "alpha": 3, "exponent": 3, "beta": 4, "beta_prime": 4, "gamma": 5}
 _LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
 _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position enters
 
@@ -140,10 +140,11 @@ _MIN_DATA_SHARE = 1e-3
 class FitConfig:
     """Fitting knobs: Huber threshold, start grid, and warmup filter.
 
-    ``init_grid`` entries are starting points in natural coordinates:
-    (a, b, e, alpha, beta) for from-scratch fits and (b', beta', gamma) for
-    CPT fits.  When omitted, the default grid is built from the data: each
-    term starts with a set share of the loss at the median record.
+    ``init_grid`` entries are starting points listing the law's free fields
+    in q order, a coefficient as its log: (log A, log B, log E, alpha, beta)
+    for from-scratch fits and (log B', beta', gamma) for CPT fits.  When
+    omitted, the default grid is built from the data: each term starts with
+    a set share of the loss at the median record.
     """
 
     delta: float = DEFAULT_DELTA
@@ -197,7 +198,7 @@ class ModelComparison:
 
     def __post_init__(self):
         for name, rule in (("chinchilla_error", _NONNEGATIVE), ("extended_error", _NONNEGATIVE),
-                           ("gamma_fitted", _RULES["gamma"])):
+                           ("gamma_fitted", _FINITE)):
             object.__setattr__(self, name, _checked(getattr(self, name), name, rule))
 
 
@@ -537,25 +538,23 @@ def _best_basin(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(finite & (values - best <= _BASIN_TOLERANCE * best))
 
 
-def _law_starts(grid, free: list[int]) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """(natural point, optimizer start) pairs for the coordinates q[free].
+def _law_starts(grid, names: list[str]) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """(grid point, optimizer start) pairs for the law fields ``names``, given in q order.
 
-    Grid points list the natural values of q[free] in order, with alpha and
-    beta in place of their logs.
+    A grid point lists a value per field in that order: the log of a
+    coefficient, an exponent or gamma as it is.
     """
-    names = ", ".join(("a", "b", "e", "alpha", "beta", "gamma")[i] for i in free)
+    shape = f"{len(names)} coordinates ({', '.join(names)})"
+    logs = [_POSITION[name] in _LOG_EXPONENTS for name in names]
     starts = []
     for point in grid:
-        if len(point) != len(free):
-            raise ValidationError(
-                f"starts need {len(free)} coordinates ({names}), got {point!r}"
-            )
+        if len(point) != len(names):
+            raise ValidationError(f"starts need {shape}, got {point!r}")
         if not all(math.isfinite(value) for value in point):
             raise ValidationError(f"start {point!r}: coordinates must be finite")
-        pairs = list(zip(free, point))
-        if any(value <= 0 for i, value in pairs if i in _LOG_EXPONENTS):
+        if any(value <= 0 for value, log in zip(point, logs) if log):
             raise ValidationError(f"start {point!r}: exponents must be positive")
-        x0 = [math.log(value) if i in _LOG_EXPONENTS else value for i, value in pairs]
+        x0 = [math.log(value) if log else value for value, log in zip(point, logs)]
         starts.append((tuple(point), np.array(x0, dtype=float)))
     return starts
 
@@ -575,10 +574,10 @@ class _Population:
     q: np.ndarray
 
 
-def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bounds=None):
-    """Fit q[free] from every grid point, the rest held at ``base``; return its ``_Population``.
+def _fit_mask(flat, base: np.ndarray, free: list[int], starts, delta: float, bounds=None):
+    """Fit q[free] from every ``_law_starts`` pair, the rest held at ``base``; return its ``_Population``.
 
-    The Gauss-Newton stage advances every grid point; each one that ends it
+    The Gauss-Newton stage advances every start; each one that ends it
     in the best basin goes through the Newton finish and then L-BFGS-B.
     ``bounds`` are L-BFGS-B bounds on q[free].  The winner is a deterministic
     reduction: lowest objective, ties broken by the smallest grid point.
@@ -588,7 +587,7 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], grid, delta: float, bound
         value, _, grad = _law_system(x[None], base, free, flat, delta)
         return value[0], grad[0] / flat[2].size
 
-    keys, x0 = zip(*_law_starts(grid, free))
+    keys, x0 = zip(*starts)
     stage = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
     basin = _best_basin(stage.values)
     finish = _gauss_newton(flat, base, free, stage.x[basin], delta, bounds, finish=True)
@@ -668,18 +667,42 @@ def _fitted_exponents(**logs: float) -> dict[str, float]:
     return _exp_coefficients(**logs)
 
 
-def _fit_report(params, fit: _Population, flat) -> FitReport:
-    """FitReport of a law fitted at ``fit.q``, with its residuals on the ``flat`` data."""
+def _fit_law(law, flat, grid, delta: float, bounds=None, **fixed):
+    """Fit the fields of the law record type ``law`` not in ``fixed``; return the record and the ``_Population``.
+
+    The free fields are fitted in q order from ``grid`` (``_law_starts``),
+    ``bounds`` on them in L-BFGS-B form.  The rest of q is held: a fixed field
+    at its log, b at -inf for a law with no data term (its weight exp(-inf -
+    top) and its gradient are exactly 0), and the rest at 0 (gamma among them).
+    """
+    names = [field.name for field in fields(law)]
+    free = sorted((name for name in names if name not in fixed), key=_POSITION.get)
+    base = np.zeros(6)
+    base[1] = 0.0 if 1 in map(_POSITION.get, names) else -math.inf
+    for name, value in fixed.items():
+        base[_POSITION[name]] = math.log(value)
+    fit = _fit_mask(flat, base, [_POSITION[name] for name in free], _law_starts(grid, free),
+                    delta, bounds)
+    values = dict(fixed)  # as given; fitted fields follow in field order
+    for name in names:
+        i = _POSITION[name]
+        if name == "gamma":
+            values[name] = float(fit.q[i])
+        elif name not in fixed:
+            exp = _fitted_exponents if i in _LOG_EXPONENTS else _exp_coefficients
+            values.update(exp(**{name: fit.q[i]}))
+    return law(**values), fit
+
+
+def _fit_report(law, flat, grid, delta: float, **fixed) -> FitReport:
+    """``_fit_law``'s record and objective, its chosen start, and its residuals on the ``flat`` data."""
+    params, fit = _fit_law(law, flat, grid, delta, **fixed)
     return FitReport(params=params, objective=fit.objective,
                      residuals=tuple(_residuals(fit.q, flat).tolist()), chosen_init=fit.chosen)
 
 
 def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
-    grid = cfg.init_grid or _default_scratch_grid(flat)
-    fit = _fit_mask(flat, np.zeros(6), _SCRATCH_FREE, grid, cfg.delta)
-    params = ChinchillaParams(**_exp_coefficients(E=fit.q[2], A=fit.q[0], B=fit.q[1]),
-                              **_fitted_exponents(alpha=fit.q[3], beta=fit.q[4]))
-    return _fit_report(params, fit, flat)
+    return _fit_report(ChinchillaParams, flat, cfg.init_grid or _default_scratch_grid(flat), cfg.delta)
 
 
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
@@ -695,16 +718,10 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     three values are not updated.
     """
     cfg = cfg or FitConfig()
-    fixed_e, fixed_a, fixed_alpha = _as_tuple(fixed, "fixed", partial(_checked, rule=_POSITIVE), 3)
+    E, A, alpha = _as_tuple(fixed, "fixed", partial(_checked, rule=_POSITIVE), 3)
     flat = _prepare(data, cfg)
-    base = _q(math.log(fixed_a), 0.0, math.log(fixed_e), fixed_alpha, 1.0)  # b, beta' free
-    grid = cfg.init_grid or _default_cpt_grid(flat, fixed_e, fixed_a, fixed_alpha)
-    fit = _fit_mask(flat, base, _CPT_FREE, grid, cfg.delta)
-    params = ExtendedCptParams(
-        E=fixed_e, A=fixed_a, alpha=fixed_alpha, gamma=float(fit.q[5]),
-        **_exp_coefficients(B_prime=fit.q[1]), **_fitted_exponents(beta_prime=fit.q[4]),
-    )
-    return _fit_report(params, fit, flat)
+    grid = cfg.init_grid or _default_cpt_grid(flat, E, A, alpha)
+    return _fit_report(ExtendedCptParams, flat, grid, cfg.delta, E=E, A=A, alpha=alpha)
 
 
 def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercept: float,
@@ -713,24 +730,17 @@ def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercep
 
     ``log_c`` and ``log_l`` are the frontier points' log compute and log
     loss, and (``intercept``, ``exponent``) their zero-offset regression line
-    (``transfer.fit_frontier``, the public entry).  This is a law fit with
-    N := C and no data term, over the free coordinates (a, e, log alpha) =
-    (log coefficient, log offset, log exponent) with the offset at most the
+    (``transfer.fit_frontier``, the public entry).  This is the law fit of
+    ``FrontierParams`` (N := C, no data term) with the offset at most the
     lowest loss, started from the regression with the offset at
     ``OFFSET_FRACTIONS`` of that loss.
     """
     log_c, log_l = np.array(log_c, dtype=float), np.array(log_l, dtype=float)
-    # b = -inf switches the data term off: its weight exp(-inf - top) is
-    # exactly 0, and so is its gradient.
     e_max = float(log_l.min())
     grid = [(intercept, e_max + math.log(frac), exponent) for frac in OFFSET_FRACTIONS]
     flat = (log_c, np.zeros_like(log_c), log_l)
-    q = _fit_mask(
-        flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), _FRONTIER_FREE, grid, DEFAULT_DELTA,
-        bounds=[(None, None), (None, e_max), (None, None)],
-    ).q
-    return FrontierParams(**_exp_coefficients(coefficient=q[0], offset=q[2]),
-                          **_fitted_exponents(exponent=q[3]))
+    return _fit_law(FrontierParams, flat, grid, DEFAULT_DELTA,
+                    bounds=[(None, None), (None, e_max), (None, None)])[0]
 
 
 def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
@@ -750,19 +760,14 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     flat = _prepare(data, cfg)
     scratch_report = _fit_scratch(flat, cfg)
     p = scratch_report.params
-    # Natural start coordinates: (a, b', e, alpha, beta', gamma) with a, b',
-    # e as log-coefficients, matching the scratch-grid convention.
+    # Start points (log A, log B', log E, alpha, beta', gamma): the fields in q order.
     log_n, log_d, _ = _median_record(flat)
     data_terms = _data_term_grid(math.log(p.B) - p.beta * log_d, log_n, log_d)
     grid = [(math.log(p.A), b, math.log(p.E), p.alpha, beta, gamma)
             for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *data_terms]]
-    extended = _fit_mask(flat, np.zeros(6), _ALL_FREE, grid, cfg.delta)
-    _fitted_exponents(alpha=extended.q[3], beta_prime=extended.q[4])
-    return ModelComparison(
-        chinchilla_error=scratch_report.objective,
-        extended_error=extended.objective,
-        gamma_fitted=float(extended.q[5]),
-    )
+    extended, fit = _fit_law(ExtendedCptParams, flat, grid, cfg.delta)
+    return ModelComparison(chinchilla_error=scratch_report.objective,
+                           extended_error=fit.objective, gamma_fitted=extended.gamma)
 
 
 def export_residuals_csv(report: FitReport, data: RunSet, path, warmup_fraction: float = 0.0):

@@ -70,11 +70,12 @@ _ABOVE_ZERO = ("be positive", lambda value: value > 0)
 _NONNEGATIVE = ("be nonnegative", lambda value: 0 <= value < math.inf)
 _FRACTION = ("lie in [0, 1]", lambda value: 0 <= value <= 1)
 _BELOW_ONE = ("lie in [0, 1)", lambda value: 0 <= value < 1)
+_FINITE = ("be finite", math.isfinite)
 
 # Each coefficient's rule over the three law records, by name.
 _RULES = {
     **dict.fromkeys(("E", "A", "B", "alpha", "beta", "B_prime", "beta_prime"), _POSITIVE),
-    "gamma": ("be finite", math.isfinite),
+    "gamma": _FINITE,
     "coefficient": ("be positive", _POSITIVE[1]),
     **dict.fromkeys(("exponent", "offset"), _NONNEGATIVE),
 }
@@ -103,11 +104,13 @@ def _count(value, name: str, least: int, error=ValidationError) -> int:
 
 
 def _as_tuple(values, name: str, convert=_as_float, length=None) -> tuple:
-    """``values`` as a tuple of ``convert(value, f"{name}[i]")``; a non-iterable, or a
-    length other than ``length`` when one is given, is a ValidationError."""
+    """``values`` as a tuple of ``convert(value, f"{name}[i]")``, or of the values themselves
+    for ``convert=None``; a non-iterable, or a length other than ``length`` when one is given,
+    is a ValidationError."""
     if not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}")
-    values = tuple(convert(value, f"{name}[{i}]") for i, value in enumerate(values))
+    values = tuple(values if convert is None else
+                   (convert(value, f"{name}[{i}]") for i, value in enumerate(values)))
     if length is not None and len(values) != length:
         raise ValidationError(f"{name} must hold {length} values, got {len(values)}")
     return values

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
@@ -36,7 +36,7 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .laws import (_FRACTION, _POSITIVE, FLOPS_PER_PARAM_TOKEN, ChinchillaParams,
+from .laws import (_FINITE, _FRACTION, _POSITIVE, FLOPS_PER_PARAM_TOKEN, ChinchillaParams,
                    ExtendedCptParams, FrontierParams, _as_float, _as_tuple, _checked, _count,
                    _exp_coefficients, _geomspace, _zero_offset, eval_law, solve_tokens_for_loss)
 
@@ -77,6 +77,9 @@ class CurveInterpolator:
     log_losses: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("log_tokens", "log_losses"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
+                                                     partial(_checked, rule=_FINITE)))
         if len(self.log_tokens) < 2 or len(self.log_tokens) != len(self.log_losses):
             raise ValidationError("interpolator needs at least two aligned knots")
         if any(b <= a for a, b in zip(self.log_tokens, self.log_tokens[1:])):
@@ -95,6 +98,7 @@ class CurveInterpolator:
         return math.exp(self.log_losses[-1]), math.exp(self.log_losses[0])
 
     def loss_at_tokens(self, tokens: float) -> float:
+        tokens = _as_float(tokens, "tokens")
         x = math.log(tokens) if tokens > 0 else -math.inf
         if x < self.log_tokens[0] or x > self.log_tokens[-1]:
             raise InterpolationRangeError(
@@ -103,6 +107,7 @@ class CurveInterpolator:
         return math.exp(_interp(x, self.log_tokens, self.log_losses))
 
     def tokens_at_loss(self, loss: float) -> float:
+        loss = _as_float(loss, "loss")
         lo, hi = self.loss_range
         if not (loss > 0 and lo <= loss <= hi):  # also rejects NaN
             raise InterpolationRangeError(
@@ -144,10 +149,10 @@ class TransferReport:
     flops_saved_fraction: tuple[float, ...]
 
     def __post_init__(self):
-        n = len(self.loss_levels)
+        object.__setattr__(self, "loss_levels", _as_tuple(self.loss_levels, "loss_levels"))
         for name in ("d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError(f"{name} is not aligned with loss_levels")
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
+                                                     length=len(self.loss_levels)))
         if any(f >= 1.0 for f in self.flops_saved_fraction):
             raise ValidationError("a FLOPs-saving fraction of 1 or more is impossible")
 
@@ -180,14 +185,7 @@ def empirical_transfer(
         c_pt = FLOPS_PER_PARAM_TOKEN * run_pt.param_count * d_pt
         c_cpt = FLOPS_PER_PARAM_TOKEN * run_cpt.param_count * d_cpt
         rows.append((level, d_pt, d_cpt, d_pt - d_cpt, (c_pt - c_cpt) / c_pt))
-    levels_t, d_pt_t, d_cpt_t, moved, saved = zip(*rows)
-    return TransferReport(
-        loss_levels=levels_t,
-        d_pt=d_pt_t,
-        d_cpt=d_cpt_t,
-        transferred_tokens=moved,
-        flops_saved_fraction=saved,
-    )
+    return TransferReport(*zip(*rows))
 
 
 def parametric_transfer(
@@ -357,13 +355,7 @@ def export_transfer_csv(report: TransferReport, path) -> None:
         writer.writerow(
             ["loss_level", "d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction"]
         )
-        for row in zip(
-            report.loss_levels,
-            report.d_pt,
-            report.d_cpt,
-            report.transferred_tokens,
-            report.flops_saved_fraction,
-        ):
+        for row in zip(*astuple(report)):
             writer.writerow([f"{value:.9g}" for value in row])
 
 

@@ -580,7 +580,10 @@ class TestErrorPaths:
          "bad chinchilla document: unknown field 'extra'"),
         (json.dumps({**law_to_dict(SCRATCH), "schema_version": True}),
          "unsupported schema_version True"),
-    ], ids=["array", "unknown-field", "bool-version"])
+        (json.dumps({**law_to_dict(SCRATCH), "law_kind": [1]}), "unknown law_kind [1]"),
+        (json.dumps({**law_to_dict(SCRATCH), "E": -1}),
+         "bad chinchilla document: E must be positive and finite, got -1.0"),
+    ], ids=["array", "unknown-field", "bool-version", "list-kind", "negative-E"])
     def test_malformed_law_shape_exit_code(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -36,19 +36,23 @@ from cptlaws import (
     objective_scratch,
 )
 from cptlaws import fitter
-from cptlaws.fitter import (
-    _ALL_FREE,
-    _CPT_FREE,
-    _LOG_EXPONENT_CAP,
-    _SCRATCH_FREE,
-    _flatten,
-    _q,
-)
+from cptlaws.fitter import _LOG_EXPONENT_CAP, _flatten, _q
 from conftest import law_runset, past_float_range_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
 SIZES = tuple(int(x) for x in np.geomspace(5e7, 5e9, 6))
+
+# The fields each fit frees, in q order.
+SCRATCH_FIELDS = ("A", "B", "E", "alpha", "beta")
+CPT_FIELDS = ("B_prime", "beta_prime", "gamma")  # (E, A, alpha) come from a from-scratch fit
+EXTENDED_FIELDS = ("A", "B_prime", "E", "alpha", "beta_prime", "gamma")
+FRONTIER_FIELDS = ("coefficient", "offset", "exponent")
+
+
+def positions(names):
+    """The q positions of the law fields ``names``."""
+    return [fitter._POSITION[name] for name in names]
 
 TRUE_THETA_SCRATCH = (
     math.log(SCRATCH.A),
@@ -196,7 +200,8 @@ def kernel(q, flat, delta):
     Returns the mean Huber loss, its gradient (the kernel's sum over records
     divided by their count) and the residuals.
     """
-    value, _, grad = fitter._law_system(q[None], np.zeros(6), _ALL_FREE, flat, delta)
+    value, _, grad = fitter._law_system(q[None], np.zeros(6), positions(EXTENDED_FIELDS), flat,
+                                        delta)
     return value[0], grad[0] / flat[2].size, fitter._residuals(q, flat)
 
 
@@ -221,10 +226,11 @@ class TestObjectiveGradient:
 
     @pytest.mark.parametrize(
         "law_name, free",
-        [("scratch", _SCRATCH_FREE), ("cpt", _CPT_FREE), ("cpt", _ALL_FREE)],
+        [("scratch", SCRATCH_FIELDS), ("cpt", CPT_FIELDS), ("cpt", EXTENDED_FIELDS)],
     )
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     def test_matches_central_difference(self, law_name, free, shift):
+        free = positions(free)  # the fields' q positions
         law = SCRATCH if law_name == "scratch" else CPT
         data = generate_runset(SynthConfig(law=law, param_sizes=SIZES, records_per_run=12,
                                            noise_sigma=2e-3, seed=0))
@@ -261,11 +267,10 @@ class TestNewtonSystem:
         gap = np.argmax(np.diff(sizes[len(sizes) // 4:3 * len(sizes) // 4])) + len(sizes) // 4
         delta = 0.5 * (sizes[gap] + sizes[gap + 1])
         assert sizes[gap + 1] - sizes[gap] > 1e-5
-        x = q[None, _ALL_FREE]
-        value, matrix, grad = fitter._law_system(x, np.zeros(6), _ALL_FREE, flat, delta,
-                                                 newton=True)
-        irls_value, irls_matrix, irls_grad = fitter._law_system(x, np.zeros(6), _ALL_FREE, flat,
-                                                                delta)
+        free = positions(EXTENDED_FIELDS)
+        x = q[None, free]
+        value, matrix, grad = fitter._law_system(x, np.zeros(6), free, flat, delta, newton=True)
+        irls_value, irls_matrix, irls_grad = fitter._law_system(x, np.zeros(6), free, flat, delta)
         assert value[0] == irls_value[0]
         np.testing.assert_allclose(grad, irls_grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(irls_grad).max())
@@ -273,7 +278,7 @@ class TestNewtonSystem:
 
         step = 1e-7
         jac, central = [], []
-        for i in _ALL_FREE:
+        for i in free:
             up, down = q.copy(), q.copy()
             up[i] += step
             down[i] -= step
@@ -495,6 +500,18 @@ class TestFitCpt:
         with pytest.raises(ValidationError, match="exponents must be positive"):
             fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=((6.0, 0.0, 0.1),)))
 
+    @pytest.mark.parametrize("strategy, message", [
+        ("scratch", "starts need 5 coordinates (A, B, E, alpha, beta), got (6.0, 0.3)"),
+        ("cpt", "starts need 3 coordinates (B_prime, beta_prime, gamma), got (6.0, 0.3)"),
+    ])
+    def test_short_start_names_the_free_fields(self, strategy, message):
+        cfg = FitConfig(init_grid=((6.0, 0.3),))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            if strategy == "scratch":
+                fit_scratch(law_runset(SCRATCH, SIZES), cfg)
+            else:
+                fit_cpt(law_runset(CPT, SIZES, strategy="cpt"), (CPT.E, CPT.A, CPT.alpha), cfg)
+
     @pytest.mark.parametrize(
         "start",
         [(math.nan, 0.3, 0.1), (6.0, math.inf, 0.1), (6.0, 0.3, -math.inf)],
@@ -510,9 +527,8 @@ class TestFitCpt:
         data = generate_runset(paper_replica_config("cpt"))
         fit_cpt(data, (CPT.E, CPT.A, CPT.alpha))
         (fit,) = populations
-        base = _q(math.log(CPT.A), 0.0, math.log(CPT.E), CPT.alpha, 1.0)
-        objective = masked_objective(_flatten(data), base, _CPT_FREE)
-        starts = [x0 for _, x0 in fitter._law_starts(fit.keys, _CPT_FREE)]
+        objective = masked_objective(_flatten(data), fit.q, positions(CPT_FIELDS))
+        starts = [x0 for _, x0 in fitter._law_starts(fit.keys, CPT_FIELDS)]
         assert len(starts) == 16 and np.isfinite(fit.stage.values).all()
         assert all(objective(end) <= objective(start) for start, end in zip(starts, fit.stage.x))
         assert np.array_equal(fit.basin, fitter._best_basin(fit.stage.values))
@@ -592,7 +608,7 @@ class TestMinimize:
         if case == "gradient above gtol":
             grid = fitter._default_cpt_grid(_flatten(generate_runset(paper_replica_config("cpt"))),
                                             CPT.E, CPT.A, CPT.alpha)
-            x0 = fitter._law_starts(grid, _CPT_FREE)[0][1]
+            x0 = fitter._law_starts(grid, CPT_FIELDS)[0][1]
         else:
             kwargs = {**kwargs, "bounds": [(None, None), (None, None), (None, x0[2] - 0.01)]}
         ours = fitter.minimize(fun, x0, **kwargs)
@@ -984,11 +1000,12 @@ class TestGaussNewtonStage:
         """The scratch replica's fit arrays and its default start grid in optimizer coordinates."""
         flat = _flatten(generate_runset(paper_replica_config("scratch")))
         grid = fitter._default_scratch_grid(flat)
-        return flat, np.array([x0 for _, x0 in fitter._law_starts(grid, _SCRATCH_FREE)])
+        return flat, np.array([x0 for _, x0 in fitter._law_starts(grid, SCRATCH_FIELDS)])
 
     @staticmethod
     def advance(flat, x0):
-        return fitter._gauss_newton(flat, np.zeros(6), _SCRATCH_FREE, x0, fitter.DEFAULT_DELTA)
+        return fitter._gauss_newton(flat, np.zeros(6), positions(SCRATCH_FIELDS), x0,
+                                    fitter.DEFAULT_DELTA)
 
     def test_endpoints_do_not_depend_on_order_or_blocking(self, replica, monkeypatch):
         flat, x0 = replica
@@ -1030,7 +1047,7 @@ class TestGaussNewtonStage:
         x0 = np.array([[math.log(20.0), math.log(0.5), math.log(0.06)],
                        [math.log(30.0), math.log(0.9), math.log(0.1)]])
         endpoints = fitter._gauss_newton(
-            flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), fitter._FRONTIER_FREE, x0,
+            flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), positions(FRONTIER_FIELDS), x0,
             fitter.DEFAULT_DELTA, bounds=[(None, None), (None, 0.0), (None, None)],
         ).x
         assert endpoints[:, 1].max() == 0.0
@@ -1040,7 +1057,7 @@ class TestGaussNewtonStage:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             endpoints, values, _, _ = self.advance(flat, x0)
-        objective = masked_objective(flat, np.zeros(6), _SCRATCH_FREE)
+        objective = masked_objective(flat, np.zeros(6), positions(SCRATCH_FIELDS))
         assert (endpoints != x0).any(axis=1).all()
         assert all(objective(end) <= objective(start) for start, end in zip(x0, endpoints))
         # the objectives returned with the endpoints are theirs
@@ -1085,6 +1102,24 @@ class TestPopulation:
         assert extended.finish.stops.tolist() == ["budget", "budget"]
         assert extended.finish.trials.tolist() == [fitter._LBFGSB_OPTIONS["maxiter"]] * 2
         assert all(res.nit > 0 for res in extended.searches)
+
+    # Each fit's stage width (its free fields) and the q entries it holds.
+    @pytest.mark.parametrize("fit, width, held", [
+        ("scratch", 5, {5: 0.0}),  # gamma
+        ("cpt", 3, {0: math.log(CPT.A), 2: math.log(CPT.E), 3: math.log(CPT.alpha)}),
+        ("frontier", 3, {1: -math.inf, 4: 0.0, 5: 0.0}),  # no data term
+        ("compare_laws", 6, {}),
+    ])
+    def test_a_fit_holds_the_fields_it_does_not_fit(self, monkeypatch, fit, width, held):
+        scratch, cpt = law_runset(SCRATCH, SIZES), law_runset(CPT, SIZES, strategy="cpt")
+        populations = record_populations(monkeypatch)
+        {"scratch": lambda: fit_scratch(scratch),
+         "cpt": lambda: fit_cpt(cpt, (CPT.E, CPT.A, CPT.alpha)),
+         "frontier": lambda: fit_frontier(extract_compute_frontier(scratch), fix_offset_zero=False),
+         "compare_laws": lambda: compare_laws(cpt)}[fit]()
+        population = populations[-1]
+        assert population.stage.x.shape[1] == width
+        assert population.q[list(held)].tolist() == list(held.values())
 
 
 def term_shares(q, log_n, log_d):

@@ -12,16 +12,19 @@ from cptlaws import (
     AllocationPlan,
     ChinchillaParams,
     CptLawsError,
+    CurveInterpolator,
     ExtendedCptParams,
     FitConfig,
     FitReport,
     ForgettingCurve,
     FrontierParams,
+    IsoLossGrid,
     LossRecord,
     ModelComparison,
     ModelSpec,
     SynthConfig,
     TrainingRun,
+    TransferReport,
     ValidationError,
     allocation_coefficients,
     attribute_flops_by_language,
@@ -73,6 +76,9 @@ def library_calls():
     coeffs = allocation_coefficients(SCRATCH)
     plan = optimal_allocation(coeffs, 1e21, SCRATCH)
     record = LossRecord(tokens=10**9, loss=3.0)
+    curve = CurveInterpolator(log_tokens=(1.0, 2.0), log_losses=(2.0, 1.0))
+    grid = isoloss_grid(SCRATCH, (1e8, 1e10), (1e9, 1e12), 3)
+    transfer = empirical_transfer(run_pt, run_cpt, 4)
     return [
         (ChinchillaParams, vars(SCRATCH), dict.fromkeys(vars(SCRATCH), NUMBER)),
         (ExtendedCptParams, vars(CPT), dict.fromkeys(vars(CPT), NUMBER)),
@@ -93,7 +99,13 @@ def library_calls():
          dict(law=LOSS_LAW, compute=NUMBER)),
         (isoloss_grid, dict(law=SCRATCH, n_range=(1e8, 1e10), d_range=(1e9, 1e12), resolution=3),
          dict(law=LOSS_LAW, n_range=PAIR, d_range=PAIR, resolution=COUNT)),
+        (IsoLossGrid, vars(grid), dict(n_axis=SEQUENCE, d_axis=SEQUENCE,
+                                       loss_values=SEQUENCE + ((1.0, 1.0, 1.0),))),
         (empirical_transfer, dict(run_pt=run_pt, run_cpt=run_cpt, levels=4), dict(levels=COUNT)),
+        (TransferReport, vars(transfer), dict.fromkeys(vars(transfer), SEQUENCE)),
+        (CurveInterpolator, vars(curve), dict.fromkeys(vars(curve), SEQUENCE)),
+        (curve.loss_at_tokens, dict(tokens=5.0), dict(tokens=NUMBER)),
+        (curve.tokens_at_loss, dict(loss=5.0), dict(loss=NUMBER)),
         (parametric_transfer, dict(scratch=SCRATCH, cpt=CPT, N=1e9, D_cpt=1e10),
          dict(scratch=LOSS_LAW, cpt=LOSS_LAW, N=NUMBER, D_cpt=NUMBER)),
         (extract_compute_frontier, dict(data=runs, bins_per_decade=10),
@@ -157,10 +169,12 @@ class TestFuzzedLibrary:
     Each callable's valid call returns.  Then one argument at a time is replaced
     by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
     10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
-    malformed pair; a law of the wrong kind) under warnings as errors: 33
-    callables, 816 cases.  Objects the library builds (runs, run sets, the
+    malformed pair; a law of the wrong kind) under warnings as errors: 38
+    callables, 975 cases.  Objects the library builds (runs, run sets, the
     allocation coefficients an allocation takes, a fit's config) are not mutated;
-    the records a fit returns are.
+    the records a fit, an isoloss grid or a transfer returns are, and so is a loss
+    curve's interpolator, whose lookups take a number.  A grid's cells are the law's
+    own floats and are not converted: only its axes and its rows are.
     """
 
     def test_no_bad_argument_escapes_untyped(self):
@@ -174,7 +188,7 @@ class TestFuzzedLibrary:
                     outcome = _outcome(function, {**valid, name: value})
                     if outcome is not None:
                         escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
-        assert (len(calls), cases) == (33, 816)
+        assert (len(calls), cases) == (38, 975)
         assert escapes == []
 
 

@@ -77,7 +77,9 @@ class TestCurveInterpolator:
         ((1.0, 2.0), (2.0, 1.5, 1.0), "at least two aligned knots"),
         ((1.0, 1.0), (2.0, 1.5), "knot tokens must strictly increase"),
         ((1.0, 2.0), (1.5, 2.0), "knot losses must be nonincreasing"),
-    ], ids=["one-knot", "misaligned", "repeated-tokens", "rising-loss"])
+        ((1.0, math.nan), (2.0, 1.0), r"log_tokens\[1\] must be finite"),
+        ((1.0, 2.0), (math.inf, 1.0), r"log_losses\[0\] must be finite"),
+    ], ids=["one-knot", "misaligned", "repeated-tokens", "rising-loss", "nan-tokens", "inf-loss"])
     def test_bad_knots_rejected(self, log_tokens, log_losses, message):
         with pytest.raises(ValidationError, match=message):
             CurveInterpolator(log_tokens, log_losses)
