@@ -94,6 +94,8 @@ class IsoLossGrid:
         row = partial(_as_tuple, convert=None, length=len(self.d_axis))
         object.__setattr__(self, "loss_values", _as_tuple(self.loss_values, "loss_values", row,
                                                           len(self.n_axis)))
+        pair = partial(_as_tuple, convert=partial(_checked, rule=_POSITIVE), length=2)
+        object.__setattr__(self, "frontier", _as_tuple(self.frontier, "frontier", pair))
 
 
 def allocation_coefficients(law: LawParams) -> AllocationCoefficients:

@@ -6,44 +6,33 @@ three additive terms in log space, (a - alpha log N), (b - beta log D - gamma
 log N) and e.  The kernel shifts by the largest term, takes one exp per term,
 and reuses those weights for the exact Jacobian (their normalized values are
 the softmax weights of the terms).  It works over the optimizer coordinates
-q = (a, b, e, log alpha, log beta, gamma), with A = e^a, B = e^b (B' for the
-CPT law) and E = e^e; the from-scratch law is the case gamma = 0, and the
-free-offset loss-compute frontier (``fit_offset_frontier``) is the one-term
-case N := C with the data term switched off (b = -inf).  The zero-offset
-frontier is a least-squares line, fitted in ``transfer`` without numpy; it
-also gives the free-offset fit its starts.  Every fit is ``_fit_law`` of a
-law record type, whose fields ``_POSITION`` places in q.  Exponent positivity is enforced by optimizing
-log-exponents, and a fit that ends with one at or past ``_LOG_EXPONENT_CAP``
-fails; gamma is optimized raw because its fitted sign is meaningful.
+q = (a, b, e, log alpha, log beta, gamma); the from-scratch law is the case
+gamma = 0, and the free-offset loss-compute frontier (``fit_offset_frontier``)
+is the one-term case N := C with the data term switched off (b = -inf).  The
+zero-offset frontier is a least-squares line, fitted in ``transfer`` without
+numpy; it also gives the free-offset fit its starts.  Every fit is
+``_fit_law`` of a law record type, whose fields ``_POSITION`` places in q,
+each with its kind.  A law field is a coefficient (A, B, B', E, the
+frontier's coefficient and offset) or an exponent (alpha, beta, beta', the
+frontier's exponent), fitted as its log so that it stays positive, or gamma,
+fitted as itself.  A start point lists the free fields in the order A, B or
+B', E, alpha, beta or beta', gamma, a coefficient as its log and an exponent
+or gamma as itself: (log A, log B, log E, alpha, beta) for the from-scratch
+law and (log B', beta', gamma) for the CPT law.
 
 Every fit runs a deterministic grid of starts through three phases.  The
 default grids give each law term a set share of the loss at the median
-record, so no term starts dead whatever the data's scale.  First, all
-starts advance together through a damped Gauss-Newton (Levenberg-Marquardt)
-stage on the IRLS-weighted Huber residuals.  Each iteration evaluates the
-starts still running, in (starts, records) arrays of bounded size, by one
-kernel, ``_law_system`` (objective, Gauss-Newton matrix and gradient; each
-Jacobian is the softmax term weights times each term's derivative).  A
-start stops on a relative decrease or step below 1e-10, or after its share
-of ``_GN_ROW_TRIALS`` row trials (30 each on the 96-start scratch grid).
-Steps are projected onto the bounds (only the free-offset frontier has
-one): a coordinate on its bound whose descent direction points outward
-takes no step.  Second, the best basin, the starts within
-``_BASIN_TOLERANCE`` relative of the lowest stage objective, goes through a
-finish pass of the same iteration with Huber-Newton weights (the
-penalty's second derivative, 1 inside delta and 0 outside), which converges
-quadratically where IRLS converges linearly; a start leaves it once its
-projected gradient is within ``_FINISH_GTOL``, on the step rule, or after
-L-BFGS-B's ``maxiter`` trials.  Third, each finish endpoint goes to L-BFGS-B
-on the same kernel's value and gradient; at an endpoint within its ``gtol``,
-as the finish leaves nearly every one, L-BFGS-B would stop before its first
-iteration, and ``minimize`` returns that result itself.  scipy, which
-supplies L-BFGS-B, is imported only when a search has an iteration to take,
-so the commands that never fit, and the fits whose best basin the finish
-converges, do not load it.  A fit keeps its starts in one record,
-``_Population``: each pass's endpoints, objectives, trials and stop rules, the
-basin, L-BFGS-B's results, and the winner, the lowest-objective finished start
-(the smallest grid point on ties).
+record, so no term starts dead whatever the data's scale.  First, all starts
+advance together through a damped Gauss-Newton (Levenberg-Marquardt) stage
+on the IRLS-weighted Huber residuals (``_gauss_newton``), each iteration
+evaluated by one kernel, ``_law_system``.  Second, the best basin, the
+starts within ``_BASIN_TOLERANCE`` relative of the lowest stage objective,
+goes through a finish pass of the same iteration with Huber-Newton weights.
+Third, each finish endpoint goes to L-BFGS-B on the same kernel's value and
+gradient (``minimize``, which loads scipy only when a search has an
+iteration to take).  A fit keeps its starts in one record, ``_Population``,
+whose winner is the lowest-objective finished start (the smallest grid point
+on ties).
 """
 
 from __future__ import annotations
@@ -53,7 +42,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,15 +63,46 @@ DEFAULT_DELTA = 1e-3
 # Cap on log-exponent coordinates during optimization; keeps exp() finite
 # when a line search probes far out (any exponent near e^50 is meaningless).
 # The kernel evaluates a log-exponent at or past it as the cap, with slope 0,
-# so a fit that ends there is a FitFailureError (``_fitted_exponents``).
+# so a fit that ends there is a FitFailureError (``_fitted_exponents``): its
+# objective is not that of the reported law, no step moved the exponent, and
+# the data do not determine it.
 _LOG_EXPONENT_CAP = 50.0
 
-# Each law field's place in q = (a, b, e, log alpha, log beta, gamma).  The CPT
-# law's B' and beta' take the places of B and beta, and the frontier is the law
-# with N := C and (A, E, alpha) := (coefficient, offset, exponent).
-_POSITION = {"A": 0, "coefficient": 0, "B": 1, "B_prime": 1, "E": 2, "offset": 2,
-             "alpha": 3, "exponent": 3, "beta": 4, "beta_prime": 4, "gamma": 5}
-_LOG_EXPONENTS = (3, 4)  # q positions holding log alpha and log beta
+
+def _fitted_exponents(**logs: float) -> dict[str, float]:
+    """exp of each named fitted log-exponent, raising ``FitFailureError`` at or past ``_LOG_EXPONENT_CAP``."""
+    for name, x in logs.items():
+        if not x < _LOG_EXPONENT_CAP:  # also rejects NaN
+            raise FitFailureError(f"fitted {name} = exp({x:.6g}) is at or past the exponent cap "
+                                  f"exp({_LOG_EXPONENT_CAP:g}): the data do not determine it")
+    return _exp_coefficients(**logs)
+
+
+class _Kind(NamedTuple):
+    """How the law fields of one kind sit in q."""
+
+    rule: tuple  # the rule a held value meets
+    held: Callable[[float], float]  # q of a held value
+    start: Callable[[float], float]  # q of a start point's value
+    # {field: value} of {field: q}, a FitFailureError where the data do not determine it
+    fitted: Callable[..., dict]
+    absent: float  # q at a place the law has no field for
+
+
+# An absent coefficient is off: its term's weight exp(-inf - top) and its
+# gradient are exactly 0.
+_COEFFICIENT = _Kind(_POSITIVE, math.log, float, _exp_coefficients, -math.inf)
+_EXPONENT = _Kind(_POSITIVE, math.log, math.log, _fitted_exponents, 0.0)
+_RAW = _Kind(_FINITE, float, float, dict, 0.0)  # gamma, whose q is the field itself
+
+# The kind of each place of q = (a, b, e, log alpha, log beta, gamma), and each
+# law field's place and kind.  The CPT law's B' and beta' take the places of B
+# and beta, and the frontier is the law with N := C and (A, E, alpha) :=
+# (coefficient, offset, exponent).
+_KINDS = (_COEFFICIENT,) * 3 + (_EXPONENT,) * 2 + (_RAW,)
+_POSITION = {name: (place, _KINDS[place]) for place, names in enumerate(
+    (("A", "coefficient"), ("B", "B_prime"), ("E", "offset"), ("alpha", "exponent"),
+     ("beta", "beta_prime"), ("gamma",))) for name in names}
 _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position enters
 
 # Options of every local search.  The Newton finish takes at most maxiter
@@ -125,14 +145,15 @@ _GN_CURVATURE_FLOOR = 1e-8  # smallest curvature scale, relative to the largest
 # this fraction of the lowest one; only those starts are finished.
 _BASIN_TOLERANCE = 1e-3
 
-# Default start grids, built from the data: each start sets the coefficients
-# so that every law term takes a given share of the loss at the median record.
+# Default start grids, built from the data (``_default_grid``): each start sets
+# the free coefficients so that every law term takes a given share of the loss
+# at the median record.
 EXPONENT_STARTS = (0.1, 0.3, 0.5, 0.7)
 GAMMA_STARTS = (-0.1, 0.0, 0.1, 0.2)
 OFFSET_FRACTIONS = (0.5, 0.9)  # E starts at these fractions of the lowest observed loss
 TERM_SHARES = (0.25, 0.5, 0.75)  # the N-term's share of the loss above E; the D-term takes the rest
-# A CPT start's data term takes at least this share of the median loss, also
-# where the fixed terms (which may come from another fit) leave less or none.
+# The free coefficient terms take at least this share of the median loss, also
+# where the held terms (which may come from another fit) leave less or none.
 _MIN_DATA_SHARE = 1e-3
 
 
@@ -140,11 +161,14 @@ _MIN_DATA_SHARE = 1e-3
 class FitConfig:
     """Fitting knobs: Huber threshold, start grid, and warmup filter.
 
-    ``init_grid`` entries are starting points listing the law's free fields
-    in q order, a coefficient as its log: (log A, log B, log E, alpha, beta)
-    for from-scratch fits and (log B', beta', gamma) for CPT fits.  When
-    omitted, the default grid is built from the data: each term starts with
-    a set share of the loss at the median record.
+    A law field is a coefficient (A, B, B', E, the frontier's coefficient and
+    offset) or an exponent (alpha, beta, beta', the frontier's exponent),
+    fitted as its log so that it stays positive, or gamma, fitted as itself.
+    A start point lists the free fields in the order A, B or B', E, alpha,
+    beta or beta', gamma, a coefficient as its log and an exponent or gamma as
+    itself: (log A, log B, log E, alpha, beta) for the from-scratch law and
+    (log B', beta', gamma) for the CPT law.  ``init_grid`` lists such points;
+    when omitted, each term starts with a set share of the median loss.
     """
 
     delta: float = DEFAULT_DELTA
@@ -235,8 +259,8 @@ def _flatten(data: RunSet, warmup_fraction: float = 0.0) -> tuple[np.ndarray, ..
 
 
 def _q(a, b, e, alpha, beta, gamma=0.0) -> np.ndarray:
-    """Optimizer coordinates of a point given as (a, b, e, alpha, beta, gamma)."""
-    return np.array([a, b, e, math.log(alpha), math.log(beta), gamma])
+    """Optimizer coordinates of a start point (a, b, e, alpha, beta, gamma) over all of q."""
+    return np.array([kind.start(value) for kind, value in zip(_KINDS, (a, b, e, alpha, beta, gamma))])
 
 
 def _law_terms(q: np.ndarray, log_n, log_d, out):
@@ -339,9 +363,8 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
 
 
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
-    """Mean Huber loss of the from-scratch law at theta = (a, b, e, alpha, beta).
+    """Mean Huber loss of the from-scratch law at theta = (a, b, e, alpha, beta), a start point.
 
-    Coefficients follow the A = exp(a), B = exp(b), E = exp(e) convention.
     Nonpositive losses cannot occur here; ingest rejects them at load time.
     """
     a, b, e, alpha, beta = _as_tuple(theta, "theta", length=5)
@@ -539,23 +562,18 @@ def _best_basin(values: np.ndarray) -> np.ndarray:
 
 
 def _law_starts(grid, names: list[str]) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """(grid point, optimizer start) pairs for the law fields ``names``, given in q order.
-
-    A grid point lists a value per field in that order: the log of a
-    coefficient, an exponent or gamma as it is.
-    """
+    """(grid point, optimizer start) pairs for the law fields ``names``, given in q order."""
     shape = f"{len(names)} coordinates ({', '.join(names)})"
-    logs = [_POSITION[name] in _LOG_EXPONENTS for name in names]
+    kinds = [_POSITION[name][1] for name in names]
     starts = []
     for point in grid:
         if len(point) != len(names):
             raise ValidationError(f"starts need {shape}, got {point!r}")
         if not all(math.isfinite(value) for value in point):
             raise ValidationError(f"start {point!r}: coordinates must be finite")
-        if any(value <= 0 for value, log in zip(point, logs) if log):
+        if any(value <= 0 for value, kind in zip(point, kinds) if kind is _EXPONENT):
             raise ValidationError(f"start {point!r}: exponents must be positive")
-        x0 = [math.log(value) if log else value for value, log in zip(point, logs)]
-        starts.append((tuple(point), np.array(x0, dtype=float)))
+        starts.append((tuple(point), np.array([kind.start(v) for v, kind in zip(point, kinds)])))
     return starts
 
 
@@ -630,85 +648,69 @@ def _median_record(flat) -> tuple[float, float, float]:
     return log_n, log_d, math.exp(log_l)
 
 
-def _default_scratch_grid(flat) -> list[tuple[float, ...]]:
-    """96 starts (a, b, e, alpha, beta) that give each law term a set share of the median loss."""
+def _default_grid(flat, free: list[int], given: dict[int, float]) -> list[tuple[float, ...]]:
+    """Start points of the q places ``free`` (in q order), given the held field values by place.
+
+    At the median record each term takes a set share of the loss: a free E each
+    of ``OFFSET_FRACTIONS`` of the lowest loss, the free coefficient terms what
+    E and the held terms leave (split by ``TERM_SHARES`` when both are free).
+    Free exponents range over ``EXPONENT_STARTS``, a free gamma over
+    ``GAMMA_STARTS``, and a field the law lacks is 0.
+    """
     log_n, log_d, loss = _median_record(flat)
     offsets = [fraction * math.exp(flat[2].min()) for fraction in OFFSET_FRACTIONS]
-    return [(math.log(share * (loss - e)) + alpha * log_n,
-             math.log((1.0 - share) * (loss - e)) + beta * log_d, math.log(e), alpha, beta)
-            for e, share, alpha, beta in product(offsets, TERM_SHARES, EXPONENT_STARTS,
-                                                 EXPONENT_STARTS)]
+    axes = [values if place in free else [given.get(place, 0.0)] for place, values in
+            zip((2, 3, 4, 5), (offsets, EXPONENT_STARTS, EXPONENT_STARTS, GAMMA_STARTS))]
+    # The N-term's share of the rest; a lone free coefficient term takes all of it.
+    shares = TERM_SHARES if {0, 1} <= set(free) else [0.0 if 1 in free else 1.0]
+    grid = []
+    for e, share, alpha, beta, gamma in product(axes[0], shares, *axes[1:]):
+        held_n = given[0] * math.exp(-alpha * log_n) if 0 in given else 0.0
+        held_d = given[1] * math.exp(-beta * log_d - gamma * log_n) if 1 in given else 0.0
+        rest = max(loss - e - held_n - held_d, _MIN_DATA_SHARE * loss)
+        a = math.log(share * rest) + alpha * log_n if 0 in free else None
+        b = math.log((1.0 - share) * rest) + beta * log_d + gamma * log_n if 1 in free else None
+        grid.append(tuple((a, b, math.log(e), alpha, beta, gamma)[place] for place in free))
+    return grid
 
 
-def _data_term_grid(log_term: float, log_n: float, log_d: float) -> list[tuple[float, ...]]:
-    """16 starts (b, beta, gamma) whose data term is e^log_term at (log_n, log_d)."""
-    return [(log_term + beta * log_d + gamma * log_n, beta, gamma)
-            for beta, gamma in product(EXPONENT_STARTS, GAMMA_STARTS)]
+def _fit_law(law, flat, grid, delta: float, bounds=None, **held):
+    """Fit the fields of the law record type ``law`` not in ``held``; return the record and the ``_Population``.
 
-
-def _default_cpt_grid(flat, fixed_e: float, fixed_a: float, fixed_alpha: float):
-    """16 starts (b', beta', gamma) whose data term takes the median loss E + A N^-alpha leave."""
-    log_n, log_d, loss = _median_record(flat)
-    rest = loss - fixed_e - fixed_a * math.exp(-fixed_alpha * log_n)
-    return _data_term_grid(math.log(max(rest, _MIN_DATA_SHARE * loss)), log_n, log_d)
-
-
-def _fitted_exponents(**logs: float) -> dict[str, float]:
-    """exp of each named fitted log-exponent, raising ``FitFailureError`` at or past ``_LOG_EXPONENT_CAP``.
-
-    The kernel evaluates such an exponent as e^cap with a zero slope, so the
-    fit's objective is not that of the reported law and no step moved it: the
-    data do not determine the exponent.
+    The free fields start from ``grid`` (``_default_grid``'s when None), with
+    L-BFGS-B ``bounds`` on them; q holds each held field, at a value its kind
+    can take, and each field ``law`` lacks at its kind's ``absent``.
     """
-    for name, x in logs.items():
-        if not x < _LOG_EXPONENT_CAP:  # also rejects NaN
-            raise FitFailureError(f"fitted {name} = exp({x:.6g}) is at or past the exponent cap "
-                                  f"exp({_LOG_EXPONENT_CAP:g}): the data do not determine it")
-    return _exp_coefficients(**logs)
-
-
-def _fit_law(law, flat, grid, delta: float, bounds=None, **fixed):
-    """Fit the fields of the law record type ``law`` not in ``fixed``; return the record and the ``_Population``.
-
-    The free fields are fitted in q order from ``grid`` (``_law_starts``),
-    ``bounds`` on them in L-BFGS-B form.  The rest of q is held: a fixed field
-    at its log, b at -inf for a law with no data term (its weight exp(-inf -
-    top) and its gradient are exactly 0), and the rest at 0 (gamma among them).
-    """
-    names = [field.name for field in fields(law)]
-    free = sorted((name for name in names if name not in fixed), key=_POSITION.get)
-    base = np.zeros(6)
-    base[1] = 0.0 if 1 in map(_POSITION.get, names) else -math.inf
-    for name, value in fixed.items():
-        base[_POSITION[name]] = math.log(value)
-    fit = _fit_mask(flat, base, [_POSITION[name] for name in free], _law_starts(grid, free),
-                    delta, bounds)
-    values = dict(fixed)  # as given; fitted fields follow in field order
-    for name in names:
-        i = _POSITION[name]
-        if name == "gamma":
-            values[name] = float(fit.q[i])
-        elif name not in fixed:
-            exp = _fitted_exponents if i in _LOG_EXPONENTS else _exp_coefficients
-            values.update(exp(**{name: fit.q[i]}))
+    field_at = {_POSITION[field.name][0]: field.name for field in fields(law)}  # in field order
+    for name in held:
+        if name not in field_at.values():
+            raise ValidationError(f"{name} is not a field of {law.__name__}")
+    given = {_POSITION[name][0]: _checked(value, name, _POSITION[name][1].rule)
+             for name, value in held.items()}
+    free = [place for place in sorted(field_at) if place not in given]
+    base = np.array([0.0 if place in field_at else kind.absent for place, kind in enumerate(_KINDS)])
+    for place, value in given.items():
+        base[place] = _KINDS[place].held(value)
+    fit = _fit_mask(flat, base, free, _law_starts(grid or _default_grid(flat, free, given),
+                                                  [field_at[place] for place in free]), delta, bounds)
+    values = {}  # in field order: a held field as given, a fitted one from q
+    for place, name in field_at.items():
+        values.update({name: given[place]} if place in given else
+                      _KINDS[place].fitted(**{name: fit.q[place]}))
     return law(**values), fit
 
 
-def _fit_report(law, flat, grid, delta: float, **fixed) -> FitReport:
+def _fit_report(law, flat, grid, delta: float, **held) -> FitReport:
     """``_fit_law``'s record and objective, its chosen start, and its residuals on the ``flat`` data."""
-    params, fit = _fit_law(law, flat, grid, delta, **fixed)
+    params, fit = _fit_law(law, flat, grid, delta, **held)
     return FitReport(params=params, objective=fit.objective,
                      residuals=tuple(_residuals(fit.q, flat).tolist()), chosen_init=fit.chosen)
-
-
-def _fit_scratch(flat, cfg: FitConfig) -> FitReport:
-    return _fit_report(ChinchillaParams, flat, cfg.init_grid or _default_scratch_grid(flat), cfg.delta)
 
 
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
     """Fit the from-scratch law to a RunSet via the multistart procedure."""
     cfg = cfg or FitConfig()
-    return _fit_scratch(_prepare(data, cfg), cfg)
+    return _fit_report(ChinchillaParams, _prepare(data, cfg), cfg.init_grid, cfg.delta)
 
 
 def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) -> FitReport:
@@ -719,9 +721,8 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     """
     cfg = cfg or FitConfig()
     E, A, alpha = _as_tuple(fixed, "fixed", partial(_checked, rule=_POSITIVE), 3)
-    flat = _prepare(data, cfg)
-    grid = cfg.init_grid or _default_cpt_grid(flat, E, A, alpha)
-    return _fit_report(ExtendedCptParams, flat, grid, cfg.delta, E=E, A=A, alpha=alpha)
+    return _fit_report(ExtendedCptParams, _prepare(data, cfg), cfg.init_grid, cfg.delta,
+                       E=E, A=A, alpha=alpha)
 
 
 def fit_offset_frontier(log_c: Sequence[float], log_l: Sequence[float], intercept: float,
@@ -758,13 +759,15 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     """
     cfg = cfg or FitConfig()
     flat = _prepare(data, cfg)
-    scratch_report = _fit_scratch(flat, cfg)
+    scratch_report = _fit_report(ChinchillaParams, flat, cfg.init_grid, cfg.delta)
     p = scratch_report.params
-    # Start points (log A, log B', log E, alpha, beta', gamma): the fields in q order.
+    # Not ``_default_grid``'s share rule: these starts keep stage one's data term.
     log_n, log_d, _ = _median_record(flat)
-    data_terms = _data_term_grid(math.log(p.B) - p.beta * log_d, log_n, log_d)
+    log_term = math.log(p.B) - p.beta * log_d
     grid = [(math.log(p.A), b, math.log(p.E), p.alpha, beta, gamma)
-            for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *data_terms]]
+            for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *(
+                (log_term + beta * log_d + gamma * log_n, beta, gamma)
+                for beta, gamma in product(EXPONENT_STARTS, GAMMA_STARTS))]]
     extended, fit = _fit_law(ExtendedCptParams, flat, grid, cfg.delta)
     return ModelComparison(chinchilla_error=scratch_report.objective,
                            extended_error=fit.objective, gamma_fitted=extended.gamma)

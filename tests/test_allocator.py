@@ -329,6 +329,18 @@ class TestIsoLossGrid:
                                  f"{eval_law(CPT, n, d):.9g}", "true"])
         assert out.read_bytes() == reference.read_bytes()
 
+    # Each of these reached export_isoloss_csv unchecked and escaped it as a
+    # TypeError, a ValueError and a ZeroDivisionError.
+    @pytest.mark.parametrize("frontier, message", [
+        (None, "frontier must be a sequence"),
+        (((1e20,),), "frontier[0] must hold 2 values"),
+        (((1e20, 0.0),), "frontier[0][1] must be positive and finite"),
+    ], ids=["null", "short-pair", "zero-N"])
+    def test_rejects_a_frontier_the_export_cannot_write(self, frontier, message):
+        grid = isoloss_grid(SCRATCH, (1e8, 1e9), (1e10, 1e11), 3)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            dataclasses.replace(grid, frontier=frontier)
+
 
 class TestEfficientFrontierLoss:
     """The optimal loss along the closed-form frontier: the plan's predicted loss at each budget."""

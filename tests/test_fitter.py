@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cptlaws import (
+    ChinchillaParams,
     DomainError,
+    ExtendedCptParams,
     FitConfig,
     FitFailureError,
     FrontierParams,
@@ -52,7 +54,13 @@ FRONTIER_FIELDS = ("coefficient", "offset", "exponent")
 
 def positions(names):
     """The q positions of the law fields ``names``."""
-    return [fitter._POSITION[name] for name in names]
+    return [fitter._POSITION[name][0] for name in names]
+
+
+def default_grid(flat, free, **held):
+    """The default starts of the law fields ``free``, given in q order, with ``held`` ones held."""
+    return fitter._default_grid(flat, positions(free), dict(zip(positions(held), held.values())))
+
 
 TRUE_THETA_SCRATCH = (
     math.log(SCRATCH.A),
@@ -606,8 +614,8 @@ class TestMinimize:
         fun, x0, kwargs = replica_call
         real, calls = scipy_minimize
         if case == "gradient above gtol":
-            grid = fitter._default_cpt_grid(_flatten(generate_runset(paper_replica_config("cpt"))),
-                                            CPT.E, CPT.A, CPT.alpha)
+            grid = default_grid(_flatten(generate_runset(paper_replica_config("cpt"))), CPT_FIELDS,
+                                E=CPT.E, A=CPT.A, alpha=CPT.alpha)
             x0 = fitter._law_starts(grid, CPT_FIELDS)[0][1]
         else:
             kwargs = {**kwargs, "bounds": [(None, None), (None, None), (None, x0[2] - 0.01)]}
@@ -999,7 +1007,7 @@ class TestGaussNewtonStage:
     def replica(self):
         """The scratch replica's fit arrays and its default start grid in optimizer coordinates."""
         flat = _flatten(generate_runset(paper_replica_config("scratch")))
-        grid = fitter._default_scratch_grid(flat)
+        grid = default_grid(flat, SCRATCH_FIELDS)
         return flat, np.array([x0 for _, x0 in fitter._law_starts(grid, SCRATCH_FIELDS)])
 
     @staticmethod
@@ -1122,6 +1130,45 @@ class TestPopulation:
         assert population.q[list(held)].tolist() == list(held.values())
 
 
+class TestHeldFields:
+    """``_fit_law`` holds any field of its law at a value the field's kind can take."""
+
+    @pytest.fixture(scope="class")
+    def cpt_replica(self):
+        return _flatten(generate_runset(paper_replica_config("cpt")))
+
+    @pytest.mark.parametrize("gamma", [0.08, -0.05, 0.0])
+    def test_held_gamma_comes_back_as_given(self, cpt_replica, gamma):
+        law, fit = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
+                                   gamma=gamma)
+        assert fit.stage.x.shape[1] == 5  # A, B', E, alpha, beta' from the default grid
+        assert law.gamma == gamma and fit.q[5] == gamma
+
+    def test_gamma_held_at_the_truth_gives_the_data_term(self, cpt_replica):
+        law, _ = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
+                                 E=CPT.E, A=CPT.A, alpha=CPT.alpha, gamma=CPT.gamma)
+        assert (law.E, law.A, law.alpha, law.gamma) == (CPT.E, CPT.A, CPT.alpha, CPT.gamma)
+        assert law.B_prime == pytest.approx(CPT.B_prime, abs=1e-8)
+        assert law.beta_prime == pytest.approx(CPT.beta_prime, abs=1e-8)
+
+    @pytest.mark.parametrize("name, value", [
+        *product(("E", "B_prime", "alpha", "beta_prime"), (0.0, -1.0, math.nan, math.inf, -math.inf)),
+        *product(("gamma",), (math.nan, math.inf, -math.inf)),
+    ])
+    def test_a_value_its_kind_cannot_take_is_named(self, name, value):
+        flat = _flatten(law_runset(CPT, SIZES, strategy="cpt"))
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            fitter._fit_law(ExtendedCptParams, flat, None, fitter.DEFAULT_DELTA, **{name: value})
+
+    @pytest.mark.parametrize("law, name", [(ChinchillaParams, "gamma"),
+                                           (ChinchillaParams, "B_prime"),
+                                           (FrontierParams, "E")])
+    def test_a_name_that_is_not_a_field_is_named(self, law, name):
+        flat = _flatten(law_runset(SCRATCH, SIZES))
+        with pytest.raises(ValidationError, match=f"^{name} is not a field of {law.__name__}$"):
+            fitter._fit_law(law, flat, None, fitter.DEFAULT_DELTA, **{name: 0.1})
+
+
 def term_shares(q, log_n, log_d):
     """Softmax shares of the law terms (N, D, offset) at q: shape (3, *q.shape[:-1], records)."""
     _, weights, total, _ = fitter._law_terms(q, np.atleast_1d(log_n), np.atleast_1d(log_d),
@@ -1148,7 +1195,7 @@ class TestDefaultGrids:
     def test_scratch_starts_give_every_term_its_share_at_the_median_record(self, replica):
         log_n, log_d, loss = fitter._median_record(replica)
         min_loss = math.exp(replica[2].min())
-        grid = fitter._default_scratch_grid(replica)
+        grid = default_grid(replica, SCRATCH_FIELDS)
         assert len(grid) == 96
         targets = product(fitter.OFFSET_FRACTIONS, fitter.TERM_SHARES,
                           fitter.EXPONENT_STARTS, fitter.EXPONENT_STARTS)
@@ -1171,7 +1218,7 @@ class TestDefaultGrids:
         data_term = max(loss - fixed_e - fixed_term, fitter._MIN_DATA_SHARE * loss)
         assert (data_term == fitter._MIN_DATA_SHARE * loss) == (fixed_e == loss)
         total = fixed_term + data_term + fixed_e
-        grid = fitter._default_cpt_grid(flat, fixed_e, CPT.A, CPT.alpha)
+        grid = default_grid(flat, CPT_FIELDS, E=fixed_e, A=CPT.A, alpha=CPT.alpha)
         assert [point[1:] for point in grid] == list(product(fitter.EXPONENT_STARTS,
                                                              fitter.GAMMA_STARTS))
         for b, beta, gamma in grid:
@@ -1194,11 +1241,12 @@ class TestDefaultGrids:
         raw = product((2.0, 6.0, 10.0, 14.0), (2.0, 6.0, 10.0, 14.0), offsets,
                       fitter.EXPONENT_STARTS, fitter.EXPONENT_STARTS)
         assert dead(list(raw)) == 54  # the raw lattice this grid replaced
-        assert dead(fitter._default_scratch_grid(replica)) == 0
+        assert dead(default_grid(replica, SCRATCH_FIELDS)) == 0
         cpt = _flatten(generate_runset(paper_replica_config("cpt")))
         fixed = (math.log(CPT.A), math.log(CPT.E), CPT.alpha)
         cpt_starts = [(fixed[0], b, fixed[1], fixed[2], beta, gamma)
-                      for b, beta, gamma in fitter._default_cpt_grid(cpt, CPT.E, CPT.A, CPT.alpha)]
+                      for b, beta, gamma in default_grid(cpt, CPT_FIELDS, E=CPT.E, A=CPT.A,
+                                                         alpha=CPT.alpha)]
         shares = term_shares(np.array([_q(*point) for point in cpt_starts]), *cpt[:2])
         assert (shares.max(axis=2) >= 1e-6).all()
 

@@ -100,7 +100,8 @@ def library_calls():
         (isoloss_grid, dict(law=SCRATCH, n_range=(1e8, 1e10), d_range=(1e9, 1e12), resolution=3),
          dict(law=LOSS_LAW, n_range=PAIR, d_range=PAIR, resolution=COUNT)),
         (IsoLossGrid, vars(grid), dict(n_axis=SEQUENCE, d_axis=SEQUENCE,
-                                       loss_values=SEQUENCE + ((1.0, 1.0, 1.0),))),
+                                       loss_values=SEQUENCE + ((1.0, 1.0, 1.0),),
+                                       frontier=PAIRS)),
         (empirical_transfer, dict(run_pt=run_pt, run_cpt=run_cpt, levels=4), dict(levels=COUNT)),
         (TransferReport, vars(transfer), dict.fromkeys(vars(transfer), SEQUENCE)),
         (CurveInterpolator, vars(curve), dict.fromkeys(vars(curve), SEQUENCE)),
@@ -170,11 +171,12 @@ class TestFuzzedLibrary:
     by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
     10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
     malformed pair; a law of the wrong kind) under warnings as errors: 38
-    callables, 975 cases.  Objects the library builds (runs, run sets, the
+    callables, 997 cases.  Objects the library builds (runs, run sets, the
     allocation coefficients an allocation takes, a fit's config) are not mutated;
     the records a fit, an isoloss grid or a transfer returns are, and so is a loss
     curve's interpolator, whose lookups take a number.  A grid's cells are the law's
-    own floats and are not converted: only its axes and its rows are.
+    own floats and are not converted: only its axes, its rows and its frontier's
+    (C, N) pairs are.
     """
 
     def test_no_bad_argument_escapes_untyped(self):
@@ -188,7 +190,7 @@ class TestFuzzedLibrary:
                     outcome = _outcome(function, {**valid, name: value})
                     if outcome is not None:
                         escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
-        assert (len(calls), cases) == (38, 975)
+        assert (len(calls), cases) == (38, 997)
         assert escapes == []
 
 

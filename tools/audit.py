@@ -9,16 +9,19 @@ sigma = 0.01 (seeds 1, 2 and 4) and 0.03 (seeds 3 and 5).  On each it runs
 free-offset frontier of each log.  A line holds the ``repr`` of the fitted law
 (``params``; the comparison itself for ``compare_laws``), of the last
 multistart's objective and of its chosen start, and for every multistart of
-the fit its starts, best-basin size, kernel rows and the count of each stop
-rule in the stage and the finish.  Two runs of one version write the same
-bytes.  The script reads the package from the ``src`` directory beside it
-and is not part of it.
+the fit its starts, the sha256 of the ``repr`` of its start grid, best-basin
+size, kernel rows and the count of each stop rule in the stage and the
+finish.  Two runs of one version write the same bytes.  The script reads the
+package from the ``src`` directory beside it and is not part of it; to
+compare two versions, put one copy of it in each version's ``tools``
+directory and ``cmp`` their outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -51,10 +54,11 @@ def _two_stage(scratch, cpt):
 
 
 def _population(fit) -> dict:
-    """Starts, basin, kernel rows and stop-rule counts of one ``_fit_mask`` record."""
+    """Starts, grid digest, basin, kernel rows and stop-rule counts of one ``_fit_mask`` record."""
     passes = {"stage": fit.stage, "finish": fit.finish}
     return {
         "starts": len(fit.keys),
+        "grid": hashlib.sha256(repr(fit.keys).encode()).hexdigest(),
         "basin": len(fit.basin),
         **{f"{name}_rows": len(p.x) + int(p.trials.sum()) for name, p in passes.items()},
         **{f"{name}_stops": dict(sorted(Counter(p.stops.tolist()).items()))
