@@ -21,7 +21,7 @@ _EXPORTS = {
                      "ParseError", "UnidentifiableDataError", "UnreachableLossError",
                      "ValidationError"), "errors"),
     **dict.fromkeys(("FitConfig", "FitReport", "ModelComparison", "compare_laws", "fit_cpt",
-                     "fit_scratch", "huber", "objective_scratch"), "fitter"),
+                     "fit_scratch", "objective_scratch"), "fitter"),
     **dict.fromkeys(("LossRecord", "ModelSpec", "RunSet", "TrainingRun",
                      "attribute_flops_by_language", "dump_runs", "load_catalog", "load_runs",
                      "parse_runs", "serialize_runs", "warmup_filter"), "ingest"),

@@ -54,7 +54,7 @@ _CONFIG_KEYS = (
     "seed",
 )
 
-_PRESETS = {"paper-scratch": laws.REFERENCE_SCRATCH_LAW, "paper-cpt": laws.REFERENCE_CPT_LAW}
+_PRESETS = {f"paper-{strategy}": law for strategy, law in laws._REFERENCE_LAWS.items()}
 
 _LOSS_LAWS = (laws.ChinchillaParams, laws.ExtendedCptParams)
 

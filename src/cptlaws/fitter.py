@@ -54,8 +54,8 @@ from .errors import (
 )
 from .ingest import RunSet, warmup_filter
 from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FINITE, _NONNEGATIVE, _POSITIVE, ChinchillaParams,
-                   ExtendedCptParams, FrontierParams, _as_array, _as_tuple, _checked,
-                   _exp_coefficients, _law_kind)
+                   ExtendedCptParams, FrontierParams, _as_tuple, _checked, _exp_coefficients,
+                   _law_kind)
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -226,18 +226,6 @@ class ModelComparison:
             object.__setattr__(self, name, _checked(getattr(self, name), name, rule))
 
 
-def huber(residual, delta: float = DEFAULT_DELTA):
-    """Huber penalty: quadratic inside |r| <= delta, linear with matched slope outside.
-
-    With c = clip(r, -delta, delta), the derivative, this is c (r - c/2).
-    """
-    delta = _checked(delta, "delta", _ABOVE_ZERO, DomainError)
-    r = _as_array(residual, "residual")
-    slope = np.clip(r, -delta, delta)
-    out = slope * (r - 0.5 * slope)
-    return float(out) if out.ndim == 0 else out
-
-
 def _fit_records(data: RunSet, warmup_fraction: float = 0.0) -> list:
     """(run, record) pairs of a fit: each run's main series after ``warmup_filter``, in size order.
 
@@ -310,13 +298,16 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
     """Huber objective, Gauss-Newton matrix J^T W J and gradient J^T huber'(r) at each row of x.
 
     Row s is the point q = ``base`` with q[free] = x[s].  The objective is the
-    mean over records; both sums run over records, so the mean's gradient is
-    the returned one divided by the record count.  J is the Jacobian of the
-    prediction in q[free].  W holds the IRLS weights (1 where |r| <= delta,
-    delta / |r| elsewhere), or with ``newton`` the Huber penalty's second
-    derivative (1 where |r| <= delta, 0 elsewhere).  The call allocates its
-    buffers once, for len(x) rows, and writes every array of the data's size
-    into them in place (``_GN_BLOCK_ELEMENTS`` says why, and bounds the rows).
+    mean over records of each residual r's Huber penalty, c (r - c/2) with c =
+    clip(r, -delta, delta) its derivative: quadratic inside |r| <= delta,
+    linear with matched slope outside.  Both sums run over records, so the
+    mean's gradient is the returned one divided by the record count.  J is the
+    Jacobian of the prediction in q[free].  W holds the IRLS weights (1 where
+    |r| <= delta, delta / |r| elsewhere), or with ``newton`` the penalty's
+    second derivative (1 where |r| <= delta, 0 elsewhere).  The call allocates
+    its buffers once, for len(x) rows, and writes every array of the data's
+    size into them in place (``_GN_BLOCK_ELEMENTS`` says why, and bounds the
+    rows).
     """
     log_n, log_d, log_l = flat
     rows, n = len(x), log_l.size
@@ -365,12 +356,16 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
     """Mean Huber loss of the from-scratch law at theta = (a, b, e, alpha, beta), a start point.
 
-    Nonpositive losses cannot occur here; ingest rejects them at load time.
+    This is the value of the kernel every fit minimizes, ``_law_system``, with
+    no coordinate free.  Nonpositive losses cannot occur here; ingest rejects
+    them at load time.
     """
     a, b, e, alpha, beta = _as_tuple(theta, "theta", length=5)
     alpha = _checked(alpha, "alpha", _POSITIVE, DomainError)
     beta = _checked(beta, "beta", _POSITIVE, DomainError)
-    return float(np.mean(huber(_residuals(_q(a, b, e, alpha, beta), _flatten(data)), delta)))
+    delta = _checked(delta, "delta", _ABOVE_ZERO, DomainError)
+    q = _q(a, b, e, alpha, beta)
+    return float(_law_system(np.empty((1, 0)), q, [], _flatten(data), delta)[0][0])
 
 
 class _SearchResult(dict):

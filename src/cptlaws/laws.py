@@ -175,6 +175,8 @@ REFERENCE_SCRATCH_LAW = ChinchillaParams(E=1.55, A=420.0, B=719.5, alpha=0.40, b
 REFERENCE_CPT_LAW = ExtendedCptParams(
     E=1.55, A=420.0, alpha=0.40, B_prime=433.3, beta_prime=0.20, gamma=0.08
 )
+# The reference law of each strategy, for the paper-replica logs and the synth presets.
+_REFERENCE_LAWS = {"scratch": REFERENCE_SCRATCH_LAW, "cpt": REFERENCE_CPT_LAW}
 
 # Published loss-compute frontier fits for the two strategies.
 REFERENCE_SCRATCH_FRONTIER = FrontierParams(coefficient=33.69907, exponent=0.0579)
@@ -219,28 +221,25 @@ def _namespace(*values):
     return numpy
 
 
-def _as_array(value, name: str):
-    """``value`` as a float array; text, a bool, or what numpy reads as no float is a DomainError."""
-    import numpy
-
-    try:
-        x = numpy.asarray(value)
-        if x.dtype.kind not in "SUb":  # numpy would read the text "1e9" and True as numbers
-            return x.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):  # None, a ragged list, an int past float range
-        pass
-    raise DomainError(f"{name} must be a number or an array of numbers, got {type(value).__name__}")
-
-
 def _positive(xp, x, name: str):
-    """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite."""
+    """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite.
+
+    On the array path text, a bool, or what numpy reads as no float is a DomainError.
+    """
     if xp is _MATH:
         return _checked(x, name, _POSITIVE, DomainError)
-    x = _as_array(x, name)
+    try:
+        array = xp.asarray(x)
+        if array.dtype.kind not in "SUb":  # numpy would read the text "1e9" and True as numbers
+            array = array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # a ragged list, an int past float range
+        array = None
+    if array is None or array.dtype.kind != "f":
+        raise DomainError(f"{name} must be a number or an array of numbers, got {type(x).__name__}")
     # One pass that also rejects NaN (both comparisons are False).
-    if not ((x > 0) & (x < math.inf)).all():
+    if not ((array > 0) & (array < math.inf)).all():
         raise DomainError(f"{name} must be positive and finite")
-    return x
+    return array
 
 
 def _result(value):

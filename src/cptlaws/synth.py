@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .ingest import LossRecord, RunSet, TrainingRun, load_catalog
-from .laws import (_NONNEGATIVE, _POSITIVE, REFERENCE_CPT_LAW, REFERENCE_SCRATCH_LAW,
-                   ExtendedCptParams, LawParams, _as_tuple, _checked, _count, _law_kind, eval_law)
+from .laws import (_NONNEGATIVE, _POSITIVE, _REFERENCE_LAWS, ExtendedCptParams, LawParams,
+                   _as_tuple, _checked, _count, _law_kind, eval_law)
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,12 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
 def paper_replica_config(strategy: str) -> SynthConfig:
     """Noise-free config mirroring the published fitting setup.
 
-    One run per catalog model size (42 sizes), a 20x token budget, and the
-    reference ground-truth law for the requested strategy.
+    One run per catalog model size (42 sizes) on the reference ground-truth
+    law of the requested strategy, with ``SynthConfig``'s defaults: a 20x
+    token budget, 20 records per run and no noise.
     """
-    if strategy == "scratch":
-        law: LawParams = REFERENCE_SCRATCH_LAW
-    elif strategy == "cpt":
-        law = REFERENCE_CPT_LAW
-    else:
+    law = _REFERENCE_LAWS.get(strategy) if isinstance(strategy, str) else None
+    if law is None:
         raise DomainError(f"strategy must be 'scratch' or 'cpt', got {strategy!r}")
     sizes = tuple(spec.param_size_millions * 1_000_000 for spec in load_catalog())
-    return SynthConfig(
-        law=law,
-        param_sizes=sizes,
-        token_multiple=20.0,
-        records_per_run=20,
-        noise_sigma=0.0,
-        seed=0,
-    )
+    return SynthConfig(law=law, param_sizes=sizes)

@@ -229,7 +229,7 @@ def extract_compute_frontier(
             if incumbent is None or (rec.loss, compute) < incumbent:
                 best[key] = (rec.loss, compute)
     if not best:
-        raise ValidationError("cannot extract a frontier from an empty RunSet")
+        raise ValidationError("cannot extract a frontier: no run has a record of its own language")
 
     frontier = []
     for loss, compute in sorted(best.values(), key=lambda item: item[1]):
@@ -294,7 +294,8 @@ class ForgettingCurve:
     """Per-language (FLOPs, loss) series for one replay run.
 
     Each point's FLOPs are the run's total compute at that record multiplied
-    by the language's share of the data mix.
+    by the language's share of the data mix; each point is a pair of positive
+    finite floats.
     """
 
     run_id: str
@@ -307,6 +308,9 @@ class ForgettingCurve:
     def __post_init__(self):
         ratio = _checked(self.replay_ratio, "replay_ratio", _FRACTION)
         object.__setattr__(self, "replay_ratio", ratio)
+        pair = partial(_as_tuple, convert=partial(_checked, rule=_POSITIVE), length=2)
+        for name in ("source_points", "target_points"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, pair))
 
 
 def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:
@@ -364,11 +368,7 @@ def export_forgetting_csv(curves: list[ForgettingCurve], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["replay_ratio", "language", "flops", "loss"])
         for curve in curves:
-            for flops, loss in curve.source_points:
-                writer.writerow(
-                    [curve.replay_ratio, curve.source_language, f"{flops:.9g}", f"{loss:.9g}"]
-                )
-            for flops, loss in curve.target_points:
-                writer.writerow(
-                    [curve.replay_ratio, curve.target_language, f"{flops:.9g}", f"{loss:.9g}"]
-                )
+            for language, points in ((curve.source_language, curve.source_points),
+                                     (curve.target_language, curve.target_points)):
+                for flops, loss in points:
+                    writer.writerow([curve.replay_ratio, language, f"{flops:.9g}", f"{loss:.9g}"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -77,3 +78,11 @@ def past_float_range_runset():
         runs.append(TrainingRun(id=f"huge-{i}", strategy="scratch", language="synthetic",
                                 replay_ratio=0.0, param_count=int(n), records=records))
     return RunSet(runs=tuple(runs))
+
+
+def foreign_language_runset(law, sizes):
+    """``law_runset(law, sizes)`` with every record tagged with a language other than its run's."""
+    return RunSet(runs=tuple(
+        dataclasses.replace(run, records=tuple(
+            dataclasses.replace(rec, val_language="en") for rec in run.records))
+        for run in law_runset(law, sizes)))

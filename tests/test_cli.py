@@ -30,7 +30,7 @@ from cptlaws import (
 )
 from cptlaws import cli
 from cptlaws.cli import main
-from conftest import law_run, law_runset, past_float_range_runset
+from conftest import foreign_language_runset, law_run, law_runset, past_float_range_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -511,6 +511,22 @@ class TestErrorPaths:
         assert main(["fit", "--runs", str(runs), "--strategy", "scratch",
                      "--out", str(out)]) == 4
         assert "fit error: fitted alpha = exp(65.9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit", "--strategy", "scratch"], ["compare-laws"]],
+                             ids=["fit", "compare-laws"])
+    def test_no_usable_records_exit_code(self, tmp_path, capsys, command):
+        runs, out = tmp_path / "foreign.jsonl", tmp_path / "o.json"
+        dump_runs(foreign_language_runset(SCRATCH, SIZES), runs)
+        assert main([*command, "--runs", str(runs), "--out", str(out)]) == 4
+        assert "RunSet contains no usable records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frontier_without_own_language_records_exit_code(self, tmp_path, capsys):
+        runs, out = tmp_path / "foreign.jsonl", tmp_path / "o.json"
+        dump_runs(foreign_language_runset(SCRATCH, SIZES), runs)
+        assert main(["frontier", "--runs", str(runs), "--out", str(out)]) == 3
+        assert "no run has a record of its own language" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -997,7 +1013,7 @@ class TestStartup:
             "attribute_flops_by_language", "compare_laws", "dump_runs", "empirical_transfer",
             "eval_frontier", "eval_law", "extract_compute_frontier", "fit_cpt", "fit_frontier",
             "fit_scratch", "flops_saving_from_frontiers", "forgetting_curves",
-            "frontier_crossover", "generate_runset", "huber", "interp_loss_curve",
+            "frontier_crossover", "generate_runset", "interp_loss_curve",
             "isoloss_grid", "law_from_dict", "law_to_dict", "load_catalog", "load_runs",
             "loss_floor", "numeric_optimal_params", "objective_scratch", "optimal_allocation",
             "paper_replica_config", "parametric_transfer", "parse_runs", "serialize_runs",

@@ -33,13 +33,12 @@ from cptlaws import (
     fit_frontier,
     fit_scratch,
     generate_runset,
-    huber,
     paper_replica_config,
     objective_scratch,
 )
 from cptlaws import fitter
 from cptlaws.fitter import _LOG_EXPONENT_CAP, _flatten, _q
-from conftest import law_runset, past_float_range_runset
+from conftest import foreign_language_runset, law_runset, past_float_range_runset
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -71,29 +70,35 @@ TRUE_THETA_SCRATCH = (
 )
 
 
+def penalty(residuals, delta=fitter.DEFAULT_DELTA):
+    """The fit kernel's mean Huber penalty over records whose residuals are ``residuals``.
+
+    Only the offset term is on (a = b = -inf, e = 0), so every prediction is
+    exactly 0, and a record of log loss -r has residual exactly r.
+    """
+    r = np.atleast_1d(np.asarray(residuals, dtype=float))
+    flat = (np.zeros_like(r), np.zeros_like(r), -r)
+    return kernel(_q(-math.inf, -math.inf, 0.0, 1.0, 1.0), flat, delta)[0]
+
+
 class TestHuber:
     def test_zero(self):
-        assert huber(0.0) == 0.0
+        assert penalty(0.0) == 0.0
 
     def test_quadratic_branch(self):
-        assert huber(5e-4, 1e-3) == pytest.approx(1.25e-7, rel=1e-12)
+        assert penalty(5e-4, 1e-3) == pytest.approx(1.25e-7, rel=1e-12)
 
     def test_linear_branch(self):
-        assert huber(0.01, 1e-3) == pytest.approx(9.5e-6, rel=1e-12)
+        assert penalty(0.01, 1e-3) == pytest.approx(9.5e-6, rel=1e-12)
 
     def test_requires_positive_delta(self):
-        with pytest.raises(DomainError):
-            huber(0.1, 0.0)
-        with pytest.raises(DomainError):
-            huber(0.1, math.nan)
-
-    @pytest.mark.parametrize("residual", [True, np.array([True, False])], ids=["bool", "bool-array"])
-    def test_bool_residual_is_domain_error(self, residual):
-        with pytest.raises(DomainError, match="^residual must be a number"):
-            huber(residual)
+        data = single_record_runset(loss=3.0)
+        for delta in (0.0, math.nan):
+            with pytest.raises(DomainError, match="^delta must be positive"):
+                objective_scratch((0.0, 0.0, 0.0, 0.4, 0.3), data, delta)
 
     def test_infinite_delta_is_least_squares(self):
-        assert huber(0.25, math.inf) == 0.03125
+        assert penalty(0.25, math.inf) == 0.03125
         assert FitConfig(delta=math.inf).delta == math.inf
 
     @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
@@ -110,14 +115,14 @@ class TestHuber:
             FitConfig(**fields)
 
     def test_vectorized(self):
-        out = huber(np.array([0.0, 5e-4, 0.01]), 1e-3)
-        assert out == pytest.approx([0.0, 1.25e-7, 9.5e-6])
+        assert penalty([0.0, 5e-4, 0.01], 1e-3) == pytest.approx((1.25e-7 + 9.5e-6) / 3,
+                                                                  rel=1e-12)
 
     @pytest.mark.property
     @given(r=st.floats(-10, 10), delta=st.floats(1e-6, 1.0))
     def test_even_and_nonnegative(self, r, delta):
-        assert huber(r, delta) == huber(-r, delta)
-        assert huber(r, delta) >= 0.0
+        assert penalty(r, delta) == penalty(-r, delta)
+        assert penalty(r, delta) >= 0.0
 
     @pytest.mark.property
     @given(
@@ -127,15 +132,15 @@ class TestHuber:
     )
     def test_monotone_in_magnitude(self, r1, r2, delta):
         lo, hi = sorted((r1, r2))
-        assert huber(lo, delta) <= huber(hi, delta)
+        assert penalty(lo, delta) <= penalty(hi, delta)
 
     @pytest.mark.property
     @given(delta=st.floats(1e-4, 1.0))
     def test_c1_at_branch_point(self, delta):
         # one-sided numeric derivatives agree at |r| = delta
         eps = delta * 1e-7
-        inner = (huber(delta, delta) - huber(delta - eps, delta)) / eps
-        outer = (huber(delta + eps, delta) - huber(delta, delta)) / eps
+        inner = (penalty(delta, delta) - penalty(delta - eps, delta)) / eps
+        outer = (penalty(delta + eps, delta) - penalty(delta, delta)) / eps
         assert inner == pytest.approx(delta, rel=1e-5)
         assert abs(inner - outer) < 1e-6
 
@@ -155,7 +160,7 @@ class TestObjectives:
 
     def test_single_record_linear_branch(self):
         # theta (0,0,0,*,*) predicts log-loss ln 3 at N = D = 1; place the
-        # observation 0.01 below so the residual hits huber's linear branch.
+        # observation 0.01 below so the residual hits the penalty's linear branch.
         data = single_record_runset(loss=3.0 * math.exp(-0.01))
         theta = (0.0, 0.0, 0.0, 0.4, 0.3)
         assert objective_scratch(theta, data) == pytest.approx(9.5e-6, rel=1e-9)
@@ -188,6 +193,19 @@ class TestObjectives:
         assert kernel(_q(*theta), _flatten(data), fitter.DEFAULT_DELTA)[0] == pytest.approx(
             objective_scratch(theta, data), rel=1e-14
         )
+
+    @pytest.mark.parametrize("strategy", ["scratch", "cpt"])
+    @pytest.mark.parametrize("sigma, seed", [(0.0, 0), (0.01, 1), (0.03, 3)])
+    def test_is_the_fit_kernel_on_replica(self, strategy, sigma, seed):
+        # fit_scratch evaluates the kernel with the five scratch fields free.
+        config = dataclasses.replace(paper_replica_config(strategy), noise_sigma=sigma, seed=seed)
+        data = generate_runset(config)
+        flat, free = _flatten(data), positions(SCRATCH_FIELDS)
+        for theta, delta in product((TRUE_THETA_SCRATCH, (5.5, 6.5, 0.44, 0.41, 0.29)),
+                                    (1e-3, 0.02, math.inf)):
+            q = _q(*theta)
+            value = fitter._law_system(q[None, free], np.zeros(6), free, flat, delta)[0][0]
+            assert objective_scratch(theta, data, delta) == value
 
     @pytest.mark.property
     def test_gradient_vanishes_at_truth(self):
@@ -313,7 +331,8 @@ def _reference_objective(q, log_n, log_d, log_l, delta):
     pred = np.logaddexp.reduce(terms, axis=0)
     residuals = pred - log_l
     softmax = np.exp(terms - pred)
-    slope = np.clip(residuals, -delta, delta) / residuals.size
+    clipped = np.clip(residuals, -delta, delta)
+    slope = clipped / residuals.size
     grad = np.array([
         slope @ softmax[0],
         slope @ softmax[1],
@@ -322,7 +341,7 @@ def _reference_objective(q, log_n, log_d, log_l, delta):
         -beta * (slope * softmax[1]) @ log_d if log_beta < _LOG_EXPONENT_CAP else 0.0,
         -(slope * softmax[1]) @ log_n,
     ])
-    return float(np.mean(huber(residuals, delta))), grad, residuals
+    return float(np.mean(clipped * (residuals - 0.5 * clipped))), grad, residuals
 
 
 class TestObjectiveAgainstReference:
@@ -757,6 +776,18 @@ class TestFitFailure:
             fit()
 
 
+class TestNoUsableRecords:
+    """A fit of a log with no record of a run's own language names that, not a numpy error."""
+
+    @pytest.mark.parametrize("fit", [fit_scratch, compare_laws])
+    @pytest.mark.parametrize("data", [lambda: RunSet(runs=()),
+                                      lambda: foreign_language_runset(SCRATCH, SIZES)],
+                             ids=["empty", "foreign-language"])
+    def test_is_unidentifiable(self, fit, data):
+        with pytest.raises(UnidentifiableDataError, match="^RunSet contains no usable records$"):
+            fit(data())
+
+
 def noisy_four_size_runset(seed):
     """The from-scratch law on four sizes, 8 records each, with log-normal noise sigma = 0.1."""
     sizes = tuple(int(x) for x in np.geomspace(5e7, 5e9, 4))
@@ -821,8 +852,12 @@ class TestExtractComputeFrontier:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_empty_runset_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no run has a record of its own language"):
             extract_compute_frontier(RunSet(runs=()), 10)
+
+    def test_no_record_of_a_runs_own_language_rejected(self):
+        with pytest.raises(ValidationError, match="no run has a record of its own language"):
+            extract_compute_frontier(foreign_language_runset(SCRATCH, SIZES), 10)
 
     def test_compute_past_float_range_is_domain_error(self):
         # Token counts up to e^690 are floats, but 6 N D is not.
@@ -921,8 +956,9 @@ class TestFitFrontier:
 
     @staticmethod
     def frontier_objective(fitted, points):
-        residuals = [math.log(eval_frontier(fitted, c) / loss) for c, loss in points]
-        return float(np.mean(huber(np.array(residuals))))
+        residuals = np.array([math.log(eval_frontier(fitted, c) / loss) for c, loss in points])
+        clipped = np.clip(residuals, -fitter.DEFAULT_DELTA, fitter.DEFAULT_DELTA)
+        return float(np.mean(clipped * (residuals - 0.5 * clipped)))
 
     @pytest.mark.parametrize("sigma, seed", list(REPLICA_OPTIMA))
     def test_offset_free_path_reaches_the_optimum_on_replica(self, sigma, seed):

@@ -278,6 +278,12 @@ class TestScalarPath:
         with pytest.raises(DomainError, match="^N must be a number or an array of numbers"):
             eval_law(SCRATCH, np.array([True]), 1e9)
 
+    @pytest.mark.parametrize("n", [[1e9, [1e9]], np.array([10**400], dtype=object),
+                                   np.array(["1e9"])], ids=["ragged", "past-float-range", "text"])
+    def test_array_path_takes_only_float_arrays(self, n):
+        with pytest.raises(DomainError, match="^N must be a number or an array of numbers"):
+            eval_law(SCRATCH, n, 1e9)
+
     def test_scalar_overflow_is_inf_as_in_numpy(self):
         # A loss 1e-200 above this law's floor needs D = exp(~4600) tokens.
         law = ChinchillaParams(E=1e-200, A=1e-200, B=1.0, alpha=0.5, beta=0.1)

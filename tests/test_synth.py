@@ -319,3 +319,8 @@ class TestReplicaConfig:
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
             paper_replica_config("finetune")
+
+    @pytest.mark.parametrize("strategy", [None, 1, ["cpt"], b"cpt", "paper-cpt", "Scratch"])
+    def test_any_other_strategy_is_domain_error(self, strategy):
+        with pytest.raises(DomainError, match="^strategy must be 'scratch' or 'cpt', got "):
+            paper_replica_config(strategy)
