@@ -54,9 +54,8 @@ _CONFIG_KEYS = (
     "seed",
 )
 
-_PRESETS = {f"paper-{strategy}": law for strategy, law in laws._REFERENCE_LAWS.items()}
-
-_LOSS_LAWS = (laws.ChinchillaParams, laws.ExtendedCptParams)
+#: The strategy of each ``synth --preset``.
+_PRESETS = {f"paper-{strategy}": strategy for strategy in laws.STRATEGIES}
 
 
 def _open_mode(path: str) -> int:
@@ -206,7 +205,7 @@ def cmd_frontier(args) -> int:
 def cmd_allocate(args) -> int:
     from . import allocator
 
-    law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
+    law = _load_law(args.fit, laws._LOSS_LAWS, "a loss law")
     coeffs = allocator.allocation_coefficients(law)
     plan = allocator.optimal_allocation(coeffs, args.compute, law)
     if args.out:
@@ -224,7 +223,7 @@ def cmd_allocate(args) -> int:
 def cmd_isoloss(args) -> int:
     from . import allocator
 
-    law = _load_law(args.fit, _LOSS_LAWS, "a loss law")
+    law = _load_law(args.fit, laws._LOSS_LAWS, "a loss law")
     n_range = _parse_range("--n-range", args.n_range)
     d_range = _parse_range("--d-range", args.d_range)
     grid = allocator.isoloss_grid(law, n_range, d_range, args.resolution)
@@ -302,10 +301,10 @@ def cmd_synth(args) -> int:
         return EXIT_USAGE
     from . import ingest, synth
 
-    law = (_PRESETS[args.preset] if args.preset
-           else _load_law(args.law, _LOSS_LAWS, "a loss law"))
-    sizes = tuple(spec.param_size_millions * 1_000_000 for spec in ingest.load_catalog())
-    cfg = synth.SynthConfig(law=law, param_sizes=sizes, noise_sigma=args.noise, seed=args.seed)
+    # The paper-replica design of the preset, or of paper-scratch with the --law law.
+    cfg = synth.paper_replica_config(_PRESETS.get(args.preset, "scratch"))
+    law = _load_law(args.law, laws._LOSS_LAWS, "a loss law") if args.law else cfg.law
+    cfg = dataclasses.replace(cfg, law=law, noise_sigma=args.noise, seed=args.seed)
     runs = synth.generate_runset(cfg)
     _write_atomic(args.out, lambda tmp: ingest.dump_runs(runs, tmp))
     total = sum(len(run.records) for run in runs)
@@ -343,7 +342,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     fit_flags.add_argument("--warmup-fraction", type=float, default=0.0)
 
     p = sub.add_parser("fit", parents=[fit_flags], help="fit a loss law to a run log")
-    p.add_argument("--strategy", required=True, choices=("scratch", "cpt"))
+    p.add_argument("--strategy", required=True, choices=laws.STRATEGIES)
     p.add_argument("--fixed-from", help="from-scratch fit JSON supplying (E, A, alpha)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -12,13 +12,8 @@ is the one-term case N := C with the data term switched off (b = -inf).  The
 zero-offset frontier is a least-squares line, fitted in ``transfer`` without
 numpy; it also gives the free-offset fit its starts.  Every fit is
 ``_fit_law`` of a law record type, whose fields ``_POSITION`` places in q,
-each with its kind.  A law field is a coefficient (A, B, B', E, the
-frontier's coefficient and offset) or an exponent (alpha, beta, beta', the
-frontier's exponent), fitted as its log so that it stays positive, or gamma,
-fitted as itself.  A start point lists the free fields in the order A, B or
-B', E, alpha, beta or beta', gamma, a coefficient as its log and an exponent
-or gamma as itself: (log A, log B, log E, alpha, beta) for the from-scratch
-law and (log B', beta', gamma) for the CPT law.
+each with its kind; ``FitConfig`` says how each kind is fitted and how a start
+point lists the free fields.
 
 Every fit runs a deterministic grid of starts through three phases.  The
 default grids give each law term a set share of the loss at the median
@@ -53,9 +48,9 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FINITE, _NONNEGATIVE, _POSITIVE, ChinchillaParams,
-                   ExtendedCptParams, FrontierParams, _as_tuple, _checked, _exp_coefficients,
-                   _law_kind)
+from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FIELDS, _FINITE, _NONNEGATIVE, _POSITIVE,
+                   ChinchillaParams, ExtendedCptParams, FrontierParams, _as_tuple, _checked,
+                   _exp_coefficients, _law_kind)
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -96,13 +91,9 @@ _EXPONENT = _Kind(_POSITIVE, math.log, math.log, _fitted_exponents, 0.0)
 _RAW = _Kind(_FINITE, float, float, dict, 0.0)  # gamma, whose q is the field itself
 
 # The kind of each place of q = (a, b, e, log alpha, log beta, gamma), and each
-# law field's place and kind.  The CPT law's B' and beta' take the places of B
-# and beta, and the frontier is the law with N := C and (A, E, alpha) :=
-# (coefficient, offset, exponent).
+# law field's place (``laws._FIELDS``) and kind.
 _KINDS = (_COEFFICIENT,) * 3 + (_EXPONENT,) * 2 + (_RAW,)
-_POSITION = {name: (place, _KINDS[place]) for place, names in enumerate(
-    (("A", "coefficient"), ("B", "B_prime"), ("E", "offset"), ("alpha", "exponent"),
-     ("beta", "beta_prime"), ("gamma",))) for name in names}
+_POSITION = {name: (place, _KINDS[place]) for name, (place, _) in _FIELDS.items()}
 _TERM_OF = (0, 1, 2, 0, 1, 1)  # the law term (N, D, offset) each q position enters
 
 # Options of every local search.  The Newton finish takes at most maxiter

@@ -23,9 +23,8 @@ from operator import itemgetter
 from typing import IO
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
-from .laws import _BELOW_ONE, _FLOAT_INT_LIMIT, _FRACTION, _NONNEGATIVE, _as_float, _checked, _count
-
-STRATEGIES = ("scratch", "cpt")
+from .laws import (_BELOW_ONE, _FLOAT_INT_LIMIT, _FRACTION, _NONNEGATIVE, STRATEGIES, _as_float,
+                   _checked, _count)
 
 _REQUIRED_FIELDS = (
     "run_id",
@@ -338,7 +337,6 @@ def warmup_filter(run: TrainingRun, fraction: float = 0.05) -> TrainingRun:
     if fraction == 0.0:
         return run
     threshold = fraction * max(rec.tokens for rec in run.records)
+    # For 0 < fraction < 1 the largest count always meets the threshold, so a run keeps a record.
     kept = tuple(rec for rec in run.records if rec.tokens >= threshold)
-    if not kept:
-        raise ValidationError(f"run {run.id!r}: warmup filter removed every record")
     return dataclasses.replace(run, records=kept)

@@ -20,9 +20,10 @@ are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
 and a non-positive, infinite, NaN or text input is a DomainError; a bool or
 an int past float range is a ValidationError on the scalar path and a
-DomainError on the array path.  A grid of the loss law over N and D
-(``_law_grid``) takes the scalar path's operations in its order, so each
-cell equals the scalar ``eval_law`` bit for bit.
+DomainError on the array path, which also refuses None and complex input.
+A grid of the loss law over N and D (``_law_grid``) takes the scalar path's
+operations in its order, so each cell equals the scalar ``eval_law`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ _FRACTION = ("lie in [0, 1]", lambda value: 0 <= value <= 1)
 _BELOW_ONE = ("lie in [0, 1)", lambda value: 0 <= value < 1)
 _FINITE = ("be finite", math.isfinite)
 
-# Each coefficient's rule over the three law records, by name.
-_RULES = {
-    **dict.fromkeys(("E", "A", "B", "alpha", "beta", "B_prime", "beta_prime"), _POSITIVE),
-    "gamma": _FINITE,
-    "coefficient": ("be positive", _POSITIVE[1]),
-    **dict.fromkeys(("exponent", "offset"), _NONNEGATIVE),
-}
+# Each field of the three law records: its place among the extended law's (A, B',
+# E, alpha, beta', gamma), and the rule its value meets.  The from-scratch law's B
+# and beta take the places of B' and beta', and the frontier is the law over C
+# with (A, E, alpha) := (coefficient, offset, exponent).
+_FIELDS = {"A": (0, _POSITIVE), "B": (1, _POSITIVE), "B_prime": (1, _POSITIVE),
+           "E": (2, _POSITIVE), "alpha": (3, _POSITIVE), "beta": (4, _POSITIVE),
+           "beta_prime": (4, _POSITIVE), "gamma": (5, _FINITE),
+           "coefficient": (0, ("be positive", _POSITIVE[1])), "offset": (2, _NONNEGATIVE),
+           "exponent": (3, _NONNEGATIVE)}
 
 
 def _checked(value, name: str, rule, error=ValidationError) -> float:
@@ -121,7 +124,7 @@ class _Law:
 
     def __post_init__(self):
         for name in (field.name for field in fields(self)):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, _RULES[name]))
+            object.__setattr__(self, name, _checked(getattr(self, name), name, _FIELDS[name][1]))
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,11 @@ class FrontierParams(_Law):
     offset: float = 0.0
 
 
-LawParams = Union[ChinchillaParams, ExtendedCptParams]
+# The two loss laws and the training strategies a run log names, in the same
+# order: a strategy's runs follow the law at its place, the from-scratch one first.
+_LOSS_LAWS = (ChinchillaParams, ExtendedCptParams)
+LawParams = Union[_LOSS_LAWS]
+STRATEGIES = ("scratch", "cpt")
 
 # Published coefficient sets for the two training strategies, reproduced by
 # the fitting pipeline on synthetic data and by the acceptance suite.
@@ -176,7 +183,7 @@ REFERENCE_CPT_LAW = ExtendedCptParams(
     E=1.55, A=420.0, alpha=0.40, B_prime=433.3, beta_prime=0.20, gamma=0.08
 )
 # The reference law of each strategy, for the paper-replica logs and the synth presets.
-_REFERENCE_LAWS = {"scratch": REFERENCE_SCRATCH_LAW, "cpt": REFERENCE_CPT_LAW}
+_REFERENCE_LAWS = dict(zip(STRATEGIES, (REFERENCE_SCRATCH_LAW, REFERENCE_CPT_LAW)))
 
 # Published loss-compute frontier fits for the two strategies.
 REFERENCE_SCRATCH_FRONTIER = FrontierParams(coefficient=33.69907, exponent=0.0579)
@@ -221,20 +228,29 @@ def _namespace(*values):
     return numpy
 
 
+def _real_objects(xp, array) -> bool:
+    """Whether each element of an object array is a real number: no None, text, bool or complex."""
+    refused = (bool, xp.bool_, xp.complexfloating)  # a complex scalar of numpy has __float__
+    return all(hasattr(x, "__float__") and not isinstance(x, refused) for x in array.flat)
+
+
 def _positive(xp, x, name: str):
     """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite.
 
-    On the array path text, a bool, or what numpy reads as no float is a DomainError.
+    On the array path anything but a real number, or an array of them, is a DomainError.
     """
     if xp is _MATH:
         return _checked(x, name, _POSITIVE, DomainError)
     try:
         array = xp.asarray(x)
-        if array.dtype.kind not in "SUb":  # numpy would read the text "1e9" and True as numbers
-            array = array.astype(float, copy=False)
+        # numpy would read the text "1e9", True, a date and a record of one field
+        # as numbers, None as NaN and a complex value as its real part, also as an
+        # element of an object array.
+        real = array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array)
+        array = array.astype(float, copy=False) if real else None
     except (TypeError, ValueError, OverflowError):  # a ragged list, an int past float range
         array = None
-    if array is None or array.dtype.kind != "f":
+    if array is None:
         raise DomainError(f"{name} must be a number or an array of numbers, got {type(x).__name__}")
     # One pass that also rejects NaN (both comparisons are False).
     if not ((array > 0) & (array < math.inf)).all():
@@ -267,8 +283,8 @@ def _geomspace(start: float, stop: float, num: int) -> list[float]:
 def _coefficients(law: LawParams) -> tuple[float, float, float, float, float, float]:
     """(E, A, alpha, B, beta, gamma) of either loss law.
 
-    The from-scratch law is the extended law with gamma = 0 and B' = B; this
-    is the only place that knows the two families' field names.
+    The from-scratch law is the extended law with gamma = 0 and B' = B; the body
+    names the fields ``_FIELDS`` places, as a loop over that table is slower.
     """
     if _law_kind(law, "a loss law") == "chinchilla":
         return law.E, law.A, law.alpha, law.B, law.beta, 0.0
@@ -375,8 +391,8 @@ _KIND_TYPES = {kind: cls for cls, kind in _LAW_KINDS.items()}
 
 
 # The law_kinds an argument may take, by what a fault calls it.
-_EXPECTED = {"a law record": tuple(_KIND_TYPES), "a loss law": ("chinchilla", "extended_cpt"),
-             "a frontier": ("frontier",)}
+_EXPECTED = {"a law record": tuple(_KIND_TYPES), "a frontier": ("frontier",),
+             "a loss law": tuple(_LAW_KINDS[cls] for cls in _LOSS_LAWS)}
 
 
 def _law_kind(law, expected: str = "a law record") -> str:

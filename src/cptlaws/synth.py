@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .ingest import LossRecord, RunSet, TrainingRun, load_catalog
-from .laws import (_NONNEGATIVE, _POSITIVE, _REFERENCE_LAWS, ExtendedCptParams, LawParams,
+from .laws import (_LOSS_LAWS, _NONNEGATIVE, _POSITIVE, _REFERENCE_LAWS, STRATEGIES, LawParams,
                    _as_tuple, _checked, _count, _law_kind, eval_law)
 
 
@@ -69,7 +69,7 @@ def generate_runset(cfg: SynthConfig) -> RunSet:
 
     The token grids and losses of all runs are one (runs x records) array step.
     """
-    strategy = "cpt" if isinstance(cfg.law, ExtendedCptParams) else "scratch"
+    strategy = STRATEGIES[_LOSS_LAWS.index(type(cfg.law))]
     width = len(str(len(cfg.param_sizes) - 1))
     sizes = np.array(cfg.param_sizes, dtype=float)
     budgets = cfg.token_multiple * sizes
@@ -134,6 +134,7 @@ def paper_replica_config(strategy: str) -> SynthConfig:
     """
     law = _REFERENCE_LAWS.get(strategy) if isinstance(strategy, str) else None
     if law is None:
-        raise DomainError(f"strategy must be 'scratch' or 'cpt', got {strategy!r}")
+        names = " or ".join(map(repr, STRATEGIES))
+        raise DomainError(f"strategy must be {names}, got {strategy!r}")
     sizes = tuple(spec.param_size_millions * 1_000_000 for spec in load_catalog())
     return SynthConfig(law=law, param_sizes=sizes)

@@ -426,8 +426,9 @@ class TestRunInvariants:
                 param_count=10, records=(LossRecord(1, 1.0),),
             )
 
+    # Also what keeps warmup_filter from returning a run with no records.
     def test_records_must_be_nonempty(self):
-        with pytest.raises(ValidationError, match="nonempty"):
+        with pytest.raises(ValidationError, match="^run 'x': records must be nonempty$"):
             TrainingRun(
                 id="x", strategy="scratch", language="zh", replay_ratio=0.0,
                 param_count=10, records=(),
@@ -593,6 +594,15 @@ class TestWarmupFilter:
     def test_aggressive_filter_keeps_final_record(self):
         run = warmup_filter(self._run([1, 100]), 0.99)
         assert [rec.tokens for rec in run.records] == [100]
+
+    # For 0 < fraction < 1, fraction * max rounds to at most max, so the largest
+    # record always passes, even where the count is not a float or past 2**53.
+    @pytest.mark.parametrize("largest", [2**53 + 1, 2**60 - 1, 2**1000 + 1],
+                             ids=["2**53+1", "2**60-1", "2**1000+1"])
+    def test_largest_fraction_keeps_largest_record(self, largest):
+        run = warmup_filter(self._run([1, largest - 1, largest]), math.nextafter(1.0, 0.0))
+        assert run.records[-1].tokens == largest
+        assert all(rec.tokens >= largest - 1 for rec in run.records)
 
     def test_fraction_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,9 @@
 import json
 import math
+import re
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,11 +281,52 @@ class TestScalarPath:
         with pytest.raises(DomainError, match="^N must be a number or an array of numbers"):
             eval_law(SCRATCH, np.array([True]), 1e9)
 
-    @pytest.mark.parametrize("n", [[1e9, [1e9]], np.array([10**400], dtype=object),
-                                   np.array(["1e9"])], ids=["ragged", "past-float-range", "text"])
-    def test_array_path_takes_only_float_arrays(self, n):
-        with pytest.raises(DomainError, match="^N must be a number or an array of numbers"):
-            eval_law(SCRATCH, n, 1e9)
+    # numpy reads None as NaN, a complex value as its real part (with a
+    # ComplexWarning), and text or a bool in an object array, a date, a
+    # duration and a record of one number as numbers.
+    @pytest.mark.parametrize("bad", [
+        [1e9, [1e9]], np.array([10**400], dtype=object), np.array(["1e9"]),
+        None, [1e9, None], np.array([1e9, None], dtype=object), 1e9 + 5j, 1e9 + 0j,
+        np.complex64(1e9), [1e9, 2e9 + 1j],
+        np.array([Fraction(10**9), np.complex64(1)], dtype=object),
+        np.array([Fraction(10**9), 1j], dtype=object),
+        np.array([Fraction(10**9), "1e9"], dtype=object), np.array([1e9, True], dtype=object),
+        np.array([1e9, np.bool_(True)], dtype=object),
+        np.array(["2020-01-01"], dtype="datetime64[D]"), np.array([10**9], dtype="timedelta64[s]"),
+        np.array([(1e9,)], dtype=[("n", float)]),
+    ], ids=["ragged", "past-float-range", "text", "none", "none-in-list", "none-in-object-array",
+            "complex", "complex-real", "complex64", "complex-in-list", "complex64-in-object-array",
+            "complex-in-object-array", "text-in-object-array", "bool-in-object-array",
+            "numpy-bool-in-object-array", "datetime", "timedelta", "record"])
+    def test_array_path_takes_only_float_arrays(self, bad):
+        calls = {
+            "N": [lambda v: eval_law(SCRATCH, v, 1e10), lambda v: loss_floor(CPT, v),
+                  lambda v: solve_tokens_for_loss(SCRATCH, v, 3.0)],
+            "D": [lambda v: eval_law(CPT, 1e9, v)],
+            "L": [lambda v: solve_tokens_for_loss(CPT, 1e9, v)],
+            "C": [lambda v: eval_frontier(REFERENCE_SCRATCH_FRONTIER, v)],
+        }
+        message = f"must be a number or an array of numbers, got {type(bad).__name__}"
+        for name, functions in calls.items():
+            for function in functions:
+                with pytest.raises(DomainError, match=f"^{name} {re.escape(message)}$"):
+                    function(bad)
+
+    @pytest.mark.parametrize("n, expected", [
+        (np.array([Fraction(10**9), Fraction(3, 2) * 10**9], dtype=object), [1e9, 1.5e9]),
+        (np.array([Decimal(10**9), Decimal("2.5e9")], dtype=object), [1e9, 2.5e9]),
+        ([2**70, 10**9], [2.0**70, 1e9]),
+        (np.float32(1e9), 1e9),
+        (np.int64(10**9), 1e9),
+    ], ids=["fraction", "decimal", "int-past-int64", "float32", "int64"])
+    def test_array_path_reads_real_numbers_as_floats(self, n, expected):
+        expected = np.array(expected)
+        assert np.array_equal(eval_law(CPT, n, 1e10), eval_law(CPT, expected, 1e10))
+        assert np.array_equal(loss_floor(CPT, n), loss_floor(CPT, expected))
+        assert np.array_equal(solve_tokens_for_loss(CPT, n, 3.0),
+                              solve_tokens_for_loss(CPT, expected, 3.0))
+        assert np.array_equal(eval_frontier(REFERENCE_CPT_FRONTIER, n),
+                              eval_frontier(REFERENCE_CPT_FRONTIER, expected))
 
     def test_scalar_overflow_is_inf_as_in_numpy(self):
         # A loss 1e-200 above this law's floor needs D = exp(~4600) tokens.

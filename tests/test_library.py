@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -22,6 +23,7 @@ from cptlaws import (
     LossRecord,
     ModelComparison,
     ModelSpec,
+    RunSet,
     SynthConfig,
     TrainingRun,
     TransferReport,
@@ -212,3 +214,26 @@ class TestResultRecords:
         valid = self.REPORT if record is FitReport else self.COMPARISON
         with pytest.raises(ValidationError, match=name):
             record(**{**valid, **fields})
+
+
+class TestPublicRecordChecks:
+    """The checks of the public records that relate their fields, which no library call trips."""
+
+    @pytest.mark.parametrize("record, fields, message", [
+        (AllocationCoefficients, dict(G=1.0, a=0.5, b=0.6, k_N=1.0, k_D=1.0),
+         "exponents must satisfy a + b = 1, got 1.1"),
+        (AllocationPlan, dict(compute=1e21, n_opt=1e9, d_opt=1e10, predicted_loss=2.0),
+         "plan is inconsistent: 6*N*D = 6e+19 but compute = 1e+21"),
+        (TransferReport, dict(loss_levels=(2.5, 2.4), d_pt=(1e9, 2e9), d_cpt=(5e8, 1e9),
+                              transferred_tokens=(5e8, 1e9), flops_saved_fraction=(0.5, 1.0)),
+         "a FLOPs-saving fraction of 1 or more is impossible"),
+    ], ids=["exponents-sum", "plan-compute", "transfer-saving"])
+    def test_inconsistent_fields_are_refused(self, record, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            record(**fields)
+
+    def test_run_set_get_of_a_missing_id_is_key_error(self):
+        runs = RunSet(runs=(law_run(SCRATCH, 10**9, [10**9], run_id="r"),))
+        assert runs.get("r") is runs.runs[0]
+        with pytest.raises(KeyError, match="^'s'$"):
+            runs.get("s")
