@@ -25,7 +25,7 @@ from functools import partial
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
 from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, _POSITIVE, LawParams, _as_tuple, _checked,
-                   _coefficients, _count, _geomspace, _law_grid, eval_law)
+                   _coefficients, _count, _geomspace, _law_grid, _point, eval_law)
 
 #: The numeric frontier's search bracket over N: spans every catalog model
 #: size with margin.
@@ -78,7 +78,8 @@ class IsoLossGrid:
 
     ``loss_values[i][j]`` is the loss at ``n_axis[i]`` and ``d_axis[j]``.
     ``frontier`` holds (C, N) pairs found by numeric argmin of loss over N at
-    each compute level.  Every field is a tuple, so a grid cannot be changed.
+    each compute level.  Every field is a tuple, so a grid cannot be changed,
+    and the axes and the frontier's pairs hold positive finite floats.
     """
 
     n_axis: tuple[float, ...]
@@ -87,15 +88,14 @@ class IsoLossGrid:
     frontier: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        for name in ("n_axis", "d_axis"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name))
+        positive = partial(_checked, rule=_POSITIVE)
+        for name, convert in (("n_axis", positive), ("d_axis", positive), ("frontier", _point)):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, convert))
         # Cells are kept as given: converting the 65,536 of a 256 x 256 grid
         # took longer than ``_law_grid`` takes to compute them.
         row = partial(_as_tuple, convert=None, length=len(self.d_axis))
         object.__setattr__(self, "loss_values", _as_tuple(self.loss_values, "loss_values", row,
                                                           len(self.n_axis)))
-        pair = partial(_as_tuple, convert=partial(_checked, rule=_POSITIVE), length=2)
-        object.__setattr__(self, "frontier", _as_tuple(self.frontier, "frontier", pair))
 
 
 def allocation_coefficients(law: LawParams) -> AllocationCoefficients:

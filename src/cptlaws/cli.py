@@ -8,7 +8,9 @@ environment variable, which may supply defaults for common flags; any error
 in it exits 5.  Then each command checks its usage rule, and only then reads
 its inputs.  Machine-readable outputs are written atomically (temp file then
 rename, with the mode ``open()`` gives) and every document carries a schema
-version.  Inputs may start with a UTF-8 byte-order mark.
+version and is strict JSON: one that would hold NaN or an infinity is a
+DomainError, and nothing is written.  Inputs may start with a UTF-8 byte-order
+mark.
 
 Each command imports the package's layers it calls, where it calls them, so
 only the law fits (``fit``, ``compare-laws`` and ``frontier
@@ -30,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 from . import laws
-from .errors import CptLawsError, FitError, ParseError, ValidationError
+from .errors import CptLawsError, DomainError, FitError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,9 +89,12 @@ def _write_atomic(path: str, write_fn) -> None:
 
 
 def _write_doc(path: str, kind: str, fields: dict) -> None:
-    """Write ``fields`` as a versioned document of ``kind``, atomically."""
+    """Write ``fields`` as a versioned document of ``kind`` in strict JSON, atomically."""
     doc = {"schema_version": laws.SCHEMA_VERSION, "kind": kind, **fields}
-    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError(f"the {kind} document holds a value that is not finite") from None
     _write_atomic(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 

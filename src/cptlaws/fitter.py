@@ -183,7 +183,7 @@ class FitReport:
 
     ``residuals`` are predicted minus observed log loss, aligned with the
     records the fit actually used (main-series records, in size order, after
-    any warmup filtering).
+    any warmup filtering).  They and ``chosen_init`` are finite floats.
     """
 
     params: ChinchillaParams | ExtendedCptParams
@@ -195,7 +195,8 @@ class FitReport:
         _law_kind(self.params, "a loss law")
         object.__setattr__(self, "objective", _checked(self.objective, "objective", _NONNEGATIVE))
         for name in ("residuals", "chosen_init"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name))
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
+                                                     partial(_checked, rule=_FINITE)))
 
     @property
     def n_points(self) -> int:

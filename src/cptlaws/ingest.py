@@ -274,9 +274,10 @@ def serialize_runs(runset: RunSet) -> str:
     Each line is ``json.dumps`` of the run's metadata followed by ``tokens``,
     ``loss`` and, when present, ``val_language``.  A run's metadata and tags
     are encoded once; a count and a loss are written by ``repr``, as ``json``
-    writes the int and the finite float that ``LossRecord`` holds.
+    writes the int and the finite float that ``LossRecord`` holds.  Each run's
+    lines are joined, then the runs, so no third copy of the text is made.
     """
-    lines = []
+    texts = []
     for run in runset:
         head = json.dumps({
             "run_id": run.id,
@@ -285,11 +286,11 @@ def serialize_runs(runset: RunSet) -> str:
             "replay_ratio": run.replay_ratio,
             "param_count": run.param_count,
         })[:-1]
-        tails = {lang: "}" if lang is None else f', "val_language": {json.dumps(lang)}}}'
+        tails = {lang: "}\n" if lang is None else f', "val_language": {json.dumps(lang)}}}\n'
                  for lang in {rec.val_language for rec in run.records}}
-        lines += [f'{head}, "tokens": {rec.tokens!r}, "loss": {rec.loss!r}{tails[rec.val_language]}'
-                  for rec in run.records]
-    return "\n".join(lines) + ("\n" if lines else "")
+        texts.append("".join([f'{head}, "tokens": {rec.tokens!r}, "loss": {rec.loss!r}'
+                              f'{tails[rec.val_language]}' for rec in run.records]))
+    return "".join(texts)
 
 
 def load_runs(path) -> RunSet:

@@ -20,10 +20,10 @@ are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
 and a non-positive, infinite, NaN or text input is a DomainError; a bool or
 an int past float range is a ValidationError on the scalar path and a
-DomainError on the array path, which also refuses None and complex input.
-A grid of the loss law over N and D (``_law_grid``) takes the scalar path's
-operations in its order, so each cell equals the scalar ``eval_law`` bit for
-bit.
+DomainError on the array path, which also refuses None, complex and
+bytes-like input.  A grid of the loss law over N and D (``_law_grid``) takes
+the scalar path's operations in its order, so each cell equals the scalar
+``eval_law`` bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ _ABOVE_ZERO = ("be positive", lambda value: value > 0)
 _NONNEGATIVE = ("be nonnegative", lambda value: 0 <= value < math.inf)
 _FRACTION = ("lie in [0, 1]", lambda value: 0 <= value <= 1)
 _BELOW_ONE = ("lie in [0, 1)", lambda value: 0 <= value < 1)
+_SAVING = ("be finite and below 1", lambda value: -math.inf < value < 1)
 _FINITE = ("be finite", math.isfinite)
 
 # Each field of the three law records: its place among the extended law's (A, B',
@@ -117,6 +118,11 @@ def _as_tuple(values, name: str, convert=_as_float, length=None) -> tuple:
     if length is not None and len(values) != length:
         raise ValidationError(f"{name} must hold {length} values, got {len(values)}")
     return values
+
+
+def _point(value, name: str, error=ValidationError) -> tuple[float, float]:
+    """``value`` as an (x, y) pair of positive finite floats; a coordinate that is not is ``error``."""
+    return _as_tuple(value, name, lambda x, at: _checked(x, at, _POSITIVE, error), 2)
 
 
 class _Law:
@@ -245,8 +251,9 @@ def _positive(xp, x, name: str):
         array = xp.asarray(x)
         # numpy would read the text "1e9", True, a date and a record of one field
         # as numbers, None as NaN and a complex value as its real part, also as an
-        # element of an object array.
-        real = array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array)
+        # element of an object array, and a bytearray or memoryview as its bytes.
+        real = not isinstance(x, (bytearray, memoryview)) and (
+            array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array))
         array = array.astype(float, copy=False) if real else None
     except (TypeError, ValueError, OverflowError):  # a ragged list, an int past float range
         array = None
@@ -315,31 +322,32 @@ def _law_grid(law: LawParams, n_values, d_values) -> tuple[tuple[float, ...], ..
     """
     E, A, alpha, B, beta, gamma = _coefficients(law)
     exp = _MATH.exp
-    log_a, log_b = math.log(A), math.log(B)
-    columns = [log_b - beta * math.log(d) for d in d_values]
+    columns = [math.log(B) - beta * math.log(d) for d in d_values]
     grid = []
     for n in n_values:
-        log_n = math.log(n)
-        row = E + exp(log_a - alpha * log_n)
-        n_term = gamma * log_n
+        row = _floor(E, A, alpha, n, "N")
+        n_term = gamma * math.log(n)
         grid.append(tuple([row + exp(column - n_term) for column in columns]))
     return tuple(grid)
+
+
+def _floor(E: float, A: float, alpha: float, X, name: str):
+    """E + A / X^alpha: a loss law's floor in N, and in C the frontier, as ``_FIELDS`` places it."""
+    xp = _namespace(X)
+    x = _positive(xp, X, name)
+    return _result(E + xp.exp(math.log(A) - alpha * xp.log(x)))
 
 
 def eval_frontier(p: FrontierParams, C):
     """Evaluate offset + coefficient / C^exponent."""
     _law_kind(p, "a frontier")
-    xp = _namespace(C)
-    c = _positive(xp, C, "C")
-    return _result(p.offset + xp.exp(math.log(p.coefficient) - p.exponent * xp.log(c)))
+    return _floor(p.offset, p.coefficient, p.exponent, C, "C")
 
 
 def loss_floor(law: LawParams, N):
     """Infimum of the law's loss at fixed N (the D -> infinity limit)."""
     E, A, alpha, *_ = _coefficients(law)
-    xp = _namespace(N)
-    n = _positive(xp, N, "N")
-    return _result(E + xp.exp(math.log(A) - alpha * xp.log(n)))
+    return _floor(E, A, alpha, N, "N")
 
 
 def solve_tokens_for_loss(law: LawParams, N, L):
@@ -348,11 +356,11 @@ def solve_tokens_for_loss(law: LawParams, N, L):
     Closed-form inverse of the loss law in D; raises UnreachableLossError
     when L does not exceed the loss floor at this N.
     """
-    _, _, _, B, beta, gamma = _coefficients(law)
+    E, A, alpha, B, beta, gamma = _coefficients(law)
     xp = _namespace(N, L)
     n = _positive(xp, N, "N")
     target = _positive(xp, L, "L")
-    floor = loss_floor(law, n)
+    floor = _floor(E, A, alpha, n, "N")
     gap = target - floor
     if _any_nonpositive(gap):
         raise UnreachableLossError(

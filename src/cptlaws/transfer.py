@@ -36,9 +36,10 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .laws import (_FINITE, _FRACTION, _POSITIVE, FLOPS_PER_PARAM_TOKEN, ChinchillaParams,
-                   ExtendedCptParams, FrontierParams, _as_float, _as_tuple, _checked, _count,
-                   _exp_coefficients, _geomspace, _zero_offset, eval_law, solve_tokens_for_loss)
+from .laws import (_FINITE, _FRACTION, _POSITIVE, _SAVING, FLOPS_PER_PARAM_TOKEN,
+                   ChinchillaParams, ExtendedCptParams, FrontierParams, _as_float, _as_tuple,
+                   _checked, _count, _exp_coefficients, _geomspace, _point, _zero_offset,
+                   eval_law, solve_tokens_for_loss)
 
 if TYPE_CHECKING:  # only annotations name them; forgetting_curves imports ingest
     from .ingest import RunSet, TrainingRun
@@ -140,7 +141,7 @@ def interp_loss_curve(run: TrainingRun) -> CurveInterpolator:
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Tokens and FLOPs saved by CPT at each common loss level."""
+    """Tokens and FLOPs saved by CPT at common loss levels, each field one float per level."""
 
     loss_levels: tuple[float, ...]
     d_pt: tuple[float, ...]
@@ -149,12 +150,12 @@ class TransferReport:
     flops_saved_fraction: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "loss_levels", _as_tuple(self.loss_levels, "loss_levels"))
-        for name in ("d_pt", "d_cpt", "transferred_tokens", "flops_saved_fraction"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
-                                                     length=len(self.loss_levels)))
-        if any(f >= 1.0 for f in self.flops_saved_fraction):
-            raise ValidationError("a FLOPs-saving fraction of 1 or more is impossible")
+        for name, rule in (("loss_levels", _POSITIVE), ("d_pt", _POSITIVE), ("d_cpt", _POSITIVE),
+                           ("transferred_tokens", _FINITE), ("flops_saved_fraction", _SAVING)):
+            # loss_levels comes first, so each other field is checked against its length
+            length = None if name == "loss_levels" else len(self.loss_levels)
+            values = _as_tuple(getattr(self, name), name, partial(_checked, rule=rule), length)
+            object.__setattr__(self, name, values)
 
 
 def empirical_transfer(
@@ -207,6 +208,14 @@ def parametric_transfer(
     return d_pt - D_cpt
 
 
+def _compute(run: TrainingRun, tokens: int) -> float:
+    """6 N D of ``tokens`` of ``run``; one past float range is a DomainError naming the run."""
+    compute = FLOPS_PER_PARAM_TOKEN * run.param_count * tokens
+    if compute == math.inf:
+        raise DomainError(f"run {run.id!r}: compute 6 N D at {tokens:.6g} tokens is past float range")
+    return compute
+
+
 def extract_compute_frontier(
     data: RunSet, bins_per_decade: int = 10
 ) -> list[tuple[float, float]]:
@@ -220,10 +229,7 @@ def extract_compute_frontier(
     best: dict[int, tuple[float, float]] = {}
     for run in data:
         for rec in run.main_series():
-            compute = FLOPS_PER_PARAM_TOKEN * run.param_count * rec.tokens
-            if compute == math.inf:
-                raise DomainError(f"run {run.id!r}: compute 6 N D at {rec.tokens:.6g} tokens "
-                                  "is past float range")
+            compute = _compute(run, rec.tokens)
             key = math.floor(math.log10(compute) * bins_per_decade)
             incumbent = best.get(key)
             if incumbent is None or (rec.loss, compute) < incumbent:
@@ -247,8 +253,7 @@ def fit_frontier(
     (log C, log L).  Otherwise the regression starts a law fit with a free
     offset (``fitter.fit_offset_frontier``, which needs numpy).
     """
-    positive = partial(_checked, rule=_POSITIVE, error=DomainError)
-    pts = _as_tuple(points, "points", partial(_as_tuple, convert=positive, length=2))
+    pts = _as_tuple(points, "points", partial(_point, error=DomainError))
     log_c = [math.log(c) for c, _ in pts]
     log_l = [math.log(l) for _, l in pts]
     if len(set(log_c)) < 2:
@@ -308,9 +313,8 @@ class ForgettingCurve:
     def __post_init__(self):
         ratio = _checked(self.replay_ratio, "replay_ratio", _FRACTION)
         object.__setattr__(self, "replay_ratio", ratio)
-        pair = partial(_as_tuple, convert=partial(_checked, rule=_POSITIVE), length=2)
         for name in ("source_points", "target_points"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, pair))
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _point))
 
 
 def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:
@@ -333,7 +337,7 @@ def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:
 
         source_points, target_points = [], []
         for rec in tagged:
-            total = FLOPS_PER_PARAM_TOKEN * run.param_count * rec.tokens
+            total = _compute(run, rec.tokens)
             source_share, target_share = attribute_flops_by_language(total, run.replay_ratio)
             if rec.val_language == run.language:
                 if run.replay_ratio < 1.0:

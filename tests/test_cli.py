@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import random
 import stat
@@ -13,6 +14,7 @@ import pytest
 
 import cptlaws
 from cptlaws import (
+    DomainError,
     REFERENCE_CPT_LAW,
     REFERENCE_SCRATCH_FRONTIER,
     REFERENCE_SCRATCH_LAW,
@@ -399,6 +401,32 @@ class TestTransferCommand:
         assert main(["transfer", "--pt-run", several, "--cpt-run", cpt_path]) == 3
         assert f"error: {several} must contain exactly one run, found 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_empirical_route_past_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                                         suffix):
+        # At 10**300 parameters 6 N D is inf, so every FLOPs-saving fraction is NaN.
+        d_values = np.geomspace(2e8, 2e9, 8)
+        paths = [tmp_path / "pt.jsonl", tmp_path / "cpt.jsonl"]
+        for path, scale in zip(paths, (1.0, 0.5)):
+            dump_runs(RunSet((law_run(SCRATCH, 10**300, d_values * scale, run_id=path.stem),)), path)
+        out = tmp_path / f"transfer.{suffix}"
+        assert main(["transfer", "--pt-run", str(paths[0]), "--cpt-run", str(paths[1]),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: flops_saved_fraction[0] must be finite and below 1, got nan\n")
+        assert not out.exists()
+
+    def test_parametric_route_past_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # At beta = 0.005 the from-scratch law needs e^4680 tokens for the CPT loss.
+        scratch = write_law(tmp_path, dataclasses.replace(SCRATCH, beta=0.005), "scratch.json")
+        cpt = write_law(tmp_path, CPT, "cpt.json")
+        out = tmp_path / "p.json"
+        assert main(["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt,
+                     "--n", "1e9", "--d", "1e9", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the parametric_transfer document holds a value that is not finite\n")
+        assert not out.exists()
+
 
 class TestReplayCommand:
     def test_forgetting_csv(self, tmp_path):
@@ -421,6 +449,17 @@ class TestReplayCommand:
         assert [(curve["target_language"], curve["source_language"]) for curve in curves] == [
             ("zh", "en")] * 2
         assert all(len(point) == 2 for curve in curves for point in curve["source_points"])
+
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_compute_past_float_range_names_the_run(self, tmp_path, capsys, suffix):
+        run = TrainingRun("huge", "cpt", "zh", 0.2, 10**300, (
+            LossRecord(10**9, 3.0, "zh"), LossRecord(10**9, 2.5, "en")))
+        runs, out = tmp_path / "replay.jsonl", tmp_path / f"curves.{suffix}"
+        dump_runs(RunSet((run,)), runs)
+        assert main(["replay", "--runs", str(runs), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: run 'huge': compute 6 N D at 1e+09 tokens is past float range\n")
+        assert not out.exists()
 
 
 @pytest.mark.slow
@@ -769,6 +808,15 @@ class TestOutputFiles:
             cli._write_atomic(str(out), writer)
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert out.read_bytes() == b"old contents\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan]],
+                             ids=["nan", "inf", "minus-inf", "nan-in-list"])
+    def test_document_is_strict_json(self, tmp_path, value):
+        out = tmp_path / "out.json"
+        with pytest.raises(DomainError, match="^the test_kind document holds a value that is not "
+                                              "finite$"):
+            cli._write_doc(str(out), "test_kind", {"value": value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_exits_5(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "runs.jsonl"

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from cptlaws import (
     TrainingRun,
     ValidationError,
     attribute_flops_by_language,
+    generate_runset,
     load_catalog,
     load_runs,
+    paper_replica_config,
     parse_runs,
     serialize_runs,
     warmup_filter,
@@ -289,6 +292,40 @@ def test_serialize_runs_is_one_dumps_per_record(runset):
     text = serialize_runs(runset)
     assert text == reference_serialize(runset)
     assert parse_runs(text) == runset
+
+
+def replay_log():
+    """Five CPT runs at replay ratios 0 to 0.5, each record validated on zh and on en."""
+    return RunSet(tuple(
+        TrainingRun(f"replay-{ratio}", "cpt", "zh", ratio, 10**9, tuple(
+            LossRecord(tokens, 3.0 - 0.01 * i + 0.1 * (lang == "en"), lang)
+            for i, tokens in enumerate(range(10**8, 10**9, 10**8)) for lang in ("zh", "en")))
+        for ratio in (0.0, 0.05, 0.1, 0.25, 0.5)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_runset(paper_replica_config("scratch")),
+    lambda: generate_runset(paper_replica_config("cpt")),
+    lambda: generate_runset(dataclasses.replace(paper_replica_config("cpt"), noise_sigma=0.03,
+                                                seed=3)),
+    replay_log,
+], ids=["paper-scratch", "paper-cpt", "noisy-cpt", "tagged-replay"])
+def test_serialize_runs_is_one_dumps_per_record_on_whole_logs(make):
+    runset = make()
+    assert serialize_runs(runset) == reference_serialize(runset)
+
+
+def test_serialize_runs_peaks_under_three_times_its_text():
+    # Every line, their join and the join plus a newline held three copies at once.
+    runset = generate_runset(dataclasses.replace(paper_replica_config("cpt"), records_per_run=200))
+    length = len(serialize_runs(runset))
+    tracemalloc.start()
+    try:
+        serialize_runs(runset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * length
 
 
 @pytest.mark.property

@@ -282,8 +282,9 @@ class TestScalarPath:
             eval_law(SCRATCH, np.array([True]), 1e9)
 
     # numpy reads None as NaN, a complex value as its real part (with a
-    # ComplexWarning), and text or a bool in an object array, a date, a
-    # duration and a record of one number as numbers.
+    # ComplexWarning), a bytearray or memoryview as its bytes, and text or a
+    # bool in an object array, a date, a duration and a record of one number as
+    # numbers.
     @pytest.mark.parametrize("bad", [
         [1e9, [1e9]], np.array([10**400], dtype=object), np.array(["1e9"]),
         None, [1e9, None], np.array([1e9, None], dtype=object), 1e9 + 5j, 1e9 + 0j,
@@ -293,11 +294,13 @@ class TestScalarPath:
         np.array([Fraction(10**9), "1e9"], dtype=object), np.array([1e9, True], dtype=object),
         np.array([1e9, np.bool_(True)], dtype=object),
         np.array(["2020-01-01"], dtype="datetime64[D]"), np.array([10**9], dtype="timedelta64[s]"),
-        np.array([(1e9,)], dtype=[("n", float)]),
+        np.array([(1e9,)], dtype=[("n", float)]), b"a", bytearray(b"a"), memoryview(b"a"),
+        memoryview(np.array([1e9])),
     ], ids=["ragged", "past-float-range", "text", "none", "none-in-list", "none-in-object-array",
             "complex", "complex-real", "complex64", "complex-in-list", "complex64-in-object-array",
             "complex-in-object-array", "text-in-object-array", "bool-in-object-array",
-            "numpy-bool-in-object-array", "datetime", "timedelta", "record"])
+            "numpy-bool-in-object-array", "datetime", "timedelta", "record", "bytes", "bytearray",
+            "memoryview", "memoryview-of-floats"])
     def test_array_path_takes_only_float_arrays(self, bad):
         calls = {
             "N": [lambda v: eval_law(SCRATCH, v, 1e10), lambda v: loss_floor(CPT, v),

@@ -206,14 +206,52 @@ class TestResultRecords:
         (FitReport, {"objective": math.nan}, "objective"),
         (FitReport, {"residuals": "x"}, "residuals"),
         (FitReport, {"chosen_init": (None,)}, "chosen_init"),
+        (FitReport, {"residuals": (math.inf,)}, r"residuals\[0\] must be finite, got inf"),
+        (FitReport, {"chosen_init": (6.0, math.nan)}, r"chosen_init\[1\] must be finite, got nan"),
         (ModelComparison, {"gamma_fitted": "x"}, "gamma_fitted"),
         (ModelComparison, {"gamma_fitted": math.inf}, "gamma_fitted"),
     ], ids=["str-params", "frontier-params", "nan-objective", "str-residuals", "null-start",
-            "str-gamma", "inf-gamma"])
+            "inf-residual", "nan-start", "str-gamma", "inf-gamma"])
     def test_refuses_what_no_fit_returns(self, record, fields, name):
         valid = self.REPORT if record is FitReport else self.COMPARISON
         with pytest.raises(ValidationError, match=name):
             record(**{**valid, **fields})
+
+    TRANSFER = dict(loss_levels=(2.5, 2.4), d_pt=(1e9, 2e9), d_cpt=(5e8, 1e9),
+                    transferred_tokens=(5e8, 1e9), flops_saved_fraction=(0.5, 0.5))
+
+    # One rule per field: the levels and token counts positive and finite, the
+    # transferred tokens finite, a saving finite and below 1 (it may be negative).
+    @pytest.mark.parametrize("field, value, message", [
+        ("loss_levels", (2.5, 0.0), "loss_levels[1] must be positive and finite, got 0.0"),
+        ("loss_levels", (math.nan, 2.4), "loss_levels[0] must be positive and finite, got nan"),
+        ("d_pt", (1e9, math.inf), "d_pt[1] must be positive and finite, got inf"),
+        ("d_cpt", (-5e8, 1e9), "d_cpt[0] must be positive and finite, got -500000000.0"),
+        ("transferred_tokens", (5e8, -math.inf), "transferred_tokens[1] must be finite, got -inf"),
+        ("flops_saved_fraction", (math.nan, 0.5),
+         "flops_saved_fraction[0] must be finite and below 1, got nan"),
+        ("flops_saved_fraction", (0.5, -math.inf),
+         "flops_saved_fraction[1] must be finite and below 1, got -inf"),
+        ("d_pt", (1e9,), "d_pt must hold 2 values, got 1"),
+    ], ids=["zero-level", "nan-level", "inf-d-pt", "negative-d-cpt", "inf-transferred",
+            "nan-saving", "minus-inf-saving", "short-d-pt"])
+    def test_transfer_report_checks_every_value(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TransferReport(**{**self.TRANSFER, field: value})
+
+    def test_transfer_report_keeps_a_negative_saving(self):
+        report = TransferReport(**{**self.TRANSFER, "flops_saved_fraction": (-3, 0.5)})
+        assert report.flops_saved_fraction == (-3.0, 0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_axis", (1e8, 0.0), "n_axis[1] must be positive and finite, got 0.0"),
+        ("d_axis", (math.inf, 1e10, 1e12), "d_axis[0] must be positive and finite, got inf"),
+        ("frontier", ((1e20, math.nan),), "frontier[0][1] must be positive and finite, got nan"),
+    ], ids=["zero-n", "inf-d", "nan-frontier-n"])
+    def test_isoloss_grid_axes_and_frontier_are_positive_and_finite(self, field, value, message):
+        grid = isoloss_grid(SCRATCH, (1e8, 1e10), (1e9, 1e12), 3)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            IsoLossGrid(**{**vars(grid), field: value})
 
 
 class TestPublicRecordChecks:
@@ -226,7 +264,7 @@ class TestPublicRecordChecks:
          "plan is inconsistent: 6*N*D = 6e+19 but compute = 1e+21"),
         (TransferReport, dict(loss_levels=(2.5, 2.4), d_pt=(1e9, 2e9), d_cpt=(5e8, 1e9),
                               transferred_tokens=(5e8, 1e9), flops_saved_fraction=(0.5, 1.0)),
-         "a FLOPs-saving fraction of 1 or more is impossible"),
+         "flops_saved_fraction[1] must be finite and below 1, got 1.0"),
     ], ids=["exponents-sum", "plan-compute", "transfer-saving"])
     def test_inconsistent_fields_are_refused(self, record, fields, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -338,6 +338,13 @@ class TestForgettingCurves:
         assert len(curves) == 6
         assert tuple(curve.replay_ratio for curve in curves) == ratios
 
+    def test_compute_past_float_range_names_the_run(self):
+        # 6 N D at 10**300 parameters and 10**9 tokens is inf.
+        runs = RunSet(runs=(replay_run("ok", 0.2), replay_run("huge", 0.2, n=10**300)))
+        with pytest.raises(DomainError, match=r"^run 'huge': compute 6 N D at 1e\+09 tokens is "
+                                              r"past float range$"):
+            forgetting_curves(runs)
+
     def test_untagged_run_rejected(self):
         run = run_from_points([(10**9, 3.0), (10**10, 2.5)], run_id="plain")
         with pytest.raises(ValidationError, match="validation language"):
