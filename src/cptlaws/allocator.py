@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import AllocationRegimeError, DomainError, ValidationError
-from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, _POSITIVE, LawParams, _as_tuple, _checked,
-                   _coefficients, _count, _geomspace, _law_grid, _point, eval_law)
+from .laws import (FLOPS_PER_PARAM_TOKEN, _MATH, LawParams, _as_tuple, _coefficients, _count,
+                   _geomspace, _hold, _law_grid, _points, _positive_float, _positive_floats,
+                   eval_law)
 
 #: The numeric frontier's search bracket over N: spans every catalog model
 #: size with margin.
@@ -47,8 +48,7 @@ class AllocationCoefficients:
     k_D: float
 
     def __post_init__(self):
-        for name in ("G", "a", "b", "k_N", "k_D"):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, _POSITIVE))
+        _hold(self, **dict.fromkeys(vars(self), _positive_float))  # every field
         if abs(self.a + self.b - 1.0) > 1e-12:
             raise ValidationError(f"exponents must satisfy a + b = 1, got {self.a + self.b!r}")
 
@@ -63,8 +63,7 @@ class AllocationPlan:
     predicted_loss: float
 
     def __post_init__(self):
-        for name in ("compute", "n_opt", "d_opt", "predicted_loss"):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, _POSITIVE))
+        _hold(self, **dict.fromkeys(vars(self), _positive_float))  # every field
         product = FLOPS_PER_PARAM_TOKEN * self.n_opt * self.d_opt
         if abs(product / self.compute - 1.0) > 1e-9:
             raise ValidationError(
@@ -88,14 +87,11 @@ class IsoLossGrid:
     frontier: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        positive = partial(_checked, rule=_POSITIVE)
-        for name, convert in (("n_axis", positive), ("d_axis", positive), ("frontier", _point)):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, convert))
+        _hold(self, n_axis=_positive_floats, d_axis=_positive_floats, frontier=_points)
         # Cells are kept as given: converting the 65,536 of a 256 x 256 grid
         # took longer than ``_law_grid`` takes to compute them.
         row = partial(_as_tuple, convert=None, length=len(self.d_axis))
-        object.__setattr__(self, "loss_values", _as_tuple(self.loss_values, "loss_values", row,
-                                                          len(self.n_axis)))
+        _hold(self, loss_values=partial(_as_tuple, convert=row, length=len(self.n_axis)))
 
 
 def allocation_coefficients(law: LawParams) -> AllocationCoefficients:
@@ -123,7 +119,7 @@ def optimal_allocation(
     coeffs: AllocationCoefficients, compute: float, law: LawParams
 ) -> AllocationPlan:
     """Compute-optimal (N, D) for one budget, with the law's predicted loss."""
-    compute = _checked(compute, "compute", _POSITIVE, DomainError)
+    compute = _positive_float(compute, "compute", error=DomainError)
     log_c = math.log(compute)
     n_opt = _MATH.exp(math.log(coeffs.k_N) + coeffs.a * log_c)
     d_opt = _MATH.exp(math.log(coeffs.k_D) + coeffs.b * log_c)
@@ -152,7 +148,7 @@ def numeric_optimal_params(law: LawParams, compute: float) -> float:
     log N.  Raises DomainError when the bisection never moves one of the
     interval's edges, so that the true optimum may lie outside it.
     """
-    compute = _checked(compute, "compute", _POSITIVE, DomainError)
+    compute = _positive_float(compute, "compute", error=DomainError)
     edges = lo, hi = tuple(math.log(edge) for edge in FRONTIER_BRACKET)
     _, A, alpha, B, beta, gamma = _coefficients(law)
     # The derivative is positive where data_log(x) > params_log(x), the logs

@@ -48,9 +48,10 @@ from .errors import (
     ValidationError,
 )
 from .ingest import RunSet, warmup_filter
-from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FIELDS, _FINITE, _NONNEGATIVE, _POSITIVE,
-                   ChinchillaParams, ExtendedCptParams, FrontierParams, _as_tuple, _checked,
-                   _exp_coefficients, _law_kind)
+from .laws import (_ABOVE_ZERO, _BELOW_ONE, _FIELDS, ChinchillaParams, ExtendedCptParams,
+                   FrontierParams, _as_tuple, _checked, _exp_coefficients, _finite_float,
+                   _finite_floats, _hold, _loss_law, _nonnegative_float, _positive_float,
+                   _positive_floats)
 
 #: Default Huber threshold on log-loss residuals.
 DEFAULT_DELTA = 1e-3
@@ -76,7 +77,7 @@ def _fitted_exponents(**logs: float) -> dict[str, float]:
 class _Kind(NamedTuple):
     """How the law fields of one kind sit in q."""
 
-    rule: tuple  # the rule a held value meets
+    check: Callable[[object, str], float]  # the converter of the rule a held value meets
     held: Callable[[float], float]  # q of a held value
     start: Callable[[float], float]  # q of a start point's value
     # {field: value} of {field: q}, a FitFailureError where the data do not determine it
@@ -86,9 +87,9 @@ class _Kind(NamedTuple):
 
 # An absent coefficient is off: its term's weight exp(-inf - top) and its
 # gradient are exactly 0.
-_COEFFICIENT = _Kind(_POSITIVE, math.log, float, _exp_coefficients, -math.inf)
-_EXPONENT = _Kind(_POSITIVE, math.log, math.log, _fitted_exponents, 0.0)
-_RAW = _Kind(_FINITE, float, float, dict, 0.0)  # gamma, whose q is the field itself
+_COEFFICIENT = _Kind(_positive_float, math.log, float, _exp_coefficients, -math.inf)
+_EXPONENT = _Kind(_positive_float, math.log, math.log, _fitted_exponents, 0.0)
+_RAW = _Kind(_finite_float, float, float, dict, 0.0)  # gamma, whose q is the field itself
 
 # The kind of each place of q = (a, b, e, log alpha, log beta, gamma), and each
 # law field's place (``laws._FIELDS``) and kind.
@@ -148,6 +149,13 @@ TERM_SHARES = (0.25, 0.5, 0.75)  # the N-term's share of the loss above E; the D
 _MIN_DATA_SHARE = 1e-3
 
 
+def _start_grid(grid, name: str):
+    """``grid`` as a nonempty tuple of points of floats, or None."""
+    if grid is not None and not (grid := _as_tuple(grid, name, _as_tuple)):
+        raise ValidationError(f"{name} must be nonempty when given")
+    return grid
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Fitting knobs: Huber threshold, start grid, and warmup filter.
@@ -168,13 +176,8 @@ class FitConfig:
 
     def __post_init__(self):
         # An infinite delta gives a least-squares fit.
-        object.__setattr__(self, "delta", _checked(self.delta, "delta", _ABOVE_ZERO))
-        if self.init_grid is not None:
-            object.__setattr__(self, "init_grid", _as_tuple(self.init_grid, "init_grid", _as_tuple))
-            if not self.init_grid:
-                raise ValidationError("init_grid must be nonempty when given")
-        object.__setattr__(self, "warmup_fraction",
-                           _checked(self.warmup_fraction, "warmup_fraction", _BELOW_ONE))
+        _hold(self, delta=partial(_checked, rule=_ABOVE_ZERO), init_grid=_start_grid,
+              warmup_fraction=partial(_checked, rule=_BELOW_ONE))
 
 
 @dataclass(frozen=True)
@@ -192,11 +195,8 @@ class FitReport:
     chosen_init: tuple[float, ...]
 
     def __post_init__(self):
-        _law_kind(self.params, "a loss law")
-        object.__setattr__(self, "objective", _checked(self.objective, "objective", _NONNEGATIVE))
-        for name in ("residuals", "chosen_init"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
-                                                     partial(_checked, rule=_FINITE)))
+        _hold(self, params=_loss_law, objective=_nonnegative_float, residuals=_finite_floats,
+              chosen_init=_finite_floats)
 
     @property
     def n_points(self) -> int:
@@ -213,9 +213,8 @@ class ModelComparison:
     gamma_fitted: float
 
     def __post_init__(self):
-        for name, rule in (("chinchilla_error", _NONNEGATIVE), ("extended_error", _NONNEGATIVE),
-                           ("gamma_fitted", _FINITE)):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, rule))
+        _hold(self, chinchilla_error=_nonnegative_float, extended_error=_nonnegative_float,
+              gamma_fitted=_finite_float)
 
 
 def _fit_records(data: RunSet, warmup_fraction: float = 0.0) -> list:
@@ -353,8 +352,8 @@ def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAU
     them at load time.
     """
     a, b, e, alpha, beta = _as_tuple(theta, "theta", length=5)
-    alpha = _checked(alpha, "alpha", _POSITIVE, DomainError)
-    beta = _checked(beta, "beta", _POSITIVE, DomainError)
+    alpha = _positive_float(alpha, "alpha", error=DomainError)
+    beta = _positive_float(beta, "beta", error=DomainError)
     delta = _checked(delta, "delta", _ABOVE_ZERO, DomainError)
     q = _q(a, b, e, alpha, beta)
     return float(_law_system(np.empty((1, 0)), q, [], _flatten(data), delta)[0][0])
@@ -672,7 +671,7 @@ def _fit_law(law, flat, grid, delta: float, bounds=None, **held):
     for name in held:
         if name not in field_at.values():
             raise ValidationError(f"{name} is not a field of {law.__name__}")
-    given = {_POSITION[name][0]: _checked(value, name, _POSITION[name][1].rule)
+    given = {_POSITION[name][0]: _POSITION[name][1].check(value, name)
              for name, value in held.items()}
     free = [place for place in sorted(field_at) if place not in given]
     base = np.array([0.0 if place in field_at else kind.absent for place, kind in enumerate(_KINDS)])
@@ -707,7 +706,7 @@ def fit_cpt(data: RunSet, fixed: Sequence[float], cfg: FitConfig | None = None) 
     three values are not updated.
     """
     cfg = cfg or FitConfig()
-    E, A, alpha = _as_tuple(fixed, "fixed", partial(_checked, rule=_POSITIVE), 3)
+    E, A, alpha = _positive_floats(fixed, "fixed", length=3)
     return _fit_report(ExtendedCptParams, _prepare(data, cfg), cfg.init_grid, cfg.delta,
                        E=E, A=A, alpha=alpha)
 

@@ -17,14 +17,14 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from operator import itemgetter
 from typing import IO
 
 from .errors import CptLawsError, DomainError, ParseError, ValidationError
 from .laws import (_BELOW_ONE, _FLOAT_INT_LIMIT, _FRACTION, _NONNEGATIVE, STRATEGIES, _as_float,
-                   _checked, _count)
+                   _as_tuple, _checked, _hold, _positive_count)
 
 _REQUIRED_FIELDS = (
     "run_id",
@@ -114,12 +114,10 @@ class TrainingRun:
     records: tuple[LossRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "replay_ratio", _run_metadata(
-            self.id, self.strategy, self.language, self.replay_ratio, self.param_count)[2])
-        if not isinstance(self.records, Iterable):
-            raise ValidationError(f"run {self.id!r}: records must be an iterable of LossRecord, "
-                                  f"got {type(self.records).__name__}")
-        object.__setattr__(self, "records", tuple(self.records))
+        _hold(self, replay_ratio=lambda ratio, _: _run_metadata(
+            self.id, self.strategy, self.language, ratio, self.param_count)[2],
+              records=lambda values, name: _as_tuple(values, f"run {self.id!r}: {name}", None,
+                                                     kind="an iterable of LossRecord"))
         if not self.records:
             raise ValidationError(f"run {self.id!r}: records must be nonempty")
         last_any = 0
@@ -156,10 +154,7 @@ class RunSet:
     runs: tuple[TrainingRun, ...]
 
     def __post_init__(self):
-        if not isinstance(self.runs, Iterable):
-            raise ValidationError(f"runs must be an iterable of TrainingRun, "
-                                  f"got {type(self.runs).__name__}")
-        object.__setattr__(self, "runs", tuple(self.runs))
+        _hold(self, runs=partial(_as_tuple, convert=None, kind="an iterable of TrainingRun"))
         seen: set[str] = set()
         for i, run in enumerate(self.runs):
             if not isinstance(run, TrainingRun):
@@ -196,8 +191,7 @@ class ModelSpec:
     layers: int
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            object.__setattr__(self, field.name, _count(getattr(self, field.name), field.name, 1))
+        _hold(self, **dict.fromkeys(vars(self), _positive_count))  # every field
 
 
 def parse_runs(source: Iterable[str] | str | IO[str]) -> RunSet:

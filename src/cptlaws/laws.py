@@ -21,9 +21,15 @@ evaluates through arrays.  On both paths an exp past float range is inf,
 and a non-positive, infinite, NaN or text input is a DomainError; a bool or
 an int past float range is a ValidationError on the scalar path and a
 DomainError on the array path, which also refuses None, complex and
-bytes-like input.  A grid of the loss law over N and D (``_law_grid``) takes
-the scalar path's operations in its order, so each cell equals the scalar
-``eval_law`` bit for bit.
+bytes-like input, alone or at any depth of a list or tuple.  A grid of the
+loss law over N and D (``_law_grid``) takes the scalar path's operations in
+its order, so each cell equals the scalar ``eval_law`` bit for bit.
+
+The rules of the package's numbers are written here once, each as a
+converter ``(value, name)`` that returns the value converted or raises an
+error naming it.  A frozen record stores its fields through ``_hold``, which
+applies one converter per field in the order given; a record's
+``__post_init__`` is that call plus the rules that relate its fields.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from typing import Union
 
 from .errors import (
@@ -74,16 +81,6 @@ _BELOW_ONE = ("lie in [0, 1)", lambda value: 0 <= value < 1)
 _SAVING = ("be finite and below 1", lambda value: -math.inf < value < 1)
 _FINITE = ("be finite", math.isfinite)
 
-# Each field of the three law records: its place among the extended law's (A, B',
-# E, alpha, beta', gamma), and the rule its value meets.  The from-scratch law's B
-# and beta take the places of B' and beta', and the frontier is the law over C
-# with (A, E, alpha) := (coefficient, offset, exponent).
-_FIELDS = {"A": (0, _POSITIVE), "B": (1, _POSITIVE), "B_prime": (1, _POSITIVE),
-           "E": (2, _POSITIVE), "alpha": (3, _POSITIVE), "beta": (4, _POSITIVE),
-           "beta_prime": (4, _POSITIVE), "gamma": (5, _FINITE),
-           "coefficient": (0, ("be positive", _POSITIVE[1])), "offset": (2, _NONNEGATIVE),
-           "exponent": (3, _NONNEGATIVE)}
-
 
 def _checked(value, name: str, rule, error=ValidationError) -> float:
     """``_as_float(value, name)`` that meets ``rule``; a value that does not is ``error``."""
@@ -107,12 +104,12 @@ def _count(value, name: str, least: int, error=ValidationError) -> int:
     return value
 
 
-def _as_tuple(values, name: str, convert=_as_float, length=None) -> tuple:
+def _as_tuple(values, name: str, convert=_as_float, length=None, kind="a sequence") -> tuple:
     """``values`` as a tuple of ``convert(value, f"{name}[i]")``, or of the values themselves
-    for ``convert=None``; a non-iterable, or a length other than ``length`` when one is given,
-    is a ValidationError."""
+    for ``convert=None``; a non-iterable (the fault says it must be ``kind``), or a length
+    other than ``length`` when one is given, is a ValidationError."""
     if not isinstance(values, Iterable):
-        raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}")
+        raise ValidationError(f"{name} must be {kind}, got {type(values).__name__}")
     values = tuple(values if convert is None else
                    (convert(value, f"{name}[{i}]") for i, value in enumerate(values)))
     if length is not None and len(values) != length:
@@ -120,17 +117,46 @@ def _as_tuple(values, name: str, convert=_as_float, length=None) -> tuple:
     return values
 
 
-def _point(value, name: str, error=ValidationError) -> tuple[float, float]:
-    """``value`` as an (x, y) pair of positive finite floats; a coordinate that is not is ``error``."""
-    return _as_tuple(value, name, lambda x, at: _checked(x, at, _POSITIVE, error), 2)
+# The rule of each kind of record field, as a converter ``(value, name)``; a float
+# rule's converter also takes the ``error`` of ``_checked``.
+_finite_float = partial(_checked, rule=_FINITE)
+_positive_float = partial(_checked, rule=_POSITIVE)
+_nonnegative_float = partial(_checked, rule=_NONNEGATIVE)
+_finite_floats = partial(_as_tuple, convert=_finite_float)
+_positive_floats = partial(_as_tuple, convert=_positive_float)
+_point = partial(_as_tuple, convert=_positive_float, length=2)  # an (x, y) pair
+_points = partial(_as_tuple, convert=_point)
+_positive_count = partial(_count, least=1)
+
+
+def _loss_law(law, name: str):
+    """``law`` when it is a loss law record, else a ValidationError."""
+    _law_kind(law, "a loss law")
+    return law
+
+
+def _hold(record, **converters) -> None:
+    """Store each named field of the frozen ``record`` as ``convert(value, name)``, in order."""
+    for name, convert in converters.items():
+        object.__setattr__(record, name, convert(getattr(record, name), name))
+
+
+# Each field of the three law records: its place among the extended law's (A, B',
+# E, alpha, beta', gamma), and the converter of its rule.  The from-scratch law's
+# B and beta take the places of B' and beta', and the frontier is the law over C
+# with (A, E, alpha) := (coefficient, offset, exponent).
+_FIELDS = {"A": (0, _positive_float), "B": (1, _positive_float), "B_prime": (1, _positive_float),
+           "E": (2, _positive_float), "alpha": (3, _positive_float), "beta": (4, _positive_float),
+           "beta_prime": (4, _positive_float), "gamma": (5, _finite_float),
+           "coefficient": (0, partial(_checked, rule=("be positive", _POSITIVE[1]))),
+           "offset": (2, _nonnegative_float), "exponent": (3, _nonnegative_float)}
 
 
 class _Law:
     """Base of the law records: each coefficient is stored as a float that meets its rule."""
 
     def __post_init__(self):
-        for name in (field.name for field in fields(self)):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, _FIELDS[name][1]))
+        _hold(self, **{field.name: _FIELDS[field.name][1] for field in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -240,20 +266,28 @@ def _real_objects(xp, array) -> bool:
     return all(hasattr(x, "__float__") and not isinstance(x, refused) for x in array.flat)
 
 
+def _bytes_like(x) -> bool:
+    """Whether ``x`` is bytes-like, or a list or tuple that holds one at any depth."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_bytes_like, x))
+    return isinstance(x, (bytes, bytearray, memoryview))
+
+
 def _positive(xp, x, name: str):
     """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite.
 
     On the array path anything but a real number, or an array of them, is a DomainError.
     """
     if xp is _MATH:
-        return _checked(x, name, _POSITIVE, DomainError)
+        return _positive_float(x, name, error=DomainError)
     try:
         array = xp.asarray(x)
         # numpy would read the text "1e9", True, a date and a record of one field
         # as numbers, None as NaN and a complex value as its real part, also as an
-        # element of an object array, and a bytearray or memoryview as its bytes.
-        real = not isinstance(x, (bytearray, memoryview)) and (
-            array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array))
+        # element of an object array, and a bytearray or memoryview as its bytes,
+        # also in a list.
+        real = (array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array)
+                ) and not _bytes_like(x)
         array = array.astype(float, copy=False) if real else None
     except (TypeError, ValueError, OverflowError):  # a ragged list, an int past float range
         array = None

@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .ingest import LossRecord, RunSet, TrainingRun, load_catalog
-from .laws import (_LOSS_LAWS, _NONNEGATIVE, _POSITIVE, _REFERENCE_LAWS, STRATEGIES, LawParams,
-                   _as_tuple, _checked, _count, _law_kind, eval_law)
+from .laws import (_LOSS_LAWS, _REFERENCE_LAWS, STRATEGIES, LawParams, _as_tuple, _count, _hold,
+                   _loss_law, _nonnegative_float, _positive_count, _positive_float, eval_law)
+
+
+def _param_sizes(sizes, name: str) -> tuple[int, ...]:
+    """``sizes`` as a nonempty tuple of counts, an integral float read as its int: 1e9 is 10**9."""
+    if not (sizes := _as_tuple(sizes, name, lambda n, at: _positive_count(
+            int(n) if isinstance(n, float) and n.is_integer() else n, at))):
+        raise ValidationError(f"{name} must be nonempty")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -41,22 +50,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _law_kind(self.law, "a loss law")
-        # An integral float size is read as the int it writes: 1e9 is 10**9.
-        sizes = _as_tuple(self.param_sizes, "param_sizes", lambda n, name: _count(
-            int(n) if isinstance(n, float) and n.is_integer() else n, name, 1))
-        if not sizes:
-            raise ValidationError("param_sizes must be nonempty")
-        multiple = _checked(self.token_multiple, "token_multiple", _POSITIVE)
+        # The budget rule is checked as soon as the fields it reads are held.
+        _hold(self, law=_loss_law, param_sizes=_param_sizes, token_multiple=_positive_float)
         # Every run's budget, and the first point of its grid, must be a positive float.
+        sizes, multiple = self.param_sizes, self.token_multiple
         if not (multiple * max(sizes) < math.inf and 0.01 * (multiple * min(sizes)) > 0):
             raise ValidationError("the token budget token_multiple * param_sizes "
                                   "must lie in float range")
-        object.__setattr__(self, "param_sizes", sizes)
-        object.__setattr__(self, "token_multiple", multiple)
-        object.__setattr__(self, "records_per_run", _count(self.records_per_run, "records_per_run", 2))
-        object.__setattr__(self, "noise_sigma", _checked(self.noise_sigma, "noise_sigma", _NONNEGATIVE))
-        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        _hold(self, records_per_run=partial(_count, least=2), noise_sigma=_nonnegative_float,
+              seed=partial(_count, least=0))
 
 
 def _record_noise(seed: int, run_index: int, record_index: int, sigma: float) -> float:

@@ -11,7 +11,11 @@ Three routes quantify the CPT benefit at matched loss:
   Hoffmann et al. 2022.
 
 Transfer values are signed and never clamped: past the point where the two
-laws cross, continued pre-training is predicted to need *more* tokens.
+laws cross, continued pre-training is predicted to need *more* tokens.  A
+value past float range is refused, not returned: the parametric route's D_PT
+is a DomainError naming N, D_CPT and the loss, and a run whose 6 N D
+overflows is a DomainError naming the run, on the empirical route as in the
+frontier and the forgetting curves.
 
 Everything here runs on the standard library: the curves are interpolated
 with ``bisect`` and the zero-offset frontier is a least-squares line in
@@ -36,10 +40,11 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .laws import (_FINITE, _FRACTION, _POSITIVE, _SAVING, FLOPS_PER_PARAM_TOKEN,
-                   ChinchillaParams, ExtendedCptParams, FrontierParams, _as_float, _as_tuple,
-                   _checked, _count, _exp_coefficients, _geomspace, _point, _zero_offset,
-                   eval_law, solve_tokens_for_loss)
+from .laws import (_FRACTION, _SAVING, FLOPS_PER_PARAM_TOKEN, ChinchillaParams,
+                   ExtendedCptParams, FrontierParams, _as_float, _as_tuple, _checked, _count,
+                   _exp_coefficients, _finite_floats, _geomspace, _hold, _point, _points,
+                   _positive_float, _positive_floats, _zero_offset, eval_law,
+                   solve_tokens_for_loss)
 
 if TYPE_CHECKING:  # only annotations name them; forgetting_curves imports ingest
     from .ingest import RunSet, TrainingRun
@@ -78,9 +83,7 @@ class CurveInterpolator:
     log_losses: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("log_tokens", "log_losses"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name,
-                                                     partial(_checked, rule=_FINITE)))
+        _hold(self, log_tokens=_finite_floats, log_losses=_finite_floats)
         if len(self.log_tokens) < 2 or len(self.log_tokens) != len(self.log_losses):
             raise ValidationError("interpolator needs at least two aligned knots")
         if any(b <= a for a, b in zip(self.log_tokens, self.log_tokens[1:])):
@@ -150,12 +153,11 @@ class TransferReport:
     flops_saved_fraction: tuple[float, ...]
 
     def __post_init__(self):
-        for name, rule in (("loss_levels", _POSITIVE), ("d_pt", _POSITIVE), ("d_cpt", _POSITIVE),
-                           ("transferred_tokens", _FINITE), ("flops_saved_fraction", _SAVING)):
-            # loss_levels comes first, so each other field is checked against its length
-            length = None if name == "loss_levels" else len(self.loss_levels)
-            values = _as_tuple(getattr(self, name), name, partial(_checked, rule=rule), length)
-            object.__setattr__(self, name, values)
+        _hold(self, loss_levels=_positive_floats)
+        aligned = partial(partial, length=len(self.loss_levels))  # one value per loss level
+        _hold(self, d_pt=aligned(_positive_floats), d_cpt=aligned(_positive_floats),
+              transferred_tokens=aligned(_finite_floats),
+              flops_saved_fraction=aligned(_as_tuple, convert=partial(_checked, rule=_SAVING)))
 
 
 def empirical_transfer(
@@ -183,8 +185,8 @@ def empirical_transfer(
     for level in _geomspace(high, low, levels):
         d_pt = curve_pt.tokens_at_loss(level)
         d_cpt = curve_cpt.tokens_at_loss(level)
-        c_pt = FLOPS_PER_PARAM_TOKEN * run_pt.param_count * d_pt
-        c_cpt = FLOPS_PER_PARAM_TOKEN * run_cpt.param_count * d_cpt
+        c_pt = _compute(run_pt, d_pt)
+        c_cpt = _compute(run_cpt, d_cpt)
         rows.append((level, d_pt, d_cpt, d_pt - d_cpt, (c_pt - c_cpt) / c_pt))
     return TransferReport(*zip(*rows))
 
@@ -195,7 +197,8 @@ def parametric_transfer(
     """Effectively transferred tokens implied by the two fitted laws.
 
     Evaluates the CPT loss at (N, D_cpt), inverts the from-scratch law at
-    that loss, and returns D_PT - D_CPT (signed).
+    that loss, and returns D_PT - D_CPT (signed).  A D_PT past float range is
+    a DomainError.
     """
     level = eval_law(cpt, N, D_cpt)
     try:
@@ -205,6 +208,9 @@ def parametric_transfer(
             f"CPT loss {level:.6g} at N={N:.6g}, D={D_cpt:.6g} is below the "
             f"from-scratch floor: {exc}"
         ) from exc
+    if d_pt == math.inf if isinstance(d_pt, float) else math.inf in d_pt:
+        raise DomainError(f"CPT loss {level!r} at N={N!r}, D={D_cpt!r} needs from-scratch "
+                          f"tokens past float range")
     return d_pt - D_cpt
 
 
@@ -253,7 +259,8 @@ def fit_frontier(
     (log C, log L).  Otherwise the regression starts a law fit with a free
     offset (``fitter.fit_offset_frontier``, which needs numpy).
     """
-    pts = _as_tuple(points, "points", partial(_point, error=DomainError))
+    pts = _as_tuple(points, "points",
+                    partial(_point, convert=partial(_positive_float, error=DomainError)))
     log_c = [math.log(c) for c, _ in pts]
     log_l = [math.log(l) for _, l in pts]
     if len(set(log_c)) < 2:
@@ -311,10 +318,8 @@ class ForgettingCurve:
     target_points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ratio = _checked(self.replay_ratio, "replay_ratio", _FRACTION)
-        object.__setattr__(self, "replay_ratio", ratio)
-        for name in ("source_points", "target_points"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _point))
+        _hold(self, replay_ratio=partial(_checked, rule=_FRACTION), source_points=_points,
+              target_points=_points)
 
 
 def forgetting_curves(runs: RunSet) -> list[ForgettingCurve]:

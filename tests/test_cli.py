@@ -404,7 +404,7 @@ class TestTransferCommand:
     @pytest.mark.parametrize("suffix", ["json", "csv"])
     def test_empirical_route_past_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                                                          suffix):
-        # At 10**300 parameters 6 N D is inf, so every FLOPs-saving fraction is NaN.
+        # At 10**300 parameters 6 N D is inf: the error names the run.
         d_values = np.geomspace(2e8, 2e9, 8)
         paths = [tmp_path / "pt.jsonl", tmp_path / "cpt.jsonl"]
         for path, scale in zip(paths, (1.0, 0.5)):
@@ -413,19 +413,33 @@ class TestTransferCommand:
         assert main(["transfer", "--pt-run", str(paths[0]), "--cpt-run", str(paths[1]),
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "error: flops_saved_fraction[0] must be finite and below 1, got nan\n")
+            "error: run 'pt': compute 6 N D at 2e+08 tokens is past float range\n")
         assert not out.exists()
 
-    def test_parametric_route_past_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys):
-        # At beta = 0.005 the from-scratch law needs e^4680 tokens for the CPT loss.
+    # At beta = 0.005 the from-scratch law needs e^4680 tokens for the CPT loss, with
+    # or without --out.
+    PAST_FLOAT_RANGE = ("error: CPT loss 2.9640443105735965 at N=1000000000.0, D=1000000000.0 "
+                        "needs from-scratch tokens past float range\n")
+
+    def _parametric_past_float_range(self, tmp_path, capsys, out):
         scratch = write_law(tmp_path, dataclasses.replace(SCRATCH, beta=0.005), "scratch.json")
         cpt = write_law(tmp_path, CPT, "cpt.json")
-        out = tmp_path / "p.json"
         assert main(["transfer", "--scratch-fit", scratch, "--cpt-fit", cpt,
-                     "--n", "1e9", "--d", "1e9", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: the parametric_transfer document holds a value that is not finite\n")
-        assert not out.exists()
+                     "--n", "1e9", "--d", "1e9", *out]) == 3
+        assert capsys.readouterr() == ("", self.PAST_FLOAT_RANGE)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cpt.json", "scratch.json"]
+
+    def test_parametric_route_past_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        self._parametric_past_float_range(tmp_path, capsys, ["--out", str(tmp_path / "p.json")])
+
+    def test_parametric_route_past_float_range_without_out_exits_3(self, tmp_path, capsys):
+        self._parametric_past_float_range(tmp_path, capsys, [])
+
+    def test_a_document_holding_nan_is_refused_and_not_written(self, tmp_path):
+        with pytest.raises(DomainError,
+                           match="^the plan document holds a value that is not finite$"):
+            cli._write_doc(str(tmp_path / "doc.json"), "plan", {"loss": math.nan})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReplayCommand:

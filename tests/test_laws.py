@@ -282,9 +282,9 @@ class TestScalarPath:
             eval_law(SCRATCH, np.array([True]), 1e9)
 
     # numpy reads None as NaN, a complex value as its real part (with a
-    # ComplexWarning), a bytearray or memoryview as its bytes, and text or a
-    # bool in an object array, a date, a duration and a record of one number as
-    # numbers.
+    # ComplexWarning), a bytearray or memoryview as its bytes (also in a list), and
+    # text or a bool in an object array, a date, a duration and a record of one
+    # number as numbers.
     @pytest.mark.parametrize("bad", [
         [1e9, [1e9]], np.array([10**400], dtype=object), np.array(["1e9"]),
         None, [1e9, None], np.array([1e9, None], dtype=object), 1e9 + 5j, 1e9 + 0j,
@@ -295,12 +295,14 @@ class TestScalarPath:
         np.array([1e9, np.bool_(True)], dtype=object),
         np.array(["2020-01-01"], dtype="datetime64[D]"), np.array([10**9], dtype="timedelta64[s]"),
         np.array([(1e9,)], dtype=[("n", float)]), b"a", bytearray(b"a"), memoryview(b"a"),
-        memoryview(np.array([1e9])),
+        memoryview(np.array([1e9])), [bytearray(b"a")], [[memoryview(b"ab")]],
+        [[1e9, 2e9], bytearray(b"ab")], ([1e9], (b"a",)),
     ], ids=["ragged", "past-float-range", "text", "none", "none-in-list", "none-in-object-array",
             "complex", "complex-real", "complex64", "complex-in-list", "complex64-in-object-array",
             "complex-in-object-array", "text-in-object-array", "bool-in-object-array",
             "numpy-bool-in-object-array", "datetime", "timedelta", "record", "bytes", "bytearray",
-            "memoryview", "memoryview-of-floats"])
+            "memoryview", "memoryview-of-floats", "bytearray-in-list", "memoryview-in-nested-list",
+            "bytearray-row", "bytes-in-nested-tuple"])
     def test_array_path_takes_only_float_arrays(self, bad):
         calls = {
             "N": [lambda v: eval_law(SCRATCH, v, 1e10), lambda v: loss_floor(CPT, v),
@@ -321,7 +323,8 @@ class TestScalarPath:
         ([2**70, 10**9], [2.0**70, 1e9]),
         (np.float32(1e9), 1e9),
         (np.int64(10**9), 1e9),
-    ], ids=["fraction", "decimal", "int-past-int64", "float32", "int64"])
+        ([np.uint32(10**9), np.uint64(2 * 10**9)], [1e9, 2e9]),
+    ], ids=["fraction", "decimal", "int-past-int64", "float32", "int64", "unsigned-in-list"])
     def test_array_path_reads_real_numbers_as_floats(self, n, expected):
         expected = np.array(expected)
         assert np.array_equal(eval_law(CPT, n, 1e10), eval_law(CPT, expected, 1e10))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -64,6 +65,13 @@ PAIRS = SEQUENCE + (
     [(math.inf, 1.0), (2.0, 1.0)], [(10**400, 1.0), (2.0, 1.0)],
 )
 LOSS_LAW = ("x", None, 1.0, F_PT)
+# Values that a call must refuse rather than return from: a bytes-like value in a
+# list, which numpy would read as its bytes, and a from-scratch law that needs
+# more tokens than float range holds to reach the CPT loss at N = 1e9, D = 1e10.
+BYTES_IN_LIST = [bytearray(b"a")]
+SHALLOW = dataclasses.replace(SCRATCH, beta=0.005)
+REFUSED = (BYTES_IN_LIST, SHALLOW)
+ARRAY = NUMBER + (BYTES_IN_LIST,)  # an argument of the array path
 FRONTIER = ("x", None, 1.0, SCRATCH)
 SIZES = (10**8, 10**9)
 
@@ -84,11 +92,11 @@ def library_calls():
         (ChinchillaParams, vars(SCRATCH), dict.fromkeys(vars(SCRATCH), NUMBER)),
         (ExtendedCptParams, vars(CPT), dict.fromkeys(vars(CPT), NUMBER)),
         (FrontierParams, vars(F_PT), dict.fromkeys(vars(F_PT), NUMBER)),
-        (eval_law, dict(law=SCRATCH, N=1e9, D=1e10), dict(law=LOSS_LAW, N=NUMBER, D=NUMBER)),
-        (loss_floor, dict(law=CPT, N=1e9), dict(law=LOSS_LAW, N=NUMBER)),
+        (eval_law, dict(law=SCRATCH, N=1e9, D=1e10), dict(law=LOSS_LAW, N=ARRAY, D=ARRAY)),
+        (loss_floor, dict(law=CPT, N=1e9), dict(law=LOSS_LAW, N=ARRAY)),
         (solve_tokens_for_loss, dict(law=SCRATCH, N=1e9, L=3.0),
-         dict(law=LOSS_LAW, N=NUMBER, L=NUMBER)),
-        (eval_frontier, dict(p=F_PT, C=1e21), dict(p=FRONTIER, C=NUMBER)),
+         dict(law=LOSS_LAW, N=ARRAY, L=ARRAY)),
+        (eval_frontier, dict(p=F_PT, C=1e21), dict(p=FRONTIER, C=ARRAY)),
         (frontier_crossover, dict(f1=F_PT, f2=F_CPT), dict(f1=FRONTIER, f2=FRONTIER)),
         (law_to_dict, dict(law=SCRATCH), dict(law=("x", None, 1.0, {}))),
         (allocation_coefficients, dict(law=CPT), dict(law=LOSS_LAW)),
@@ -109,7 +117,7 @@ def library_calls():
         (curve.loss_at_tokens, dict(tokens=5.0), dict(tokens=NUMBER)),
         (curve.tokens_at_loss, dict(loss=5.0), dict(loss=NUMBER)),
         (parametric_transfer, dict(scratch=SCRATCH, cpt=CPT, N=1e9, D_cpt=1e10),
-         dict(scratch=LOSS_LAW, cpt=LOSS_LAW, N=NUMBER, D_cpt=NUMBER)),
+         dict(scratch=LOSS_LAW + (SHALLOW,), cpt=LOSS_LAW, N=NUMBER, D_cpt=NUMBER)),
         (extract_compute_frontier, dict(data=runs, bins_per_decade=10),
          dict(bins_per_decade=COUNT)),
         (fit_frontier, dict(points=[(1e18, 3.0), (1e19, 2.5), (1e20, 2.2)]), dict(points=PAIRS)),
@@ -149,17 +157,18 @@ def library_calls():
     ]
 
 
-def _outcome(function, kwargs):
-    """None when the call returns or raises a CptLawsError, else what it raised."""
+def _outcome(function, kwargs, may_return=True):
+    """None when the call raises a CptLawsError, or returns where ``may_return``; else what it
+    raised or that it returned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             function(**kwargs)
         except CptLawsError:
-            pass
+            return None
         except Exception as exc:  # what escapes the library is the finding
             return f"{type(exc).__name__}: {exc}"
-    return None
+    return None if may_return else "returned"
 
 
 @pytest.mark.property
@@ -171,7 +180,9 @@ class TestFuzzedLibrary:
     by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
     10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
     malformed pair; a law of the wrong kind) under warnings as errors: 37
-    callables, 1023 cases.  Objects the library builds (runs, run sets, the
+    callables, 1030 cases.  A bytes-like value in a list, given to a function of
+    the array path, and a from-scratch law whose tokens for the CPT loss pass
+    float range, given to ``parametric_transfer``, must raise, not return.  Objects the library builds (runs, run sets, the
     allocation coefficients an allocation takes, a fit's config) are not mutated;
     the records a fit, an isoloss grid or a transfer returns are, and so is a loss
     curve's interpolator, whose lookups take a number.  A grid's cells are the law's
@@ -187,10 +198,11 @@ class TestFuzzedLibrary:
             for name, values in bad_values.items():
                 for value in values:
                     cases += 1
-                    outcome = _outcome(function, {**valid, name: value})
+                    outcome = _outcome(function, {**valid, name: value},
+                                       may_return=not any(value is v for v in REFUSED))
                     if outcome is not None:
                         escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
-        assert (len(calls), cases) == (37, 1023)
+        assert (len(calls), cases) == (37, 1030)
         assert escapes == []
 
 

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,15 @@ class TestEmpiricalTransfer:
         with pytest.raises(ValidationError, match="overlap"):
             empirical_transfer(run_a, run_b)
 
+    def test_compute_past_float_range_names_the_run(self):
+        # 6 N D at 10**300 parameters is inf, which would make every saving NaN.
+        d_values = np.geomspace(2e8, 2e9, 8)
+        run_pt = law_run(SCRATCH, 10**300, d_values, "pt", "scratch")
+        run_cpt = law_run(SCRATCH, 10**300, 0.5 * d_values, "cpt", "cpt")
+        with pytest.raises(DomainError, match=r"^run 'pt': compute 6 N D at 2e\+08 tokens is "
+                                              r"past float range$"):
+            empirical_transfer(run_pt, run_cpt)
+
 
 class TestParametricTransfer:
     def test_reference_point(self):
@@ -253,6 +264,23 @@ class TestParametricTransfer:
                          B_prime=1e-3, beta_prime=CPT.beta_prime, gamma=CPT.gamma)
         with pytest.raises(UnreachableLossError, match="floor"):
             parametric_transfer(SCRATCH, deep, 1e9, 1e12)
+
+    def test_from_scratch_tokens_past_float_range_is_domain_error(self):
+        # At beta = 0.005 the from-scratch law needs e^4680 tokens for the CPT loss.
+        shallow = dataclasses.replace(SCRATCH, beta=0.005)
+        level = eval_law(CPT, 1e9, 1e9)
+        with pytest.raises(DomainError, match=re.escape(
+                f"CPT loss {level!r} at N=1000000000.0, D=1000000000.0 needs from-scratch "
+                f"tokens past float range")):
+            parametric_transfer(shallow, CPT, 1e9, 1e9)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="past float range"):
+            parametric_transfer(shallow, CPT, np.array([1e3, 1e9]), 1e9)
+
+    def test_arrays_give_the_values_of_their_elements(self):
+        sizes = np.array([5e8, 1e9, 2e9])
+        np.testing.assert_allclose(parametric_transfer(SCRATCH, CPT, sizes, 1e9),
+                                   [parametric_transfer(SCRATCH, CPT, n, 1e9) for n in sizes],
+                                   rtol=1e-14)
 
 
 class TestFlopsSaving:
