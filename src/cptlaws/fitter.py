@@ -19,15 +19,19 @@ Every fit runs a deterministic grid of starts through three phases.  The
 default grids give each law term a set share of the loss at the median
 record, so no term starts dead whatever the data's scale.  First, all starts
 advance together through a damped Gauss-Newton (Levenberg-Marquardt) stage
-on the IRLS-weighted Huber residuals (``_gauss_newton``), each iteration
-evaluated by one kernel, ``_law_system``.  Second, the best basin, the
-starts within ``_BASIN_TOLERANCE`` relative of the lowest stage objective,
-goes through a finish pass of the same iteration with Huber-Newton weights.
-Third, each finish endpoint goes to L-BFGS-B on the same kernel's value and
-gradient (``minimize``, which loads scipy only when a search has an
-iteration to take).  A fit keeps its starts in one record, ``_Population``,
-whose winner is the lowest-objective finished start (the smallest grid point
-on ties).
+on the IRLS-weighted Huber residuals (``_gauss_newton``).  Second, the best
+basin, the starts within ``_BASIN_TOLERANCE`` relative of the lowest stage
+objective, goes through a finish pass of the same iteration with
+Huber-Newton weights.  Third, each finish endpoint goes to L-BFGS-B on the
+same value and gradient (``minimize``, which loads scipy only when a search
+has an iteration to take).  A fit keeps its starts in one record,
+``_Population``, whose winner is the lowest-objective finished start (the
+smallest grid point on ties).  The three phases never read the data: they
+call a system, ``system(x, newton)``, which gives each row of x the mean
+objective over the n records, J^T W J and J^T huber'(r), and read n only to
+turn those sums into means.  ``_fit_law`` passes one log's system,
+``_log_system``, which evaluates the kernel ``_law_system`` in row blocks;
+a fit over several logs or weighted records is another such system.
 """
 
 from __future__ import annotations
@@ -113,15 +117,17 @@ _FINISH_GTOL = 1e-3 * _LBFGSB_OPTIONS["gtol"]
 # trials each that the sweeps of BENCH_7.json chose, the 16-start CPT grid 180
 # and compare_laws' 17-start extended grid 169, and a stage with few starts
 # runs until its stop rules end it (the 2-start free-offset frontier needs
-# about 100 of its 1,440).  One ``_law_system`` call evaluates at most
-# _GN_BLOCK_ELEMENTS // n running starts of n records (one start on a
-# 42k-record log), and so bounds the buffers the call allocates: seven (rows,
-# records) float arrays, a mask and the Jacobian, 2.6 MB at 32 rows.  The
-# kernel writes every array of the data's size into those buffers in place.
-# That style is what keeps the heap quiet: on the 840-record scratch replica
-# (2-CPU host, Python 3.11, numpy 2.4) a second fit_scratch in one process
-# took 7 minor page faults, and 65,000-80,000 with the same arithmetic written
-# as plain expressions, whose temporaries glibc trims and faults in again.
+# about 100 of its 1,440).  The one-log system (``_log_system``, which holds
+# the row split because it depends on the data's size; the optimizer never
+# sees it) evaluates at most _GN_BLOCK_ELEMENTS // n running starts of n
+# records in one ``_law_system`` call (one start on a 42k-record log), and so
+# bounds the buffers the call allocates: seven (rows, records) float arrays,
+# a mask and the Jacobian, 2.6 MB at 32 rows.  The kernel writes every array
+# of the data's size into those buffers in place.  That style is what keeps
+# the heap quiet: on the 840-record scratch replica (2-CPU host, Python 3.11,
+# numpy 2.4) a second fit_scratch in one process took 7 minor page faults,
+# and 65,000-80,000 with the same arithmetic written as plain expressions,
+# whose temporaries glibc trims and faults in again.
 # Larger calls only cut the Python overhead per step, and they cost RSS: there
 # fit_scratch took 1.56 s at 9 rows, 1.24 s at 16, 1.13 s at 24, 1.11 s at
 # 32, 1.08 s at 40 and 1.04 s at 64 (BENCH_13.json), while peak RSS grew by
@@ -297,8 +303,7 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
     |r| <= delta, delta / |r| elsewhere), or with ``newton`` the penalty's
     second derivative (1 where |r| <= delta, 0 elsewhere).  The call allocates
     its buffers once, for len(x) rows, and writes every array of the data's
-    size into them in place (``_GN_BLOCK_ELEMENTS`` says why, and bounds the
-    rows).
+    size into them in place (``_GN_BLOCK_ELEMENTS`` says why).
     """
     log_n, log_d, log_l = flat
     rows, n = len(x), log_l.size
@@ -342,6 +347,22 @@ def _law_system(x: np.ndarray, base: np.ndarray, free: list[int], flat, delta: f
         residuals *= root
         grad = (jac @ residuals[:, :, None])[:, :, 0]
     return value, jac @ jac.transpose(0, 2, 1), grad
+
+
+def _log_system(flat, base: np.ndarray, free: list[int], delta: float):
+    """``system(x, newton)`` of one log: ``_law_system`` at q = base, q[free] = x, in row blocks.
+
+    Each block is at most ``_GN_BLOCK_ELEMENTS // n`` rows of n records.  No
+    row's arithmetic reads another row, so the split moves no result.
+    """
+    rows = max(1, _GN_BLOCK_ELEMENTS // flat[2].size)
+
+    def system(x: np.ndarray, newton: bool):
+        calls = [_law_system(x[i:i + rows], base, free, flat, delta, newton)
+                 for i in range(0, len(x), rows)]
+        return tuple(np.concatenate(parts) for parts in zip(*calls))
+
+    return system
 
 
 def objective_scratch(theta: Sequence[float], data: RunSet, delta: float = DEFAULT_DELTA) -> float:
@@ -429,28 +450,31 @@ class _Pass(NamedTuple):
     stops: np.ndarray
 
 
-def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta: float,
-                  bounds=None, finish: bool = False) -> _Pass:
-    """Advance every start (one row of x0) by damped Gauss-Newton steps.
+def _gauss_newton(system, n: int, x0: np.ndarray, bounds=None, finish: bool = False) -> _Pass:
+    """Advance every start (one row of x0) by damped Gauss-Newton steps on ``system``.
 
-    Returns a ``_Pass``: each start's endpoint, objective, trial points and
-    stop rule, over ``len(x0) + trials.sum()`` kernel rows.  A start whose
+    ``system(x, newton)`` gives each row of x the mean objective over n records
+    and the sums J^T W J and J^T huber'(r), with Newton weights when
+    ``newton`` (``_law_system``'s contract).  The pass never reads the data,
+    and reads n only for the mean gradient and the predicted decrease; the
+    system splits its rows as the data need (``_log_system``).  Returns a
+    ``_Pass``: each start's endpoint, objective, trial points and stop rule,
+    over ``len(x0) + trials.sum()`` system rows.  A start whose
     objective is not finite at x0 stays put, stopped as "non-finite".
 
     This is Levenberg-Marquardt on the IRLS-weighted Huber residuals (weight
-    1 where |r| <= delta, delta / |r| elsewhere) over q[free], the rest held
-    at ``base``.  Each iteration steps the starts still running, clips their
-    trial points into ``bounds`` (L-BFGS-B form) and evaluates them in
-    ``_law_system`` calls of at most ``_GN_BLOCK_ELEMENTS // n`` rows.  A
-    start takes a trial only when its objective is finite and lower, and
-    stops on a relative decrease of at most ``_GN_TOLERANCE`` ("decrease"), a
-    step of at most ``_GN_TOLERANCE`` (1 + |x|) in every coordinate ("step"),
-    or after its share of ``_GN_ROW_TRIALS``, the same number of trials for
-    every start ("budget").  The damping follows Nielsen's rule (Madsen,
-    Nielsen and Tingleff, Methods for Non-linear Least Squares Problems,
-    2004): a taken step scales it by max(1/3, 1 - (2 rho - 1)^3), rho being
-    the actual over the predicted decrease clipped to [0, 1]; a refused one
-    multiplies it by a factor that doubles with each refusal in a row.
+    1 where |r| <= delta, delta / |r| elsewhere).  Each iteration steps the
+    starts still running, clips their trial points into ``bounds`` (L-BFGS-B
+    form) and evaluates them in one system call.  A start takes a trial only
+    when its objective is finite and lower, and stops on a relative decrease
+    of at most ``_GN_TOLERANCE`` ("decrease"), a step of at most
+    ``_GN_TOLERANCE`` (1 + |x|) in every coordinate ("step"), or after its
+    share of ``_GN_ROW_TRIALS``, the same number of trials for every start
+    ("budget").  The damping follows Nielsen's rule (Madsen, Nielsen and
+    Tingleff, Methods for Non-linear Least Squares Problems, 2004): a taken
+    step scales it by max(1/3, 1 - (2 rho - 1)^3), rho being the actual over
+    the predicted decrease clipped to [0, 1]; a refused one multiplies it by
+    a factor that doubles with each refusal in a row.
 
     With ``finish`` the iteration is a Huber-Newton one instead: the weights
     are the penalty's second derivative (1 where |r| <= delta, 0 elsewhere;
@@ -459,28 +483,20 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
     its mean objective's projected gradient is within ``_FINISH_GTOL``
     ("gtol"), on the step rule, or after L-BFGS-B's ``maxiter`` trials; there
     is no relative-decrease rule.  No row's arithmetic reads another row, so
-    the pass does not depend on the order of the starts or on how the kernel
-    calls split them.
+    the pass does not depend on the order of the starts.
     """
-    n = flat[2].size
     lower, upper = _bound_arrays(bounds)
-    rows = max(1, _GN_BLOCK_ELEMENTS // n)
     if finish:
         budget, gtol = _LBFGSB_OPTIONS["maxiter"], _FINISH_GTOL
     else:
         budget, gtol = max(1, _GN_ROW_TRIALS // len(x0)), None
-
-    def system(x: np.ndarray):
-        calls = [_law_system(x[i:i + rows], base, free, flat, delta, newton=finish)
-                 for i in range(0, len(x), rows)]
-        return tuple(np.concatenate(parts) for parts in zip(*calls))
 
     def leave(running: np.ndarray, keep: np.ndarray, rule: str) -> np.ndarray:
         stops[running[~keep]] = rule  # the starts that do not keep running stop on this rule
         return running[keep]
 
     x = x0.copy()
-    value, hess, grad = system(x)
+    value, hess, grad = system(x, finish)
     eye = np.eye(x.shape[1])
     damping = np.full(len(x), _GN_DAMPING)
     growth = np.full(len(x), 2.0)
@@ -517,7 +533,7 @@ def _gauss_newton(flat, base: np.ndarray, free: list[int], x0: np.ndarray, delta
         # Decrease of the quadratic model, in units of n * objective.
         predicted = -(np.einsum("ij,ij->i", gr, step)
                       + 0.5 * (step[:, None, :] @ hr @ step[:, :, None])[:, 0, 0])
-        trial_value, trial_hess, trial_grad = system(trial)
+        trial_value, trial_hess, trial_grad = system(trial, finish)
         better = np.isfinite(trial_value) & (trial_value < value[running])
         decrease = np.subtract(value[running], trial_value, out=np.zeros_like(trial_value),
                                where=better)
@@ -566,7 +582,7 @@ def _law_starts(grid, names: list[str]) -> list[tuple[tuple[float, ...], np.ndar
 @dataclass(frozen=True)
 class _Population:
     """A ``_fit_mask`` call's starts: the stage over ``keys``, its ``basin``, their ``finish``,
-    L-BFGS-B's ``searches`` from it, and the winner's ``objective``, ``chosen`` and ``q``."""
+    L-BFGS-B's ``searches`` from it, and the winner's ``objective``, ``chosen`` and ``x``."""
 
     keys: tuple
     stage: _Pass
@@ -575,26 +591,28 @@ class _Population:
     searches: tuple
     objective: float
     chosen: tuple
-    q: np.ndarray
+    x: np.ndarray
 
 
-def _fit_mask(flat, base: np.ndarray, free: list[int], starts, delta: float, bounds=None):
-    """Fit q[free] from every ``_law_starts`` pair, the rest held at ``base``; return its ``_Population``.
+def _fit_mask(system, n: int, starts, bounds=None):
+    """Minimize ``system`` from every (grid point, x0) start; return its ``_Population``.
 
-    The Gauss-Newton stage advances every start; each one that ends it
+    ``system`` and n are ``_gauss_newton``'s, so the fit never reads the
+    data.  The Gauss-Newton stage advances every start; each one that ends it
     in the best basin goes through the Newton finish and then L-BFGS-B.
-    ``bounds`` are L-BFGS-B bounds on q[free].  The winner is a deterministic
-    reduction: lowest objective, ties broken by the smallest grid point.
+    ``bounds`` are L-BFGS-B bounds on x.  The winner, in the system's
+    coordinates, is a deterministic reduction: lowest objective, ties broken
+    by the smallest grid point.
     """
 
     def fun(x: np.ndarray):
-        value, _, grad = _law_system(x[None], base, free, flat, delta)
-        return value[0], grad[0] / flat[2].size
+        value, _, grad = system(x[None], False)
+        return value[0], grad[0] / n
 
     keys, x0 = zip(*starts)
-    stage = _gauss_newton(flat, base, free, np.array(x0), delta, bounds)
+    stage = _gauss_newton(system, n, np.array(x0), bounds)
     basin = _best_basin(stage.values)
-    finish = _gauss_newton(flat, base, free, stage.x[basin], delta, bounds, finish=True)
+    finish = _gauss_newton(system, n, stage.x[basin], bounds, finish=True)
     searches = tuple(minimize(fun, x, jac=True, method="L-BFGS-B", bounds=bounds,
                               options=_LBFGSB_OPTIONS) for x in finish.x)
     finished = [(float(res.fun), keys[i], res) for i, res in zip(basin, searches)
@@ -603,18 +621,41 @@ def _fit_mask(flat, base: np.ndarray, free: list[int], starts, delta: float, bou
         raise FitFailureError("no optimizer start converged; diagnostics:\n  " + "\n  ".join(
             f"start {keys[i]}: {res.message}" for i, res in zip(basin, searches)))
     objective, chosen, res = min(finished, key=lambda item: item[:2])
-    q = base.copy()
-    q[free] = np.asarray(res.x, dtype=float)
-    return _Population(keys, stage, basin, finish, searches, objective, chosen, q)
+    return _Population(keys, stage, basin, finish, searches, objective, chosen, res.x)
+
+
+# The records separate the N-term from the D-term only where log D varies
+# apart from log N.  A log D that is a line in log N keeps about that line at
+# most what rounding leaves: each token count rounded to a whole number moves
+# log D by up to 0.5 / D, whose root mean square over the records bounds the
+# residual's, and the float logs add under this much for any log D in float
+# range.  At or below that bound the design cannot tell the terms apart.  On
+# the paper's scratch replica, keeping only each run's final record (every
+# record at D = 20 N) leaves 3.2e-15, where a fit returned alpha and beta
+# swapped with an objective of 3.5e-15; two records a run leave 0.12 and all
+# 20 leave 1.40, and both fits are exact.
+_FLOAT_SPREAD = 1e-12
 
 
 def _prepare(data: RunSet, cfg: FitConfig):
-    """The (log N, log D, log L) arrays a law fit uses, after the warmup filter."""
+    """The (log N, log D, log L) arrays a law fit uses, after the warmup filter.
+
+    The records must hold two distinct model sizes and token counts that vary
+    apart from them by more than rounding (``_FLOAT_SPREAD``), or the fit is
+    an ``UnidentifiableDataError``.
+    """
     log_n, log_d, log_l = _flatten(data, cfg.warmup_fraction)
     # Not np.unique: under numpy 2 its first call imports numpy.ma.
-    if not (log_n.min() < log_n.max() and log_d.min() < log_d.max()):
+    if not log_n.min() < log_n.max():
+        raise UnidentifiableDataError("fitting requires at least two distinct model sizes")
+    centred_n, centred_d = log_n - log_n.mean(), log_d - log_d.mean()
+    residual = centred_d - (centred_n @ centred_d) / (centred_n @ centred_n) * centred_n
+    spread = math.sqrt(residual @ residual / residual.size)
+    if not spread > 0.5 * math.sqrt(np.exp(-2.0 * log_d).mean()) + _FLOAT_SPREAD:
         raise UnidentifiableDataError(
-            "fitting requires at least two distinct model sizes and two distinct token counts"
+            f"fitting requires token counts that vary apart from the model sizes, such as "
+            f"several records a run: log D is a line in log N up to rounding (residual spread {spread:.2g}), "
+            f"so the data cannot separate the N-term from the D-term"
         )
     return log_n, log_d, log_l
 
@@ -661,7 +702,7 @@ def _default_grid(flat, free: list[int], given: dict[int, float]) -> list[tuple[
 
 
 def _fit_law(law, flat, grid, delta: float, bounds=None, **held):
-    """Fit the fields of the law record type ``law`` not in ``held``; return the record and the ``_Population``.
+    """Fit the law record type ``law``'s fields not in ``held``: the record, its q and the ``_Population``.
 
     The free fields start from ``grid`` (``_default_grid``'s when None), with
     L-BFGS-B ``bounds`` on them; q holds each held field, at a value its kind
@@ -674,23 +715,24 @@ def _fit_law(law, flat, grid, delta: float, bounds=None, **held):
     given = {_POSITION[name][0]: _POSITION[name][1].check(value, name)
              for name, value in held.items()}
     free = [place for place in sorted(field_at) if place not in given]
-    base = np.array([0.0 if place in field_at else kind.absent for place, kind in enumerate(_KINDS)])
+    q = np.array([0.0 if place in field_at else kind.absent for place, kind in enumerate(_KINDS)])
     for place, value in given.items():
-        base[place] = _KINDS[place].held(value)
-    fit = _fit_mask(flat, base, free, _law_starts(grid or _default_grid(flat, free, given),
-                                                  [field_at[place] for place in free]), delta, bounds)
+        q[place] = _KINDS[place].held(value)
+    starts = _law_starts(grid or _default_grid(flat, free, given), [field_at[place] for place in free])
+    fit = _fit_mask(_log_system(flat, q, free, delta), flat[2].size, starts, bounds)
+    q[free] = fit.x
     values = {}  # in field order: a held field as given, a fitted one from q
     for place, name in field_at.items():
         values.update({name: given[place]} if place in given else
-                      _KINDS[place].fitted(**{name: fit.q[place]}))
-    return law(**values), fit
+                      _KINDS[place].fitted(**{name: q[place]}))
+    return law(**values), q, fit
 
 
 def _fit_report(law, flat, grid, delta: float, **held) -> FitReport:
     """``_fit_law``'s record and objective, its chosen start, and its residuals on the ``flat`` data."""
-    params, fit = _fit_law(law, flat, grid, delta, **held)
+    params, q, fit = _fit_law(law, flat, grid, delta, **held)
     return FitReport(params=params, objective=fit.objective,
-                     residuals=tuple(_residuals(fit.q, flat).tolist()), chosen_init=fit.chosen)
+                     residuals=tuple(_residuals(q, flat).tolist()), chosen_init=fit.chosen)
 
 
 def fit_scratch(data: RunSet, cfg: FitConfig | None = None) -> FitReport:
@@ -754,7 +796,7 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
             for b, beta, gamma in [(math.log(p.B), p.beta, 0.0), *(
                 (log_term + beta * log_d + gamma * log_n, beta, gamma)
                 for beta, gamma in product(EXPONENT_STARTS, GAMMA_STARTS))]]
-    extended, fit = _fit_law(ExtendedCptParams, flat, grid, cfg.delta)
+    extended, _, fit = _fit_law(ExtendedCptParams, flat, grid, cfg.delta)
     return ModelComparison(chinchilla_error=scratch_report.objective,
                            extended_error=fit.objective, gamma_fitted=extended.gamma)
 

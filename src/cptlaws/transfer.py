@@ -205,8 +205,7 @@ def parametric_transfer(
         d_pt = solve_tokens_for_loss(scratch, N, level)
     except UnreachableLossError as exc:
         raise UnreachableLossError(
-            f"CPT loss {level:.6g} at N={N:.6g}, D={D_cpt:.6g} is below the "
-            f"from-scratch floor: {exc}"
+            f"CPT loss {level!r} at N={N!r}, D={D_cpt!r} is below the from-scratch floor: {exc}"
         ) from exc
     if d_pt == math.inf if isinstance(d_pt, float) else math.inf in d_pt:
         raise DomainError(f"CPT loss {level!r} at N={N!r}, D={D_cpt!r} needs from-scratch "

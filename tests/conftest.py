@@ -11,6 +11,8 @@ from cptlaws import (
     RunSet,
     TrainingRun,
     eval_law,
+    generate_runset,
+    paper_replica_config,
 )
 
 settings.register_profile(
@@ -86,3 +88,13 @@ def foreign_language_runset(law, sizes):
         dataclasses.replace(run, records=tuple(
             dataclasses.replace(rec, val_language="en") for rec in run.records))
         for run in law_runset(law, sizes)))
+
+
+def replica_tail(strategy, records):
+    """The noise-free paper replica of ``strategy`` with only each run's last ``records`` records.
+
+    With one record a run, every record sits at D = 20 N.
+    """
+    return RunSet(runs=tuple(
+        dataclasses.replace(run, records=run.records[-records:])
+        for run in generate_runset(paper_replica_config(strategy))))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -32,7 +33,8 @@ from cptlaws import (
 )
 from cptlaws import cli
 from cptlaws.cli import main
-from conftest import foreign_language_runset, law_run, law_runset, past_float_range_runset
+from conftest import (foreign_language_runset, law_run, law_runset, past_float_range_runset,
+                      replica_tail)
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -564,6 +566,24 @@ class TestErrorPaths:
         assert main(["fit", "--runs", str(runs), "--strategy", "scratch",
                      "--out", str(out)]) == 4
         assert "fit error: fitted alpha = exp(65.9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-scratch", "fit-cpt", "compare-laws"])
+    def test_final_records_alone_exit_code(self, tmp_path, capsys, command):
+        # Every record at D = 20 N: the N-term and the D-term are two power
+        # laws in N, and the scratch fit swapped alpha and beta with exit 0.
+        runs, out = tmp_path / "final.jsonl", tmp_path / "o.json"
+        dump_runs(replica_tail("scratch" if command == "fit-scratch" else "cpt", 1), runs)
+        argv = {"fit-scratch": ["fit", "--strategy", "scratch"],
+                "fit-cpt": ["fit", "--strategy", "cpt",
+                            "--fixed-from", write_law(tmp_path, SCRATCH, "s.json")],
+                "compare-laws": ["compare-laws"]}[command]
+        assert main([*argv, "--runs", str(runs), "--out", str(out)]) == 4
+        assert re.fullmatch(
+            r"fit error: fitting requires token counts that vary apart from the model sizes, "
+            r"such as several records a run: log D is a line in log N up to rounding "
+            r"\(residual spread \S+\), so the data cannot separate the N-term from the D-term\n",
+            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fit", "--strategy", "scratch"], ["compare-laws"]],

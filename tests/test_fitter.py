@@ -38,7 +38,7 @@ from cptlaws import (
 )
 from cptlaws import fitter
 from cptlaws.fitter import _LOG_EXPONENT_CAP, _flatten, _q
-from conftest import foreign_language_runset, law_runset, past_float_range_runset
+from conftest import foreign_language_runset, law_runset, past_float_range_runset, replica_tail
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
@@ -437,6 +437,29 @@ class TestFitScratch:
         with pytest.raises(UnidentifiableDataError):
             fit_scratch(RunSet(runs=runs), fast_cfg)
 
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    def test_token_counts_that_follow_the_sizes_are_unidentifiable(self, exponent):
+        # One record a run at D = 20 N^exponent: log D is a line in log N, so
+        # the data cannot tell the D-term from the N-term.
+        runs = tuple(
+            dataclasses.replace(run, records=(
+                LossRecord(tokens=round(20 * run.param_count ** exponent), loss=3.0 - 0.1 * i),))
+            for i, run in enumerate(law_runset(SCRATCH, SIZES)))
+        with pytest.raises(UnidentifiableDataError, match="cannot separate the N-term from the D-term"):
+            fit_scratch(RunSet(runs=runs))
+
+    def test_two_records_a_run_recover_every_coefficient(self):
+        # The last two records of each replica run leave log D a spread of
+        # 0.12 about its line in log N, enough for an exact fit.
+        cpt = replica_tail("cpt", 2)
+        fits = [(SCRATCH, fit_scratch(replica_tail("scratch", 2)).params),
+                (CPT, fit_cpt(cpt, (CPT.E, CPT.A, CPT.alpha)).params)]
+        for truth, fitted in fits:
+            for field in dataclasses.fields(truth):
+                assert getattr(fitted, field.name) == pytest.approx(getattr(truth, field.name),
+                                                                    rel=1e-8)
+        assert compare_laws(cpt).gamma_fitted == pytest.approx(CPT.gamma, rel=1e-8)
+
     def test_duplicated_run_leaves_argmin_unchanged(self, fast_cfg):
         data = law_runset(SCRATCH, SIZES)
         base = fit_scratch(data, fast_cfg).params
@@ -550,11 +573,11 @@ class TestFitCpt:
             fit_cpt(data, (CPT.E, CPT.A, CPT.alpha), FitConfig(init_grid=(start,)))
 
     def test_default_starts_finish_in_the_best_basin_on_replica(self, monkeypatch):
-        populations = record_populations(monkeypatch)
+        fits = record_returns(monkeypatch, "_fit_law")
         data = generate_runset(paper_replica_config("cpt"))
         fit_cpt(data, (CPT.E, CPT.A, CPT.alpha))
-        (fit,) = populations
-        objective = masked_objective(_flatten(data), fit.q, positions(CPT_FIELDS))
+        ((_, q, fit),) = fits
+        objective = masked_objective(_flatten(data), q, positions(CPT_FIELDS))
         starts = [x0 for _, x0 in fitter._law_starts(fit.keys, CPT_FIELDS)]
         assert len(starts) == 16 and np.isfinite(fit.stage.values).all()
         assert all(objective(end) <= objective(start) for start, end in zip(starts, fit.stage.x))
@@ -562,16 +585,20 @@ class TestFitCpt:
         assert all(res.success for res in fit.searches)
 
 
-def record_populations(monkeypatch):
-    """The ``_Population`` of each ``_fit_mask`` call the next fits make, in call order."""
-    populations, real_fit_mask = [], fitter._fit_mask
+def record_returns(monkeypatch, name="_fit_mask"):
+    """What each call of the fitter function ``name`` the next fits make returns, in call order.
 
-    def recording_fit_mask(*args, **kwargs):
-        populations.append(real_fit_mask(*args, **kwargs))
-        return populations[-1]
+    For ``_fit_mask`` that is the call's ``_Population``; for ``_fit_law``
+    the law record, its q and the ``_Population``.
+    """
+    returns, real = [], getattr(fitter, name)
 
-    monkeypatch.setattr(fitter, "_fit_mask", recording_fit_mask)
-    return populations
+    def recording(*args, **kwargs):
+        returns.append(real(*args, **kwargs))
+        return returns[-1]
+
+    monkeypatch.setattr(fitter, name, recording)
+    return returns
 
 
 def rows(passes):
@@ -683,7 +710,7 @@ class TestBestBasin:
     def test_only_best_basin_starts_are_finished(self, monkeypatch, fast_cfg):
         data = generate_runset(SynthConfig(law=SCRATCH, param_sizes=SIZES, records_per_run=12,
                                            noise_sigma=0.01, seed=1))
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         fit_scratch(data, fast_cfg)
         best = fitter._best_basin(populations[0].stage.values)
         monkeypatch.setattr(fitter, "_BASIN_TOLERANCE", math.inf)
@@ -968,7 +995,7 @@ class TestFitFrontier:
         assert objective == pytest.approx(self.REPLICA_OPTIMA[sigma, seed], rel=1e-8)
 
     def test_offset_free_path_finishes_only_the_best_basin(self, monkeypatch):
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         fit_frontier(self.replica_frontier(0.01, 1), fix_offset_zero=False)
         (fit,) = populations
         # the other start runs off to a far lower offset
@@ -987,7 +1014,7 @@ class TestFitFrontier:
         config = dataclasses.replace(paper_replica_config("cpt"), records_per_run=1000,
                                      token_multiple=token_multiple)
         points = extract_compute_frontier(generate_runset(config))
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         fit_frontier(points, fix_offset_zero=False)
         (fit,) = populations
         assert fit.searches and all(res.nit == 0 and res.success for res in fit.searches)
@@ -996,7 +1023,7 @@ class TestFitFrontier:
     def test_long_stage_warns_nothing(self, monkeypatch):
         # One start of this frontier is refused step after step and stops
         # long before the other converges; its damping must stay finite.
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit_frontier(self.replica_frontier(0.01, 2), fix_offset_zero=False)
@@ -1010,7 +1037,7 @@ class TestFitFrontier:
         # together they stop within a few hundred rows; with steps clipped
         # into the bound the stage crawled along it for 5,540 rows and ended
         # at objective 2.2199844973e-5.
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         points = self.replica_frontier(0.03, 5)
         fitted = fit_frontier(points, fix_offset_zero=False)
         (fit,) = populations
@@ -1048,8 +1075,9 @@ class TestGaussNewtonStage:
 
     @staticmethod
     def advance(flat, x0):
-        return fitter._gauss_newton(flat, np.zeros(6), positions(SCRATCH_FIELDS), x0,
+        system = fitter._log_system(flat, np.zeros(6), positions(SCRATCH_FIELDS),
                                     fitter.DEFAULT_DELTA)
+        return fitter._gauss_newton(system, flat[2].size, x0)
 
     def test_endpoints_do_not_depend_on_order_or_blocking(self, replica, monkeypatch):
         flat, x0 = replica
@@ -1090,9 +1118,10 @@ class TestGaussNewtonStage:
         flat = (np.log(computes), np.zeros(len(computes)), log_l)
         x0 = np.array([[math.log(20.0), math.log(0.5), math.log(0.06)],
                        [math.log(30.0), math.log(0.9), math.log(0.1)]])
+        system = fitter._log_system(flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0),
+                                    positions(FRONTIER_FIELDS), fitter.DEFAULT_DELTA)
         endpoints = fitter._gauss_newton(
-            flat, _q(0.0, -math.inf, 0.0, 1.0, 1.0), positions(FRONTIER_FIELDS), x0,
-            fitter.DEFAULT_DELTA, bounds=[(None, None), (None, 0.0), (None, None)],
+            system, len(computes), x0, bounds=[(None, None), (None, 0.0), (None, None)],
         ).x
         assert endpoints[:, 1].max() == 0.0
 
@@ -1120,6 +1149,35 @@ class TestGaussNewtonStage:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5_000
 
 
+class TestSystems:
+    def test_a_block_sum_of_two_logs_fits_through_the_optimizer(self):
+        # The noise-free scratch replica split by alternating model size into
+        # two logs, fitted as one: a joint system is a function of the
+        # one-log systems, and the optimizer takes it as it takes one of them.
+        runs = sorted(generate_runset(paper_replica_config("scratch")), key=lambda run: run.param_count)
+        flats = [_flatten(RunSet(runs=tuple(runs[half::2]))) for half in (0, 1)]
+        systems = [fitter._log_system(flat, np.zeros(6), positions(SCRATCH_FIELDS),
+                                      fitter.DEFAULT_DELTA) for flat in flats]
+        counts = [flat[2].size for flat in flats]
+
+        def joint(x, newton):
+            parts = [system(x, newton) for system in systems]
+            value = sum(count * part[0] for count, part in zip(counts, parts)) / sum(counts)
+            return value, sum(part[1] for part in parts), sum(part[2] for part in parts)
+
+        flat = _flatten(RunSet(runs=tuple(runs)))
+        starts = fitter._law_starts(default_grid(flat, SCRATCH_FIELDS), SCRATCH_FIELDS)
+        # On the starts, the block sum is the one-log system of the whole replica.
+        x0 = np.array([x for _, x in starts])
+        whole = fitter._log_system(flat, np.zeros(6), positions(SCRATCH_FIELDS), fitter.DEFAULT_DELTA)
+        for newton in (False, True):
+            for got, expected in zip(joint(x0, newton), whole(x0, newton), strict=True):
+                assert got == pytest.approx(expected, rel=1e-12)
+        fit = fitter._fit_mask(joint, sum(counts), starts)
+        truth = [getattr(SCRATCH, name) for name in SCRATCH_FIELDS]
+        assert np.exp(fit.x) == pytest.approx(truth, rel=1e-8)
+
+
 class TestPopulation:
     """The record ``_fit_mask`` keeps of its starts, as observed on three replica logs."""
 
@@ -1129,7 +1187,7 @@ class TestPopulation:
         return generate_runset(config)
 
     def test_replica_populations(self, monkeypatch):
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         fit_scratch(self.replica("scratch", 0.01, 1))
         fit_scratch(self.replica("scratch", 0.0, 0))
         compare_laws(self.replica("cpt", 0.03, 3))
@@ -1156,14 +1214,14 @@ class TestPopulation:
     ])
     def test_a_fit_holds_the_fields_it_does_not_fit(self, monkeypatch, fit, width, held):
         scratch, cpt = law_runset(SCRATCH, SIZES), law_runset(CPT, SIZES, strategy="cpt")
-        populations = record_populations(monkeypatch)
+        fits = record_returns(monkeypatch, "_fit_law")
         {"scratch": lambda: fit_scratch(scratch),
          "cpt": lambda: fit_cpt(cpt, (CPT.E, CPT.A, CPT.alpha)),
          "frontier": lambda: fit_frontier(extract_compute_frontier(scratch), fix_offset_zero=False),
          "compare_laws": lambda: compare_laws(cpt)}[fit]()
-        population = populations[-1]
+        _, q, population = fits[-1]
         assert population.stage.x.shape[1] == width
-        assert population.q[list(held)].tolist() == list(held.values())
+        assert q[list(held)].tolist() == list(held.values())
 
 
 class TestHeldFields:
@@ -1175,14 +1233,14 @@ class TestHeldFields:
 
     @pytest.mark.parametrize("gamma", [0.08, -0.05, 0.0])
     def test_held_gamma_comes_back_as_given(self, cpt_replica, gamma):
-        law, fit = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
-                                   gamma=gamma)
+        law, q, fit = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
+                                      gamma=gamma)
         assert fit.stage.x.shape[1] == 5  # A, B', E, alpha, beta' from the default grid
-        assert law.gamma == gamma and fit.q[5] == gamma
+        assert law.gamma == gamma and q[5] == gamma
 
     def test_gamma_held_at_the_truth_gives_the_data_term(self, cpt_replica):
-        law, _ = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
-                                 E=CPT.E, A=CPT.A, alpha=CPT.alpha, gamma=CPT.gamma)
+        law, _, _ = fitter._fit_law(ExtendedCptParams, cpt_replica, None, fitter.DEFAULT_DELTA,
+                                    E=CPT.E, A=CPT.A, alpha=CPT.alpha, gamma=CPT.gamma)
         assert (law.E, law.A, law.alpha, law.gamma) == (CPT.E, CPT.A, CPT.alpha, CPT.gamma)
         assert law.B_prime == pytest.approx(CPT.B_prime, abs=1e-8)
         assert law.beta_prime == pytest.approx(CPT.beta_prime, abs=1e-8)
@@ -1301,7 +1359,7 @@ class TestDefaultGrids:
     def test_noise_free_scratch_stage_rows(self, monkeypatch):
         # Fewer than 96 starts x (30 trials + the first evaluation): a start
         # that has stopped is not evaluated again (2,373 rows on this replica).
-        populations = record_populations(monkeypatch)
+        populations = record_returns(monkeypatch)
         fit_scratch(generate_runset(paper_replica_config("scratch")))
         (fit,) = populations
         assert 0 < rows([fit.stage]) < 96 * 31

@@ -259,11 +259,14 @@ class TestParametricTransfer:
         assert values[0] < values[1] < values[2]
 
     def test_unreachable_loss_is_contextualized(self):
-        # a CPT law far below the from-scratch floor at this size
+        # a CPT law far below the from-scratch floor at this size, for one N
+        # and for an array of them
         deep = type(CPT)(E=0.1, A=CPT.A, alpha=CPT.alpha,
                          B_prime=1e-3, beta_prime=CPT.beta_prime, gamma=CPT.gamma)
-        with pytest.raises(UnreachableLossError, match="floor"):
-            parametric_transfer(SCRATCH, deep, 1e9, 1e12)
+        for N in (1e9, np.array([1e9, 2e9])):
+            with pytest.raises(UnreachableLossError, match=re.escape(
+                    f"at N={N!r}, D=1000000000000.0 is below the from-scratch floor")):
+                parametric_transfer(SCRATCH, deep, N, 1e12)
 
     def test_from_scratch_tokens_past_float_range_is_domain_error(self):
         # At beta = 0.005 the from-scratch law needs e^4680 tokens for the CPT loss.
