@@ -787,8 +787,7 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
     """
     cfg = cfg or FitConfig()
     flat = _prepare(data, cfg)
-    scratch_report = _fit_report(ChinchillaParams, flat, cfg.init_grid, cfg.delta)
-    p = scratch_report.params
+    p, _, scratch = _fit_law(ChinchillaParams, flat, cfg.init_grid, cfg.delta)
     # Not ``_default_grid``'s share rule: these starts keep stage one's data term.
     log_n, log_d, _ = _median_record(flat)
     log_term = math.log(p.B) - p.beta * log_d
@@ -797,7 +796,7 @@ def compare_laws(data: RunSet, cfg: FitConfig | None = None) -> ModelComparison:
                 (log_term + beta * log_d + gamma * log_n, beta, gamma)
                 for beta, gamma in product(EXPONENT_STARTS, GAMMA_STARTS))]]
     extended, _, fit = _fit_law(ExtendedCptParams, flat, grid, cfg.delta)
-    return ModelComparison(chinchilla_error=scratch_report.objective,
+    return ModelComparison(chinchilla_error=scratch.objective,
                            extended_error=fit.objective, gamma_fitted=extended.gamma)
 
 

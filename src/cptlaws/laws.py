@@ -18,12 +18,11 @@ input runs in numpy, which broadcasts arrays and returns a float for a 0-d
 result.  The two paths agree to about 1 ulp (``math.exp`` and ``numpy.exp``
 are different implementations); code whose output must not move by an ulp
 evaluates through arrays.  On both paths an exp past float range is inf,
-and a non-positive, infinite, NaN or text input is a DomainError; a bool or
-an int past float range is a ValidationError on the scalar path and a
-DomainError on the array path, which also refuses None, complex and
-bytes-like input, alone or at any depth of a list or tuple.  A grid of the
-loss law over N and D (``_law_grid``) takes the scalar path's operations in
-its order, so each cell equals the scalar ``eval_law`` bit for bit.
+and a non-positive, infinite or NaN input is a DomainError; what ``_real``
+refuses as a number, or an int past float range, is a ValidationError on
+the scalar path and a DomainError on the array path.  A grid of the loss
+law over N and D (``_law_grid``) takes the scalar path's operations in its
+order, so each cell equals the scalar ``eval_law`` bit for bit.
 
 The rules of the package's numbers are written here once, each as a
 converter ``(value, name)`` that returns the value converted or raises an
@@ -61,14 +60,32 @@ FLOPS_PER_PARAM_TOKEN = 6.0
 _FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 
+def _real(x, depth=64) -> bool:
+    """Whether ``x`` is a real number other than a bool, or a list, tuple or numpy array of them."""
+    if type(x) is float or type(x) is int:  # the common case, tested first
+        return True
+    kind = getattr(getattr(x, "dtype", None), "kind", None)  # a numpy duration is a numbers.Real
+    if kind == "O" or isinstance(x, (list, tuple)):
+        # numpy reads an object array's items, and holds at most 64 dimensions; the depth
+        # also ends a list or an object array that holds itself.
+        items = _namespace(x).asarray(x).flat if kind else x
+        return depth > 0 and all(_real(item, depth - 1) for item in items)
+    if kind is not None:
+        return kind in "iuf"
+    from decimal import Decimal  # imported here, so that start-up loads neither module
+    from numbers import Real
+
+    return isinstance(x, (Real, Decimal)) and not isinstance(x, bool)
+
+
 def _as_float(value, name: str) -> float:
-    """``float(value)`` for a number; a bool, a non-number or one past float range is an error."""
-    if isinstance(value, bool) or not hasattr(value, "__float__"):  # a str has no __float__
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    """``float(value)`` if ``_real`` accepts it; another value, or one too large, is an error."""
     try:
-        return float(value)
+        return float(value if _real(value) else None)  # float(None) raises TypeError
     except OverflowError:
         raise ValidationError(f"{name} is too large") from None
+    except (TypeError, ValueError):  # also a list, an array of several values, a signaling NaN
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}") from None
 
 
 # The rules of the library's number arguments and coefficients: the wording of
@@ -92,11 +109,12 @@ def _checked(value, name: str, rule, error=ValidationError) -> float:
 
 
 def _count(value, name: str, least: int, error=ValidationError) -> int:
-    """``operator.index(value)`` of at least ``least``; a bool, a non-integer or a count
-    past float range is a ValidationError, and a count below ``least`` is ``error``."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
+    """``operator.index(value)`` of at least ``least``; a value ``_real`` refuses, a non-integer or
+    a count past float range is a ValidationError, and a count below ``least`` is ``error``."""
+    try:  # operator.index(None) raises, as it does for a float or an array but a 0-d integer
+        value = operator.index(value if _real(value) else None)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
     if abs(value) >= _FLOAT_INT_LIMIT:  # as _as_float says; its repr may raise
         raise ValidationError(f"{name} is too large")
     if value < least:
@@ -260,35 +278,15 @@ def _namespace(*values):
     return numpy
 
 
-def _real_objects(xp, array) -> bool:
-    """Whether each element of an object array is a real number: no None, text, bool or complex."""
-    refused = (bool, xp.bool_, xp.complexfloating)  # a complex scalar of numpy has __float__
-    return all(hasattr(x, "__float__") and not isinstance(x, refused) for x in array.flat)
-
-
-def _bytes_like(x) -> bool:
-    """Whether ``x`` is bytes-like, or a list or tuple that holds one at any depth."""
-    if isinstance(x, (list, tuple)):
-        return any(map(_bytes_like, x))
-    return isinstance(x, (bytes, bytearray, memoryview))
-
-
 def _positive(xp, x, name: str):
     """``x`` as a float (``xp`` is ``_MATH``) or a float array, checked positive and finite.
 
-    On the array path anything but a real number, or an array of them, is a DomainError.
+    On the array path a value ``_real`` refuses, or numpy cannot read as floats, is a DomainError.
     """
     if xp is _MATH:
         return _positive_float(x, name, error=DomainError)
     try:
-        array = xp.asarray(x)
-        # numpy would read the text "1e9", True, a date and a record of one field
-        # as numbers, None as NaN and a complex value as its real part, also as an
-        # element of an object array, and a bytearray or memoryview as its bytes,
-        # also in a list.
-        real = (array.dtype.kind in "iuf" or array.dtype == object and _real_objects(xp, array)
-                ) and not _bytes_like(x)
-        array = array.astype(float, copy=False) if real else None
+        array = xp.asarray(x, dtype=float) if _real(x) else None
     except (TypeError, ValueError, OverflowError):  # a ragged list, an int past float range
         array = None
     if array is None:

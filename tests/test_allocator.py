@@ -281,6 +281,14 @@ class TestIsoLossGrid:
         with pytest.raises(DomainError):
             isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e12), 1)
 
+    # numpy would index with a 0-d integer array alone; any other array is no count.
+    def test_resolution_is_an_integer_or_a_0d_integer_array(self):
+        with pytest.raises(ValidationError, match=r"^resolution must be an integer, got array\(\[3\]\)$"):
+            isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e10), np.array([3]))
+        expected = isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e10), 3)
+        assert isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e10), np.array(3)) == expected
+        assert isoloss_grid(SCRATCH, (1e8, 1e9), (1e9, 1e10), np.int32(3)) == expected
+
     @pytest.mark.parametrize("n_range, d_range", [((1e-200, 1e9), (1e-200, 1e12)),
                                                   ((1e8, 1e200), (1e9, 1e200))],
                              ids=["underflow", "overflow"])

@@ -605,7 +605,9 @@ class TestCatalog:
         (True, "param_size_millions must be an integer, got True"),
         (2.0, "param_size_millions must be an integer, got 2.0"),
         (0, "param_size_millions must be at least 1, got 0"),
-    ], ids=["bool", "float", "zero"])
+        (np.array(True), "param_size_millions must be an integer, got array(True)"),
+        (np.array([49]), "param_size_millions must be an integer, got array([49])"),
+    ], ids=["bool", "float", "zero", "numpy-bool-array", "one-element-array"])
     def test_spec_counts_are_positive_integers(self, value, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ModelSpec(value, 512, 3072, 8, 8)

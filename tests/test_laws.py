@@ -33,6 +33,10 @@ from cptlaws import (
 
 SCRATCH = REFERENCE_SCRATCH_LAW
 CPT = REFERENCE_CPT_LAW
+HOLDS_ITSELF = []
+HOLDS_ITSELF.append(HOLDS_ITSELF)
+ARRAY_HOLDS_ITSELF = np.empty(1, dtype=object)
+ARRAY_HOLDS_ITSELF[0] = ARRAY_HOLDS_ITSELF
 
 
 def plain_chinchilla(p, n, d):
@@ -282,9 +286,11 @@ class TestScalarPath:
             eval_law(SCRATCH, np.array([True]), 1e9)
 
     # numpy reads None as NaN, a complex value as its real part (with a
-    # ComplexWarning), a bytearray or memoryview as its bytes (also in a list), and
+    # ComplexWarning), a bytearray or memoryview as its bytes (also in a list),
     # text or a bool in an object array, a date, a duration and a record of one
-    # number as numbers.
+    # number as numbers, and a range as its values; a container other than a list,
+    # a tuple or a numpy array is refused, and so is a list or an object array that
+    # holds itself.
     @pytest.mark.parametrize("bad", [
         [1e9, [1e9]], np.array([10**400], dtype=object), np.array(["1e9"]),
         None, [1e9, None], np.array([1e9, None], dtype=object), 1e9 + 5j, 1e9 + 0j,
@@ -296,13 +302,15 @@ class TestScalarPath:
         np.array(["2020-01-01"], dtype="datetime64[D]"), np.array([10**9], dtype="timedelta64[s]"),
         np.array([(1e9,)], dtype=[("n", float)]), b"a", bytearray(b"a"), memoryview(b"a"),
         memoryview(np.array([1e9])), [bytearray(b"a")], [[memoryview(b"ab")]],
-        [[1e9, 2e9], bytearray(b"ab")], ([1e9], (b"a",)),
+        [[1e9, 2e9], bytearray(b"ab")], ([1e9], (b"a",)), range(1, 3), HOLDS_ITSELF,
+        ARRAY_HOLDS_ITSELF,
     ], ids=["ragged", "past-float-range", "text", "none", "none-in-list", "none-in-object-array",
             "complex", "complex-real", "complex64", "complex-in-list", "complex64-in-object-array",
             "complex-in-object-array", "text-in-object-array", "bool-in-object-array",
             "numpy-bool-in-object-array", "datetime", "timedelta", "record", "bytes", "bytearray",
             "memoryview", "memoryview-of-floats", "bytearray-in-list", "memoryview-in-nested-list",
-            "bytearray-row", "bytes-in-nested-tuple"])
+            "bytearray-row", "bytes-in-nested-tuple", "range", "list-holding-itself",
+            "object-array-holding-itself"])
     def test_array_path_takes_only_float_arrays(self, bad):
         calls = {
             "N": [lambda v: eval_law(SCRATCH, v, 1e10), lambda v: loss_floor(CPT, v),

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from cptlaws import (
@@ -54,8 +55,14 @@ from conftest import law_run, law_runset
 SCRATCH, CPT = REFERENCE_SCRATCH_LAW, REFERENCE_CPT_LAW
 F_PT, F_CPT = REFERENCE_SCRATCH_FRONTIER, REFERENCE_CPT_FRONTIER
 
-# Values that break an argument of each kind.
-NUMBER = ("x", True, None, math.nan, math.inf, -math.inf, 0, -1, 10**400)
+# numpy values that float() or numpy would read as a number: text, a bool and a
+# complex value (these three return unless refused), a duration and a date.
+NUMPY = (np.str_("1e9"), np.bool_(True), np.complex128(1e9 + 1j), np.timedelta64(1, "s"),
+         np.datetime64("2020-01-01"))
+# Values that break an argument of each kind; an array of two numbers breaks every
+# number that is not on the array path.
+SCALAR = ("x", True, None, math.nan, math.inf, -math.inf, 0, -1, 10**400, *NUMPY)
+NUMBER = SCALAR + (np.array([1e9, 2e9]),)
 COUNT = NUMBER + (2.5,)
 SEQUENCE = NUMBER + ((), ("x",), (None,), (math.nan,), (10**400,))
 PAIR = SEQUENCE + ((1e8,), (1e8, 1e10, 1e12), ("x", 1e10), (1e10, 10**400))
@@ -65,13 +72,14 @@ PAIRS = SEQUENCE + (
     [(math.inf, 1.0), (2.0, 1.0)], [(10**400, 1.0), (2.0, 1.0)],
 )
 LOSS_LAW = ("x", None, 1.0, F_PT)
-# Values that a call must refuse rather than return from: a bytes-like value in a
-# list, which numpy would read as its bytes, and a from-scratch law that needs
-# more tokens than float range holds to reach the CPT loss at N = 1e9, D = 1e10.
+# Values that a call must refuse rather than return from: the first three numpy
+# values, a bytes-like value in a list, which numpy would read as its bytes, and a
+# from-scratch law that needs more tokens than float range holds to reach the CPT
+# loss at N = 1e9, D = 1e10.
 BYTES_IN_LIST = [bytearray(b"a")]
 SHALLOW = dataclasses.replace(SCRATCH, beta=0.005)
-REFUSED = (BYTES_IN_LIST, SHALLOW)
-ARRAY = NUMBER + (BYTES_IN_LIST,)  # an argument of the array path
+REFUSED = (*NUMPY[:3], BYTES_IN_LIST, SHALLOW)
+ARRAY = SCALAR + (BYTES_IN_LIST,)  # an argument of the array path
 FRONTIER = ("x", None, 1.0, SCRATCH)
 SIZES = (10**8, 10**9)
 
@@ -117,7 +125,7 @@ def library_calls():
         (curve.loss_at_tokens, dict(tokens=5.0), dict(tokens=NUMBER)),
         (curve.tokens_at_loss, dict(loss=5.0), dict(loss=NUMBER)),
         (parametric_transfer, dict(scratch=SCRATCH, cpt=CPT, N=1e9, D_cpt=1e10),
-         dict(scratch=LOSS_LAW + (SHALLOW,), cpt=LOSS_LAW, N=NUMBER, D_cpt=NUMBER)),
+         dict(scratch=LOSS_LAW + (SHALLOW,), cpt=LOSS_LAW, N=ARRAY, D_cpt=ARRAY)),
         (extract_compute_frontier, dict(data=runs, bins_per_decade=10),
          dict(bins_per_decade=COUNT)),
         (fit_frontier, dict(points=[(1e18, 3.0), (1e19, 2.5), (1e20, 2.2)]), dict(points=PAIRS)),
@@ -178,16 +186,19 @@ class TestFuzzedLibrary:
 
     Each callable's valid call returns.  Then one argument at a time is replaced
     by each bad value of its kind (a str, a bool, None, NaN, +-inf, 0, -1 and
-    10**400; 2.5 for a count; an empty, non-numeric, short or long sequence; a
-    malformed pair; a law of the wrong kind) under warnings as errors: 37
-    callables, 1030 cases.  A bytes-like value in a list, given to a function of
-    the array path, and a from-scratch law whose tokens for the CPT loss pass
-    float range, given to ``parametric_transfer``, must raise, not return.  Objects the library builds (runs, run sets, the
-    allocation coefficients an allocation takes, a fit's config) are not mutated;
-    the records a fit, an isoloss grid or a transfer returns are, and so is a loss
-    curve's interpolator, whose lookups take a number.  A grid's cells are the law's
-    own floats and are not converted: only its axes, its rows and its frontier's
-    (C, N) pairs are.
+    10**400; a numpy str, bool, complex, duration and date; an array of two
+    numbers, except on the array path; 2.5 for a count; an empty, non-numeric,
+    short or long sequence; a malformed pair; a law of the wrong kind) under
+    warnings as errors: 37 callables, 1540 cases.  The numpy str, bool and
+    complex, a bytes-like value in a list, given to a function of the array
+    path, and a from-scratch law whose tokens for the CPT loss pass float
+    range, given to ``parametric_transfer``, must raise, not return.  Objects
+    the library builds (runs, run sets, the allocation coefficients an
+    allocation takes, a fit's config) are not mutated; the records a fit, an
+    isoloss grid or a transfer returns are, and so is a loss curve's
+    interpolator, whose lookups take a number.  A grid's cells are the law's
+    own floats and are not converted: only its axes, its rows and its
+    frontier's (C, N) pairs are.
     """
 
     def test_no_bad_argument_escapes_untyped(self):
@@ -202,7 +213,7 @@ class TestFuzzedLibrary:
                                        may_return=not any(value is v for v in REFUSED))
                     if outcome is not None:
                         escapes.append(f"{function.__name__}({name}={value!r:.40}): {outcome}")
-        assert (len(calls), cases) == (37, 1030)
+        assert (len(calls), cases) == (37, 1540)
         assert escapes == []
 
 

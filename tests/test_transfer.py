@@ -127,6 +127,16 @@ class TestCurveInterpolator:
                 math.exp(log_t), rel=1e-12
             )
 
+    # log(exp(v)) is one ulp below v = 0.503, so the lowest loss the curve reaches
+    # is looked up just outside its knots, where the lookup clamps to the last one;
+    # knots this close would move an extrapolated answer far from it.
+    def test_lowest_loss_gives_the_last_knots_tokens(self):
+        v = 0.503
+        assert math.log(math.exp(v)) < v
+        curve = CurveInterpolator(log_tokens=(18.0, 20.0, 22.0),
+                                  log_losses=(v + 2e-9, v + 1e-9, v))
+        assert curve.tokens_at_loss(curve.loss_range[0]) == math.exp(22.0)
+
 
 def numpy_transfer(run_pt, run_cpt, levels):
     """Reference for ``empirical_transfer`` in numpy: running minimum, np.geomspace and np.interp.
